@@ -50,13 +50,6 @@ type line struct {
 	dirty bool
 }
 
-type mshr struct {
-	lineAddr int64
-	req      int // requester that allocated the miss (merges ride along)
-	waiters  []func()
-	dirty    bool // a write merged into this fill
-}
-
 // Stats counts cache activity, per requester and total.
 type Stats struct {
 	Accesses, Hits, Misses int64
@@ -73,7 +66,8 @@ type Cache struct {
 	nsets   int
 	backend Backend
 
-	mshrs map[int64]*mshr
+	free     *mshr     // idle MSHRs
+	inflight mshrTable // outstanding MSHRs by line address
 
 	// hit-latency delay ring: ring[cycle % len] holds callbacks due.
 	ring     [][]func()
@@ -104,12 +98,18 @@ func New(cfg Config, backend Backend, cores int) (*Cache, error) {
 		cfg.MSHRs = 1
 	}
 	c := &Cache{
-		cfg:     cfg,
-		nsets:   nsets,
-		backend: backend,
-		mshrs:   make(map[int64]*mshr),
-		ring:    make([][]func(), cfg.HitLatency+1),
-		PerCore: make([]Stats, cores),
+		cfg:      cfg,
+		nsets:    nsets,
+		backend:  backend,
+		inflight: newMSHRTable(cfg.MSHRs),
+		ring:     make([][]func(), cfg.HitLatency+1),
+		PerCore:  make([]Stats, cores),
+	}
+	pool := make([]mshr, cfg.MSHRs)
+	for i := range pool {
+		m := &pool[i]
+		m.fill = func() { c.fill(m) }
+		c.release(m)
 	}
 	// Carve all per-set slices out of two flat backing arrays: large
 	// caches (32K sets) would otherwise pay 2*nsets allocations here,
@@ -281,7 +281,10 @@ func (c *Cache) account(core int, hit bool) {
 // access implements both reads and writes; onDone fires when the data is
 // available (reads) or the line is owned (writes). It returns false when
 // the access cannot be accepted this cycle (MSHRs or the controller's
-// read queue are full) — the caller must retry.
+// read queue are full) — the caller must retry. A refused miss returns
+// its MSHR to the free list, so retrying allocates nothing.
+//
+//rhlint:hotpath
 func (c *Cache) access(core int, addr int64, write bool, onDone func()) bool {
 	la := c.lineAddr(addr)
 	if s, w := c.lookup(la); w >= 0 {
@@ -296,44 +299,60 @@ func (c *Cache) access(core int, addr int64, write bool, onDone func()) bool {
 		return true
 	}
 	// Miss: merge into an in-flight fill when possible.
-	if m, ok := c.mshrs[la]; ok {
+	if m := c.inflight.get(la); m != nil {
 		c.Stats.MSHRMerges++
 		c.account(core, false)
 		if write {
 			m.dirty = true
 		}
 		if onDone != nil {
-			//rhlint:allow hotalloc(miss path: waiter growth is bounded by in-flight misses and amortized against DRAM fill latency)
+			//rhlint:allow hotalloc(amortized: a recycled MSHR keeps its waiter capacity)
 			m.waiters = append(m.waiters, onDone)
 		}
 		return true
 	}
-	if len(c.mshrs) >= c.cfg.MSHRs {
-		return false
+	m := c.free
+	if m == nil {
+		return false // every MSHR is in flight
 	}
-	//rhlint:allow hotalloc(miss path: one MSHR per outstanding miss, bounded by cfg.MSHRs and amortized against DRAM fill latency)
-	m := &mshr{lineAddr: la, req: core, dirty: write}
+	c.free = m.next
+	m.lineAddr, m.req, m.dirty = la, core, write
 	if onDone != nil {
-		//rhlint:allow hotalloc(miss path: waiter growth is bounded by in-flight misses and amortized against DRAM fill latency)
+		//rhlint:allow hotalloc(amortized: a recycled MSHR keeps its waiter capacity)
 		m.waiters = append(m.waiters, onDone)
 	}
 	// Register the MSHR before handing the fill callback to the backend:
 	// a backend that completes synchronously must find (and clear) it.
-	c.mshrs[la] = m
-	//rhlint:allow hotalloc(miss path: one fill closure per outstanding miss, amortized against DRAM fill latency)
-	accepted := c.backend.EnqueueRead(core, la*int64(c.cfg.LineBytes), func() {
-		delete(c.mshrs, la)
-		c.install(m.req, la, m.dirty)
-		for _, fn := range m.waiters {
-			fn()
-		}
-	})
-	if !accepted {
-		delete(c.mshrs, la)
+	c.inflight.put(m)
+	if !c.backend.EnqueueRead(core, la*int64(c.cfg.LineBytes), m.fill) {
+		c.inflight.remove(la)
+		c.release(m)
 		return false
 	}
 	c.account(core, false)
 	return true
+}
+
+// fill completes m's line fill: the line is installed, every waiter
+// fires, and m returns to the free list.
+func (c *Cache) fill(m *mshr) {
+	c.inflight.remove(m.lineAddr)
+	c.install(m.req, m.lineAddr, m.dirty)
+	for _, fn := range m.waiters {
+		fn()
+	}
+	c.release(m)
+}
+
+// release returns m to the free list. It keeps the waiter capacity but
+// drops the callbacks.
+//
+//rhlint:hotpath
+func (c *Cache) release(m *mshr) {
+	clear(m.waiters)
+	m.waiters = m.waiters[:0]
+	m.next = c.free
+	c.free = m
 }
 
 // Read requests addr for the given requester (core/thread) ID; onDone
@@ -352,10 +371,11 @@ func (c *Cache) ReadUncached(core int, addr int64, onDone func()) bool {
 	la := c.lineAddr(addr)
 	// An in-flight fill for the line must complete first: ride it. The
 	// subsequent replay will find the line cached, flush it, and miss.
-	if m, ok := c.mshrs[la]; ok {
+	if m := c.inflight.get(la); m != nil {
 		c.Stats.MSHRMerges++
 		c.account(core, false)
 		if onDone != nil {
+			//rhlint:allow hotalloc(amortized: a recycled MSHR keeps its waiter capacity)
 			m.waiters = append(m.waiters, onDone)
 		}
 		return true

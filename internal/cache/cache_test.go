@@ -1,6 +1,38 @@
 package cache
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
+
+// TestMSHRTableMatchesMap drives the open-addressed MSHR index and a Go
+// map through the same random put/remove/get sequence, on clustered line
+// addresses that force long probe runs and wrap-around deletions.
+func TestMSHRTableMatchesMap(t *testing.T) {
+	const n = 16
+	tab := newMSHRTable(n)
+	want := map[int64]*mshr{}
+	rng := rand.New(rand.NewSource(3))
+	var live []int64
+	for step := 0; step < 20_000; step++ {
+		la := int64(rng.Intn(64)) * 32
+		switch {
+		case len(live) < n && want[la] == nil && rng.Intn(2) == 0:
+			m := &mshr{lineAddr: la}
+			tab.put(m)
+			want[la] = m
+			live = append(live, la)
+		case len(live) > 0 && rng.Intn(2) == 0:
+			i := rng.Intn(len(live))
+			tab.remove(live[i])
+			delete(want, live[i])
+			live = append(live[:i], live[i+1:]...)
+		}
+		if got := tab.get(la); got != want[la] {
+			t.Fatalf("step %d: get(%d) = %v, want %v", step, la, got, want[la])
+		}
+	}
+}
 
 // fakeMem records backend traffic (with requester attribution) and
 // completes reads on demand.

@@ -49,6 +49,11 @@ type Core struct {
 	// instruction" (bulk-replayable) from "a callback may land any time".
 	outstanding int
 
+	// complete holds one load-completion callback per window slot, built
+	// once in New: issuing a load, and retrying one the LLC refused,
+	// passes an existing func value instead of allocating a closure.
+	complete []func()
+
 	llc *cache.Cache
 
 	Retired int64
@@ -68,14 +73,19 @@ func New(id int, cfg Config, trc *trace.Trace, llc *cache.Cache) (*Core, error) 
 	if cfg.WindowSize&(cfg.WindowSize-1) == 0 {
 		mask = int64(cfg.WindowSize - 1)
 	}
-	return &Core{
-		ID:   id,
-		cfg:  cfg,
-		trc:  trc,
-		done: make([]bool, cfg.WindowSize),
-		mask: mask,
-		llc:  llc,
-	}, nil
+	c := &Core{
+		ID:       id,
+		cfg:      cfg,
+		trc:      trc,
+		done:     make([]bool, cfg.WindowSize),
+		mask:     mask,
+		complete: make([]func(), cfg.WindowSize),
+		llc:      llc,
+	}
+	for s := range c.complete {
+		c.complete[s] = func() { c.done[s] = true; c.outstanding-- }
+	}
+	return c, nil
 }
 
 // IPC returns retired instructions per cycle so far.
@@ -106,6 +116,8 @@ func (c *Core) slot(seq int64) int {
 
 // Tick advances the core one CPU cycle: retire up to IssueWidth done
 // instructions from the window head, then issue up to IssueWidth new ones.
+//
+//rhlint:hotpath
 func (c *Core) Tick() {
 	c.Cycles++
 
@@ -163,12 +175,13 @@ func (c *Core) Tick() {
 			seq := c.seqHead + int64(c.inFlite)
 			s := c.slot(seq)
 			c.done[s] = false // before Read: the callback may fire any time after
-			read := c.llc.Read
+			var ok bool
 			if c.rec.NoCache {
-				read = c.llc.ReadUncached // flush+load: always reaches DRAM
+				ok = c.llc.ReadUncached(req, c.rec.Addr, c.complete[s]) // flush+load: always reaches DRAM
+			} else {
+				ok = c.llc.Read(req, c.rec.Addr, c.complete[s])
 			}
-			//rhlint:allow hotalloc(one completion closure per issued read, amortized over the read's multi-cycle memory latency)
-			if !read(req, c.rec.Addr, func() { c.done[s] = true; c.outstanding-- }) {
+			if !ok {
 				break
 			}
 			c.outstanding++

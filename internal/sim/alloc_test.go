@@ -55,3 +55,30 @@ func TestEventBulkSkipZeroAlloc(t *testing.T) {
 			long, 4*base, short, base)
 	}
 }
+
+// TestBackPressuredDemandPathZeroAlloc is the allocation gate of the
+// dense demand path: eight memory-bound cores in front of a read queue
+// shorter than the LLC's MSHR count, so loads are refused both by full
+// MSHRs and by the full queue and retried through cpu → LLC → memctrl.
+// Once the hit ring, MSHR waiter lists and completion buffers have
+// reached their working sizes, an exact cycle must not touch the heap,
+// neither for accepted reads nor for refused retries.
+func TestBackPressuredDemandPathZeroAlloc(t *testing.T) {
+	cfg := Table6Config(0, 1<<40)
+	cfg.Ctrl.ReadQueue = 16
+	s, err := newSystem(cfg, trace.Mixes(1, 8, 2_000, 1)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 300_000; i++ {
+		s.tick()
+	}
+	full := s.ctrl.Stats.ReadQueueFull
+	allocs := testing.AllocsPerRun(20_000, s.tick)
+	if s.ctrl.Stats.ReadQueueFull == full {
+		t.Fatal("the mix never filled the read queue: no retry was exercised")
+	}
+	if allocs != 0 {
+		t.Fatalf("back-pressured exact cycle allocated %.3f times per cycle; want 0", allocs)
+	}
+}

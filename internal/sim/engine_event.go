@@ -131,16 +131,7 @@ func (s *system) runEvent() {
 					backoff *= 2
 				}
 			}
-			// Exact cycle, reference order.
-			s.llc.Tick()
-			for _, c := range s.cores {
-				c.Tick()
-			}
-			s.memAcc += s.memF
-			if s.memAcc >= s.cpuF {
-				s.memAcc -= s.cpuF
-				s.ctrl.Tick()
-			}
+			s.tick()
 			s.cpuCycle++
 		} else {
 			backoff = 1

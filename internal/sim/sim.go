@@ -281,20 +281,28 @@ func (s *system) beginMeasure() {
 	s.measStartCycle = s.cpuCycle
 }
 
+// tick executes one exact CPU cycle in reference order: the LLC, every
+// core, then the controller on the cycles the clock divider grants it.
+//
+//rhlint:hotpath
+func (s *system) tick() {
+	s.llc.Tick()
+	for _, c := range s.cores {
+		c.Tick()
+	}
+	s.memAcc += s.memF
+	if s.memAcc >= s.cpuF {
+		s.memAcc -= s.cpuF
+		s.ctrl.Tick()
+	}
+}
+
 // runCycle is the reference loop (EngineCycle): one CPU cycle per
 // iteration, the differential-testing oracle for the event engine.
 func (s *system) runCycle() {
 	target := s.cfg.WarmupInsts
 	for s.cpuCycle = 0; s.cpuCycle < s.maxCycles; s.cpuCycle++ {
-		s.llc.Tick()
-		for _, c := range s.cores {
-			c.Tick()
-		}
-		s.memAcc += s.memF
-		if s.memAcc >= s.cpuF {
-			s.memAcc -= s.cpuF
-			s.ctrl.Tick()
-		}
+		s.tick()
 		if !s.warmedUp && s.allRetired(target) {
 			s.beginMeasure()
 		}
