@@ -1,8 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper (one bench
 // per artifact, DESIGN.md §5) plus the design-choice ablations of
 // DESIGN.md §6. Each iteration performs a complete, reduced-scale run of
-// the corresponding experiment; the CLI tools (cmd/rhchar, cmd/rhmitigate,
-// cmd/rhreport) run the same code at full scale.
+// the corresponding experiment spec; `rhx run` and `rhx report` run the
+// same specs at full scale.
 package rowhammer_test
 
 import (
@@ -11,7 +11,6 @@ import (
 
 	rowhammer "repro"
 	"repro/internal/attack"
-	"repro/internal/chips"
 	"repro/internal/core"
 	"repro/internal/faultmodel"
 	"repro/internal/memctrl"
@@ -21,24 +20,30 @@ import (
 	"repro/internal/trace"
 )
 
-// benchOptions is the reduced characterization scale used per iteration.
-func benchOptions() core.Options {
-	return core.Options{
-		Scale:             chips.ScaleTiny,
-		Stride:            1,
-		MaxChipsPerConfig: 1,
-		Iterations:        2,
-		Seed:              1,
+// benchChar is the reduced characterization scale used per iteration.
+var benchChar = core.CharParams{Scale: "tiny", Stride: 1, Chips: 1, Iterations: 2}
+
+// runBench runs one experiment spec unsharded and returns its artifact.
+func runBench(b *testing.B, name string, params any) core.Artifact {
+	b.Helper()
+	spec, err := core.NewSpec(name, 1, params)
+	if err != nil {
+		b.Fatal(err)
 	}
+	res, err := core.RunContext(context.Background(), spec, core.Exec{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	art, err := res.Artifact()
+	if err != nil {
+		b.Fatal(err)
+	}
+	return art
 }
 
 func BenchmarkTable1Population(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := core.RunTable1(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) == 0 {
+		if t := runBench(b, "table1", benchChar).(*core.Table1); len(t.Rows) == 0 {
 			b.Fatal("empty census")
 		}
 	}
@@ -46,11 +51,7 @@ func BenchmarkTable1Population(b *testing.B) {
 
 func BenchmarkTable2RowHammerable(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t, err := core.RunTable2(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(t.Rows) != 6 {
+		if t := runBench(b, "table2", benchChar).(*core.Table2); len(t.Rows) != 6 {
 			b.Fatalf("got %d rows", len(t.Rows))
 		}
 	}
@@ -58,148 +59,110 @@ func BenchmarkTable2RowHammerable(b *testing.B) {
 
 func BenchmarkTable3WorstPattern(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunTable3(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		runBench(b, "table3", benchChar)
 	}
 }
 
 func BenchmarkTable4HCFirst(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := core.RunHCFirstStudy(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(s.Rows) == 0 {
+		if s := runBench(b, "table4", benchChar).(*core.Table4); len(s.Rows) == 0 {
 			b.Fatal("no rows")
 		}
 	}
 }
 
 func BenchmarkTable5Monotonicity(b *testing.B) {
-	o := benchOptions()
-	o.Iterations = 4
-	o.Stride = 4
+	p := benchChar
+	p.Iterations = 4
+	p.Stride = 4
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunTable5(o); err != nil {
-			b.Fatal(err)
-		}
+		runBench(b, "table5", p)
 	}
 }
 
 func BenchmarkFigure4Coverage(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFigure4(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		runBench(b, "fig4", benchChar)
 	}
 }
 
 func BenchmarkFigure5RateVsHC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFigure5(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		runBench(b, "fig5", benchChar)
 	}
 }
 
 func BenchmarkFigure6Spatial(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFigure6(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		runBench(b, "fig6", benchChar)
 	}
 }
 
 func BenchmarkFigure7WordDensity(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFigure7(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		runBench(b, "fig7", benchChar)
 	}
 }
 
 func BenchmarkFigure8HCFirstDist(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s, err := core.RunHCFirstStudy(benchOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = s.FormatFigure8()
+		_ = runBench(b, "fig8", benchChar).(*core.Figure8).FormatFigure8()
 	}
 }
 
 func BenchmarkFigure9ECC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := core.RunFigure9(benchOptions()); err != nil {
-			b.Fatal(err)
-		}
+		runBench(b, "fig9", benchChar)
 	}
 }
 
 func BenchmarkTables7and8Modules(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if len(core.RunTable7().Modules) != 110 {
+		if len(runBench(b, "table7", nil).(*core.ModuleTable).Modules) != 110 {
 			b.Fatal("DDR4 module count")
 		}
-		if len(core.RunTable8().Modules) != 60 {
+		if len(runBench(b, "table8", nil).(*core.ModuleTable).Modules) != 60 {
 			b.Fatal("DDR3 module count")
 		}
 	}
 }
 
-// benchMitigationOptions is one reduced Figure 10 sweep.
-func benchMitigationOptions() core.MitigationOptions {
-	return core.MitigationOptions{
-		Mixes:        2,
-		Cores:        4,
-		TraceRecords: 1_000,
-		WarmupInsts:  1_000,
-		MeasureInsts: 8_000,
-		HCSweep:      []int{100_000, 2_000, 256},
-		Mechanisms: []core.MechanismID{
-			core.MechPARA, core.MechIdeal, core.MechTWiCeIdeal,
-			core.MechProHIT, core.MechMRLoc,
-		},
-		Seed: 1,
-	}
+// benchFig10 is one reduced Figure 10 sweep.
+var benchFig10 = core.Fig10Params{
+	Mixes:        2,
+	Cores:        4,
+	TraceRecords: 1_000,
+	WarmupInsts:  1_000,
+	MeasureInsts: 8_000,
+	HCSweep:      []int{100_000, 2_000, 256},
+	Mechanisms: []core.MechanismID{
+		core.MechPARA, core.MechIdeal, core.MechTWiCeIdeal,
+		core.MechProHIT, core.MechMRLoc,
+	},
 }
 
 func BenchmarkFigure10Mitigations(b *testing.B) {
-	o := benchMitigationOptions()
 	for i := 0; i < b.N; i++ {
-		f, err := core.RunFigure10(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(f.Points) == 0 {
+		if f := runBench(b, "fig10", benchFig10).(*core.Figure10); len(f.Points) == 0 {
 			b.Fatal("no points")
 		}
 	}
 }
 
-// benchAttackOptions is one reduced attack-evaluation grid point.
-func benchAttackOptions() core.AttackOptions {
-	return core.AttackOptions{
-		Patterns:     []attack.Kind{attack.DoubleSided},
-		Mechanisms:   []core.MechanismID{core.MechNone, core.MechIdeal},
-		HCSweep:      []int{512},
-		BenignCores:  2,
-		TraceRecords: 800,
-		MemCycles:    150_000,
-		Rows:         1024,
-		Seed:         1,
-	}
+// benchAttack is one reduced attack-evaluation grid point.
+var benchAttack = core.AttackParams{
+	Patterns:     []attack.Kind{attack.DoubleSided},
+	Mechanisms:   []core.MechanismID{core.MechNone, core.MechIdeal},
+	HCSweep:      []int{512},
+	BenignCores:  2,
+	TraceRecords: 800,
+	MemCycles:    150_000,
+	Rows:         1024,
 }
 
 func BenchmarkAttackEval(b *testing.B) {
-	o := benchAttackOptions()
 	for i := 0; i < b.N; i++ {
-		ev, err := core.RunAttackEval(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(ev.Points) != 2 {
+		if ev := runBench(b, "attack", benchAttack).(*core.AttackEval); len(ev.Points) != 2 {
 			b.Fatalf("points = %d", len(ev.Points))
 		}
 	}
@@ -242,10 +205,10 @@ func BenchmarkTable6Baseline(b *testing.B) {
 
 // --- Engine stress shapes ---------------------------------------------------
 //
-// The full suite runs under both engines via scripts/bench.sh (RH_ENGINE
-// selects the driver); these two benchmarks are the sparse-trace shapes
-// the event engine exists for — long idle stretches the cycle engine
-// grinds through one cycle at a time.
+// RH_ENGINE selects the driver, so the suite runs under either engine;
+// these two benchmarks are the sparse-trace shapes the event engine
+// exists for — long idle stretches the cycle engine grinds through one
+// cycle at a time.
 
 // BenchmarkPacedAttackSparse is a duty-cycle paced attacker running alone
 // (the trr-dodge cell shape): burst of serialized flush+loads, then most

@@ -20,6 +20,9 @@
 //	rhx spec -name pareto                     # emit a template spec
 //	rhx spec -name pareto -hash               # print its content address
 //	rhx serve -addr :8080 -store cache/       # HTTP experiment service
+//	rhx report -quick                         # every paper artifact in one report
+//	rhx trace -profile stream-copy -n 1000    # emit a workload trace
+//	rhx trace -stat < trace.txt               # summarize a trace file
 //	rhx lint                                  # run the rhlint analyzers
 //
 // The -store flag (shared by run and serve) points at a content-
@@ -69,6 +72,10 @@ func main() {
 		err = cmdSpec(os.Args[2:])
 	case "serve":
 		err = cmdServe(os.Args[2:])
+	case "report":
+		err = cmdReport(os.Args[2:])
+	case "trace":
+		err = cmdTrace(os.Args[2:])
 	case "lint":
 		err = cmdLint(os.Args[2:])
 	case "-h", "-help", "--help", "help":
@@ -78,6 +85,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rhx: unknown command %q\n", os.Args[1])
 		usage()
 		os.Exit(2)
+	}
+	if errors.Is(err, errLintFindings) {
+		os.Exit(1) // findings: exit code without the "rhx:" wrapper
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rhx: %v\n", err)
@@ -93,6 +103,8 @@ func usage() {
   rhx fmt   result.json                  render a stored result
   rhx spec  -name n [-seed s] [-hash]    emit a template spec (or its hash)
   rhx serve -addr a -store d [flags]     run the HTTP experiment service
+  rhx report [-quick|-full] [flags]      run every paper artifact into one report
+  rhx trace  -list|-profile p|-stat      generate or summarize workload traces
   rhx lint  [-print] [packages]          run the rhlint static analyzers (default ./...)`)
 }
 
@@ -384,12 +396,17 @@ func cmdSpec(args []string) error {
 	return err
 }
 
+// errLintFindings reports that rhlint printed diagnostics: rhx exits 1
+// without adding a message of its own.
+var errLintFindings = errors.New("lint findings")
+
 // cmdLint runs the rhlint static-analysis suite: it builds cmd/rhlint
 // (the analyzers live in their own binary because the go vet -vettool
 // protocol requires a dedicated executable) and drives it through
 // `go vet`, so test packages are covered and the go build cache skips
-// unchanged packages. Findings propagate as a non-zero exit. -print
-// restores the old behavior of only printing the manual invocations.
+// unchanged packages. Findings propagate as errLintFindings once the
+// temporary build directory is removed. -print restores the old
+// behavior of only printing the manual invocations.
 func cmdLint(args []string) error {
 	fs := flag.NewFlagSet("rhx lint", flag.ExitOnError)
 	printOnly := fs.Bool("print", false, "print the manual lint invocations instead of running them")
@@ -433,8 +450,9 @@ shellcheck):
 	vet := exec.Command("go", append([]string{"vet", "-vettool=" + bin}, patterns...)...)
 	vet.Stdout, vet.Stderr = os.Stdout, os.Stderr
 	if err := vet.Run(); err != nil {
-		if _, ok := err.(*exec.ExitError); ok {
-			os.Exit(1) // findings: exit code without the "rhx:" wrapper
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return errLintFindings
 		}
 		return err
 	}

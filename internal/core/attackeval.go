@@ -19,96 +19,9 @@ import (
 // attack.Observer, reporting security outcomes (escaped flips, time to
 // first flip, achieved aggressor ACT rate) next to the familiar
 // performance metrics (benign slowdown under attack, bandwidth overhead).
-// It shares its baseline and per-cell machinery with RunParetoSweep (see
-// paretosweep.go); the difference is the reporting axis — per-pattern
-// points here, worst-case frontier aggregates there.
-
-// AttackOptions scales the attack evaluation.
-type AttackOptions struct {
-	Patterns   []attack.Kind
-	Mechanisms []MechanismID
-	HCSweep    []int
-
-	// Scheduler selects the controller's scheduling policy for every grid
-	// point (default FR-FCFS, the paper's baseline).
-	Scheduler SchedulerID
-
-	// BenignCores is the count of benign workload cores sharing the
-	// system with the single attacker core (paper's Table 6 system has 8
-	// cores; default 3 benign + 1 attacker keeps the grid tractable).
-	BenignCores int
-	// TraceRecords sizes the benign traces.
-	TraceRecords int
-	// MemCycles is the attack duration in memory-clock cycles. The
-	// default (~2.5 ms of DDR4-2400 time) models the worst-case slice of
-	// a refresh window: the victim gets no auto-refresh help, so the
-	// mechanism alone must stop the accumulation.
-	MemCycles int64
-	// Rows overrides rows per bank (chip and channel geometry) so tests
-	// can shrink the system; 0 keeps the Table 6 value.
-	Rows int
-
-	// AttackRecords sizes one attacker trace pass (0 = pattern default).
-	AttackRecords int
-
-	// ECC evaluates LPDDR4-like chips with on-die ECC: escaped flips are
-	// post-correction counts, reported alongside the raw (pre-correction)
-	// counts.
-	ECC bool
-	// AttackSpec carries pattern pacing (Phase/DutyCycle/Gap) applied to
-	// every synthesized stream; Kind/Records/Seed are set per grid cell.
-	AttackSpec attack.Spec
-
-	Parallelism int
-	Seed        uint64
-}
-
-// DefaultAttackOptions is the CLI-scale configuration.
-func DefaultAttackOptions() AttackOptions {
-	return AttackOptions{
-		Patterns:     attack.Kinds(),
-		Mechanisms:   DefaultAttackMechanisms(),
-		HCSweep:      []int{10_000, 4_800, 2_000, 512},
-		BenignCores:  3,
-		TraceRecords: 2_000,
-		MemCycles:    3_000_000,
-		Seed:         1,
-	}
-}
-
-// DefaultAttackMechanisms lists the attack evaluation's default
-// contenders: the unprotected baseline, the paper's most scalable
-// refresh-based mechanism, the post-paper throttling design, and the
-// oracle bound.
-func DefaultAttackMechanisms() []MechanismID {
-	return []MechanismID{MechNone, MechPARA, MechBlockHammer, MechIdeal}
-}
-
-func (o AttackOptions) normalized() AttackOptions {
-	d := DefaultAttackOptions()
-	if len(o.Patterns) == 0 {
-		o.Patterns = d.Patterns
-	}
-	if len(o.Mechanisms) == 0 {
-		o.Mechanisms = d.Mechanisms
-	}
-	if len(o.HCSweep) == 0 {
-		o.HCSweep = d.HCSweep
-	}
-	if o.BenignCores <= 0 {
-		o.BenignCores = d.BenignCores
-	}
-	if o.TraceRecords <= 0 {
-		o.TraceRecords = d.TraceRecords
-	}
-	if o.MemCycles <= 0 {
-		o.MemCycles = d.MemCycles
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	return o
-}
+// It shares its baseline and per-cell machinery with the pareto sweep
+// (see paretosweep.go); the difference is the reporting axis —
+// per-pattern points here, worst-case frontier aggregates there.
 
 // AttackPoint is one grid point's outcome.
 type AttackPoint struct {
@@ -149,71 +62,76 @@ type AttackEval struct {
 	ECC       bool
 }
 
-// AttackParams is the declarative (spec) form of AttackOptions.
+// AttackParams is the parameter block of the attack experiment. Zero
+// fields take the defaults normalized resolves.
 type AttackParams struct {
-	Patterns      []attack.Kind `json:"patterns,omitempty"`
-	Mechanisms    []MechanismID `json:"mechanisms,omitempty"`
-	HCSweep       []int         `json:"hc,omitempty"`
-	Scheduler     SchedulerID   `json:"scheduler,omitempty"`
-	BenignCores   int           `json:"benign_cores,omitempty"`
-	TraceRecords  int           `json:"trace_records,omitempty"`
-	MemCycles     int64         `json:"mem_cycles,omitempty"`
-	Rows          int           `json:"rows,omitempty"`
-	AttackRecords int           `json:"attack_records,omitempty"`
-	ECC           bool          `json:"ecc,omitempty"`
+	Patterns   []attack.Kind `json:"patterns,omitempty"`
+	Mechanisms []MechanismID `json:"mechanisms,omitempty"`
+	HCSweep    []int         `json:"hc,omitempty"`
+	// Scheduler selects the controller's scheduling policy for every grid
+	// point (default FR-FCFS, the paper's baseline).
+	Scheduler SchedulerID `json:"scheduler,omitempty"`
+	// BenignCores is the count of benign workload cores sharing the
+	// system with the single attacker core (the paper's Table 6 system
+	// has 8 cores; the default 3 benign + 1 attacker keeps the grid
+	// tractable).
+	BenignCores int `json:"benign_cores,omitempty"`
+	// TraceRecords sizes the benign traces.
+	TraceRecords int `json:"trace_records,omitempty"`
+	// MemCycles is the attack duration in memory-clock cycles. The
+	// default (~2.5 ms of DDR4-2400 time) models the worst-case slice of
+	// a refresh window: the victim gets no auto-refresh help, so the
+	// mechanism alone must stop the accumulation.
+	MemCycles int64 `json:"mem_cycles,omitempty"`
+	// Rows overrides rows per bank (chip and channel geometry) so tests
+	// can shrink the system; 0 keeps the Table 6 value.
+	Rows int `json:"rows,omitempty"`
+	// AttackRecords sizes one attacker trace pass (0 = pattern default).
+	AttackRecords int `json:"attack_records,omitempty"`
+	// ECC evaluates LPDDR4-like chips with on-die ECC: escaped flips are
+	// post-correction counts, reported alongside the raw (pre-correction)
+	// counts.
+	ECC bool `json:"ecc,omitempty"`
 	// Attack carries pacing (duty_cycle, phase, period_cycles, gap, …);
 	// kind, records and seed are set per grid cell.
 	Attack *attack.Spec `json:"attack,omitempty"`
 }
 
-// Validate rejects attack pacing outside its [0,1) domain at spec
-// decode, so a mistyped duty_cycle/phase fails validation instead of
-// silently evaluating an unpaced stream.
+// Validate rejects axis values no grid cell can evaluate (unknown
+// mechanisms, patterns or scheduler, non-positive HCfirst points) and
+// attack pacing outside its [0,1) domain at spec decode, so a mistyped
+// value fails validation instead of inside the run.
 func (p *AttackParams) Validate() error {
+	if err := checkAxes(p.Mechanisms, []SchedulerID{p.Scheduler}, p.Patterns, p.HCSweep); err != nil {
+		return err
+	}
 	if p.Attack != nil {
 		return p.Attack.Validate()
 	}
 	return nil
 }
 
-// options expands the params into the imperative AttackOptions form.
-func (p AttackParams) options(seed uint64) AttackOptions {
-	o := AttackOptions{
-		Patterns:      p.Patterns,
-		Mechanisms:    p.Mechanisms,
-		HCSweep:       p.HCSweep,
-		Scheduler:     p.Scheduler,
-		BenignCores:   p.BenignCores,
-		TraceRecords:  p.TraceRecords,
-		MemCycles:     p.MemCycles,
-		Rows:          p.Rows,
-		AttackRecords: p.AttackRecords,
-		ECC:           p.ECC,
-		Seed:          seed,
+func (p AttackParams) normalized() AttackParams {
+	if len(p.Patterns) == 0 {
+		p.Patterns = attack.Kinds()
 	}
-	if p.Attack != nil {
-		o.AttackSpec = *p.Attack
+	if len(p.Mechanisms) == 0 {
+		// The unprotected baseline, the paper's most scalable
+		// refresh-based mechanism, the post-paper throttling design, and
+		// the oracle bound.
+		p.Mechanisms = []MechanismID{MechNone, MechPARA, MechBlockHammer, MechIdeal}
 	}
-	return o
-}
-
-// attackParams converts legacy options into the spec parameter form.
-func (o AttackOptions) attackParams() AttackParams {
-	p := AttackParams{
-		Patterns:      o.Patterns,
-		Mechanisms:    o.Mechanisms,
-		HCSweep:       o.HCSweep,
-		Scheduler:     o.Scheduler,
-		BenignCores:   o.BenignCores,
-		TraceRecords:  o.TraceRecords,
-		MemCycles:     o.MemCycles,
-		Rows:          o.Rows,
-		AttackRecords: o.AttackRecords,
-		ECC:           o.ECC,
+	if len(p.HCSweep) == 0 {
+		p.HCSweep = []int{10_000, 4_800, 2_000, 512}
 	}
-	if o.AttackSpec != (attack.Spec{}) {
-		spec := o.AttackSpec
-		p.Attack = &spec
+	if p.BenignCores <= 0 {
+		p.BenignCores = 3
+	}
+	if p.TraceRecords <= 0 {
+		p.TraceRecords = 2_000
+	}
+	if p.MemCycles <= 0 {
+		p.MemCycles = 3_000_000
 	}
 	return p
 }
@@ -228,16 +146,16 @@ type sweepMeta struct {
 
 // attackGrid enumerates the (mechanism × pattern × HCfirst) cells and
 // their stable keys.
-func attackGrid(o AttackOptions) (keys []string, cells []sweepCell) {
-	for _, id := range o.Mechanisms {
-		for pi, p := range o.Patterns {
-			for hi, hc := range o.HCSweep {
+func attackGrid(p AttackParams, seed uint64) (keys []string, cells []sweepCell) {
+	for _, id := range p.Mechanisms {
+		for pi, pat := range p.Patterns {
+			for hi, hc := range p.HCSweep {
 				cells = append(cells, sweepCell{
-					Mech: id, Sched: o.Scheduler, Pattern: p, HC: hc,
-					streamSeed: engine.DeriveSeed(o.Seed^0x57eea, uint64(pi*len(o.HCSweep)+hi)),
+					Mech: id, Sched: p.Scheduler, Pattern: pat, HC: hc,
+					streamSeed: engine.DeriveSeed(seed^0x57eea, uint64(pi*len(p.HCSweep)+hi)),
 				})
 				keys = append(keys, fmt.Sprintf("mech=%s/sched=%s/pat=%s/hc=%d",
-					id, schedLabel(o.Scheduler), p, hc))
+					id, schedLabel(p.Scheduler), pat, hc))
 			}
 		}
 	}
@@ -252,46 +170,26 @@ func schedLabel(s SchedulerID) string {
 	return string(s)
 }
 
-// RunAttackEval evaluates every (mechanism, pattern, HCfirst) grid point.
-// Phase 1 measures the benign cores alone (no attacker, no mitigation) as
-// the performance baseline; phase 2 fans the grid out over the experiment
-// engine, so results are bit-identical for any Parallelism.
-func RunAttackEval(o AttackOptions) (*AttackEval, error) {
-	art, err := runSpecArtifact("attack", o.Seed, o.attackParams(), Exec{Parallelism: o.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return art.(*AttackEval), nil
-}
-
 func init() {
-	register(&experiment{
-		name:        "attack",
-		description: "Attack evaluation: mitigations under adversarial hammering (mechanism × pattern × HCfirst)",
-		params:      func() any { return &AttackParams{} },
-		run: func(rc *runCtx) (*Result, error) {
-			var p AttackParams
-			if err := rc.decode(&p); err != nil {
-				return nil, err
-			}
-			o := p.options(rc.spec.Seed).normalized()
-			cfg := attackSimCfg(o.MemCycles, o.Rows)
-			benign, baseIPC, base, err := benignBaseline(cfg, o.BenignCores, o.TraceRecords, o.Seed)
+	// attack evaluates every (mechanism, pattern, HCfirst) grid point.
+	// Phase 1 measures the benign cores alone (no attacker, no
+	// mitigation) as the performance baseline; phase 2 fans the grid out
+	// over the experiment engine, so results are bit-identical for any
+	// Parallelism.
+	register("attack", "Attack evaluation: mitigations under adversarial hammering (mechanism × pattern × HCfirst)", AttackParams.normalized,
+		func(rc *runCtx, p AttackParams) (*Result, error) {
+			cfg := attackSimCfg(p.MemCycles, p.Rows)
+			benign, baseIPC, base, err := benignBaseline(cfg, p.BenignCores, p.TraceRecords, rc.spec.Seed)
 			if err != nil {
 				return nil, fmt.Errorf("attack eval %w", err)
 			}
-			keys, cells := attackGrid(o)
-			co := cellOptions{
-				MemCycles:     o.MemCycles,
-				AttackRecords: o.AttackRecords,
-				ECC:           o.ECC,
-				Spec:          o.AttackSpec,
-			}
+			keys, cells := attackGrid(p, rc.spec.Seed)
+			co := newCellOptions(p.MemCycles, p.AttackRecords, p.ECC, p.Attack)
 			meta := sweepMeta{
-				MemCycles: o.MemCycles,
-				WallMS:    float64(o.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
-				Benign:    fmt.Sprintf("%d benign cores, MPKI %.0f", o.BenignCores, base.MPKI),
-				ECC:       o.ECC,
+				MemCycles: p.MemCycles,
+				WallMS:    float64(p.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
+				Benign:    fmt.Sprintf("%d benign cores, MPKI %.0f", p.BenignCores, base.MPKI),
+				ECC:       p.ECC,
 			}
 			return gridResult(rc, meta, keys, cells,
 				func(ctx engine.TaskContext, cell sweepCell) (AttackPoint, error) {
@@ -302,17 +200,12 @@ func init() {
 					return *pt, nil
 				})
 		},
-		finalize: func(res *Result) (Artifact, error) {
-			var p AttackParams
-			if err := decodeParams(res.Spec.Params, &p); err != nil {
-				return nil, err
-			}
-			o := p.options(res.Spec.Seed).normalized()
+		func(res *Result, p AttackParams) (Artifact, error) {
 			var meta sweepMeta
 			if err := json.Unmarshal(res.Meta, &meta); err != nil {
 				return nil, fmt.Errorf("core: attack meta: %w", err)
 			}
-			keys, _ := attackGrid(o)
+			keys, _ := attackGrid(p, res.Spec.Seed)
 			points, err := cellsInOrder[AttackPoint](res, keys)
 			if err != nil {
 				return nil, err
@@ -326,8 +219,7 @@ func init() {
 				Benign:    meta.Benign,
 				ECC:       meta.ECC,
 			}, nil
-		},
-	})
+		})
 }
 
 // PointsFor filters the grid for one mechanism, in report order.

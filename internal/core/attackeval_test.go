@@ -7,10 +7,10 @@ import (
 	"repro/internal/attack"
 )
 
-// tinyAttackOptions is the reduced grid used across the attack-eval
+// tinyAttackParams is the reduced grid used across the attack-eval
 // tests: one low-HCfirst point on a small chip, short window.
-func tinyAttackOptions(parallelism int) AttackOptions {
-	return AttackOptions{
+func tinyAttackParams() AttackParams {
+	return AttackParams{
 		Patterns:     []attack.Kind{attack.DoubleSided},
 		Mechanisms:   []MechanismID{MechNone, MechIdeal},
 		HCSweep:      []int{512},
@@ -18,9 +18,13 @@ func tinyAttackOptions(parallelism int) AttackOptions {
 		TraceRecords: 800,
 		MemCycles:    200_000,
 		Rows:         1024,
-		Parallelism:  parallelism,
-		Seed:         7,
 	}
+}
+
+// runAttackEval runs the attack experiment at seed 7.
+func runAttackEval(t *testing.T, p AttackParams, parallelism int) *AttackEval {
+	t.Helper()
+	return runArtifact[*AttackEval](t, "attack", 7, p, Exec{Parallelism: parallelism})
 }
 
 // TestAttackEvalSecurityLoop is the subsystem's reason to exist: with no
@@ -29,10 +33,7 @@ func tinyAttackOptions(parallelism int) AttackOptions {
 // loses none. If both held or both broke, the command stream and the
 // fault model would not actually be coupled.
 func TestAttackEvalSecurityLoop(t *testing.T) {
-	ev, err := RunAttackEval(tinyAttackOptions(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := runAttackEval(t, tinyAttackParams(), 0)
 	none := ev.PointsFor(MechNone)
 	ideal := ev.PointsFor(MechIdeal)
 	if len(none) != 1 || len(ideal) != 1 {
@@ -65,12 +66,9 @@ func TestAttackEvalSecurityLoop(t *testing.T) {
 // BlockHammer must hold the same point the unprotected baseline loses,
 // with zero mitigation refreshes and a visibly reduced aggressor rate.
 func TestAttackEvalBlockHammerThrottles(t *testing.T) {
-	o := tinyAttackOptions(0)
-	o.Mechanisms = []MechanismID{MechNone, MechBlockHammer}
-	ev, err := RunAttackEval(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := tinyAttackParams()
+	p.Mechanisms = []MechanismID{MechNone, MechBlockHammer}
+	ev := runAttackEval(t, p, 0)
 	none := ev.PointsFor(MechNone)[0]
 	bh := ev.PointsFor(MechBlockHammer)[0]
 	if bh.EscapedFlips != 0 {
@@ -92,13 +90,9 @@ func TestAttackEvalBlockHammerThrottles(t *testing.T) {
 // new runner: formatted output is byte-identical for any worker count.
 func TestAttackEvalParallelismInvariant(t *testing.T) {
 	run := func(parallelism int) string {
-		o := tinyAttackOptions(parallelism)
-		o.Patterns = []attack.Kind{attack.DoubleSided, attack.Scattered}
-		ev, err := RunAttackEval(o)
-		if err != nil {
-			t.Fatalf("parallelism=%d: %v", parallelism, err)
-		}
-		return ev.Format()
+		p := tinyAttackParams()
+		p.Patterns = []attack.Kind{attack.DoubleSided, attack.Scattered}
+		return runAttackEval(t, p, parallelism).Format()
 	}
 	serial := run(1)
 	if serial == "" {
@@ -113,10 +107,7 @@ func TestAttackEvalParallelismInvariant(t *testing.T) {
 
 // TestAttackEvalFormat sanity-checks the report rendering.
 func TestAttackEvalFormat(t *testing.T) {
-	ev, err := RunAttackEval(tinyAttackOptions(0))
-	if err != nil {
-		t.Fatal(err)
-	}
+	ev := runAttackEval(t, tinyAttackParams(), 0)
 	out := ev.Format()
 	for _, want := range []string{"Attack evaluation", "double-sided", "None", "Ideal", "t-first-flip"} {
 		if !strings.Contains(out, want) {

@@ -12,11 +12,9 @@ import (
 
 // The characterization experiments (Tables 1–5, 7, 8 and Figures 4–9)
 // live in the experiment registry (see regchar.go for the task grids and
-// per-chip cell runners). This file keeps the artifact types, the
+// per-chip cell runners). This file keeps the artifact types and the
 // aggregation logic that turns ordered per-chip cells into each
-// artifact, and the legacy RunX(Options) wrappers, which now build a
-// spec and route through Run — one code path whether an experiment runs
-// in-process, sharded across machines, or from a spec file.
+// artifact.
 
 // newTester instantiates a population chip and wraps it in a tester with
 // its worst-case pattern written, the state every experiment starts from.
@@ -92,15 +90,6 @@ type Table1 struct {
 	Rows []chips.CensusRow
 }
 
-// RunTable1 tabulates the population.
-func RunTable1(o Options) (*Table1, error) {
-	art, err := runOptions("table1", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Table1), nil
-}
-
 // --- Table 2 ---------------------------------------------------------------
 
 // Table2Row is one cell of Table 2: RowHammerable DDR3 chips.
@@ -113,17 +102,6 @@ type Table2Row struct {
 // Table2 reports the fraction of DDR3 chips with any flips at HC < 150k.
 type Table2 struct {
 	Rows []Table2Row
-}
-
-// RunTable2 counts RowHammerable chips over the full module list (ground
-// truth census; Section 5.1 defines RowHammerable as flipping within the
-// 150k sweep).
-func RunTable2(o Options) (*Table2, error) {
-	art, err := runOptions("table2", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Table2), nil
 }
 
 // --- Figure 4 / Table 3 ----------------------------------------------------
@@ -149,29 +127,9 @@ type Figure4 struct {
 // figure4HC is the paper's Section 5.2 hammer count.
 const figure4HC = 150_000
 
-// RunFigure4 measures pattern coverage on one representative chip per
-// configuration (10 iterations at HC = 150k, Section 5.2). Table 3 falls
-// out of the same data via WorstPattern.
-func RunFigure4(o Options) (*Figure4, error) {
-	art, err := runOptions("fig4", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure4), nil
-}
-
 // Table3 derives the worst-case pattern table from Figure 4's data.
 type Table3 struct {
 	Rows []CoverageRow
-}
-
-// RunTable3 measures the worst-case data pattern per configuration.
-func RunTable3(o Options) (*Table3, error) {
-	art, err := runOptions("table3", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Table3), nil
 }
 
 // --- Figure 5 --------------------------------------------------------------
@@ -190,16 +148,6 @@ type RateSeries struct {
 type Figure5 struct {
 	HCs  []int
 	Rows []RateSeries
-}
-
-// RunFigure5 sweeps the hammer count across chips of every configuration
-// and averages the flip rate per HC (Section 5.3).
-func RunFigure5(o Options) (*Figure5, error) {
-	art, err := runOptions("fig5", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure5), nil
 }
 
 // finalizeFigure5 aggregates ordered per-chip curves per configuration.
@@ -268,16 +216,6 @@ type spatialCell struct {
 // normalizedRate is the paper's Figure 6/7 target flip rate.
 const normalizedRate = 1e-6
 
-// RunFigure6 normalizes each chip to a flip rate of ~1e-6 (the paper's
-// procedure) and profiles flip locations.
-func RunFigure6(o Options) (*Figure6, error) {
-	art, err := runOptions("fig6", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure6), nil
-}
-
 // finalizeFigure6 aggregates ordered per-chip spatial cells.
 func finalizeFigure6(keys []ConfigKey, jobs []chipJob, samples []*spatialCell) *Figure6 {
 	fig := &Figure6{TargetRate: normalizedRate}
@@ -332,16 +270,6 @@ type wordCell struct {
 	Fraction [6]float64 `json:"fraction"`
 }
 
-// RunFigure7 measures the flip-density distribution per 64-bit word at
-// the same normalized rate as Figure 6.
-func RunFigure7(o Options) (*Figure7, error) {
-	art, err := runOptions("fig7", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure7), nil
-}
-
 // finalizeFigure7 aggregates ordered per-chip word-density cells.
 func finalizeFigure7(keys []ConfigKey, jobs []chipJob, samples []*wordCell) *Figure7 {
 	fig := &Figure7{TargetRate: normalizedRate}
@@ -392,15 +320,6 @@ type HCFirstStudy struct {
 type hcFirstCell struct {
 	HC    float64 `json:"hc"`
 	Found bool    `json:"found"`
-}
-
-// RunHCFirstStudy measures HCfirst for every instantiated chip.
-func RunHCFirstStudy(o Options) (*HCFirstStudy, error) {
-	art, err := runOptions("fig8", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure8).HCFirstStudy, nil
 }
 
 // finalizeHCFirst aggregates ordered per-chip first-flip cells.
@@ -474,16 +393,6 @@ type eccCell struct {
 	MultOK [3]bool    `json:"mult_ok"`
 }
 
-// RunFigure9 computes HCfirst/second/third at 64-bit granularity per
-// configuration.
-func RunFigure9(o Options) (*Figure9, error) {
-	art, err := runOptions("fig9", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure9), nil
-}
-
 // finalizeFigure9 aggregates ordered per-chip ECC-word cells.
 func finalizeFigure9(keys []ConfigKey, jobs []chipJob, samples []eccCell) *Figure9 {
 	fig := &Figure9{}
@@ -529,34 +438,12 @@ type Table5 struct {
 	Rows       []Table5Row
 }
 
-// RunTable5 measures, per configuration, the share of flipping cells
-// whose flip probability increases monotonically with HC (Section 5.6).
-// Configurations that are not RowHammerable are skipped like the paper's
-// DDR3-old rows.
-func RunTable5(o Options) (*Table5, error) {
-	art, err := runOptions("table5", o)
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Table5), nil
-}
-
 // --- Tables 7 and 8 --------------------------------------------------------
 
 // ModuleTable reproduces the appendix module tables.
 type ModuleTable struct {
 	Title   string
 	Modules []chips.ModuleSpec
-}
-
-// RunTable7 returns the DDR4 module population.
-func RunTable7() *ModuleTable {
-	return &ModuleTable{Title: "Table 7: DDR4 modules", Modules: chips.DDR4Modules()}
-}
-
-// RunTable8 returns the DDR3 module population.
-func RunTable8() *ModuleTable {
-	return &ModuleTable{Title: "Table 8: DDR3 modules", Modules: chips.DDR3Modules()}
 }
 
 // sortedOffsets returns the keys of an offset map in ascending order.
@@ -567,14 +454,4 @@ func sortedOffsets(m map[int]float64) []int {
 	}
 	sort.Ints(out)
 	return out
-}
-
-// runOptions is the legacy-wrapper path: convert Options to a spec, run
-// it unsharded, and finalize the artifact.
-func runOptions(name string, o Options) (Artifact, error) {
-	p, err := o.charParams()
-	if err != nil {
-		return nil, err
-	}
-	return runSpecArtifact(name, o.Seed, p, Exec{Parallelism: o.Parallelism})
 }

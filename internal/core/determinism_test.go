@@ -2,105 +2,47 @@ package core
 
 import (
 	"testing"
-
-	"repro/internal/chips"
 )
 
 // The engine's contract: formatted experiment output is byte-identical
 // regardless of worker count. These tests pin it for representative
-// runners of each shape — one-chip-per-config (Table 3), all-chips fan-out
-// (Figure 9, Figure 8/Table 4), and the two-phase mitigation sweep
-// (Figure 10).
+// experiments of each shape — one-chip-per-config (Table 3), all-chips
+// fan-out (Figure 9, Figure 8/Table 4), and the two-phase mitigation
+// sweep (Figure 10).
 
-// detOptions returns tiny-scale options at the given parallelism.
-func detOptions(parallelism int) Options {
-	return Options{
-		Scale:             chips.ScaleTiny,
-		Stride:            1,
-		MaxChipsPerConfig: 2,
-		Iterations:        2,
-		Parallelism:       parallelism,
-		Seed:              1,
+// detChar is the tiny-scale characterization grid of these tests.
+var detChar = CharParams{Scale: "tiny", Stride: 1, Chips: 2, Iterations: 2}
+
+// formatted runs one experiment at the given parallelism and renders it.
+func formatted(t *testing.T, name string, seed uint64, params any, parallelism int) string {
+	t.Helper()
+	art := runArtifact[Artifact](t, name, seed, params, Exec{Parallelism: parallelism})
+	if f8, ok := art.(*Figure8); ok {
+		return f8.FormatFigure8() + f8.FormatTable4()
 	}
+	return art.Format()
 }
 
 func TestCharacterizationParallelismInvariant(t *testing.T) {
-	runners := []struct {
-		name string
-		run  func(Options) (string, error)
-	}{
-		{"table2", func(o Options) (string, error) {
-			r, err := RunTable2(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"table3", func(o Options) (string, error) {
-			r, err := RunTable3(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"table5", func(o Options) (string, error) {
-			r, err := RunTable5(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"figure5", func(o Options) (string, error) {
-			r, err := RunFigure5(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"figure6", func(o Options) (string, error) {
-			r, err := RunFigure6(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"figure7", func(o Options) (string, error) {
-			r, err := RunFigure7(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
-		{"figure8+table4", func(o Options) (string, error) {
-			r, err := RunHCFirstStudy(o)
-			if err != nil {
-				return "", err
-			}
-			return r.FormatFigure8() + r.FormatTable4(), nil
-		}},
-		{"figure9", func(o Options) (string, error) {
-			r, err := RunFigure9(o)
-			if err != nil {
-				return "", err
-			}
-			return r.Format(), nil
-		}},
+	runners := []struct{ name, experiment string }{
+		{"table2", "table2"},
+		{"table3", "table3"},
+		{"table5", "table5"},
+		{"figure5", "fig5"},
+		{"figure6", "fig6"},
+		{"figure7", "fig7"},
+		{"figure8+table4", "fig8"},
+		{"figure9", "fig9"},
 	}
 	for _, tc := range runners {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			serial, err := tc.run(detOptions(1))
-			if err != nil {
-				t.Fatalf("parallelism=1: %v", err)
-			}
+			serial := formatted(t, tc.experiment, 1, detChar, 1)
 			if serial == "" {
 				t.Fatal("empty output")
 			}
-			parallel, err := tc.run(detOptions(8))
-			if err != nil {
-				t.Fatalf("parallelism=8: %v", err)
-			}
+			parallel := formatted(t, tc.experiment, 1, detChar, 8)
 			if serial != parallel {
 				t.Errorf("output differs between parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 			}
@@ -109,26 +51,17 @@ func TestCharacterizationParallelismInvariant(t *testing.T) {
 }
 
 func TestFigure10ParallelismInvariant(t *testing.T) {
-	run := func(parallelism int) string {
-		o := MitigationOptions{
-			Mixes:        2,
-			Cores:        2,
-			TraceRecords: 800,
-			WarmupInsts:  500,
-			MeasureInsts: 5_000,
-			HCSweep:      []int{100_000, 2_000, 256},
-			Mechanisms:   []MechanismID{MechPARA, MechIdeal, MechProHIT},
-			Parallelism:  parallelism,
-			Seed:         3,
-		}
-		f, err := RunFigure10(o)
-		if err != nil {
-			t.Fatalf("parallelism=%d: %v", parallelism, err)
-		}
-		return f.Format()
+	p := Fig10Params{
+		Mixes:        2,
+		Cores:        2,
+		TraceRecords: 800,
+		WarmupInsts:  500,
+		MeasureInsts: 5_000,
+		HCSweep:      []int{100_000, 2_000, 256},
+		Mechanisms:   []MechanismID{MechPARA, MechIdeal, MechProHIT},
 	}
-	serial := run(1)
-	parallel := run(8)
+	serial := formatted(t, "fig10", 3, p, 1)
+	parallel := formatted(t, "fig10", 3, p, 8)
 	if serial != parallel {
 		t.Errorf("Figure 10 output differs between parallelism 1 and 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}

@@ -1,29 +1,40 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
-
-	"repro/internal/chips"
 )
 
-// tinyOptions keeps experiment tests fast: tiny chips, one chip per
-// config, strided sweeps.
-func tinyOptions() Options {
-	return Options{
-		Scale:             chips.ScaleTiny,
-		Stride:            1,
-		MaxChipsPerConfig: 1,
-		Iterations:        2,
-		Seed:              1,
-	}
-}
+// tinyChar keeps experiment tests fast: tiny chips, one chip per
+// config, two iterations.
+var tinyChar = CharParams{Scale: "tiny", Stride: 1, Chips: 1, Iterations: 2}
 
-func TestRunTable1CensusMatchesPaper(t *testing.T) {
-	t1, err := RunTable1(tinyOptions())
+// runArtifact runs one experiment unsharded through RunContext and
+// returns its typed artifact.
+func runArtifact[A Artifact](t testing.TB, name string, seed uint64, params any, ex Exec) A {
+	t.Helper()
+	spec, err := NewSpec(name, seed, params)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := RunContext(context.Background(), spec, ex)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	art, err := res.Artifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, ok := art.(A)
+	if !ok {
+		t.Fatalf("%s artifact is %T", name, art)
+	}
+	return a
+}
+
+func TestRunTable1CensusMatchesPaper(t *testing.T) {
+	t1 := runArtifact[*Table1](t, "table1", 1, tinyChar, Exec{})
 	totalChips, totalModules := 0, 0
 	for _, r := range t1.Rows {
 		totalChips += r.Chips
@@ -44,10 +55,7 @@ func TestRunTable1CensusMatchesPaper(t *testing.T) {
 }
 
 func TestRunTable2MatchesPaperFractions(t *testing.T) {
-	t2, err := RunTable2(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t2 := runArtifact[*Table2](t, "table2", 1, tinyChar, Exec{})
 	want := map[string][2]int{
 		"DDR3-old/Mfr.A": {24, 80},
 		"DDR3-old/Mfr.B": {0, 88},
@@ -72,10 +80,7 @@ func TestRunTable2MatchesPaperFractions(t *testing.T) {
 }
 
 func TestRunTable3RecoversWorstPatterns(t *testing.T) {
-	t3, err := RunTable3(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	t3 := runArtifact[*Table3](t, "table3", 1, tinyChar, Exec{})
 	if len(t3.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -98,10 +103,7 @@ func TestRunTable3RecoversWorstPatterns(t *testing.T) {
 }
 
 func TestRunFigure5SlopesPositive(t *testing.T) {
-	f5, err := RunFigure5(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	f5 := runArtifact[*Figure5](t, "fig5", 1, tinyChar, Exec{})
 	if len(f5.Rows) == 0 {
 		t.Fatal("no series")
 	}
@@ -128,10 +130,7 @@ func TestRunFigure5SlopesPositive(t *testing.T) {
 }
 
 func TestRunHCFirstStudyOrdering(t *testing.T) {
-	study, err := RunHCFirstStudy(tinyOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
+	study := runArtifact[*Figure8](t, "fig8", 1, tinyChar, Exec{}).HCFirstStudy
 	byKey := map[string]HCFirstRow{}
 	for _, r := range study.Rows {
 		byKey[r.Key.String()] = r
@@ -165,12 +164,9 @@ func TestRunHCFirstStudyOrdering(t *testing.T) {
 }
 
 func TestRunFigure9Multipliers(t *testing.T) {
-	o := tinyOptions()
-	o.MaxChipsPerConfig = 2
-	f9, err := RunFigure9(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := tinyChar
+	p.Chips = 2
+	f9 := runArtifact[*Figure9](t, "fig9", 1, p, Exec{})
 	if len(f9.Rows) == 0 {
 		t.Fatal("no rows")
 	}
@@ -190,7 +186,7 @@ func TestRunFigure9Multipliers(t *testing.T) {
 }
 
 func TestRunFigure10MiniSweep(t *testing.T) {
-	o := MitigationOptions{
+	p := Fig10Params{
 		Mixes:        2,
 		Cores:        2,
 		TraceRecords: 1_000,
@@ -198,12 +194,8 @@ func TestRunFigure10MiniSweep(t *testing.T) {
 		MeasureInsts: 8_000,
 		HCSweep:      []int{100_000, 2_000, 256},
 		Mechanisms:   []MechanismID{MechPARA, MechIdeal, MechProHIT},
-		Seed:         3,
 	}
-	f10, err := RunFigure10(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	f10 := runArtifact[*Figure10](t, "fig10", 3, p, Exec{})
 	para := f10.PointsFor(MechPARA)
 	if len(para) != 3 {
 		t.Fatalf("PARA evaluated at %d points, want 3", len(para))

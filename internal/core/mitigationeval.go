@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -25,7 +26,7 @@ const (
 	MechTWiCeIdeal       MechanismID = "TWiCe-ideal"
 	MechIdeal            MechanismID = "Ideal"
 	// MechBlockHammer is the post-paper throttling contender evaluated by
-	// the attack subsystem (RunAttackEval); it is not part of Figure 10's
+	// the attack experiment; it is not part of Figure 10's
 	// paper-faithful mechanism list but can be requested explicitly. Its
 	// RowBlocker-Req queue admission is requester-aware and proportional:
 	// a blacklisted-row request is delayed in proportion to its source
@@ -57,7 +58,12 @@ func AllMechanisms() []MechanismID {
 	}
 }
 
+// errUnknownMechanism marks an ID buildMechanism has no constructor for.
+var errUnknownMechanism = errors.New("core: unknown mechanism")
+
 // buildMechanism constructs a mechanism instance for an HCfirst point.
+// Its switch is the one list of evaluable mechanisms: params validation
+// calls it too, to reject IDs it does not know.
 func buildMechanism(id MechanismID, cfg sim.Config, hcFirst int, seed uint64) (mitigation.Mechanism, error) {
 	p := cfg.MitigationParams(hcFirst, seed)
 	switch id {
@@ -86,7 +92,7 @@ func buildMechanism(id MechanismID, cfg sim.Config, hcFirst int, seed uint64) (m
 	case MechIdeal:
 		return mitigation.NewIdeal(p)
 	default:
-		return nil, fmt.Errorf("core: unknown mechanism %q", id)
+		return nil, fmt.Errorf("%w %q", errUnknownMechanism, id)
 	}
 }
 
@@ -124,60 +130,6 @@ func DefaultHCSweep() []int {
 		2_000, 1_024, 512, 256, 128, 64}
 }
 
-// MitigationOptions scales the Figure 10 evaluation.
-type MitigationOptions struct {
-	Mixes        int   // number of multi-programmed mixes (paper: 48)
-	Cores        int   // cores per mix (paper: 8)
-	TraceRecords int   // memory records per trace
-	WarmupInsts  int64 // per core
-	MeasureInsts int64 // per core
-	HCSweep      []int
-	Mechanisms   []MechanismID
-	Parallelism  int // concurrent simulations; 0 = all cores
-	Seed         uint64
-}
-
-// DefaultMitigationOptions is a CLI-scale configuration. The paper
-// simulates 200M instructions per core over 48 mixes; these defaults keep
-// the same structure at tractable cost.
-func DefaultMitigationOptions() MitigationOptions {
-	return MitigationOptions{
-		Mixes:        48,
-		Cores:        8,
-		TraceRecords: 4_000,
-		WarmupInsts:  5_000,
-		MeasureInsts: 50_000,
-		HCSweep:      DefaultHCSweep(),
-		Mechanisms:   AllMechanisms(),
-		Seed:         1,
-	}
-}
-
-func (o MitigationOptions) normalized() MitigationOptions {
-	if o.Mixes <= 0 {
-		o.Mixes = 48
-	}
-	if o.Cores <= 0 {
-		o.Cores = 8
-	}
-	if o.TraceRecords <= 0 {
-		o.TraceRecords = 4_000
-	}
-	if o.MeasureInsts <= 0 {
-		o.MeasureInsts = 50_000
-	}
-	if len(o.HCSweep) == 0 {
-		o.HCSweep = DefaultHCSweep()
-	}
-	if len(o.Mechanisms) == 0 {
-		o.Mechanisms = AllMechanisms()
-	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
-}
-
 // F10Point is one (mechanism, HCfirst) point of Figure 10, aggregated
 // across mixes.
 type F10Point struct {
@@ -200,7 +152,10 @@ type Figure10 struct {
 	MixMPKIs []float64 // aggregate MPKI per mix on the baseline
 }
 
-// Fig10Params is the declarative (spec) form of MitigationOptions.
+// Fig10Params is the parameter block of the fig10 experiment. Zero
+// fields take the defaults normalized resolves: the paper's 48 8-core
+// mixes, its HCfirst sweep and every Figure 10 mechanism, at CLI-scale
+// trace lengths (the paper simulates 200M instructions per core).
 type Fig10Params struct {
 	Mixes        int           `json:"mixes,omitempty"`
 	Cores        int           `json:"cores,omitempty"`
@@ -211,31 +166,32 @@ type Fig10Params struct {
 	Mechanisms   []MechanismID `json:"mechanisms,omitempty"`
 }
 
-// options expands the params into the imperative MitigationOptions form.
-func (p Fig10Params) options(seed uint64) MitigationOptions {
-	return MitigationOptions{
-		Mixes:        p.Mixes,
-		Cores:        p.Cores,
-		TraceRecords: p.TraceRecords,
-		WarmupInsts:  p.WarmupInsts,
-		MeasureInsts: p.MeasureInsts,
-		HCSweep:      p.HCSweep,
-		Mechanisms:   p.Mechanisms,
-		Seed:         seed,
-	}
+// Validate rejects unknown mechanisms and non-positive HCfirst points at
+// spec decode.
+func (p *Fig10Params) Validate() error {
+	return checkAxes(p.Mechanisms, nil, nil, p.HCSweep)
 }
 
-// fig10Params converts legacy options into the spec parameter form.
-func (o MitigationOptions) fig10Params() Fig10Params {
-	return Fig10Params{
-		Mixes:        o.Mixes,
-		Cores:        o.Cores,
-		TraceRecords: o.TraceRecords,
-		WarmupInsts:  o.WarmupInsts,
-		MeasureInsts: o.MeasureInsts,
-		HCSweep:      o.HCSweep,
-		Mechanisms:   o.Mechanisms,
+func (p Fig10Params) normalized() Fig10Params {
+	if p.Mixes <= 0 {
+		p.Mixes = 48
 	}
+	if p.Cores <= 0 {
+		p.Cores = 8
+	}
+	if p.TraceRecords <= 0 {
+		p.TraceRecords = 4_000
+	}
+	if p.MeasureInsts <= 0 {
+		p.MeasureInsts = 50_000
+	}
+	if len(p.HCSweep) == 0 {
+		p.HCSweep = DefaultHCSweep()
+	}
+	if len(p.Mechanisms) == 0 {
+		p.Mechanisms = AllMechanisms()
+	}
+	return p
 }
 
 // fig10Meta is the shard-invariant metadata: every shard recomputes the
@@ -252,9 +208,9 @@ type fig10Job struct {
 }
 
 // fig10Grid enumerates the (mechanism, HCfirst) tasks and their keys.
-func fig10Grid(o MitigationOptions) (keys []string, jobs []fig10Job) {
-	for _, id := range o.Mechanisms {
-		for _, hc := range hcPointsFor(id, o.HCSweep) {
+func fig10Grid(p Fig10Params) (keys []string, jobs []fig10Job) {
+	for _, id := range p.Mechanisms {
+		for _, hc := range hcPointsFor(id, p.HCSweep) {
 			keys = append(keys, fmt.Sprintf("mech=%s/hc=%d", id, hc))
 			jobs = append(jobs, fig10Job{mech: id, hc: hc})
 		}
@@ -262,37 +218,21 @@ func fig10Grid(o MitigationOptions) (keys []string, jobs []fig10Job) {
 	return keys, jobs
 }
 
-// RunFigure10 evaluates every mechanism at every applicable HCfirst
-// across the workload mixes. Baseline (no-mitigation) and single-core
-// alone runs are shared across mechanisms. Both phases fan out through
-// the experiment engine, so results are identical for any Parallelism.
-func RunFigure10(o MitigationOptions) (*Figure10, error) {
-	art, err := runSpecArtifact("fig10", o.Seed, o.fig10Params(), Exec{Parallelism: o.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return art.(*Figure10), nil
-}
-
 func init() {
-	register(&experiment{
-		name:        "fig10",
-		description: "Figure 10: mitigation-mechanism overhead across the HCfirst sweep",
-		params:      func() any { return &Fig10Params{} },
-		run: func(rc *runCtx) (*Result, error) {
-			var p Fig10Params
-			if err := rc.decode(&p); err != nil {
-				return nil, err
-			}
-			o := p.options(rc.spec.Seed).normalized()
-			cfg := sim.Table6Config(o.WarmupInsts, o.MeasureInsts)
-			mixes := trace.Mixes(o.Mixes, o.Cores, o.TraceRecords, o.Seed)
-			eo := rc.engineOptions(o.Seed)
+	// fig10 evaluates every mechanism at every applicable HCfirst across
+	// the workload mixes. Baseline (no-mitigation) and single-core alone
+	// runs are shared across mechanisms. Both phases fan out through the
+	// experiment engine, so results are identical for any Parallelism.
+	register("fig10", "Figure 10: mitigation-mechanism overhead across the HCfirst sweep", Fig10Params.normalized,
+		func(rc *runCtx, p Fig10Params) (*Result, error) {
+			seed := rc.spec.Seed
+			cfg := sim.Table6Config(p.WarmupInsts, p.MeasureInsts)
+			mixes := trace.Mixes(p.Mixes, p.Cores, p.TraceRecords, seed)
 
 			// Phase 1: per-mix baselines. Every shard recomputes them —
 			// they are inputs to each grid cell, and being derived purely
 			// from the spec's seed they agree bit-for-bit across shards.
-			baselines, alones, err := mixBaselines(eo, cfg, mixes)
+			baselines, alones, err := mixBaselines(rc.engineOptions(), cfg, mixes)
 			if err != nil {
 				return nil, err
 			}
@@ -302,27 +242,22 @@ func init() {
 			}
 
 			// Phase 2: the sharded (mechanism, HCfirst) grid.
-			keys, jobs := fig10Grid(o)
+			keys, jobs := fig10Grid(p)
 			return gridResult(rc, meta, keys, jobs,
 				func(_ engine.TaskContext, jb fig10Job) (F10Point, error) {
-					pt, err := runPoint(cfg, o, jb.mech, jb.hc, mixes, alones, baselines)
+					pt, err := runPoint(cfg, seed, jb.mech, jb.hc, mixes, alones, baselines)
 					if err != nil {
 						return F10Point{}, err
 					}
 					return *pt, nil
 				})
 		},
-		finalize: func(res *Result) (Artifact, error) {
-			var p Fig10Params
-			if err := decodeParams(res.Spec.Params, &p); err != nil {
-				return nil, err
-			}
-			o := p.options(res.Spec.Seed).normalized()
+		func(res *Result, p Fig10Params) (Artifact, error) {
 			var meta fig10Meta
 			if err := json.Unmarshal(res.Meta, &meta); err != nil {
 				return nil, fmt.Errorf("core: fig10 meta: %w", err)
 			}
-			keys, _ := fig10Grid(o)
+			keys, _ := fig10Grid(p)
 			points, err := cellsInOrder[F10Point](res, keys)
 			if err != nil {
 				return nil, err
@@ -335,8 +270,7 @@ func init() {
 				return fig.Points[i].HCFirst > fig.Points[j].HCFirst
 			})
 			return fig, nil
-		},
-	})
+		})
 }
 
 // mixBaseline caches one mix's no-mitigation weighted speedup and MPKI.
@@ -346,13 +280,13 @@ type mixBaseline struct {
 }
 
 // runPoint evaluates one (mechanism, HCfirst) across all mixes.
-func runPoint(cfg sim.Config, o MitigationOptions, id MechanismID, hc int,
+func runPoint(cfg sim.Config, seed uint64, id MechanismID, hc int,
 	mixes []trace.Mix, alones [][]float64, baselines []mixBaseline,
 ) (*F10Point, error) {
 	var perfs, overheads []float64
 	viable := true
 	for i := range mixes {
-		mech, err := buildMechanism(id, cfg, hc, o.Seed+uint64(i)*7919)
+		mech, err := buildMechanism(id, cfg, hc, seed+uint64(i)*7919)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,9 @@ package core
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"text/tabwriter"
 
@@ -15,13 +17,13 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the shared sweep core behind the system-level evaluation
-// runners. RunFigure10 (benign overhead), RunAttackEval (security under
-// attack) and RunParetoSweep (the combined frontier) are all two-phase
-// experiments — a baseline phase followed by a grid fanned out over the
-// deterministic engine — and they share the machinery here: scheduler
-// selection, the benign baseline, per-mix baselines, and the single-cell
-// attack runner every grid point funnels through.
+// This file is the shared sweep core behind the system-level
+// experiments. fig10 (benign overhead), attack (security under attack)
+// and pareto (the combined frontier) all run in two phases — a baseline
+// phase followed by a grid fanned out over the deterministic engine —
+// and they share the machinery here: scheduler selection, the benign
+// baseline, per-mix baselines, and the single-cell attack runner every
+// grid point funnels through.
 
 // SchedulerID names a memory-controller scheduling policy of the sweep's
 // scheduler axis.
@@ -55,6 +57,37 @@ func applyScheduler(cfg *sim.Config, id SchedulerID, streak int, clear int64) er
 	default:
 		return fmt.Errorf("core: unknown scheduler %q", id)
 	}
+}
+
+// checkAxes rejects grid-axis values no cell can evaluate: mechanisms
+// buildMechanism does not know, schedulers applyScheduler does not know,
+// patterns outside attack.Kinds(), and non-positive HCfirst points.
+// Params Validate methods call it so a bad spec fails at decode.
+func checkAxes(mechs []MechanismID, scheds []SchedulerID, pats []attack.Kind, hcs []int) error {
+	for _, id := range mechs {
+		// A zero config fails every constructor's params check before it
+		// allocates, so only an unknown ID reports errUnknownMechanism.
+		if _, err := buildMechanism(id, sim.Config{}, 0, 0); errors.Is(err, errUnknownMechanism) {
+			return err
+		}
+	}
+	for _, id := range scheds {
+		var scratch sim.Config
+		if err := applyScheduler(&scratch, id, 0, 0); err != nil {
+			return err
+		}
+	}
+	for _, k := range pats {
+		if !slices.Contains(attack.Kinds(), k) {
+			return fmt.Errorf("core: unknown attack pattern %q (known: %v)", k, attack.Kinds())
+		}
+	}
+	for _, hc := range hcs {
+		if hc <= 0 {
+			return fmt.Errorf("core: hc value %d not positive", hc)
+		}
+	}
+	return nil
 }
 
 // attackSimCfg builds the simulated system for a duration-terminated
@@ -176,13 +209,23 @@ type sweepCell struct {
 	trr *mitigation.TRRConfig
 }
 
-// cellOptions carries the system-shape knobs runSweepCell needs; both
-// AttackOptions and ParetoOptions reduce to it.
+// cellOptions carries the system-shape knobs runSweepCell needs; the
+// attack, pareto and trr-dodge params all reduce to it.
 type cellOptions struct {
 	MemCycles     int64
 	AttackRecords int
 	ECC           bool
 	Spec          attack.Spec // Kind/Records/Seed overridden per cell
+}
+
+// newCellOptions collects the knobs every cell of a grid shares; pacing
+// (nil = unpaced) is applied to every synthesized attack stream.
+func newCellOptions(memCycles int64, attackRecords int, ecc bool, pacing *attack.Spec) cellOptions {
+	co := cellOptions{MemCycles: memCycles, AttackRecords: attackRecords, ECC: ecc}
+	if pacing != nil {
+		co.Spec = *pacing
+	}
+	return co
 }
 
 // runSweepCell runs one grid point: a mixed attacker+benign simulation
@@ -307,90 +350,6 @@ func runSweepCellObs(cfg sim.Config, o cellOptions, cell sweepCell,
 
 // --- Pareto sweep --------------------------------------------------------
 
-// ParetoOptions scales the combined security/overhead sweep: the
-// (mechanism × scheduler × HCfirst) grid, each point evaluated under
-// every attack pattern plus one attacker-free run.
-type ParetoOptions struct {
-	Mechanisms []MechanismID
-	Schedulers []SchedulerID
-	Patterns   []attack.Kind
-	HCSweep    []int
-
-	// BenignCores / TraceRecords size the benign side of each mix;
-	// MemCycles the attack window; Rows the per-bank geometry (0 =
-	// Table 6); AttackRecords one attacker trace pass (0 = default).
-	BenignCores   int
-	TraceRecords  int
-	MemCycles     int64
-	Rows          int
-	AttackRecords int
-
-	// ECC evaluates LPDDR4-like chips with on-die ECC: escaped flips are
-	// post-correction, reported alongside the raw count.
-	ECC bool
-	// AttackSpec carries pattern pacing (Phase/DutyCycle/Gap) applied to
-	// every synthesized stream; Kind/Records/Seed are set per grid cell.
-	AttackSpec attack.Spec
-
-	// BLISSStreaks / BLISSClears turn the BLISS scheduler parameters into
-	// sweep axes: every BLISS grid point is evaluated at each (streak,
-	// clearing-interval) combination. Empty means one point at the
-	// controller defaults (streak 4, 10k cycles). FR-FCFS points ignore
-	// both axes.
-	BLISSStreaks []int
-	BLISSClears  []int64
-
-	Parallelism int
-	Seed        uint64
-}
-
-// DefaultParetoOptions is the CLI-scale configuration: the unprotected
-// baseline, the paper's most scalable refresh-based mechanism, both
-// BlockHammer admission policies and the oracle bound, under both
-// schedulers, against the two highest-pressure patterns.
-func DefaultParetoOptions() ParetoOptions {
-	return ParetoOptions{
-		Mechanisms: []MechanismID{MechNone, MechPARA, MechBlockHammerBlanket, MechBlockHammer, MechIdeal},
-		Schedulers: Schedulers(),
-		Patterns:   []attack.Kind{attack.DoubleSided, attack.Decoy},
-		HCSweep:    []int{4_800, 512},
-
-		BenignCores:  3,
-		TraceRecords: 2_000,
-		MemCycles:    3_000_000,
-		Seed:         1,
-	}
-}
-
-func (o ParetoOptions) normalized() ParetoOptions {
-	d := DefaultParetoOptions()
-	if len(o.Mechanisms) == 0 {
-		o.Mechanisms = d.Mechanisms
-	}
-	if len(o.Schedulers) == 0 {
-		o.Schedulers = d.Schedulers
-	}
-	if len(o.Patterns) == 0 {
-		o.Patterns = d.Patterns
-	}
-	if len(o.HCSweep) == 0 {
-		o.HCSweep = d.HCSweep
-	}
-	if o.BenignCores <= 0 {
-		o.BenignCores = d.BenignCores
-	}
-	if o.TraceRecords <= 0 {
-		o.TraceRecords = d.TraceRecords
-	}
-	if o.MemCycles <= 0 {
-		o.MemCycles = d.MemCycles
-	}
-	if o.Seed == 0 {
-		o.Seed = d.Seed
-	}
-	return o
-}
-
 // ParetoPoint is one (mechanism, scheduler, HCfirst) frontier candidate,
 // aggregated across attack patterns.
 type ParetoPoint struct {
@@ -432,30 +391,47 @@ type ParetoSweep struct {
 	ECC       bool
 }
 
-// ParetoParams is the declarative (spec) form of ParetoOptions.
+// ParetoParams is the parameter block of the pareto experiment: the
+// (mechanism × scheduler × HCfirst) grid, each point evaluated under
+// every attack pattern plus one attacker-free run. Zero fields take the
+// defaults normalized resolves.
 type ParetoParams struct {
-	Mechanisms    []MechanismID `json:"mechanisms,omitempty"`
-	Schedulers    []SchedulerID `json:"schedulers,omitempty"`
-	Patterns      []attack.Kind `json:"patterns,omitempty"`
-	HCSweep       []int         `json:"hc,omitempty"`
-	BenignCores   int           `json:"benign_cores,omitempty"`
-	TraceRecords  int           `json:"trace_records,omitempty"`
-	MemCycles     int64         `json:"mem_cycles,omitempty"`
-	Rows          int           `json:"rows,omitempty"`
-	AttackRecords int           `json:"attack_records,omitempty"`
-	ECC           bool          `json:"ecc,omitempty"`
-	Attack        *attack.Spec  `json:"attack,omitempty"`
+	Mechanisms []MechanismID `json:"mechanisms,omitempty"`
+	Schedulers []SchedulerID `json:"schedulers,omitempty"`
+	Patterns   []attack.Kind `json:"patterns,omitempty"`
+	HCSweep    []int         `json:"hc,omitempty"`
+	// BenignCores / TraceRecords size the benign side of each mix;
+	// MemCycles the attack window; Rows the per-bank geometry (0 =
+	// Table 6); AttackRecords one attacker trace pass (0 = default).
+	BenignCores   int   `json:"benign_cores,omitempty"`
+	TraceRecords  int   `json:"trace_records,omitempty"`
+	MemCycles     int64 `json:"mem_cycles,omitempty"`
+	Rows          int   `json:"rows,omitempty"`
+	AttackRecords int   `json:"attack_records,omitempty"`
+	// ECC evaluates LPDDR4-like chips with on-die ECC: escaped flips are
+	// post-correction, reported alongside the raw count.
+	ECC bool `json:"ecc,omitempty"`
+	// Attack carries pattern pacing applied to every synthesized stream;
+	// kind, records and seed are set per grid cell.
+	Attack *attack.Spec `json:"attack,omitempty"`
 	// BLISSStreaks / BLISSClears are the BLISS scheduler-parameter axes
-	// (ROADMAP's fairness/throughput trade-off map); empty means one
-	// point at the controller defaults.
+	// (ROADMAP's fairness/throughput trade-off map): every BLISS grid
+	// point is evaluated at each (streak, clearing-interval) combination.
+	// Empty means one point at the controller defaults (streak 4, 10k
+	// cycles). FR-FCFS points ignore both axes.
 	BLISSStreaks []int   `json:"bliss_streaks,omitempty"`
 	BLISSClears  []int64 `json:"bliss_clears,omitempty"`
 }
 
-// Validate rejects axis values the grid cannot distinguish from the
-// defaults (labels would collide into duplicate task keys), and attack
-// pacing outside its [0,1) domain.
+// Validate rejects axis values no grid cell can evaluate (unknown
+// mechanisms, schedulers or patterns, non-positive HCfirst points), BLISS
+// axis values the grid cannot distinguish from the defaults (labels
+// would collide into duplicate task keys), and attack pacing outside its
+// [0,1) domain.
 func (p *ParetoParams) Validate() error {
+	if err := checkAxes(p.Mechanisms, p.Schedulers, p.Patterns, p.HCSweep); err != nil {
+		return err
+	}
 	if p.Attack != nil {
 		if err := p.Attack.Validate(); err != nil {
 			return err
@@ -474,48 +450,31 @@ func (p *ParetoParams) Validate() error {
 	return nil
 }
 
-// options expands the params into the imperative ParetoOptions form.
-func (p ParetoParams) options(seed uint64) ParetoOptions {
-	o := ParetoOptions{
-		Mechanisms:    p.Mechanisms,
-		Schedulers:    p.Schedulers,
-		Patterns:      p.Patterns,
-		HCSweep:       p.HCSweep,
-		BenignCores:   p.BenignCores,
-		TraceRecords:  p.TraceRecords,
-		MemCycles:     p.MemCycles,
-		Rows:          p.Rows,
-		AttackRecords: p.AttackRecords,
-		ECC:           p.ECC,
-		BLISSStreaks:  p.BLISSStreaks,
-		BLISSClears:   p.BLISSClears,
-		Seed:          seed,
+// normalized resolves the defaults: the unprotected baseline, the
+// paper's most scalable refresh-based mechanism, both BlockHammer
+// admission policies and the oracle bound, under both schedulers,
+// against the two highest-pressure patterns.
+func (p ParetoParams) normalized() ParetoParams {
+	if len(p.Mechanisms) == 0 {
+		p.Mechanisms = []MechanismID{MechNone, MechPARA, MechBlockHammerBlanket, MechBlockHammer, MechIdeal}
 	}
-	if p.Attack != nil {
-		o.AttackSpec = *p.Attack
+	if len(p.Schedulers) == 0 {
+		p.Schedulers = Schedulers()
 	}
-	return o
-}
-
-// paretoParams converts legacy options into the spec parameter form.
-func (o ParetoOptions) paretoParams() ParetoParams {
-	p := ParetoParams{
-		Mechanisms:    o.Mechanisms,
-		Schedulers:    o.Schedulers,
-		Patterns:      o.Patterns,
-		HCSweep:       o.HCSweep,
-		BenignCores:   o.BenignCores,
-		TraceRecords:  o.TraceRecords,
-		MemCycles:     o.MemCycles,
-		Rows:          o.Rows,
-		AttackRecords: o.AttackRecords,
-		ECC:           o.ECC,
-		BLISSStreaks:  o.BLISSStreaks,
-		BLISSClears:   o.BLISSClears,
+	if len(p.Patterns) == 0 {
+		p.Patterns = []attack.Kind{attack.DoubleSided, attack.Decoy}
 	}
-	if o.AttackSpec != (attack.Spec{}) {
-		spec := o.AttackSpec
-		p.Attack = &spec
+	if len(p.HCSweep) == 0 {
+		p.HCSweep = []int{4_800, 512}
+	}
+	if p.BenignCores <= 0 {
+		p.BenignCores = 3
+	}
+	if p.TraceRecords <= 0 {
+		p.TraceRecords = 2_000
+	}
+	if p.MemCycles <= 0 {
+		p.MemCycles = 3_000_000
 	}
 	return p
 }
@@ -528,15 +487,15 @@ type blissVariant struct {
 
 // blissVariants expands the configured axes; FR-FCFS uses the single
 // zero variant.
-func (o ParetoOptions) blissVariants(sched SchedulerID) []blissVariant {
+func (p ParetoParams) blissVariants(sched SchedulerID) []blissVariant {
 	if sched != SchedBLISS {
 		return []blissVariant{{}}
 	}
-	streaks := o.BLISSStreaks
+	streaks := p.BLISSStreaks
 	if len(streaks) == 0 {
 		streaks = []int{0}
 	}
-	clears := o.BLISSClears
+	clears := p.BLISSClears
 	if len(clears) == 0 {
 		clears = []int64{0}
 	}
@@ -553,11 +512,11 @@ func (o ParetoOptions) blissVariants(sched SchedulerID) []blissVariant {
 // per point, every attack pattern plus the benign-only cell, in
 // deterministic order. The stream seed depends only on (pattern, HCfirst)
 // so every contender faces the same chip and attacker stream.
-func paretoGrid(o ParetoOptions) (keys []string, cells []sweepCell) {
-	for _, mech := range o.Mechanisms {
-		for _, sched := range o.Schedulers {
-			for _, v := range o.blissVariants(sched) {
-				for hi, hc := range o.HCSweep {
+func paretoGrid(p ParetoParams, seed uint64) (keys []string, cells []sweepCell) {
+	for _, mech := range p.Mechanisms {
+		for _, sched := range p.Schedulers {
+			for _, v := range p.blissVariants(sched) {
+				for hi, hc := range p.HCSweep {
 					add := func(pat attack.Kind, seed uint64) {
 						cells = append(cells, sweepCell{
 							Mech: mech, Sched: sched, Pattern: pat, HC: hc,
@@ -571,8 +530,8 @@ func paretoGrid(o ParetoOptions) (keys []string, cells []sweepCell) {
 						keys = append(keys, fmt.Sprintf("mech=%s/sched=%s/hc=%d/pat=%s",
 							mech, variantLabel(sched, v.streak, v.clear), hc, patLabel))
 					}
-					for pi, p := range o.Patterns {
-						add(p, engine.DeriveSeed(o.Seed^0x57eea, uint64(pi*len(o.HCSweep)+hi)))
+					for pi, pat := range p.Patterns {
+						add(pat, engine.DeriveSeed(seed^0x57eea, uint64(pi*len(p.HCSweep)+hi)))
 					}
 					add("", 0)
 				}
@@ -604,49 +563,28 @@ func (p ParetoPoint) SchedulerLabel() string {
 	return variantLabel(p.Scheduler, p.BLISSStreak, p.BLISSClear)
 }
 
-// RunParetoSweep evaluates the (mechanism × scheduler × HCfirst) grid:
-// every point runs one mixed attacker+benign simulation per attack
-// pattern plus one attacker-free run, all fanned out over the experiment
-// engine (results are bit-identical for any Parallelism), and the
-// worst-case aggregates form escaped-flips-vs-benign-overhead frontier
-// points per HCfirst. The BLISS streak/clear axes multiply the scheduler
-// dimension when set.
-func RunParetoSweep(o ParetoOptions) (*ParetoSweep, error) {
-	art, err := runSpecArtifact("pareto", o.Seed, o.paretoParams(), Exec{Parallelism: o.Parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return art.(*ParetoSweep), nil
-}
-
 func init() {
-	register(&experiment{
-		name:        "pareto",
-		description: "Pareto sweep: worst-case security vs benign overhead per (mechanism × scheduler × HCfirst)",
-		params:      func() any { return &ParetoParams{} },
-		run: func(rc *runCtx) (*Result, error) {
-			var p ParetoParams
-			if err := rc.decode(&p); err != nil {
-				return nil, err
-			}
-			o := p.options(rc.spec.Seed).normalized()
-			cfg := attackSimCfg(o.MemCycles, o.Rows)
-			benign, baseIPC, base, err := benignBaseline(cfg, o.BenignCores, o.TraceRecords, o.Seed)
+	// pareto evaluates the (mechanism × scheduler × HCfirst) grid: every
+	// point runs one mixed attacker+benign simulation per attack pattern
+	// plus one attacker-free run, all fanned out over the experiment
+	// engine (results are bit-identical for any Parallelism), and the
+	// worst-case aggregates form escaped-flips-vs-benign-overhead frontier
+	// points per HCfirst. The BLISS streak/clear axes multiply the
+	// scheduler dimension when set.
+	register("pareto", "Pareto sweep: worst-case security vs benign overhead per (mechanism × scheduler × HCfirst)", ParetoParams.normalized,
+		func(rc *runCtx, p ParetoParams) (*Result, error) {
+			cfg := attackSimCfg(p.MemCycles, p.Rows)
+			benign, baseIPC, base, err := benignBaseline(cfg, p.BenignCores, p.TraceRecords, rc.spec.Seed)
 			if err != nil {
 				return nil, err
 			}
-			keys, cells := paretoGrid(o)
-			co := cellOptions{
-				MemCycles:     o.MemCycles,
-				AttackRecords: o.AttackRecords,
-				ECC:           o.ECC,
-				Spec:          o.AttackSpec,
-			}
+			keys, cells := paretoGrid(p, rc.spec.Seed)
+			co := newCellOptions(p.MemCycles, p.AttackRecords, p.ECC, p.Attack)
 			meta := sweepMeta{
-				MemCycles: o.MemCycles,
-				WallMS:    float64(o.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
-				Benign:    fmt.Sprintf("%d benign cores, MPKI %.0f", o.BenignCores, base.MPKI),
-				ECC:       o.ECC,
+				MemCycles: p.MemCycles,
+				WallMS:    float64(p.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
+				Benign:    fmt.Sprintf("%d benign cores, MPKI %.0f", p.BenignCores, base.MPKI),
+				ECC:       p.ECC,
 			}
 			return gridResult(rc, meta, keys, cells,
 				func(ctx engine.TaskContext, cell sweepCell) (AttackPoint, error) {
@@ -658,37 +596,31 @@ func init() {
 					return *pt, nil
 				})
 		},
-		finalize: func(res *Result) (Artifact, error) {
-			var p ParetoParams
-			if err := decodeParams(res.Spec.Params, &p); err != nil {
-				return nil, err
-			}
-			o := p.options(res.Spec.Seed).normalized()
+		func(res *Result, p ParetoParams) (Artifact, error) {
 			var meta sweepMeta
 			if err := json.Unmarshal(res.Meta, &meta); err != nil {
 				return nil, fmt.Errorf("core: pareto meta: %w", err)
 			}
-			keys, cells := paretoGrid(o)
+			keys, cells := paretoGrid(p, res.Spec.Seed)
 			results, err := cellsInOrder[AttackPoint](res, keys)
 			if err != nil {
 				return nil, err
 			}
-			return finalizePareto(o, meta, cells, results), nil
-		},
-	})
+			return finalizePareto(p, meta, cells, results), nil
+		})
 }
 
 // finalizePareto aggregates each grid point's pattern block (worst case)
 // plus its benign-only run into frontier points.
-func finalizePareto(o ParetoOptions, meta sweepMeta, cells []sweepCell, results []AttackPoint) *ParetoSweep {
+func finalizePareto(p ParetoParams, meta sweepMeta, cells []sweepCell, results []AttackPoint) *ParetoSweep {
 	sweep := &ParetoSweep{
-		Patterns:  o.Patterns,
+		Patterns:  p.Patterns,
 		MemCycles: meta.MemCycles,
 		WallMS:    meta.WallMS,
 		Benign:    meta.Benign,
 		ECC:       meta.ECC,
 	}
-	perPoint := len(o.Patterns) + 1
+	perPoint := len(p.Patterns) + 1
 	for start := 0; start+perPoint <= len(results); start += perPoint {
 		block := results[start : start+perPoint]
 		cell := cells[start]

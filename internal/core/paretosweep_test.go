@@ -8,10 +8,11 @@ import (
 	"repro/internal/attack"
 )
 
-// tinyParetoOptions is the reduced grid of the Pareto-sweep smoke tests:
-// 2 mechanisms × 2 schedulers × 2 HCfirst on a small chip, short window.
-func tinyParetoOptions(parallelism int) ParetoOptions {
-	return ParetoOptions{
+// tinyParetoParams is the reduced grid of the Pareto-sweep smoke tests
+// (run at seed 7): 2 mechanisms × 2 schedulers × 2 HCfirst on a small
+// chip, short window.
+func tinyParetoParams() ParetoParams {
+	return ParetoParams{
 		Mechanisms:   []MechanismID{MechNone, MechIdeal},
 		Schedulers:   Schedulers(),
 		Patterns:     []attack.Kind{attack.DoubleSided},
@@ -20,8 +21,6 @@ func tinyParetoOptions(parallelism int) ParetoOptions {
 		TraceRecords: 800,
 		MemCycles:    150_000,
 		Rows:         1024,
-		Parallelism:  parallelism,
-		Seed:         7,
 	}
 }
 
@@ -30,12 +29,7 @@ func tinyParetoOptions(parallelism int) ParetoOptions {
 // count (the CI smoke of the deterministic engine on this runner).
 func TestParetoSweepParallelismInvariant(t *testing.T) {
 	run := func(parallelism int) string {
-		o := tinyParetoOptions(parallelism)
-		s, err := RunParetoSweep(o)
-		if err != nil {
-			t.Fatalf("parallelism=%d: %v", parallelism, err)
-		}
-		return s.Format()
+		return runArtifact[*ParetoSweep](t, "pareto", 7, tinyParetoParams(), Exec{Parallelism: parallelism}).Format()
 	}
 	serial := run(1)
 	if serial == "" {
@@ -52,16 +46,13 @@ func TestParetoSweepParallelismInvariant(t *testing.T) {
 // invariant: the (None, FR-FCFS) benign-only cell is the baseline system
 // itself, so its no-attack throughput is exactly 100%.
 func TestParetoSweepShape(t *testing.T) {
-	o := tinyParetoOptions(0)
-	s, err := RunParetoSweep(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := len(o.Mechanisms) * len(o.Schedulers) * len(o.HCSweep)
+	p := tinyParetoParams()
+	s := runArtifact[*ParetoSweep](t, "pareto", 7, p, Exec{})
+	want := len(p.Mechanisms) * len(p.Schedulers) * len(p.HCSweep)
 	if len(s.Points) != want {
 		t.Fatalf("points = %d, want %d", len(s.Points), want)
 	}
-	for _, hc := range o.HCSweep {
+	for _, hc := range p.HCSweep {
 		if len(s.Frontier(hc)) == 0 {
 			t.Errorf("no frontier point at HCfirst=%d", hc)
 		}
@@ -95,7 +86,7 @@ func TestParetoSweepShape(t *testing.T) {
 // behavior), with zero escaped flips on both sides — the attribution
 // refactor buys performance without spending any security.
 func TestFairnessBeatsBlanketBackpressure(t *testing.T) {
-	o := ParetoOptions{
+	p := ParetoParams{
 		Mechanisms: []MechanismID{MechBlockHammerBlanket, MechBlockHammer},
 		Schedulers: Schedulers(),
 		// Decoy keeps queue pressure on non-blacklisted rows for the whole
@@ -107,12 +98,8 @@ func TestFairnessBeatsBlanketBackpressure(t *testing.T) {
 		TraceRecords: 800,
 		MemCycles:    300_000,
 		Rows:         1024,
-		Seed:         1,
 	}
-	s, err := RunParetoSweep(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := runArtifact[*ParetoSweep](t, "pareto", 1, p, Exec{})
 	blanket, ok := s.PointFor(MechBlockHammerBlanket, SchedFRFCFS, 512)
 	if !ok {
 		t.Fatal("blanket baseline point missing")
@@ -152,7 +139,7 @@ func TestMarkFrontier(t *testing.T) {
 // end: an unprotected LPDDR4-like chip must report at least as many raw
 // flips as post-correction escapes, and the report gains the raw column.
 func TestAttackEvalECCReportsRawFlips(t *testing.T) {
-	o := AttackOptions{
+	ev := runAttackEval(t, AttackParams{
 		Patterns:     []attack.Kind{attack.DoubleSided},
 		Mechanisms:   []MechanismID{MechNone},
 		HCSweep:      []int{512},
@@ -161,12 +148,7 @@ func TestAttackEvalECCReportsRawFlips(t *testing.T) {
 		MemCycles:    250_000,
 		Rows:         1024,
 		ECC:          true,
-		Seed:         7,
-	}
-	ev, err := RunAttackEval(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 0)
 	pt := ev.Points[0]
 	if pt.RawFlips == 0 {
 		t.Fatal("no raw flips on an unprotected low-HCfirst chip")

@@ -19,13 +19,16 @@ import (
 	"repro/internal/engine"
 )
 
-// charPlan is one characterization experiment's resolved task grid.
+// charPlan is one characterization experiment's resolved task grid:
+// the population built from the normalized params, the stride and
+// iteration count its cells measure with, and the (configuration, chip)
+// jobs.
 type charPlan struct {
-	o     Options
-	pop   *chips.Population
-	keys  []ConfigKey
-	jobs  []chipJob
-	iters int
+	stride int
+	iters  int
+	pop    *chips.Population
+	keys   []ConfigKey
+	jobs   []chipJob
 }
 
 // charGridDef describes how an experiment builds its grid.
@@ -42,19 +45,13 @@ type charGridDef struct {
 	defaultIters int
 }
 
-// charPlanFor expands a spec into the experiment's task grid.
-func charPlanFor(spec ExperimentSpec, def charGridDef) (*charPlan, error) {
-	var p CharParams
-	if err := decodeParams(spec.Params, &p); err != nil {
-		return nil, err
-	}
-	o, err := p.options(spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	o = o.normalized()
-	plan := &charPlan{o: o, pop: o.population()}
-	byCfg := o.chipsByConfig(plan.pop)
+// normalize resolves the experiment's CharParams defaults.
+func (def charGridDef) normalize(p CharParams) CharParams { return p.normalized(def.defaultIters) }
+
+// newCharPlan expands normalized params into the experiment's task grid.
+func newCharPlan(p CharParams, seed uint64, def charGridDef) *charPlan {
+	plan := &charPlan{stride: p.Stride, iters: p.Iterations, pop: p.population(seed)}
+	byCfg := chipsByConfig(plan.pop, p.Chips)
 	if def.keys != nil {
 		plan.keys = def.keys()
 	} else {
@@ -65,11 +62,7 @@ func charPlanFor(spec ExperimentSpec, def charGridDef) (*charPlan, error) {
 	} else {
 		plan.jobs = chipGrid(plan.keys, byCfg, def.keep)
 	}
-	plan.iters = o.Iterations
-	if plan.iters == 0 {
-		plan.iters = def.defaultIters
-	}
-	return plan, nil
+	return plan
 }
 
 // jobKeys renders the stable task keys: configuration plus chip name.
@@ -86,30 +79,20 @@ func charExperiment[C any](name, desc string, def charGridDef,
 	cell func(pl *charPlan, j chipJob) (C, error),
 	finalize func(pl *charPlan, cells []C) (Artifact, error),
 ) {
-	register(&experiment{
-		name:        name,
-		description: desc,
-		params:      func() any { return &CharParams{} },
-		run: func(rc *runCtx) (*Result, error) {
-			pl, err := charPlanFor(rc.spec, def)
-			if err != nil {
-				return nil, err
-			}
+	register(name, desc, def.normalize,
+		func(rc *runCtx, p CharParams) (*Result, error) {
+			pl := newCharPlan(p, rc.spec.Seed, def)
 			return gridResult(rc, nil, pl.jobKeys(), pl.jobs,
 				func(_ engine.TaskContext, j chipJob) (C, error) { return cell(pl, j) })
 		},
-		finalize: func(res *Result) (Artifact, error) {
-			pl, err := charPlanFor(res.Spec, def)
-			if err != nil {
-				return nil, err
-			}
+		func(res *Result, p CharParams) (Artifact, error) {
+			pl := newCharPlan(p, res.Spec.Seed, def)
 			cells, err := cellsInOrder[C](res, pl.jobKeys())
 			if err != nil {
 				return nil, err
 			}
 			return finalize(pl, cells)
-		},
-	})
+		})
 }
 
 // rowHammerableOnly keeps the chips the paper's normalized-rate and
@@ -163,7 +146,7 @@ func coverageCell(pl *charPlan, j chipJob) (CoverageRow, error) {
 	if hc > t.MaxHC {
 		hc = t.MaxHC
 	}
-	cov, err := t.MeasureCoverage(hc, pl.iters, pl.o.Stride)
+	cov, err := t.MeasureCoverage(hc, pl.iters, pl.stride)
 	if err != nil {
 		return CoverageRow{}, fmt.Errorf("coverage %v: %w", j.key, err)
 	}
@@ -183,60 +166,42 @@ func init() {
 	coverageGrid := charGridDef{rep: true, defaultIters: 10}
 
 	// table1: the census is one task over the whole module list.
-	register(&experiment{
-		name:        "table1",
-		description: "Table 1: DRAM chip population census",
-		params:      func() any { return &CharParams{} },
-		run: func(rc *runCtx) (*Result, error) {
-			pl, err := charPlanFor(rc.spec, charGridDef{})
-			if err != nil {
-				return nil, err
-			}
+	register("table1", "Table 1: DRAM chip population census", charGridDef{}.normalize,
+		func(rc *runCtx, p CharParams) (*Result, error) {
+			pop := p.population(rc.spec.Seed)
 			return gridResult(rc, nil, []string{"census"}, []int{0},
 				func(engine.TaskContext, int) ([]chips.CensusRow, error) {
-					return pl.pop.Census(), nil
+					return pop.Census(), nil
 				})
 		},
-		finalize: func(res *Result) (Artifact, error) {
+		func(res *Result, _ CharParams) (Artifact, error) {
 			rows, err := cellsInOrder[[]chips.CensusRow](res, []string{"census"})
 			if err != nil {
 				return nil, err
 			}
 			return &Table1{Rows: rows[0]}, nil
-		},
-	})
+		})
 
 	// table2: one task per DDR3 configuration over the ground-truth
 	// spec census.
-	register(&experiment{
-		name:        "table2",
-		description: "Table 2: RowHammerable DDR3 chips at HC < 150k",
-		params:      func() any { return &CharParams{} },
-		run: func(rc *runCtx) (*Result, error) {
-			pl, err := charPlanFor(rc.spec, charGridDef{keys: ddr3Keys})
-			if err != nil {
-				return nil, err
-			}
+	register("table2", "Table 2: RowHammerable DDR3 chips at HC < 150k", charGridDef{}.normalize,
+		func(rc *runCtx, p CharParams) (*Result, error) {
 			// One ground-truth census shared by every configuration cell.
-			counts := chips.SpecRowHammerable(pl.o.Modules, pl.o.Seed)
-			return gridResult(rc, nil, configKeyStrings(pl.keys), pl.keys,
+			counts := chips.SpecRowHammerable(moduleSets[p.Modules](), rc.spec.Seed)
+			keys := ddr3Keys()
+			return gridResult(rc, nil, configKeyStrings(keys), keys,
 				func(_ engine.TaskContext, k ConfigKey) (Table2Row, error) {
 					v := counts[k.Node][k.Mfr]
 					return Table2Row{Key: k, Vulnerable: v[0], Total: v[1]}, nil
 				})
 		},
-		finalize: func(res *Result) (Artifact, error) {
-			pl, err := charPlanFor(res.Spec, charGridDef{keys: ddr3Keys})
-			if err != nil {
-				return nil, err
-			}
-			rows, err := cellsInOrder[Table2Row](res, configKeyStrings(pl.keys))
+		func(res *Result, _ CharParams) (Artifact, error) {
+			rows, err := cellsInOrder[Table2Row](res, configKeyStrings(ddr3Keys()))
 			if err != nil {
 				return nil, err
 			}
 			return &Table2{Rows: rows}, nil
-		},
-	})
+		})
 
 	charExperiment("fig4", "Figure 4: data-pattern coverage per configuration",
 		coverageGrid, coverageCell,
@@ -257,7 +222,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			curve, err := t.RateCurve(charact.DefaultRateHCs(), pl.o.Stride)
+			curve, err := t.RateCurve(charact.DefaultRateHCs(), pl.stride)
 			if err != nil {
 				return nil, fmt.Errorf("rate curve %v: %w", j.key, err)
 			}
@@ -274,11 +239,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			hc, err := t.HCForRate(normalizedRate, pl.o.Stride)
+			hc, err := t.HCForRate(normalizedRate, pl.stride)
 			if err != nil {
 				return nil, err
 			}
-			sp, err := t.MeasureSpatial(hc, pl.o.Stride)
+			sp, err := t.MeasureSpatial(hc, pl.stride)
 			if err != nil {
 				return nil, err
 			}
@@ -298,11 +263,11 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			hc, err := t.HCForRate(normalizedRate, pl.o.Stride)
+			hc, err := t.HCForRate(normalizedRate, pl.stride)
 			if err != nil {
 				return nil, err
 			}
-			wd, err := t.MeasureWordDensity(hc, pl.o.Stride)
+			wd, err := t.MeasureWordDensity(hc, pl.stride)
 			if err != nil {
 				return nil, err
 			}
@@ -320,7 +285,7 @@ func init() {
 		if err != nil {
 			return hcFirstCell{}, err
 		}
-		hc, found, err := t.MeasureHCFirst(charact.HCFirstOptions{Stride: pl.o.Stride})
+		hc, found, err := t.MeasureHCFirst(charact.HCFirstOptions{Stride: pl.stride})
 		if err != nil {
 			return hcFirstCell{}, fmt.Errorf("hcfirst %s: %w", j.spec.Name, err)
 		}
@@ -373,7 +338,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			m, err := t.MeasureMonotonicity(nil, pl.iters, pl.o.Stride)
+			m, err := t.MeasureMonotonicity(nil, pl.iters, pl.stride)
 			if err != nil {
 				return nil, fmt.Errorf("monotonicity %v: %w", j.key, err)
 			}
@@ -395,28 +360,24 @@ func init() {
 	// table7/table8: static module tables, one task each. They accept
 	// CharParams for spec-template uniformity but the population tables
 	// are scale-independent.
-	moduleTable := func(name, desc string, build func() *ModuleTable) {
-		register(&experiment{
-			name:        name,
-			description: desc,
-			params:      func() any { return &CharParams{} },
-			run: func(rc *runCtx) (*Result, error) {
+	moduleTable := func(name, desc, title string, modules func() []chips.ModuleSpec) {
+		register(name, desc, charGridDef{}.normalize,
+			func(rc *runCtx, _ CharParams) (*Result, error) {
 				return gridResult(rc, nil, []string{"modules"}, []int{0},
 					func(engine.TaskContext, int) ([]chips.ModuleSpec, error) {
-						return build().Modules, nil
+						return modules(), nil
 					})
 			},
-			finalize: func(res *Result) (Artifact, error) {
+			func(res *Result, _ CharParams) (Artifact, error) {
 				mods, err := cellsInOrder[[]chips.ModuleSpec](res, []string{"modules"})
 				if err != nil {
 					return nil, err
 				}
-				return &ModuleTable{Title: build().Title, Modules: mods[0]}, nil
-			},
-		})
+				return &ModuleTable{Title: title, Modules: mods[0]}, nil
+			})
 	}
-	moduleTable("table7", "Table 7: DDR4 module population", RunTable7)
-	moduleTable("table8", "Table 8: DDR3 module population", RunTable8)
+	moduleTable("table7", "Table 7: DDR4 module population", "Table 7: DDR4 modules", chips.DDR4Modules)
+	moduleTable("table8", "Table 8: DDR3 module population", "Table 8: DDR3 modules", chips.DDR3Modules)
 }
 
 // configKeyStrings renders a configuration list as task keys.

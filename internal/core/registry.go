@@ -24,10 +24,10 @@ type Artifact interface {
 type experiment struct {
 	name        string
 	description string
-	// params returns a fresh pointer to the experiment's parameter
-	// struct with its zero (all-defaults) value, used for strict
-	// decoding and for documenting defaults in `rhx list`.
-	params   func() any
+	// params strictly decodes and validates raw spec params (empty = all
+	// defaults) and resolves every default, returning the normalized
+	// parameter struct the runner reads. Experiments lists params(nil).
+	params   func(raw json.RawMessage) (any, error)
 	run      func(rc *runCtx) (*Result, error)
 	finalize func(res *Result) (Artifact, error)
 }
@@ -42,11 +42,42 @@ var experimentOrder = []string{
 	"fig10", "attack", "pareto", "trr-dodge",
 }
 
-func register(e *experiment) {
-	if _, dup := registry[e.name]; dup {
-		panic("core: duplicate experiment " + e.name)
+// register adds an experiment whose params decode into P and resolve
+// their defaults through norm. run and finalize receive the normalized
+// params, so every reader of a spec's params sees the same values.
+func register[P any](name, description string, norm func(P) P,
+	run func(rc *runCtx, p P) (*Result, error),
+	finalize func(res *Result, p P) (Artifact, error),
+) {
+	if _, dup := registry[name]; dup {
+		panic("core: duplicate experiment " + name)
 	}
-	registry[e.name] = e
+	params := func(raw json.RawMessage) (P, error) {
+		var p P
+		if err := decodeParams(raw, &p); err != nil {
+			return p, err
+		}
+		return norm(p), nil
+	}
+	registry[name] = &experiment{
+		name:        name,
+		description: description,
+		params:      func(raw json.RawMessage) (any, error) { return params(raw) },
+		run: func(rc *runCtx) (*Result, error) {
+			p, err := params(rc.spec.Params)
+			if err != nil {
+				return nil, err
+			}
+			return run(rc, p)
+		},
+		finalize: func(res *Result) (Artifact, error) {
+			p, err := params(res.Spec.Params)
+			if err != nil {
+				return nil, err
+			}
+			return finalize(res, p)
+		},
+	}
 }
 
 func lookup(name string) (*experiment, error) {
@@ -61,8 +92,8 @@ func lookup(name string) (*experiment, error) {
 type ExperimentInfo struct {
 	Name        string
 	Description string
-	// DefaultParams is the JSON shape of the experiment's parameter
-	// struct with every field at its default.
+	// DefaultParams is the experiment's parameter struct with every
+	// default resolved, as the runner sees a spec without params.
 	DefaultParams json.RawMessage
 }
 
@@ -76,7 +107,8 @@ func Experiments() []ExperimentInfo {
 			return
 		}
 		seen[name] = true
-		raw, _ := json.Marshal(e.params())
+		p, _ := e.params(nil) // empty params always decode
+		raw, _ := json.Marshal(p)
 		out = append(out, ExperimentInfo{Name: e.name, Description: e.description, DefaultParams: raw})
 	}
 	for _, name := range experimentOrder {
@@ -110,28 +142,16 @@ type runCtx struct {
 }
 
 // engineOptions is the engine fan-out configuration every grid in this
-// run uses: the exec parallelism bound, the given base seed, and the
-// run's cancellation context.
-func (rc *runCtx) engineOptions(seed uint64) engine.Options {
-	return engine.Options{Workers: rc.exec.Parallelism, Seed: seed, Context: rc.ctx}
+// run uses: the exec parallelism bound, the spec's seed, and the run's
+// cancellation context.
+func (rc *runCtx) engineOptions() engine.Options {
+	return engine.Options{Workers: rc.exec.Parallelism, Seed: rc.spec.Seed, Context: rc.ctx}
 }
 
-// decode strictly decodes the spec's params into the given struct.
-func (rc *runCtx) decode(into any) error { return decodeParams(rc.spec.Params, into) }
-
-// Run executes a spec's shard of its experiment with default execution
-// options. It is the single entry point behind every RunX wrapper and
-// CLI.
-func Run(spec ExperimentSpec) (*Result, error) { return RunWith(spec, Exec{}) }
-
-// RunWith executes a spec's shard with explicit execution options.
-func RunWith(spec ExperimentSpec, ex Exec) (*Result, error) {
-	return RunContext(context.Background(), spec, ex)
-}
-
-// RunContext executes a spec's shard under a cancellation context: when
-// ctx is canceled (an abandoned HTTP request, SIGINT), in-flight grid
-// tasks finish but no new tasks start, and the run returns ctx's error.
+// RunContext executes a spec's shard of its experiment: the one entry
+// point behind rhx, the service and the result store. When ctx is
+// canceled (an abandoned HTTP request, SIGINT), in-flight grid tasks
+// finish but no new tasks start, and the run returns ctx's error.
 func RunContext(ctx context.Context, spec ExperimentSpec, ex Exec) (*Result, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -333,7 +353,7 @@ func gridResult[T, C any](rc *runCtx, meta any, keys []string, items []T,
 			mine = append(mine, i)
 		}
 	}
-	eo := rc.engineOptions(rc.spec.Seed)
+	eo := rc.engineOptions()
 	cells, err := engine.Map(eo, mine, func(_ engine.TaskContext, gi int) (json.RawMessage, error) {
 		ctx := engine.TaskContext{Index: gi, Seed: engine.DeriveSeed(rc.spec.Seed, uint64(gi))}
 		c, err := fn(ctx, items[gi])
@@ -377,18 +397,4 @@ func cellsInOrder[C any](res *Result, keys []string) ([]C, error) {
 		}
 	}
 	return out, nil
-}
-
-// runSpecArtifact is the wrapper path: run a spec and finalize its
-// artifact in one call (the body of every legacy RunX function).
-func runSpecArtifact(name string, seed uint64, params any, ex Exec) (Artifact, error) {
-	spec, err := NewSpec(name, seed, params)
-	if err != nil {
-		return nil, err
-	}
-	res, err := RunWith(spec, ex)
-	if err != nil {
-		return nil, err
-	}
-	return res.Artifact()
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"testing"
@@ -13,7 +14,7 @@ import (
 // count, returning (full, parts).
 func runShards(t *testing.T, spec ExperimentSpec, count int) (*Result, []*Result) {
 	t.Helper()
-	full, err := Run(spec)
+	full, err := RunContext(context.Background(), spec, Exec{})
 	if err != nil {
 		t.Fatalf("unsharded: %v", err)
 	}
@@ -21,7 +22,7 @@ func runShards(t *testing.T, spec ExperimentSpec, count int) (*Result, []*Result
 	for idx := 0; idx < count; idx++ {
 		s := spec
 		s.Shard = Shard{Index: idx, Count: count}
-		r, err := Run(s)
+		r, err := RunContext(context.Background(), s, Exec{})
 		if err != nil {
 			t.Fatalf("shard %d/%d: %v", idx, count, err)
 		}
@@ -266,7 +267,7 @@ func TestParetoBLISSAxes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(spec)
+	res, err := RunContext(context.Background(), spec, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

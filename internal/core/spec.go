@@ -3,7 +3,7 @@ package core
 // The declarative experiment API. Every paper artifact (and every
 // post-paper evaluation) is a named experiment in a registry; one
 // JSON-serializable ExperimentSpec — name, parameters, seed, shard —
-// fully determines a run. Run(spec) enumerates the experiment's task
+// fully determines a run. RunContext enumerates the experiment's task
 // grid deterministically, keeps the tasks the spec's shard owns (stable
 // task-key hashing, so any shard/count partition covers the grid exactly
 // once), fans them out over the deterministic engine, and returns a
@@ -149,7 +149,8 @@ func (s ExperimentSpec) Validate() error {
 	if err := s.Shard.Validate(); err != nil {
 		return err
 	}
-	return decodeParams(s.Params, exp.params())
+	_, err = exp.params(s.Params)
+	return err
 }
 
 // Encode renders the spec as canonical JSON (normalized, two-space

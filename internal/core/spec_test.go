@@ -2,8 +2,12 @@ package core
 
 import (
 	"bytes"
+	"context"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/internal/attack"
 )
 
 func TestSpecRoundTrip(t *testing.T) {
@@ -186,7 +190,7 @@ func TestResultIncompleteArtifactError(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec.Shard = Shard{Index: 0, Count: 3}
-	res, err := Run(spec)
+	res, err := RunContext(context.Background(), spec, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +205,11 @@ func TestResultIncompleteArtifactError(t *testing.T) {
 func TestMergeRejectsMismatchedSpecs(t *testing.T) {
 	specA, _ := NewSpec("table1", 1, nil)
 	specB, _ := NewSpec("table1", 2, nil)
-	a, err := Run(specA)
+	a, err := RunContext(context.Background(), specA, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(specB)
+	b, err := RunContext(context.Background(), specB, Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,4 +219,117 @@ func TestMergeRejectsMismatchedSpecs(t *testing.T) {
 	if merged, err := a.Merge(a); err != nil || !merged.Complete() {
 		t.Errorf("self-merge (idempotent union) failed: %v", err)
 	}
+}
+
+// TestDecodeSpecRejectsBadAxes pins axis validation at decode: a value no
+// grid cell can evaluate fails DecodeSpec (and with it a service submit)
+// instead of task 0 of the run.
+func TestDecodeSpecRejectsBadAxes(t *testing.T) {
+	cases := []struct{ spec, want string }{
+		{`{"name":"attack","params":{"mechanisms":["Nope"]}}`, `unknown mechanism "Nope"`},
+		{`{"name":"attack","params":{"patterns":["triple-sided"]}}`, `unknown attack pattern "triple-sided"`},
+		{`{"name":"attack","params":{"scheduler":"FIFO"}}`, `unknown scheduler "FIFO"`},
+		{`{"name":"attack","params":{"hc":[512,0]}}`, "hc value 0 not positive"},
+		{`{"name":"fig10","params":{"mechanisms":["PARA","none"]}}`, `unknown mechanism "none"`},
+		{`{"name":"fig10","params":{"hc":[-64]}}`, "hc value -64 not positive"},
+		{`{"name":"pareto","params":{"mechanisms":["Ideal","Nope"]}}`, `unknown mechanism "Nope"`},
+		{`{"name":"pareto","params":{"schedulers":["BLISS","FIFO"]}}`, `unknown scheduler "FIFO"`},
+		{`{"name":"pareto","params":{"patterns":["Decoy"]}}`, `unknown attack pattern "Decoy"`},
+		{`{"name":"pareto","params":{"hc":[0]}}`, "hc value 0 not positive"},
+		{`{"name":"trr-dodge","params":{"patterns":[""]}}`, `unknown attack pattern ""`},
+		{`{"name":"fig5","params":{"scale":"huge"}}`, `unknown scale "huge"`},
+		{`{"name":"table1","params":{"modules":"ddr5"}}`, `unknown module set "ddr5"`},
+	}
+	for _, tc := range cases {
+		if _, err := DecodeSpec([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error = %v, want mention of %q", tc.spec, err, tc.want)
+		}
+	}
+	// Every value the runners know still decodes.
+	mechs := append(AllMechanisms(), MechNone, MechBlockHammer, MechBlockHammerBinary, MechBlockHammerBlanket, MechTRR)
+	if _, err := NewSpec("pareto", 1, ParetoParams{
+		Mechanisms: mechs,
+		Schedulers: append(Schedulers(), ""),
+		Patterns:   attack.Kinds(),
+		HCSweep:    DefaultHCSweep(),
+	}); err != nil {
+		t.Errorf("every known axis value rejected: %v", err)
+	}
+}
+
+// TestExperimentsListResolvedDefaults pins the registry listing: every
+// experiment's DefaultParams are the defaults its runner resolves (not
+// the all-omitted zero struct), they decode strictly into the params
+// struct, and normalizing them again changes nothing.
+func TestExperimentsListResolvedDefaults(t *testing.T) {
+	want := map[string]string{
+		"attack":    `"hc":[10000,4800,2000,512]`,
+		"fig4":      `"iterations":10`,
+		"table5":    `"iterations":20`,
+		"fig5":      `"chips":4`,
+		"fig10":     `"mixes":48`,
+		"pareto":    `"schedulers":["FR-FCFS","BLISS"]`,
+		"trr-dodge": `"duty_cycles":[0,0.25,0.5]`,
+	}
+	for _, e := range Experiments() {
+		if string(e.DefaultParams) == "{}" {
+			t.Errorf("%s: DefaultParams is the empty zero struct", e.Name)
+		}
+		exp, err := lookup(e.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := exp.params(e.DefaultParams)
+		if err != nil {
+			t.Errorf("%s: DefaultParams %s do not decode: %v", e.Name, e.DefaultParams, err)
+			continue
+		}
+		again, err := json.Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again, e.DefaultParams) {
+			t.Errorf("%s: normalizing the defaults changed them:\n%s\nvs\n%s", e.Name, e.DefaultParams, again)
+		}
+		if w, ok := want[e.Name]; ok && !strings.Contains(string(e.DefaultParams), w) {
+			t.Errorf("%s: DefaultParams %s lack %s", e.Name, e.DefaultParams, w)
+		}
+	}
+}
+
+// FuzzDecodeSpec drives arbitrary bytes through DecodeSpec, the boundary
+// HTTP submissions and spec files cross. Decoding never panics, and an
+// accepted spec's canonical encoding is a fixed point: it decodes and
+// re-encodes to the same bytes under the same SpecHash. The seed corpus
+// (testdata/fuzz/FuzzDecodeSpec) holds every default spec plus the CI
+// smoke specs.
+func FuzzDecodeSpec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := DecodeSpec(data)
+		if err != nil {
+			return
+		}
+		enc, err := spec.Encode()
+		if err != nil {
+			t.Fatalf("encode accepted spec: %v", err)
+		}
+		hash, err := spec.SpecHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := DecodeSpec(enc)
+		if err != nil {
+			t.Fatalf("canonical encoding rejected: %v\n%s", err, enc)
+		}
+		enc2, err := again.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding changed the canonical bytes:\n%s\nvs\n%s", enc, enc2)
+		}
+		if hash2, err := again.SpecHash(); err != nil || hash2 != hash {
+			t.Fatalf("SpecHash changed across the round trip: %s vs %s (%v)", hash, hash2, err)
+		}
+	})
 }

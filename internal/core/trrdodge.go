@@ -28,9 +28,8 @@ import (
 // every paced point is compared against: the dodge is demonstrated when
 // a paced attack escapes flips that full-rate hammering cannot.
 
-// TRRDodgeParams is the declarative parameter block of the trr-dodge
-// experiment. All slice axes default to the values in
-// DefaultTRRDodgeParams when empty.
+// TRRDodgeParams is the parameter block of the trr-dodge experiment.
+// Zero fields take the defaults normalized resolves.
 type TRRDodgeParams struct {
 	// Patterns is the attack-pattern axis (default double-sided).
 	Patterns []attack.Kind `json:"patterns,omitempty"`
@@ -67,26 +66,13 @@ type TRRDodgeParams struct {
 	ECC           bool  `json:"ecc,omitempty"`
 }
 
-// DefaultTRRDodgeParams is the CLI-scale grid: one sampler
-// configuration, the full-rate baseline plus two duty cycles at two
-// phases each, against the highest-pressure pattern.
-func DefaultTRRDodgeParams() TRRDodgeParams {
-	return TRRDodgeParams{
-		Patterns:     []attack.Kind{attack.DoubleSided},
-		DutyCycles:   []float64{0, 0.25, 0.5},
-		Phases:       []float64{0, 0.5},
-		SampleRates:  []float64{0.5},
-		TableSizes:   []int{4},
-		HCFirst:      256,
-		TraceRecords: 2_000,
-		MemCycles:    3_000_000,
-	}
-}
-
-// Validate rejects out-of-domain axis values at spec decode: duty cycles
-// and phases outside [0,1), sample rates outside (0,1], non-positive
-// table sizes, and a negative HCfirst.
+// Validate rejects out-of-domain axis values at spec decode: unknown
+// patterns, duty cycles and phases outside [0,1), sample rates outside
+// (0,1], non-positive table sizes, and a negative HCfirst.
 func (p *TRRDodgeParams) Validate() error {
+	if err := checkAxes(nil, nil, p.Patterns, nil); err != nil {
+		return err
+	}
 	for _, d := range p.DutyCycles {
 		if d < 0 || d >= 1 {
 			return fmt.Errorf("core: trr-dodge duty_cycles value %g outside [0,1) (0 is the full-rate baseline)", d)
@@ -113,35 +99,37 @@ func (p *TRRDodgeParams) Validate() error {
 	return nil
 }
 
+// normalized resolves the defaults: one sampler configuration, the
+// full-rate baseline plus two duty cycles at two phases each, against the
+// highest-pressure pattern.
 func (p TRRDodgeParams) normalized() TRRDodgeParams {
-	d := DefaultTRRDodgeParams()
 	if len(p.Patterns) == 0 {
-		p.Patterns = d.Patterns
+		p.Patterns = []attack.Kind{attack.DoubleSided}
 	}
 	if len(p.DutyCycles) == 0 {
-		p.DutyCycles = d.DutyCycles
+		p.DutyCycles = []float64{0, 0.25, 0.5}
 	}
 	if len(p.Phases) == 0 {
-		p.Phases = d.Phases
+		p.Phases = []float64{0, 0.5}
 	}
 	if len(p.SampleRates) == 0 {
-		p.SampleRates = d.SampleRates
+		p.SampleRates = []float64{0.5}
 	}
 	if len(p.TableSizes) == 0 {
-		p.TableSizes = d.TableSizes
+		p.TableSizes = []int{4}
 	}
 	if p.HCFirst <= 0 {
-		p.HCFirst = d.HCFirst
+		p.HCFirst = 256
 	}
 	// BenignCores 0 is meaningful (attacker-only), not a default request.
 	if p.BenignCores < 0 {
 		p.BenignCores = 0
 	}
 	if p.TraceRecords <= 0 {
-		p.TraceRecords = d.TraceRecords
+		p.TraceRecords = 2_000
 	}
 	if p.MemCycles <= 0 {
-		p.MemCycles = d.MemCycles
+		p.MemCycles = 3_000_000
 	}
 	return p
 }
@@ -245,28 +233,9 @@ func trrDodgeGrid(p TRRDodgeParams, seed uint64) (keys []string, cells []dodgeCe
 	return keys, cells
 }
 
-// RunTRRDodge runs the duty-cycle dodge study with the given parameters
-// (zero-value fields take the defaults) — the wrapper over the
-// "trr-dodge" registry entry.
-func RunTRRDodge(p TRRDodgeParams, seed uint64, parallelism int) (*TRRDodge, error) {
-	art, err := runSpecArtifact("trr-dodge", seed, p, Exec{Parallelism: parallelism})
-	if err != nil {
-		return nil, err
-	}
-	return art.(*TRRDodge), nil
-}
-
 func init() {
-	register(&experiment{
-		name:        "trr-dodge",
-		description: "TRR dodge study: duty-cycle/phase-paced attacks vs an in-DRAM sampling TRR (sampler × pattern × pacing)",
-		params:      func() any { return &TRRDodgeParams{} },
-		run: func(rc *runCtx) (*Result, error) {
-			var p TRRDodgeParams
-			if err := rc.decode(&p); err != nil {
-				return nil, err
-			}
-			p = p.normalized()
+	register("trr-dodge", "TRR dodge study: duty-cycle/phase-paced attacks vs an in-DRAM sampling TRR (sampler × pattern × pacing)", TRRDodgeParams.normalized,
+		func(rc *runCtx, p TRRDodgeParams) (*Result, error) {
 			cfg := attackSimCfg(p.MemCycles, p.Rows)
 			benign := trace.Mix{Name: "benign"}
 			var baseIPC []float64
@@ -281,11 +250,7 @@ func init() {
 				benignDesc = fmt.Sprintf("%d benign cores, MPKI %.0f", p.BenignCores, base.MPKI)
 			}
 			keys, cells := trrDodgeGrid(p, rc.spec.Seed)
-			co := cellOptions{
-				MemCycles:     p.MemCycles,
-				AttackRecords: p.AttackRecords,
-				ECC:           p.ECC,
-			}
+			co := newCellOptions(p.MemCycles, p.AttackRecords, p.ECC, nil)
 			meta := sweepMeta{
 				MemCycles: p.MemCycles,
 				WallMS:    float64(p.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
@@ -338,12 +303,7 @@ func init() {
 					return dp, nil
 				})
 		},
-		finalize: func(res *Result) (Artifact, error) {
-			var p TRRDodgeParams
-			if err := decodeParams(res.Spec.Params, &p); err != nil {
-				return nil, err
-			}
-			p = p.normalized()
+		func(res *Result, p TRRDodgeParams) (Artifact, error) {
 			var meta sweepMeta
 			if err := json.Unmarshal(res.Meta, &meta); err != nil {
 				return nil, fmt.Errorf("core: trr-dodge meta: %w", err)
@@ -360,8 +320,7 @@ func init() {
 				Benign:    meta.Benign,
 				ECC:       meta.ECC,
 			}, nil
-		},
-	})
+		})
 }
 
 // samplerKey groups points by sampler configuration and pattern for the

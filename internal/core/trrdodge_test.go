@@ -136,10 +136,7 @@ func dodgeTestParams() TRRDodgeParams {
 // where full-rate hammering is blocked by the sampler, a paced attack at
 // DutyCycle < 1 escapes flips.
 func TestTRRDodgeShowsDodge(t *testing.T) {
-	dodge, err := RunTRRDodge(dodgeTestParams(), 7, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dodge := runArtifact[*TRRDodge](t, "trr-dodge", 7, dodgeTestParams(), Exec{})
 	fullRate, ok := dodge.PointFor(attack.DoubleSided, 0, 0, 0.5, 4)
 	if !ok {
 		t.Fatal("grid missing the full-rate baseline point")

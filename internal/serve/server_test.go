@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -102,7 +103,7 @@ func TestSubmitTwiceSecondIsCacheHit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(spec)
+	res, err := core.RunContext(context.Background(), spec, core.Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,6 +178,10 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"not json", `{{{`, http.StatusBadRequest},
 		{"typoed param", `{"name": "fig5", "params": {"scal": "tiny"}}`, http.StatusBadRequest},
 		{"bad shard", `{"name": "fig5", "shard": {"index": 9, "count": 2}}`, http.StatusBadRequest},
+		{"unknown mechanism", `{"name": "attack", "params": {"mechanisms": ["Nope"]}}`, http.StatusBadRequest},
+		{"unknown pattern", `{"name": "pareto", "params": {"patterns": ["triple-sided"]}}`, http.StatusBadRequest},
+		{"unknown scheduler", `{"name": "attack", "params": {"scheduler": "FIFO"}}`, http.StatusBadRequest},
+		{"non-positive hc", `{"name": "fig10", "params": {"hc": [2000, 0]}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -224,8 +229,9 @@ func TestRegistryEndpoint(t *testing.T) {
 	}
 	var doc struct {
 		Experiments []struct {
-			Name            string `json:"name"`
-			DefaultSpecHash string `json:"default_spec_hash"`
+			Name            string          `json:"name"`
+			DefaultParams   json.RawMessage `json:"default_params"`
+			DefaultSpecHash string          `json:"default_spec_hash"`
 		} `json:"experiments"`
 	}
 	if err := json.Unmarshal(body, &doc); err != nil {
@@ -239,6 +245,18 @@ func TestRegistryEndpoint(t *testing.T) {
 		names[e.Name] = true
 		if len(e.DefaultSpecHash) != 64 {
 			t.Errorf("%s: bad default_spec_hash %q", e.Name, e.DefaultSpecHash)
+		}
+		// The listing shows the defaults the runner resolves, not the
+		// all-omitted zero struct.
+		var params map[string]json.RawMessage
+		if err := json.Unmarshal(e.DefaultParams, &params); err != nil || len(params) == 0 {
+			t.Errorf("%s: default_params %s not a resolved params object (%v)", e.Name, e.DefaultParams, err)
+		}
+		if e.Name == "attack" {
+			var hc []int
+			if err := json.Unmarshal(params["hc"], &hc); err != nil || !slices.Equal(hc, []int{10000, 4800, 2000, 512}) {
+				t.Errorf("attack default_params hc = %v (%v), want the resolved sweep [10000 4800 2000 512]", hc, err)
+			}
 		}
 	}
 	for _, want := range []string{"fig5", "attack", "trr-dodge"} {
@@ -484,7 +502,7 @@ func TestWaitSubmitOnPartialCache(t *testing.T) {
 	for _, idx := range []int{0, 2} {
 		ss := spec
 		ss.Shard = core.Shard{Index: idx, Count: shards}
-		res, err := core.Run(ss)
+		res, err := core.RunContext(context.Background(), ss, core.Exec{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -497,7 +515,7 @@ func TestWaitSubmitOnPartialCache(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("submit: %d %s", resp.StatusCode, body)
 	}
-	res, err := core.Run(spec)
+	res, err := core.RunContext(context.Background(), spec, core.Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

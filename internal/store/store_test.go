@@ -32,7 +32,7 @@ func openStore(t *testing.T) *Store {
 
 func runSpec(t *testing.T, spec core.ExperimentSpec) *core.Result {
 	t.Helper()
-	res, err := core.Run(spec)
+	res, err := core.RunContext(context.Background(), spec, core.Exec{})
 	if err != nil {
 		t.Fatal(err)
 	}

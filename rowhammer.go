@@ -2,7 +2,7 @@
 // "Revisiting RowHammer: An Experimental Analysis of Modern DRAM Devices
 // and Mitigation Techniques" (Kim et al., ISCA 2020).
 //
-// It exposes four layers:
+// It exposes these layers:
 //
 //   - The fault model (Chip, ChipConfig, Pattern): simulated DRAM chips
 //     with RowHammer protection disabled, calibrated to the paper's 1580
@@ -15,34 +15,30 @@
 //   - The system simulator and mitigation mechanisms (SimConfig, RunSim,
 //     NewPARA, …): the cycle-accurate Section 6 evaluation behind
 //     Figure 10.
-//   - The attack subsystem (AttackSpec, HammerObserver, RunAttackEval):
-//     adversarial hammering streams as first-class traces, coupled to the
-//     fault model through the controller's command stream — the security
-//     side of the mitigation evaluation the paper doesn't contain. The
-//     TRR dodge study (NewTRR, RunTRRDodge) closes the loop on in-DRAM
-//     sampling defenses: refresh-synchronized duty-cycle pacing
-//     (AttackSpec.DutyCycle/Phase) escapes a sampler that blocks the
-//     same attack at full rate.
+//   - The attack subsystem (AttackSpec, HammerObserver): adversarial
+//     hammering streams as first-class traces, coupled to the fault
+//     model through the controller's command stream — the security side
+//     of the mitigation evaluation the paper doesn't contain. NewTRR and
+//     refresh-synchronized duty-cycle pacing (AttackSpec.DutyCycle/Phase)
+//     model the in-DRAM sampling defense and the attack that dodges it.
 //
-// The experiment runners (RunTable1 … RunFigure10, RunAttackEval)
-// regenerate every table and figure of the paper plus the attack
-// evaluation; see EXPERIMENTS.md for paper-vs-measured values. Every
-// runner fans its (configuration, chip) or (mechanism, HCfirst) grid out
-// over a deterministic parallel engine: the Parallelism field of
-// Options / MitigationOptions / AttackOptions bounds worker count and
-// changes wall-clock time only — results are bit-identical for any value.
-//
-// Underneath the runners sits the declarative experiment API: every
-// experiment is a named entry in a registry (Experiments()), fully
-// described by a JSON-serializable ExperimentSpec (name + params + seed
-// + shard) and executed by RunExperiment. Specs shard: running every
-// index of a shard count — on one machine or many — and merging the
-// results (MergeResults) reproduces the unsharded artifact byte for
-// byte. The RunX functions are thin wrappers over this path; the rhx
-// CLI exposes it directly (rhx run / merge / list).
+// Every table and figure of the paper, plus the attack, Pareto and TRR
+// dodge evaluations, is a named experiment in a registry
+// (Experiments()), fully described by a JSON-serializable
+// ExperimentSpec (name + params + seed + shard) and executed by
+// RunExperiment; see EXPERIMENTS.md for paper-vs-measured values. Every
+// experiment fans its grid out over a deterministic parallel engine:
+// ExperimentExec.Parallelism bounds the worker count and changes
+// wall-clock time only — results are bit-identical for any value. Specs
+// shard: running every index of a shard count — on one machine or many
+// — and merging the results (MergeExperimentResults) reproduces the
+// unsharded artifact byte for byte. The rhx CLI exposes the same path
+// (rhx run / merge / list / report).
 package rowhammer
 
 import (
+	"context"
+
 	"repro/internal/attack"
 	"repro/internal/charact"
 	"repro/internal/chips"
@@ -187,12 +183,10 @@ func DecodeExperimentSpec(data []byte) (ExperimentSpec, error) { return core.Dec
 // ParseExperimentShard parses the "index/count" CLI form.
 func ParseExperimentShard(v string) (ExperimentShard, error) { return core.ParseShard(v) }
 
-// RunExperiment executes a spec's shard of its experiment.
-func RunExperiment(spec ExperimentSpec) (*ExperimentResult, error) { return core.Run(spec) }
-
-// RunExperimentWith executes a spec with explicit execution options.
-func RunExperimentWith(spec ExperimentSpec, ex ExperimentExec) (*ExperimentResult, error) {
-	return core.RunWith(spec, ex)
+// RunExperiment executes a spec's shard of its experiment; canceling ctx
+// stops it starting new grid tasks.
+func RunExperiment(ctx context.Context, spec ExperimentSpec, ex ExperimentExec) (*ExperimentResult, error) {
+	return core.RunContext(ctx, spec, ex)
 }
 
 // DecodeExperimentResult parses an encoded result.
@@ -203,42 +197,26 @@ func MergeExperimentResults(parts ...*ExperimentResult) (*ExperimentResult, erro
 	return core.MergeResults(parts...)
 }
 
-// --- Experiments -------------------------------------------------------
+// Artifact is a complete result's typed table or figure
+// (ExperimentResult.Artifact); a type assertion recovers the concrete
+// artifact, e.g. art.(*Table1).
+type Artifact = core.Artifact
 
-// Options scales the characterization experiments. Its Parallelism field
-// bounds the experiment engine's worker pool (0 = all cores) without
-// affecting results.
-type Options = core.Options
-
-// MitigationOptions scales the Figure 10 evaluation; like Options, its
-// Parallelism field trades wall-clock for cores, never results.
-type MitigationOptions = core.MitigationOptions
-
-// DefaultOptions returns CLI-scale characterization options.
-func DefaultOptions() Options { return core.DefaultOptions() }
-
-// DefaultMitigationOptions returns CLI-scale mitigation options.
-func DefaultMitigationOptions() MitigationOptions { return core.DefaultMitigationOptions() }
-
-// Experiment runners, one per paper artifact.
-var (
-	RunTable1  = core.RunTable1
-	RunTable2  = core.RunTable2
-	RunTable3  = core.RunTable3
-	RunTable5  = core.RunTable5
-	RunTable7  = core.RunTable7
-	RunTable8  = core.RunTable8
-	RunFigure4 = core.RunFigure4
-	RunFigure5 = core.RunFigure5
-	RunFigure6 = core.RunFigure6
-	RunFigure7 = core.RunFigure7
-	RunFigure9 = core.RunFigure9
-
-	// RunHCFirstStudy backs both Figure 8 and Table 4.
-	RunHCFirstStudy = core.RunHCFirstStudy
-
-	// RunFigure10 is the mitigation-mechanism evaluation.
-	RunFigure10 = core.RunFigure10
+// The typed artifacts of the paper's tables and figures.
+type (
+	Table1      = core.Table1
+	Table2      = core.Table2
+	Table3      = core.Table3
+	Table4      = core.Table4
+	Table5      = core.Table5
+	ModuleTable = core.ModuleTable
+	Figure4     = core.Figure4
+	Figure5     = core.Figure5
+	Figure6     = core.Figure6
+	Figure7     = core.Figure7
+	Figure8     = core.Figure8
+	Figure9     = core.Figure9
+	Figure10    = core.Figure10
 )
 
 // --- System simulation -------------------------------------------------
@@ -361,8 +339,10 @@ type AttackFlipEvent = attack.FlipEvent
 // written data pattern).
 func NewHammerObserver(chip *Chip) *HammerObserver { return attack.NewObserver(chip) }
 
-// AttackOptions scales the attack evaluation; AttackEval is its result.
-type AttackOptions = core.AttackOptions
+// AttackEval is the attack experiment's result: mixed attacker+benign
+// simulations over a (mechanism × pattern × HCfirst) grid, reporting
+// escaped flips, time to first flip and achieved aggressor ACT rate
+// alongside benign performance and bandwidth overhead.
 type AttackEval = core.AttackEval
 
 // AttackPoint is one (mechanism, pattern, HCfirst) outcome.
@@ -370,15 +350,6 @@ type AttackPoint = core.AttackPoint
 
 // MechanismID names a mechanism in the evaluation runners.
 type MechanismID = core.MechanismID
-
-// DefaultAttackOptions returns the CLI-scale attack evaluation options.
-func DefaultAttackOptions() AttackOptions { return core.DefaultAttackOptions() }
-
-// RunAttackEval runs the security evaluation the paper doesn't contain:
-// mixed attacker+benign simulations over a (mechanism × pattern ×
-// HCfirst) grid, reporting escaped flips, time to first flip and achieved
-// aggressor ACT rate alongside benign performance and bandwidth overhead.
-func RunAttackEval(o AttackOptions) (*AttackEval, error) { return core.RunAttackEval(o) }
 
 // REFWindow summarizes the command stream a HammerObserver saw between two
 // consecutive REF commands (the TRR sampling granularity).
@@ -399,44 +370,23 @@ const (
 // Schedulers lists the scheduler axis in evaluation order.
 func Schedulers() []SchedulerID { return core.Schedulers() }
 
-// ParetoOptions scales the combined security/overhead sweep; ParetoSweep
-// is its result and ParetoPoint one (mechanism, scheduler, HCfirst)
-// frontier candidate.
-type ParetoOptions = core.ParetoOptions
+// ParetoSweep is the pareto experiment's result: worst-case escaped
+// flips against worst-case benign throughput per (mechanism, scheduler,
+// HCfirst) point, with the frontier marked per HCfirst — the BlockHammer
+// paper's Figure 11 shape, generalized with a scheduler axis.
+// ParetoPoint is one frontier candidate.
 type ParetoSweep = core.ParetoSweep
 type ParetoPoint = core.ParetoPoint
 
-// DefaultParetoOptions returns the CLI-scale Pareto sweep options.
-func DefaultParetoOptions() ParetoOptions { return core.DefaultParetoOptions() }
-
-// RunParetoSweep evaluates the (mechanism × scheduler × HCfirst) grid
-// under every attack pattern plus one attacker-free run, aggregating
-// worst-case escaped flips against worst-case benign throughput into
-// frontier points per HCfirst — the BlockHammer paper's Figure 11 shape,
-// generalized with a scheduler axis. Results are bit-identical for any
-// Parallelism.
-func RunParetoSweep(o ParetoOptions) (*ParetoSweep, error) { return core.RunParetoSweep(o) }
-
-// TRRDodge is the duty-cycle dodge study's result; DodgePoint one grid
-// cell (pattern × pacing × sampler configuration) with its security
-// outcome, sampler effort and per-REF timeline evidence.
+// TRRDodge is the trr-dodge experiment's result: a (sampler rate ×
+// table size × pattern × duty-cycle × phase) grid of attacks against the
+// in-DRAM TRR sampler. Duty cycle 0 is the full-rate baseline; the
+// headline finding is a paced attack escaping a sampler configuration
+// that blocks the same attack at full rate. DodgePoint is one grid cell
+// with its security outcome, sampler effort and per-REF timeline
+// evidence.
 type TRRDodge = core.TRRDodge
 type DodgePoint = core.DodgePoint
-
-// DefaultTRRDodgeParams returns the CLI-scale dodge-study grid.
-func DefaultTRRDodgeParams() TRRDodgeParams { return core.DefaultTRRDodgeParams() }
-
-// RunTRRDodge runs the ROADMAP's duty-cycle security study: a (sampler
-// rate × table size × pattern × duty-cycle × phase) grid of attacks
-// against the in-DRAM TRR sampler, reporting escaped flips, the
-// sampler's effort, and the per-REF timeline evidence of the dodge. Duty
-// cycle 0 is the full-rate baseline; the headline finding is a paced
-// attack escaping a sampler configuration that blocks the same attack at
-// full rate ("trr-dodge" in the experiment registry, cmd/rhdodge on the
-// command line).
-func RunTRRDodge(p TRRDodgeParams, seed uint64, parallelism int) (*TRRDodge, error) {
-	return core.RunTRRDodge(p, seed, parallelism)
-}
 
 // --- DRAM substrate ------------------------------------------------------
 

@@ -1,6 +1,7 @@
 package rowhammer_test
 
 import (
+	"context"
 	"testing"
 
 	rowhammer "repro"
@@ -81,22 +82,33 @@ func TestPublicAPISimulation(t *testing.T) {
 }
 
 func TestPublicAPIExperimentRunners(t *testing.T) {
-	o := rowhammer.DefaultOptions()
-	o.Scale = rowhammer.ScaleTiny
-	o.MaxChipsPerConfig = 1
-	o.Iterations = 2
-	t1, err := rowhammer.RunTable1(o)
-	if err != nil || len(t1.Rows) == 0 {
-		t.Fatalf("Table 1: %v", err)
+	run := func(name string) rowhammer.Artifact {
+		t.Helper()
+		spec, err := rowhammer.NewExperimentSpec(name, 1,
+			rowhammer.CharParams{Scale: "tiny", Stride: 1, Chips: 1, Iterations: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rowhammer.RunExperiment(context.Background(), spec, rowhammer.ExperimentExec{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		art, err := res.Artifact()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return art
 	}
-	t2, err := rowhammer.RunTable2(o)
-	if err != nil || len(t2.Rows) != 6 {
-		t.Fatalf("Table 2: %v", err)
+	if t1 := run("table1").(*rowhammer.Table1); len(t1.Rows) == 0 {
+		t.Error("Table 1: empty census")
 	}
-	if len(rowhammer.RunTable7().Modules) != 110 {
+	if t2 := run("table2").(*rowhammer.Table2); len(t2.Rows) != 6 {
+		t.Errorf("Table 2: %d rows, want 6", len(t2.Rows))
+	}
+	if len(run("table7").(*rowhammer.ModuleTable).Modules) != 110 {
 		t.Error("Table 7 module count")
 	}
-	if len(rowhammer.RunTable8().Modules) != 60 {
+	if len(run("table8").(*rowhammer.ModuleTable).Modules) != 60 {
 		t.Error("Table 8 module count")
 	}
 }
