@@ -1,6 +1,6 @@
 // Benchmarks regenerating every table and figure of the paper (one bench
-// per artifact, DESIGN.md §5) plus the design-choice ablations of
-// DESIGN.md §6. Each iteration performs a complete, reduced-scale run of
+// per artifact) plus design-choice ablations. Each iteration performs a
+// complete, reduced-scale run of
 // the corresponding experiment spec; `rhx run` and `rhx report` run the
 // same specs at full scale.
 package rowhammer_test
@@ -14,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultmodel"
 	"repro/internal/memctrl"
-	"repro/internal/mitigation"
 	"repro/internal/sim"
 	"repro/internal/store"
 	"repro/internal/trace"
@@ -256,65 +255,18 @@ func BenchmarkSparseBenign(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) ---------------------------------------------
+// --- Ablations ---------------------------------------------------------------
 
-func runAblatedSim(b *testing.B, mutate func(*sim.Config)) float64 {
-	b.Helper()
-	cfg := sim.Table6Config(1_000, 10_000)
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	mix := trace.Mixes(1, 4, 1_000, 7)[0]
-	res, err := sim.Run(cfg, mix)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return res.TotalIPC()
-}
-
+// BenchmarkAblationFRFCFS runs the Table 6 controller (FR-FCFS, open row)
+// under a dense four-core mix.
 func BenchmarkAblationFRFCFS(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		runAblatedSim(b, nil)
-	}
-}
-
-func BenchmarkAblationFCFSOnly(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runAblatedSim(b, func(c *sim.Config) { c.Ctrl.FCFSOnly = true })
-	}
-}
-
-func BenchmarkAblationOpenRow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runAblatedSim(b, nil)
-	}
-}
-
-func BenchmarkAblationClosedRow(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runAblatedSim(b, func(c *sim.Config) { c.Ctrl.ClosedRow = true })
-	}
-}
-
-func benchPARAFanout(b *testing.B, fanout int) {
-	cfg := sim.Table6Config(1_000, 10_000)
-	mix := trace.Mixes(1, 4, 1_000, 7)[0]
-	for i := 0; i < b.N; i++ {
-		para, err := mitigation.NewPARA(cfg.MitigationParams(1_024, 1), cfg.T.TCKPS)
-		if err != nil {
-			b.Fatal(err)
-		}
-		para.WithFanout(fanout)
-		run := cfg
-		run.Mechanism = para
-		if _, err := sim.Run(run, mix); err != nil {
+		cfg := sim.Table6Config(1_000, 10_000)
+		if _, err := sim.Run(cfg, trace.Mixes(1, 4, 1_000, 7)[0]); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
-
-func BenchmarkAblationPARAFanout1(b *testing.B) { benchPARAFanout(b, 1) }
-func BenchmarkAblationPARAFanout2(b *testing.B) { benchPARAFanout(b, 2) }
 
 func benchBetaSweep(b *testing.B, beta float64) {
 	cfg := faultmodel.Config{

@@ -157,7 +157,9 @@ func (c *Cache) Cycle() int64 { return c.cycle }
 // NextPendingCycle returns the cycle at which the earliest scheduled hit
 // callback fires, or -1 when the ring is empty. Every scheduled callback
 // is due within the next len(ring)-1 cycles, so occupied slots map back
-// to absolute cycles unambiguously.
+// to absolute cycles unambiguously; the scan walks forward from the next
+// cycle and stops at the first occupied slot, so a callback due soon
+// costs only a few probes.
 //
 //rhlint:hotpath
 func (c *Cache) NextPendingCycle() int64 {
@@ -165,41 +167,12 @@ func (c *Cache) NextPendingCycle() int64 {
 		return -1
 	}
 	l := int64(len(c.ring))
-	best := int64(-1)
-	for s := int64(0); s < l; s++ {
-		if len(c.ring[s]) == 0 {
-			continue
-		}
-		d := (s - c.cycle) % l
-		if d <= 0 {
-			d += l
-		}
-		if best == -1 || c.cycle+d < best {
-			best = c.cycle + d
-		}
-	}
-	return best
-}
-
-// PendingWithin reports whether any ring callback fires within the next
-// k cycles — a cheap gate (k slot probes) in front of the full
-// NextPendingCycle scan for callers that only care about short windows.
-//
-//rhlint:hotpath
-func (c *Cache) PendingWithin(k int64) bool {
-	if c.npending == 0 {
-		return false
-	}
-	l := int64(len(c.ring))
-	if k >= l {
-		return true // every pending callback is due within l-1 cycles
-	}
-	for d := int64(1); d <= k; d++ {
+	for d := int64(1); d <= l; d++ {
 		if len(c.ring[(c.cycle+d)%l]) > 0 {
-			return true
+			return c.cycle + d
 		}
 	}
-	return false
+	return -1
 }
 
 func (c *Cache) schedule(delay int, fn func()) {

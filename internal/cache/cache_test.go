@@ -288,3 +288,40 @@ func TestPerCoreStats(t *testing.T) {
 		t.Error("ResetStats incomplete")
 	}
 }
+
+// TestNextPendingCycleAcrossWrap checks the event engine's LLC horizon:
+// the earliest due hit callback is found at every ring phase, including
+// a callback whose slot sits just behind the current index, which the
+// forward scan reaches only by wrapping past the end of the ring.
+func TestNextPendingCycleAcrossWrap(t *testing.T) {
+	cfg := Table6Config()
+	cfg.HitLatency = 5 // a six-slot ring; 5 steps per phase visit every offset
+	c, err := New(cfg, &fakeMem{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fired := 0
+	cb := func() { fired++ }
+	want := func(due int64) {
+		t.Helper()
+		if got := c.NextPendingCycle(); got != due {
+			t.Fatalf("cycle %d: NextPendingCycle = %d, want %d", c.Cycle(), got, due)
+		}
+	}
+	for phase := 0; phase < 2*len(c.ring); phase++ {
+		now := c.Cycle()
+		want(-1)
+		c.schedule(cfg.HitLatency, cb)
+		want(now + int64(cfg.HitLatency))
+		c.schedule(2, cb)
+		want(now + 2)
+		c.AdvanceIdle(1)
+		c.Tick() // fires the callback due at now+2
+		want(now + int64(cfg.HitLatency))
+		c.AdvanceIdle(int64(cfg.HitLatency) - 3)
+		c.Tick()
+		if fired != 2*(phase+1) {
+			t.Fatalf("phase %d: %d callbacks fired, want %d", phase, fired, 2*(phase+1))
+		}
+	}
+}

@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Address identifies one cache-line-sized column in the channel.
 type Address struct {
@@ -13,7 +16,8 @@ type Address struct {
 // then rotate across banks, so streaming workloads exploit row locality
 // while independent streams spread over banks. Bank bits are XORed with
 // low row bits to reduce pathological bank conflicts, as many controllers
-// do.
+// do; the XOR permutes the bank index only when the bank count is a power
+// of two, so other counts are rejected.
 type AddressMapper struct {
 	geo      Geometry
 	banks    int
@@ -24,6 +28,10 @@ type AddressMapper struct {
 func NewAddressMapper(geo Geometry) (*AddressMapper, error) {
 	if err := geo.Validate(); err != nil {
 		return nil, err
+	}
+	if bits.OnesCount(uint(geo.Banks())) != 1 {
+		return nil, fmt.Errorf("dram: address mapping needs a power-of-two bank count, got %d (%d groups × %d banks)",
+			geo.Banks(), geo.BankGroups, geo.BanksPerGroup)
 	}
 	return &AddressMapper{geo: geo, banks: geo.Banks(), lineMask: int64(geo.LineBytes - 1)}, nil
 }
@@ -44,10 +52,7 @@ func (m *AddressMapper) Map(addr int64) Address {
 	line /= int64(m.geo.Ranks)
 	row := int(line % int64(m.geo.Rows))
 	// XOR low row bits into the bank index to spread row-conflict streams.
-	bank = (bank ^ row) % m.banks
-	if bank < 0 {
-		bank += m.banks
-	}
+	bank = (bank ^ row) & (m.banks - 1)
 	return Address{Rank: rank, Bank: bank, Row: row, Col: col}
 }
 
@@ -57,10 +62,7 @@ func (m *AddressMapper) LineAddress(addr int64) int64 { return addr &^ m.lineMas
 // AddressOf inverts Map: it returns a byte address whose coordinates are
 // a. Attack code uses it to aim requests at specific rows.
 func (m *AddressMapper) AddressOf(a Address) int64 {
-	raw := (a.Bank ^ a.Row) % m.banks
-	if raw < 0 {
-		raw += m.banks
-	}
+	raw := (a.Bank ^ a.Row) & (m.banks - 1)
 	line := ((int64(a.Row)*int64(m.geo.Ranks)+int64(a.Rank))*int64(m.banks)+int64(raw))*
 		int64(m.geo.Columns) + int64(a.Col)
 	return line * int64(m.geo.LineBytes)

@@ -212,23 +212,26 @@ func TestACTObserverFires(t *testing.T) {
 }
 
 func TestAddressMapRoundTrip(t *testing.T) {
-	geo := Table6Geometry()
-	m, err := NewAddressMapper(geo)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Property: AddressOf inverts Map for any in-range coordinates.
-	f := func(bankRaw, rowRaw, colRaw uint) bool {
-		a := Address{
-			Rank: 0,
-			Bank: int(bankRaw % uint(geo.Banks())),
-			Row:  int(rowRaw % uint(geo.Rows)),
-			Col:  int(colRaw % uint(geo.Columns)),
+	wide := Table6Geometry()
+	wide.BankGroups, wide.BanksPerGroup = 8, 16
+	for _, geo := range []Geometry{Table6Geometry(), wide} {
+		m, err := NewAddressMapper(geo)
+		if err != nil {
+			t.Fatal(err)
 		}
-		return m.Map(m.AddressOf(a)) == a
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
+		// Property: AddressOf inverts Map for any in-range coordinates.
+		f := func(bankRaw, rowRaw, colRaw uint) bool {
+			a := Address{
+				Rank: 0,
+				Bank: int(bankRaw % uint(geo.Banks())),
+				Row:  int(rowRaw % uint(geo.Rows)),
+				Col:  int(colRaw % uint(geo.Columns)),
+			}
+			return m.Map(m.AddressOf(a)) == a
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+			t.Errorf("%d banks: %v", geo.Banks(), err)
+		}
 	}
 }
 

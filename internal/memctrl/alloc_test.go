@@ -13,7 +13,7 @@ import "testing"
 // must not touch the heap at all — the property that keeps the dense
 // benchmarks allocation-flat no matter how many cycles they simulate.
 func TestSaturatedTickZeroAlloc(t *testing.T) {
-	ctrl, fill := saturatedTickController(t, false)
+	ctrl, fill := saturatedTickController(t)
 	fill()
 	for i := 0; i < 20_000; i++ {
 		ctrl.Tick()

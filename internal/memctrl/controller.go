@@ -12,10 +12,10 @@
 //
 // The queues are indexed per bank (see queue.go) with incrementally
 // maintained row-hit chains, so the per-cycle FR-FCFS scans cost
-// O(banks-with-work) instead of O(queue). The original linear scans are
-// kept verbatim in reference.go behind the refScan switch; the
-// randomized scheduler-equivalence test certifies both paths produce
-// bit-identical command streams and statistics.
+// O(banks-with-work) instead of O(queue). The O(queue) reference scans
+// live in equivalence_test.go as pure functions of controller state; the
+// randomized scheduler-equivalence test checks after every step that
+// each indexed pick equals the reference pick on the same state.
 package memctrl
 
 import (
@@ -30,13 +30,6 @@ import (
 type Config struct {
 	ReadQueue  int // demand read queue capacity (Table 6: 64)
 	WriteQueue int // write drain high watermark
-
-	// FCFSOnly disables the first-ready (row-hit) scan, degrading the
-	// scheduler to plain FCFS (ablation).
-	FCFSOnly bool
-	// ClosedRow precharges a bank as soon as no queued request targets
-	// its open row (closed-row policy ablation; default is open-row).
-	ClosedRow bool
 
 	// BLISS enables the blacklisting fairness scheduler (after Subramanian
 	// et al.): a requester served BLISSStreak consecutive demand reads is
@@ -185,13 +178,6 @@ type Controller struct {
 	nwVal   int64
 	nwValid bool
 
-	// refScan routes the scheduler scans through the original linear
-	// queue walks (reference.go) instead of the per-bank indexes. The two
-	// paths are bit-identical by construction; the equivalence property
-	// test drives them side by side. Forced on when the geometry exceeds
-	// the indexed scan's 64-bank failure bitmask.
-	refScan bool
-
 	// issuingMitigation marks Issue calls made for mitigation ops so the
 	// OnACT observer can attribute them.
 	issuingMitigation bool
@@ -266,9 +252,6 @@ func New(cfg Config, ch *dram.Channel, mech mitigation.Mechanism) (*Controller, 
 	}
 	c.readQ.init(ch.Geo.Banks())
 	c.writeQ.init(ch.Geo.Banks())
-	if ch.Geo.Banks() > 64 {
-		c.refScan = true
-	}
 	if cfg.BLISS {
 		c.blissGen = 1
 		c.blissBlackGen = make([]uint64, maxTrackedRequesters)
@@ -373,7 +356,7 @@ func (c *Controller) EnqueueRead(requester int, addr int64, onDone func()) bool 
 	// Read-after-write forwarding from the write backlog (which can only
 	// hold the line when it is non-empty, so the usual read-heavy phase
 	// skips the line mapping entirely).
-	if c.writeQ.n > 0 && c.writeBacklogHolds(c.mapper.Map(c.mapper.LineAddress(addr))) {
+	if c.writeQ.n > 0 && c.writeQueued(c.mapper.Map(c.mapper.LineAddress(addr))) {
 		//rhlint:allow hotalloc(amortized: fireReturns compacts in place, so capacity is reused)
 		c.returns = append(c.returns, retEvent{cycle: c.cycle + 1, fn: onDone})
 		c.Stats.Reads++
@@ -409,14 +392,11 @@ func (c *Controller) EnqueueRead(requester int, addr int64, onDone func()) bool 
 	return true
 }
 
-// writeBacklogHolds reports whether the write backlog holds the line, in
-// which case a read is served by forwarding.
-func (c *Controller) writeBacklogHolds(la dram.Address) bool {
-	if c.refScan {
-		return c.refWriteBacklogHolds(la)
-	}
-	for w := c.writeQ.banks[la.Bank].head; w != nil; w = w.bnext {
-		if w.addr == la {
+// writeQueued reports whether the write backlog holds the line: a read of
+// it is served by forwarding, and a second write to it coalesces.
+func (c *Controller) writeQueued(a dram.Address) bool {
+	for w := c.writeQ.banks[a.Bank].head; w != nil; w = w.bnext {
+		if w.addr == a {
 			return true
 		}
 	}
@@ -429,16 +409,8 @@ func (c *Controller) writeBacklogHolds(la dram.Address) bool {
 func (c *Controller) EnqueueWrite(requester int, addr int64) {
 	c.nwValid = false
 	a := c.mapper.Map(addr)
-	if c.refScan {
-		if c.refWriteCoalesces(a) {
-			return
-		}
-	} else {
-		for w := c.writeQ.banks[a.Bank].head; w != nil; w = w.bnext {
-			if w.addr == a {
-				return // coalesce
-			}
-		}
+	if c.writeQueued(a) {
+		return // coalesce
 	}
 	r := c.newReq()
 	r.addr, r.req, r.write, r.queued = a, requester, true, c.cycle
@@ -475,9 +447,6 @@ func (c *Controller) NextWork() int64 {
 
 //rhlint:hotpath
 func (c *Controller) nextWorkScan() int64 {
-	if c.refScan {
-		return c.refNextWorkScan()
-	}
 	// States whose Tick mutates per-cycle state even without issuing:
 	// a due refresh keeps closing banks, mitigation ops flip their
 	// activated flag outside the command slot, and a throttling mechanism
@@ -495,17 +464,17 @@ func (c *Controller) nextWorkScan() int64 {
 	}
 	// Per-bank lower bounds from the bucket census: a bank contributes
 	// nextACT when closed, nextRD/nextWR for queued row hits, and nextPRE
-	// when a queued request (or the closed-row policy) wants it closed —
-	// the same value set the per-request reference scan minimizes over.
+	// when a queued request wants it closed — the same value set the
+	// per-request reference scan minimizes over.
 	for b := range c.readQ.banks {
 		rb := &c.readQ.banks[b]
 		wb := &c.writeQ.banks[b]
-		if rb.n == 0 && wb.n == 0 && !c.cfg.ClosedRow {
+		if rb.n == 0 && wb.n == 0 {
 			continue
 		}
 		open, nextACT, nextPRE, nextRD, nextWR := c.ch.BankTimes(0, b)
 		if open == -1 {
-			if (rb.n > 0 || wb.n > 0) && nextACT < w {
+			if nextACT < w {
 				w = nextACT
 			}
 			continue
@@ -516,7 +485,7 @@ func (c *Controller) nextWorkScan() int64 {
 		if wb.hitN > 0 && nextWR < w {
 			w = nextWR
 		}
-		if (rb.n > rb.hitN || wb.n > wb.hitN || c.cfg.ClosedRow) && nextPRE < w {
+		if (rb.n > rb.hitN || wb.n > wb.hitN) && nextPRE < w {
 			w = nextPRE
 		}
 	}
@@ -524,25 +493,6 @@ func (c *Controller) nextWorkScan() int64 {
 		w = c.cycle + 1
 	}
 	return w
-}
-
-// reqLowerBound returns the earliest cycle at which any command could
-// legally progress the request, from per-bank timing alone.
-//
-//rhlint:hotpath
-func (c *Controller) reqLowerBound(r *request) int64 {
-	open, nextACT, nextPRE, nextRD, nextWR := c.ch.BankTimes(0, r.addr.Bank)
-	switch {
-	case open == r.addr.Row:
-		if r.write {
-			return nextWR
-		}
-		return nextRD
-	case open == -1:
-		return nextACT
-	default:
-		return nextPRE
-	}
 }
 
 // AdvanceIdle advances the controller k memory cycles, replaying the only
@@ -619,11 +569,8 @@ func (c *Controller) Tick() {
 		return
 	}
 	// Idle read queue: sneak writes out.
-	if c.writeQ.n > 0 && c.schedule(&c.writeQ, true) {
-		return
-	}
-	if c.cfg.ClosedRow {
-		c.closeIdleRows()
+	if c.writeQ.n > 0 {
+		c.schedule(&c.writeQ, true)
 	}
 }
 
@@ -640,31 +587,6 @@ func (c *Controller) issueRowChange(cmd dram.Command, bank, row int) {
 	}
 	c.readQ.bankRowChanged(bank, open)
 	c.writeQ.bankRowChanged(bank, open)
-}
-
-// closeIdleRows implements the closed-row policy: precharge any bank
-// whose open row no queued request targets.
-//
-//rhlint:hotpath
-func (c *Controller) closeIdleRows() {
-	if c.refScan {
-		c.refCloseIdleRows()
-		return
-	}
-	for b := range c.readQ.banks {
-		if c.ch.OpenRow(0, b) == -1 {
-			continue
-		}
-		// hitN is exactly the count of queued requests targeting the open
-		// row, so "wanted" is two integer loads.
-		if c.readQ.banks[b].hitN > 0 || c.writeQ.banks[b].hitN > 0 {
-			continue
-		}
-		if c.ch.CanIssue(dram.CmdPRE, 0, b, 0, c.cycle) {
-			c.issueRowChange(dram.CmdPRE, b, 0)
-			return
-		}
-	}
 }
 
 //rhlint:hotpath
@@ -872,9 +794,8 @@ func (c *Controller) schedule(q *reqQueue, write bool) bool {
 
 // starvingFavoredBank returns the bank of the oldest schedulable favored
 // request if that request has starved past starveLimit, else -1. The
-// walk is shared by both scan modes: it consults the throttler per
-// skipped request, and that query sequence is part of the pinned
-// behavior.
+// walk runs in arrival order: it consults the throttler per skipped
+// request, and that query sequence is part of the pinned behavior.
 //
 //rhlint:hotpath
 func (c *Controller) starvingFavoredBank(q *reqQueue) int {
@@ -906,10 +827,10 @@ func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) bool 
 		return false
 	}
 	// A class with no queued members issues nothing and consults the
-	// throttler for nothing in the reference walk either (class
-	// eligibility is checked before the throttle), so the pass can be
-	// skipped outright on the maintained census.
-	if !c.refScan && !write {
+	// throttler for nothing (class eligibility is checked before the
+	// throttle below), so the pass can be skipped outright on the
+	// maintained census.
+	if !write {
 		switch f.kind {
 		case classFavored:
 			if q.n == c.demotedReads {
@@ -924,8 +845,8 @@ func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) bool 
 	// One throttle scan per pass: find the oldest eligible unthrottled
 	// request and hand it to progressReq, so the sketch queries behind
 	// ActAllowed are not repeated over the same prefix. The walk runs in
-	// arrival order in both scan modes — the throttler is stateful, so
-	// the query sequence itself is pinned behavior.
+	// arrival order — the throttler is stateful, so the query sequence
+	// itself is pinned behavior.
 	var oldest *request
 	throttleSkip := false
 	for r := q.head; r != nil; r = r.qnext {
@@ -959,7 +880,7 @@ func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) bool 
 			return true
 		}
 	}
-	if !c.cfg.FCFSOnly && c.scheduleRowHits(q, write, excludeBank, f) {
+	if c.scheduleRowHits(q, write, excludeBank, f) {
 		return true
 	}
 	if !starving && c.progressReq(q, oldest, write) {
@@ -1009,50 +930,66 @@ func (c *Controller) progressReq(q *reqQueue, req *request, write bool) bool {
 
 // scheduleRowHits issues the first (arrival order) ready row-hit column
 // access in q matching the class filter, skipping excludeBank (a starving
-// request's bank).
-//
-// The indexed scan walks hit chains instead of the queue: each bank's
-// earliest matching candidate stands for the whole bank, because CanIssue
-// for a column command is uniform across requests targeting the bank's
-// open row — when one candidate fails on timing, every hit in its bank
-// fails this cycle, so the bank is dropped wholesale and the next-oldest
-// bank candidate is tried, exactly reproducing the reference walk's
-// outcome.
+// request's bank). Returns true if a command issued.
 //
 //rhlint:hotpath
 func (c *Controller) scheduleRowHits(q *reqQueue, write bool, excludeBank int, f classFilter) bool {
-	if c.refScan {
-		return c.refScheduleRowHits(q, write, excludeBank, f)
+	r := c.firstReadyHit(q, excludeBank, f)
+	if r == nil {
+		return false
 	}
-	avail := q.hitMask // banks with hit candidates, minus exclusions
-	if excludeBank >= 0 {
-		avail &^= 1 << uint(excludeBank)
-	}
-	if f.kind == classDemotedNotBank {
-		avail &^= 1 << uint(f.notBank)
-	}
-	for avail != 0 {
-		var best *request
-		for m := avail; m != 0; m &= m - 1 {
-			r := q.banks[bits.TrailingZeros64(m)].hitHead
+	c.issueColumn(q, r, write)
+	return true
+}
+
+// firstReadyHit returns the first request in arrival order, among q's
+// members matching the class filter outside excludeBank, whose row is
+// open and whose column command can issue this cycle; nil when none can.
+// It only reads state.
+//
+// The scan walks hit chains instead of the queue: each bank's earliest
+// matching candidate stands for the whole bank, because CanIssue for a
+// column command is uniform across requests targeting the bank's open
+// row. The pick is therefore the lowest-seq bank candidate that can
+// issue, and timing is checked only for candidates older than the best
+// found so far.
+//
+//rhlint:hotpath
+func (c *Controller) firstReadyHit(q *reqQueue, excludeBank int, f classFilter) *request {
+	var best *request
+	for w, word := range q.hitMask {
+		for m := word; m != 0; m &= m - 1 {
+			b := w<<6 | bits.TrailingZeros64(m)
+			if b == excludeBank || (f.kind == classDemotedNotBank && b == f.notBank) {
+				continue
+			}
+			r := q.banks[b].hitHead
 			if f.kind != classAll {
 				for r != nil && !c.classMatch(f, r) {
 					r = r.hnext
 				}
 			}
-			if r != nil && (best == nil || r.seq < best.seq) {
+			if r != nil && (best == nil || r.seq < best.seq) && c.columnReady(r) {
 				best = r
 			}
 		}
-		if best == nil {
-			return false
-		}
-		if c.serveReq(q, best, write) {
-			return true
-		}
-		avail &^= 1 << uint(best.addr.Bank) // whole bank fails this cycle
 	}
-	return false
+	return best
+}
+
+// columnCmd is the column command that serves r.
+func columnCmd(r *request) dram.Command {
+	if r.write {
+		return dram.CmdWR
+	}
+	return dram.CmdRD
+}
+
+// columnReady reports whether r's column command can issue this cycle.
+//
+//rhlint:hotpath
+func (c *Controller) columnReady(r *request) bool {
+	return c.ch.CanIssue(columnCmd(r), 0, r.addr.Bank, r.addr.Row, c.cycle)
 }
 
 // serveReq issues the column command for r (whose row must be open) and
@@ -1060,14 +997,19 @@ func (c *Controller) scheduleRowHits(q *reqQueue, write bool, excludeBank int, f
 //
 //rhlint:hotpath
 func (c *Controller) serveReq(q *reqQueue, r *request, write bool) bool {
-	cmd := dram.CmdRD
-	if r.write {
-		cmd = dram.CmdWR
-	}
-	if !c.ch.CanIssue(cmd, 0, r.addr.Bank, r.addr.Row, c.cycle) {
+	if !c.columnReady(r) {
 		return false
 	}
-	ready := c.ch.Issue(cmd, 0, r.addr.Bank, r.addr.Row, c.cycle)
+	c.issueColumn(q, r, write)
+	return true
+}
+
+// issueColumn issues r's column command, which must be ready, and removes
+// r from the queue.
+//
+//rhlint:hotpath
+func (c *Controller) issueColumn(q *reqQueue, r *request, write bool) {
+	ready := c.ch.Issue(columnCmd(r), 0, r.addr.Bank, r.addr.Row, c.cycle)
 	if !r.write && r.onDone != nil {
 		//rhlint:allow hotalloc(amortized: fireReturns compacts in place, so capacity is reused)
 		c.returns = append(c.returns, retEvent{cycle: ready, fn: r.onDone})
@@ -1108,5 +1050,4 @@ func (c *Controller) serveReq(q *reqQueue, r *request, write bool) bool {
 	}
 	q.remove(r)
 	c.freeReq(r)
-	return true
 }

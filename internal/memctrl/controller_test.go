@@ -431,46 +431,3 @@ func TestBLISSClearingForgives(t *testing.T) {
 		t.Errorf("blacklistings = %d across clearing intervals, want ≥2 (clearing never forgave)", got)
 	}
 }
-
-func TestClosedRowPolicyCloses(t *testing.T) {
-	geo := dram.Table6Geometry()
-	ch, err := dram.NewChannel(geo, dram.DDR4_2400(geo.Rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Table6Config()
-	cfg.ClosedRow = true
-	ctrl, err := New(cfg, ch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.EnqueueRead(0, 0x50000, func() {})
-	run(ctrl, 400)
-	for b := 0; b < geo.Banks(); b++ {
-		if ch.OpenRow(0, b) != -1 {
-			t.Fatalf("bank %d still open under closed-row policy", b)
-		}
-	}
-}
-
-func TestFCFSOnlyStillCompletes(t *testing.T) {
-	geo := dram.Table6Geometry()
-	ch, err := dram.NewChannel(geo, dram.DDR4_2400(geo.Rows))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Table6Config()
-	cfg.FCFSOnly = true
-	ctrl, err := New(cfg, ch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	completed := 0
-	for i := 0; i < 16; i++ {
-		ctrl.EnqueueRead(0, int64(i)*1<<16, func() { completed++ })
-	}
-	run(ctrl, 10_000)
-	if completed != 16 {
-		t.Fatalf("FCFS completed %d/16 reads", completed)
-	}
-}

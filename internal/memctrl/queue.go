@@ -6,8 +6,7 @@ import "repro/internal/dram"
 // doubly-linked lists at once:
 //
 //   - the queue list (qnext/qprev): every request of the read or write
-//     queue in arrival order — the order the reference FR-FCFS scan
-//     walks;
+//     queue in arrival order — the order FR-FCFS serves them in;
 //   - the bank list (bnext/bprev): the queue's requests targeting one
 //     bank, in arrival order;
 //   - the hit chain (hnext/hprev): the bank-list subset targeting the
@@ -49,11 +48,12 @@ type reqQueue struct {
 	n          int
 	seq        uint64 // next arrival stamp
 	banks      []bankBucket
-	hitMask    uint64 // bit per bank with a non-empty hit chain (banks < 64)
+	hitMask    []uint64 // bit per bank with a non-empty hit chain
 }
 
 func (q *reqQueue) init(banks int) {
 	q.banks = make([]bankBucket, banks)
+	q.hitMask = make([]uint64, (banks+63)/64)
 }
 
 // push appends r (arrival order) and indexes it under its bank; openRow
@@ -82,7 +82,7 @@ func (q *reqQueue) push(r *request, openRow int) {
 	b.n++
 	if openRow == r.addr.Row {
 		b.hitAppend(r)
-		q.hitMask |= 1 << uint(r.addr.Bank)
+		q.hitMask[r.addr.Bank>>6] |= 1 << (uint(r.addr.Bank) & 63)
 	}
 }
 
@@ -120,7 +120,7 @@ func (q *reqQueue) remove(r *request) {
 	if r.inHit {
 		b.hitRemove(r)
 		if b.hitN == 0 {
-			q.hitMask &^= 1 << uint(r.addr.Bank)
+			q.hitMask[r.addr.Bank>>6] &^= 1 << (uint(r.addr.Bank) & 63)
 		}
 	}
 }
@@ -140,7 +140,7 @@ func (q *reqQueue) bankRowChanged(bank, openRow int) {
 	}
 	b.hitHead, b.hitTail = nil, nil
 	b.hitN = 0
-	q.hitMask &^= 1 << uint(bank)
+	q.hitMask[bank>>6] &^= 1 << (uint(bank) & 63)
 	if openRow < 0 {
 		return
 	}
@@ -150,7 +150,7 @@ func (q *reqQueue) bankRowChanged(bank, openRow int) {
 		}
 	}
 	if b.hitN > 0 {
-		q.hitMask |= 1 << uint(bank)
+		q.hitMask[bank>>6] |= 1 << (uint(bank) & 63)
 	}
 }
 

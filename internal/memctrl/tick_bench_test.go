@@ -11,7 +11,7 @@ import (
 // saturatedTickController builds a controller plus a refill closure that
 // keeps its read queue at capacity from a fixed mixed-bank address pool —
 // the steady state the dense benchmarks live in.
-func saturatedTickController(tb testing.TB, ref bool) (*Controller, func()) {
+func saturatedTickController(tb testing.TB) (*Controller, func()) {
 	tb.Helper()
 	geo := dram.Table6Geometry()
 	ch, err := dram.NewChannel(geo, dram.DDR4_2400(geo.Rows))
@@ -23,7 +23,6 @@ func saturatedTickController(tb testing.TB, ref bool) (*Controller, func()) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ctrl.refScan = ref
 	mapper, err := dram.NewAddressMapper(geo)
 	if err != nil {
 		tb.Fatal(err)
@@ -50,8 +49,10 @@ func saturatedTickController(tb testing.TB, ref bool) (*Controller, func()) {
 	return ctrl, fill
 }
 
-func benchmarkSaturatedTick(b *testing.B, ref bool) {
-	ctrl, fill := saturatedTickController(b, ref)
+// BenchmarkSaturatedTick measures the per-cycle cost of the scheduler
+// with the read queue pinned at capacity.
+func BenchmarkSaturatedTick(b *testing.B) {
+	ctrl, fill := saturatedTickController(b)
 	fill()
 	for i := 0; i < 10_000; i++ { // warm the free list and returns buffer
 		ctrl.Tick()
@@ -64,11 +65,3 @@ func benchmarkSaturatedTick(b *testing.B, ref bool) {
 		fill()
 	}
 }
-
-// BenchmarkSaturatedTickIndexed measures the per-cycle cost of the
-// bucket-indexed scheduler with the read queue pinned at capacity.
-func BenchmarkSaturatedTickIndexed(b *testing.B) { benchmarkSaturatedTick(b, false) }
-
-// BenchmarkSaturatedTickReference measures the same workload through the
-// kept O(queue) reference scans, for the indexed/reference speedup ratio.
-func BenchmarkSaturatedTickReference(b *testing.B) { benchmarkSaturatedTick(b, true) }

@@ -101,7 +101,7 @@ type Throttler interface {
 	OnRequesterACT(requester, bank, row int, cycle int64)
 }
 
-// clampRow keeps victim rows inside the bank.
+// clampNeighbors returns row's adjacent rows that lie inside the bank.
 func clampNeighbors(row, rows int) []int {
 	var out []int
 	if row > 0 {

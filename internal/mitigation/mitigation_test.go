@@ -123,10 +123,6 @@ func TestPARARefreshesAdjacentRows(t *testing.T) {
 			t.Fatalf("victims = %v, want one of 499/501", vs)
 		}
 	}
-	m.WithFanout(2)
-	if vs := m.OnActivate(0, 500, 0, false); len(vs) != 2 {
-		t.Fatalf("fanout-2 victims = %v", vs)
-	}
 	// Edge rows clamp.
 	if vs := m.OnActivate(0, 0, 0, false); len(vs) != 1 || vs[0] != 1 {
 		t.Fatalf("edge victims = %v", vs)

@@ -12,10 +12,9 @@ import (
 // the cost of ever more refresh activations (Figure 10's most scalable
 // but eventually slowest curve).
 type PARA struct {
-	p      Params
-	prob   float64
-	fanout int // adjacent rows refreshed per trigger (default 1)
-	rng    *stats.RNG
+	p    Params
+	prob float64
+	rng  *stats.RNG
 }
 
 // TargetBER is the acceptable probability of a RowHammer failure per hour
@@ -33,7 +32,7 @@ func NewPARA(p Params, tckPS int64) (*PARA, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	m := &PARA{p: p, fanout: 1, rng: stats.NewRNG(p.Seed ^ 0x9a7a)}
+	m := &PARA{p: p, rng: stats.NewRNG(p.Seed ^ 0x9a7a)}
 	trcSec := float64(p.TRC) * float64(tckPS) * 1e-12
 	windowsPerHour := 3600 / (float64(p.HCFirst) * trcSec)
 	if windowsPerHour < 1 {
@@ -51,20 +50,6 @@ func NewPARA(p Params, tckPS int64) (*PARA, error) {
 // Probability returns the derived refresh probability p.
 func (m *PARA) Probability() float64 { return m.prob }
 
-// WithFanout sets how many adjacent rows each trigger refreshes (1 picks
-// one side at random, 2 refreshes both — the DESIGN.md ablation). It
-// returns the receiver for chaining.
-func (m *PARA) WithFanout(n int) *PARA {
-	if n < 1 {
-		n = 1
-	}
-	if n > 2 {
-		n = 2
-	}
-	m.fanout = n
-	return m
-}
-
 func (m *PARA) Name() string { return "PARA" }
 
 func (m *PARA) OnActivate(bank, row int, cycle int64, fromMitigation bool) []int {
@@ -72,11 +57,8 @@ func (m *PARA) OnActivate(bank, row int, cycle int64, fromMitigation bool) []int
 		return nil
 	}
 	ns := clampNeighbors(row, m.p.Rows)
-	if len(ns) == 0 {
-		return nil
-	}
-	if m.fanout >= len(ns) {
-		return ns
+	if len(ns) <= 1 {
+		return ns // an edge row has one neighbour: no side to draw
 	}
 	// Refresh one adjacent row, chosen uniformly.
 	return []int{ns[m.rng.Intn(len(ns))]}

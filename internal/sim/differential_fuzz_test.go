@@ -19,8 +19,6 @@ func fuzzScenario(seed uint64) scenario {
 		cfg := Table6Config(int64(rng.Intn(1_500)), int64(2_000+rng.Intn(8_000)))
 		cfg.LLC.SizeBytes = 1 << 20
 		cfg.Ctrl.BLISS = rng.Bernoulli(0.3)
-		cfg.Ctrl.FCFSOnly = rng.Bernoulli(0.2)
-		cfg.Ctrl.ClosedRow = rng.Bernoulli(0.2)
 
 		var err error
 		switch rng.Intn(5) {

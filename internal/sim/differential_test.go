@@ -173,8 +173,6 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 		{"benign-2core", benignScenario(2, 2, nil)},
 		{"benign-4core", benignScenario(4, 3, nil)},
 		{"benign-bliss", benignScenario(4, 4, func(c *Config) { c.Ctrl.BLISS = true })},
-		{"benign-fcfs", benignScenario(4, 5, func(c *Config) { c.Ctrl.FCFSOnly = true })},
-		{"benign-closedrow", benignScenario(4, 6, func(c *Config) { c.Ctrl.ClosedRow = true })},
 		{"mech-para-aggressive", mechScenario(para(128))},
 		{"mech-trr", mechScenario(trr)},
 		{"mech-ideal", mechScenario(ideal)},

@@ -69,9 +69,9 @@ func (s *system) runEvent() {
 	for s.cpuCycle = 0; s.cpuCycle < s.maxCycles; {
 		// Longest provably-trivial window starting at this cycle. Probe
 		// cheapest-first — core windows, then the (memoized) controller
-		// horizon, then a k-slot LLC ring gate — and stop probing as soon
-		// as the window provably cannot reach minBulk, so dense regimes
-		// pay only the core scan per cycle.
+		// horizon, then the LLC ring — and stop probing as soon as the
+		// window provably cannot reach minBulk, so dense regimes pay only
+		// the core scan per cycle.
 		var n int64
 		probed := false
 		if skipProbes > 0 {
@@ -101,13 +101,10 @@ func (s *system) runEvent() {
 				n = nmem
 			}
 		}
-		// An LLC callback due within minBulk cycles forces a real Tick
-		// before any worthwhile jump.
-		if n >= minBulk && s.llc.PendingWithin(minBulk) {
-			n = 0
-		}
 		if n >= minBulk {
-			// The cycle an LLC callback fires must be a real Tick.
+			// The cycle an LLC callback fires must be a real Tick; one due
+			// within minBulk cycles caps n below minBulk, forcing the exact
+			// path.
 			if due := s.llc.NextPendingCycle(); due >= 0 {
 				if m := due - s.llc.Cycle() - 1; m < n {
 					n = m

@@ -3,6 +3,9 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/attack"
+	"repro/internal/dram"
+	"repro/internal/memctrl"
 	"repro/internal/mitigation"
 	"repro/internal/trace"
 )
@@ -176,6 +179,32 @@ func TestRunAloneDetachesObserver(t *testing.T) {
 	}
 	if obs.acts == 0 {
 		t.Fatal("observer attached to Run saw no ACTs")
+	}
+}
+
+// TestNonPowerOfTwoBanksRejected: the address mapper's bank XOR permutes
+// the bank index only for power-of-two bank counts — with 3 groups × 4
+// banks, distinct lines alias — so every entry point that maps addresses
+// refuses such a geometry.
+func TestNonPowerOfTwoBanksRejected(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Geo.BankGroups = 3
+	if _, err := dram.NewAddressMapper(cfg.Geo); err == nil {
+		t.Error("NewAddressMapper accepted 12 banks")
+	}
+	ch, err := dram.NewChannel(cfg.Geo, cfg.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := memctrl.New(cfg.Ctrl, ch, nil); err == nil {
+		t.Error("memctrl.New accepted 12 banks")
+	}
+	spec := attack.Spec{Kind: attack.DoubleSided}
+	if _, _, err := spec.Synthesize(cfg.Geo, attack.Target{Bank: 0, Row: 200}); err == nil {
+		t.Error("Synthesize accepted 12 banks")
+	}
+	if _, err := Run(cfg, quickMix(1, 1)); err == nil {
+		t.Error("Run accepted 12 banks")
 	}
 }
 

@@ -10,6 +10,8 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 
@@ -48,12 +50,22 @@ type Trace struct {
 	Span int64
 }
 
-// PassOffset returns the address offset applied on the given pass.
+// PassOffset returns the address offset applied on the given pass:
+// pass·PassStride reduced into [0, Span), computed without overflow.
 func (t *Trace) PassOffset(pass int64) int64 {
-	if t.PassStride == 0 || t.Span == 0 {
+	if t.PassStride == 0 || t.Span <= 0 {
 		return 0
 	}
-	return (pass * t.PassStride) % t.Span
+	hi, lo := bits.Mul64(floorMod(pass, t.Span), floorMod(t.PassStride, t.Span))
+	return int64(bits.Rem64(hi, lo, uint64(t.Span)))
+}
+
+// floorMod returns x modulo m (m > 0) in [0, m).
+func floorMod(x, m int64) uint64 {
+	if x %= m; x < 0 {
+		x += m
+	}
+	return uint64(x)
 }
 
 // Instructions returns the total instruction count of one pass
@@ -112,12 +124,16 @@ func (t *Trace) Encode(w io.Writer) error {
 
 // Decode parses the text format produced by Encode: both v2 (with an
 // optional fourth requester field per record) and the original
-// un-versioned v1 format (three fields, Requester 0).
+// un-versioned v1 format (three fields, Requester 0). The trace name is
+// the word after a header's leading "trace"; a negative stride or span,
+// or an address that a pass offset would push past the int64 range, is
+// rejected.
 func Decode(r io.Reader) (*Trace, error) {
 	t := &Trace{Name: "decoded"}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
+	var maxAddr int64
 	for sc.Scan() {
 		lineNo++
 		line := strings.TrimSpace(sc.Text())
@@ -126,19 +142,20 @@ func Decode(r io.Reader) (*Trace, error) {
 		}
 		if strings.HasPrefix(line, "#") {
 			fields := strings.Fields(line)
-			for i, f := range fields {
+			if len(fields) > 2 && fields[1] == "trace" {
+				t.Name = fields[2]
+			}
+			for _, f := range fields {
 				switch {
-				case f == "trace" && i+1 < len(fields):
-					t.Name = fields[i+1]
 				case strings.HasPrefix(f, "stride="):
 					v, err := strconv.ParseInt(f[len("stride="):], 10, 64)
-					if err != nil {
+					if err != nil || v < 0 {
 						return nil, fmt.Errorf("trace: line %d: bad %q", lineNo, f)
 					}
 					t.PassStride = v
 				case strings.HasPrefix(f, "span="):
 					v, err := strconv.ParseInt(f[len("span="):], 10, 64)
-					if err != nil {
+					if err != nil || v < 0 {
 						return nil, fmt.Errorf("trace: line %d: bad %q", lineNo, f)
 					}
 					t.Span = v
@@ -176,9 +193,13 @@ func Decode(r io.Reader) (*Trace, error) {
 			}
 		}
 		t.Records = append(t.Records, Record{Gap: gap, Addr: addr, Write: write, NoCache: noCache, Requester: requester})
+		maxAddr = max(maxAddr, addr)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err
+	}
+	if t.PassStride != 0 && t.Span > 0 && maxAddr > math.MaxInt64-(t.Span-1) {
+		return nil, fmt.Errorf("trace: address %d plus a pass offset below span %d overflows", maxAddr, t.Span)
 	}
 	return t, nil
 }

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"math"
+	"math/big"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -73,10 +76,26 @@ func TestPassOffsetWrapsWithinSpan(t *testing.T) {
 	tr := p.Generate(100, 9)
 	f := func(pass uint16) bool {
 		off := tr.PassOffset(int64(pass))
-		return off >= 0 && off < tr.Span
+		return off >= 0 && off < tr.Span && off == int64(pass)*tr.PassStride%tr.Span
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+	// pass·PassStride overflows int64 here; the offset must still be the
+	// exact residue, and a negative stride still lands inside the span.
+	huge := &Trace{PassStride: math.MaxInt64 - 1, Span: 1<<40 + 3}
+	for _, pass := range []int64{3, 1 << 40, math.MaxInt64} {
+		want := new(big.Int).Mul(big.NewInt(pass), big.NewInt(huge.PassStride))
+		want.Mod(want, big.NewInt(huge.Span))
+		if got := huge.PassOffset(pass); got != want.Int64() {
+			t.Errorf("PassOffset(%d) = %d, want %d", pass, got, want)
+		}
+	}
+	neg := &Trace{PassStride: -1 << 20, Span: 1 << 30}
+	for pass := int64(0); pass < 2000; pass++ {
+		if off := neg.PassOffset(pass); off < 0 || off >= neg.Span {
+			t.Fatalf("negative stride: PassOffset(%d) = %d outside [0, %d)", pass, off, neg.Span)
+		}
 	}
 	if tr.PassOffset(0) != 0 {
 		t.Error("pass 0 must have zero offset")
@@ -239,6 +258,12 @@ func TestDecodeRejectsMalformed(t *testing.T) {
 		"1 2 R extra bit", // too many fields
 		"1 2 R x",         // bad requester
 		"1 2 R -3",        // negative requester
+		// Negative replay parameters: the offsets they produced sent
+		// negative addresses into the simulator.
+		"# trace t v2 records=1 stride=-1048576 span=1073741824\n0 64 R",
+		"# trace t v2 records=1 stride=64 span=-4096\n0 64 R",
+		// A pass offset would push this address past the int64 range.
+		"# trace t v2 records=1 stride=64 span=4096\n0 9223372036854775800 R",
 	}
 	for _, c := range cases {
 		if _, err := Decode(strings.NewReader(c)); err == nil {
@@ -283,4 +308,40 @@ func TestInstructionsCount(t *testing.T) {
 	if tr.MemoryAccesses() != 3 {
 		t.Error("memory accesses != 3")
 	}
+}
+
+// FuzzDecodeTrace drives arbitrary bytes through Decode, the boundary
+// trace files cross. Decoding never panics; an accepted trace re-encodes
+// and decodes to an equal Trace; and replay never produces a negative
+// pass offset or address. The seed corpus (testdata/fuzz/FuzzDecodeTrace)
+// holds generated, legacy v1, attributed and rejected traces.
+func FuzzDecodeTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tr.Encode(&buf); err != nil {
+			t.Fatalf("encode accepted trace: %v", err)
+		}
+		again, err := Decode(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded trace rejected: %v\n%s", err, buf.Bytes())
+		}
+		if !reflect.DeepEqual(tr, again) {
+			t.Fatalf("round trip changed the trace:\n%+v\nvs\n%+v", tr, again)
+		}
+		for _, pass := range []int64{1, 2, 1 << 32, math.MaxInt64} {
+			off := tr.PassOffset(pass)
+			if off < 0 || (tr.Span > 0 && off >= tr.Span) {
+				t.Fatalf("PassOffset(%d) = %d outside [0, span %d)", pass, off, tr.Span)
+			}
+			for _, r := range tr.Records {
+				if r.Addr+off < 0 {
+					t.Fatalf("pass %d moves address %d to %d", pass, r.Addr, r.Addr+off)
+				}
+			}
+		}
+	})
 }
