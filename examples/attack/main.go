@@ -14,7 +14,8 @@ import (
 )
 
 // attack hammers the victim's neighbours through the controller for the
-// given number of memory cycles and returns the victim's committed flips.
+// given number of memory cycles and returns the bit flips that escaped
+// every refresh of the victim row.
 func attack(mech rowhammer.Mechanism, cycles int64) (flips int, acts int64, err error) {
 	geo := rowhammer.Table6Geometry()
 	ch, err := rowhammer.NewChannel(geo, rowhammer.DDR4Timing(geo.Rows))
@@ -46,13 +47,12 @@ func attack(mech rowhammer.Mechanism, cycles int64) (flips int, acts int64, err 
 	}
 	chip.WriteAll(rowhammer.RowStripe0)
 
-	// Every activation the controller performs — demand or mitigation —
-	// hammers the fault model.
-	ctrl.OnACT(func(rank, bank, row int, cycle int64) {
-		if err := chip.Activate(bank, row, 1); err != nil {
-			log.Fatal(err)
-		}
-	})
+	// The hammer observer accounts every activation the controller
+	// performs — demand or mitigation — against the chip, and clears a
+	// row's damage whenever the auto-refresh rotation restores it.
+	obs := rowhammer.NewHammerObserver(chip)
+	ctrl.OnACT(obs.OnACT)
+	ctrl.OnRefresh(obs.OnRefresh)
 
 	// The attacker has profiled the chip: target the weakest cell's row.
 	weak := chip.WeakestCell()
@@ -74,8 +74,12 @@ func attack(mech rowhammer.Mechanism, cycles int64) (flips int, acts int64, err 
 		}
 		ctrl.Tick()
 	}
-	chip.CommitFlips()
-	return len(chip.CommittedFlips(bank, victim)), ctrl.Stats.DemandACTs, nil
+	for _, f := range obs.Flips() {
+		if f.Bank == bank && f.Row == victim {
+			flips++
+		}
+	}
+	return flips, ctrl.Stats.DemandACTs, nil
 }
 
 func main() {

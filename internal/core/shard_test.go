@@ -295,3 +295,59 @@ func TestParetoBLISSAxes(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeResult feeds DecodeResult the bytes a store file could hold:
+// no input may panic it, an accepted result re-encodes to bytes that
+// decode and re-encode identically, and splitting its cells into two
+// parts by mask (bit i%64 sends the i-th sorted cell to the first part)
+// and merging the parts reproduces those bytes, under the unsharded spec
+// merging yields. It never formats the artifact: finalize rebuilds the
+// spec's grid, which a mutated scale makes arbitrarily expensive.
+func FuzzDecodeResult(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, mask uint64) {
+		r, err := DecodeResult(data)
+		if err != nil {
+			return
+		}
+		enc, err := r.Encode()
+		if err != nil {
+			t.Fatalf("encode accepted result: %v", err)
+		}
+		again, err := DecodeResult(enc)
+		if err != nil {
+			t.Fatalf("canonical encoding rejected: %v\n%s", err, enc)
+		}
+		enc2, err := again.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding changed the canonical bytes:\n%s\nvs\n%s", enc, enc2)
+		}
+
+		whole := *r
+		whole.Spec = r.Spec.sansShard()
+		want, err := whole.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := [2]*Result{}
+		for i := range parts {
+			parts[i] = &Result{Spec: r.Spec, Tasks: r.Tasks, Meta: r.Meta, Cells: map[string]json.RawMessage{}}
+		}
+		for i, key := range sortedCellKeys(r.Cells) {
+			parts[mask>>(i%64)&1].Cells[key] = r.Cells[key]
+		}
+		merged, err := MergeResults(parts[0], parts[1])
+		if err != nil {
+			t.Fatalf("merging a split of the result: %v", err)
+		}
+		got, err := merged.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("split and merge changed the bytes:\n%s\nvs\n%s", got, want)
+		}
+	})
+}

@@ -36,7 +36,7 @@ func (c *Chip) ForEachCoupledWordline(wl int, fn func(neighbor int, weight float
 // ThresholdCrossings returns the data-bit flips an accumulated damage of
 // e effective hammers causes on a wordline of a bank (deterministic
 // threshold crossing over the cells eligible under the currently written
-// pattern, the same rule CommitFlips applies), plus the smallest eligible
+// pattern), plus the smallest eligible
 // threshold strictly above e — math.Inf(1) when no further cell can ever
 // flip. Callers cache the returned next-threshold so the common ACT path
 // costs one float comparison. On-die ECC parity cells are skipped: the

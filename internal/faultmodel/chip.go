@@ -35,14 +35,12 @@ func (c *cell) effectiveThreshold(p Pattern) float64 {
 }
 
 // Chip is one simulated DRAM chip with RowHammer protection disabled, as
-// the paper tests them. It supports two usage styles:
-//
-//   - Test mode (Algorithm 1): WriteAll → BeginTest → Activate aggressors
-//     → ObservedFlips. Flips are sampled probabilistically per test and do
-//     not persist, matching line 16 ("restore bit flips").
-//   - Accumulate mode (attack demos): Activate interleaved with
-//     RefreshRow, then CommitFlips/CommittedFlips. Crossing a threshold
-//     permanently corrupts the cell until the next WriteAll.
+// the paper tests them (Algorithm 1): WriteAll → BeginTest → Activate
+// aggressors → ObservedFlips. Flips are sampled probabilistically per
+// test and do not persist, matching line 16 ("restore bit flips").
+// Hammering through a memory controller, where refreshes interleave with
+// activations, is accounted outside the chip (internal/attack's Observer)
+// against the structure and thresholds accounting.go exposes.
 //
 // A Chip is not safe for concurrent use.
 type Chip struct {
@@ -69,12 +67,10 @@ type Chip struct {
 	// Activate; while they are nil every key reads as zero.
 	pattern   Pattern
 	nonce     uint64
-	damage    []float64     // accumulated hammers per wordline key
-	activated []int64       // ACT counts per wordline key within a test
-	dirty     []bool        // wordline keys with uncommitted neighbour damage
-	journaled []bool        // wordline keys present in touched
-	touched   []int         // journal of keys with any nonzero accounting
-	flipped   map[Flip]bool // committed (persistent) flips
+	damage    []float64 // accumulated hammers per wordline key
+	activated []int64   // ACT counts per wordline key within a test
+	journaled []bool    // wordline keys present in touched
+	touched   []int     // journal of keys with any nonzero accounting
 }
 
 // NewChip constructs a chip from cfg. The vulnerable-cell population is
@@ -92,7 +88,6 @@ func NewChip(cfg Config) (*Chip, error) {
 		cells:        make(map[int][]cell),
 		parityByByte: make(map[byte][]byte),
 		pattern:      cfg.WorstPattern,
-		flipped:      make(map[Flip]bool),
 	}
 	if cfg.PairedWordlines {
 		c.wordlines = cfg.Rows / 2
@@ -360,7 +355,6 @@ func (c *Chip) ensureAccounting() {
 	n := c.cfg.Banks * c.wordlines
 	c.damage = make([]float64, n)
 	c.activated = make([]int64, n)
-	c.dirty = make([]bool, n)
 	c.journaled = make([]bool, n)
 }
 
@@ -372,25 +366,22 @@ func (c *Chip) journal(key int) {
 	}
 }
 
-// resetAccounting zeroes the per-test hammer accounting (damage, ACT
-// counts, dirty marks) by replaying the touched-key journal, leaving the
-// committed-flip set alone.
+// resetAccounting zeroes the per-test hammer accounting (damage and ACT
+// counts) by replaying the touched-key journal.
 func (c *Chip) resetAccounting() {
 	for _, key := range c.touched {
 		c.damage[key] = 0
 		c.activated[key] = 0
-		c.dirty[key] = false
 		c.journaled[key] = false
 	}
 	c.touched = c.touched[:0]
 }
 
 // WriteAll stores pattern p into every cell and clears all accumulated
-// damage and committed flips (Algorithm 1 lines 2–3).
+// damage (Algorithm 1 lines 2–3).
 func (c *Chip) WriteAll(p Pattern) {
 	c.pattern = p
 	c.resetAccounting()
-	c.flipped = make(map[Flip]bool)
 }
 
 // Pattern returns the currently written data pattern.
@@ -435,29 +426,9 @@ func (c *Chip) Activate(bank, row, times int) error {
 			key := c.wlKey(bank, nwl)
 			c.journal(key)
 			c.damage[key] += float64(times) * w
-			c.dirty[key] = true
 		}
 	}
 	return nil
-}
-
-// RefreshRow restores the charge of every cell on the row's wordline,
-// clearing its accumulated hammer damage. This is what refresh-based
-// mitigation mechanisms do to victims.
-func (c *Chip) RefreshRow(bank, row int) {
-	// An untouched key already reads zero, so only journaled state needs
-	// the store; nil slices mean nothing was ever activated.
-	if c.damage != nil {
-		c.damage[c.wlKey(bank, c.wordlineOf(row))] = 0
-	}
-}
-
-// Damage returns the accumulated effective hammers on a row's wordline.
-func (c *Chip) Damage(bank, row int) float64 {
-	if c.damage == nil {
-		return 0
-	}
-	return c.damage[c.wlKey(bank, c.wordlineOf(row))]
 }
 
 // rawFlips samples this test's raw (pre-ECC) cell flips for a row.
@@ -561,56 +532,6 @@ func (c *Chip) decodeThroughECC(bank, row int, raw []int) []Flip {
 	sort.Slice(flips, func(i, j int) bool { return flips[i].Bit < flips[j].Bit })
 	return flips
 }
-
-// CommitFlips materializes permanent flips for every cell whose
-// accumulated damage has crossed its threshold (accumulate mode). Flips
-// persist until the next WriteAll.
-func (c *Chip) CommitFlips() {
-	for _, key := range c.touched {
-		if !c.dirty[key] {
-			continue
-		}
-		c.dirty[key] = false
-		bank := key / c.wordlines
-		wl := key % c.wordlines
-		if c.activated[c.wlKey(bank, wl)] > 0 {
-			continue
-		}
-		e := c.damage[key]
-		if e <= 0 {
-			continue
-		}
-		for _, row := range c.rowsOnWordline(wl) {
-			for i := range c.rowCells(bank, row) {
-				cl := &c.cells[bank*c.cfg.Rows+row][i]
-				if cl.bit >= c.cfg.RowBits {
-					continue // attack demos read raw data bits
-				}
-				if !c.eligible(cl, c.pattern, row) {
-					continue
-				}
-				if e >= cl.effectiveThreshold(c.pattern) {
-					c.flipped[Flip{Bank: bank, Row: row, Bit: cl.bit}] = true
-				}
-			}
-		}
-	}
-}
-
-// CommittedFlips lists the persistent flips in a row (accumulate mode).
-func (c *Chip) CommittedFlips(bank, row int) []Flip {
-	var fs []Flip
-	for f := range c.flipped {
-		if f.Bank == bank && f.Row == row {
-			fs = append(fs, f)
-		}
-	}
-	sort.Slice(fs, func(i, j int) bool { return fs[i].Bit < fs[j].Bit })
-	return fs
-}
-
-// TotalCommittedFlips returns the count of persistent flips chip-wide.
-func (c *Chip) TotalCommittedFlips() int { return len(c.flipped) }
 
 // --- analytic ground truth ------------------------------------------------
 

@@ -148,58 +148,6 @@ func TestEvenOffsetsOnly(t *testing.T) {
 	}
 }
 
-func TestRefreshRowClearsDamage(t *testing.T) {
-	c := mustChip(t, testConfig())
-	c.WriteAll(c.Config().WorstPattern)
-	c.BeginTest(1)
-	if err := c.Activate(0, 20, 100_000); err != nil {
-		t.Fatal(err)
-	}
-	if d := c.Damage(0, 21); d <= 0 {
-		t.Fatalf("damage on row 21 = %v, want > 0", d)
-	}
-	c.RefreshRow(0, 21)
-	if d := c.Damage(0, 21); d != 0 {
-		t.Fatalf("damage after refresh = %v, want 0", d)
-	}
-}
-
-func TestCommitFlipsPersist(t *testing.T) {
-	c := mustChip(t, testConfig())
-	c.WriteAll(c.Config().WorstPattern)
-
-	var weakRow int
-	best := 1e18
-	c.ForEachCell(func(ci CellInfo) {
-		if ci.Threshold < best {
-			best = ci.Threshold
-			weakRow = ci.Row
-		}
-	})
-	lo, hi, ok := c.AggressorsFor(weakRow)
-	if !ok {
-		t.Fatalf("no aggressors for row %d", weakRow)
-	}
-	if err := c.Activate(0, lo, 3*int(best)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Activate(0, hi, 3*int(best)); err != nil {
-		t.Fatal(err)
-	}
-	c.CommitFlips()
-	if got := len(c.CommittedFlips(0, weakRow)); got == 0 {
-		t.Fatal("no committed flips in the weakest row")
-	}
-	if c.TotalCommittedFlips() == 0 {
-		t.Fatal("TotalCommittedFlips = 0")
-	}
-	// WriteAll clears persistent corruption.
-	c.WriteAll(c.Config().WorstPattern)
-	if c.TotalCommittedFlips() != 0 {
-		t.Fatal("WriteAll did not clear committed flips")
-	}
-}
-
 func TestPairedWordlineAggressors(t *testing.T) {
 	cfg := testConfig()
 	cfg.PairedWordlines = true

@@ -20,6 +20,7 @@ package memctrl
 
 import (
 	"errors"
+	"fmt"
 	"math/bits"
 
 	"repro/internal/dram"
@@ -221,10 +222,14 @@ type retEvent struct {
 }
 
 // New builds a controller over the channel. mech may be nil (no
-// mitigation).
+// mitigation). The channel must have one rank: every command the
+// controller issues targets rank 0.
 func New(cfg Config, ch *dram.Channel, mech mitigation.Mechanism) (*Controller, error) {
 	if cfg.ReadQueue <= 0 || cfg.WriteQueue <= 0 {
 		return nil, errors.New("memctrl: queue capacities must be positive")
+	}
+	if ch.Geo.Ranks != 1 {
+		return nil, fmt.Errorf("memctrl: the controller drives one rank, the channel has %d", ch.Geo.Ranks)
 	}
 	mapper, err := dram.NewAddressMapper(ch.Geo)
 	if err != nil {
@@ -294,6 +299,8 @@ func (c *Controller) observeACT(rank, bank, row int, cycle int64) {
 			c.throttle.OnRequesterACT(c.issuingReq, bank, row, cycle)
 		}
 	}
+	// The victims slice is the mechanism's buffer, valid only until its
+	// next call: copy the rows into mitQ before anything can issue.
 	victims := c.mech.OnActivate(bank, row, cycle, c.issuingMitigation)
 	for _, v := range victims {
 		c.enqueueMitigation(bank, v)

@@ -29,7 +29,7 @@ package mitigation
 // spacing, so the security guarantee is identical; they differ only in
 // who pays the queue-admission cost, and how much.
 type BlockHammer struct {
-	p Params
+	base
 
 	// maxActs is the per-row activation budget over one epoch pair (two
 	// half-windows): capped so a victim flanked by two max-rate aggressors
@@ -40,12 +40,11 @@ type BlockHammer struct {
 	nbl float64
 	// minInterval spaces post-blacklist ACTs so the budget holds.
 	minInterval int64
-	// epochLen is the filter rotation period (tREFW/2).
-	epochLen int64
+	// epoch is the filter rotation period (tREFW/2).
+	epoch epoch
 
-	epochStart int64
-	filters    [2]*countMin // [0] active (inserted), [1] previous epoch
-	release    map[int64]int64
+	filters [2]*countMin // [0] active (inserted), [1] previous epoch
+	release map[int64]int64
 
 	// policy selects the RowBlocker-Req admission policy.
 	policy admissionPolicy
@@ -151,18 +150,16 @@ const (
 // NewBlockHammer builds the throttler for a chip's HCfirst, with
 // proportional per-requester RowBlocker-Req admission.
 func NewBlockHammer(p Params) (*BlockHammer, error) {
-	if err := p.Validate(); err != nil {
+	b, err := newBase(p)
+	if err != nil {
 		return nil, err
 	}
 	m := &BlockHammer{
-		p:          p,
+		base:       b,
 		release:    make(map[int64]int64),
 		reqRelease: make(map[int]int64),
 		rhliACTs:   make(map[int]float64),
-	}
-	m.epochLen = p.TREFW / 2
-	if m.epochLen < 1 {
-		m.epochLen = 1
+		epoch:      epoch{length: max(p.TREFW/2, 1)},
 	}
 	// A victim between two aggressors gains 0.5 hammer per aggressor ACT:
 	// N ACTs to each side accumulate N hammers, so cap per-row ACTs over
@@ -177,7 +174,7 @@ func NewBlockHammer(p Params) (*BlockHammer, error) {
 	}
 	// Post-blacklist spacing: the remaining budget spread over the epoch
 	// pair, so burst(NBL) + throttled ACTs ≤ maxActs.
-	m.minInterval = int64(float64(2*m.epochLen) / (m.maxActs - m.nbl))
+	m.minInterval = int64(float64(2*m.epoch.length) / (m.maxActs - m.nbl))
 	if m.minInterval < 1 {
 		m.minInterval = 1
 	}
@@ -228,12 +225,11 @@ func (m *BlockHammer) key(bank, row int) int64 { return int64(bank)<<32 | int64(
 // cleared and becomes the insertion target; estimates always cover the
 // current and previous epoch.
 func (m *BlockHammer) rotate(cycle int64) {
-	for cycle-m.epochStart >= m.epochLen {
-		m.epochStart += m.epochLen
+	for m.epoch.next(cycle) {
 		m.filters[0], m.filters[1] = m.filters[1], m.filters[0]
 		m.filters[0].clear()
-		m.release = make(map[int64]int64)
-		m.reqRelease = make(map[int]int64)
+		clear(m.release)
+		clear(m.reqRelease)
 		//rhlint:allow mapiter(independent per-key halve-or-delete; order-free)
 		for k, v := range m.rhliACTs {
 			if v >= 1 {
@@ -338,8 +334,8 @@ func (m *BlockHammer) AdmitRequest(requester, bank, row int, queueLoad float64, 
 	if delay <= 0 {
 		return true
 	}
-	if delay > m.epochLen {
-		delay = m.epochLen
+	if delay > m.epoch.length {
+		delay = m.epoch.length
 	}
 	m.reqRelease[requester] = cycle + delay
 	m.throttleEvents++
@@ -364,23 +360,4 @@ func (m *BlockHammer) OnRequesterACT(requester, bank, row int, cycle int64) {
 // 0 is a certainly-benign source; ≥1 marks a hammerer.
 func (m *BlockHammer) RHLI(requester int) float64 {
 	return m.rhliACTs[requester] / m.nbl
-}
-
-func (m *BlockHammer) RefreshMultiplier() float64 { return 1 }
-
-// ThrottleEvents reports how often ActAllowed denied an activation.
-func (m *BlockHammer) ThrottleEvents() int64 { return m.throttleEvents }
-
-// NBL returns the blacklist threshold in activations per epoch pair.
-func (m *BlockHammer) NBL() float64 { return m.nbl }
-
-// MinInterval returns the post-blacklist ACT spacing in memory cycles.
-func (m *BlockHammer) MinInterval() int64 { return m.minInterval }
-
-// Viable: throttling scales to arbitrarily low HCfirst — the design's
-// headline claim — at growing performance cost from false blacklists.
-func (m *BlockHammer) Viable() bool { return true }
-
-func (m *BlockHammer) ViabilityNote() string {
-	return "throttling-based: scales to any HCfirst; cost is ACT latency on blacklisted rows"
 }

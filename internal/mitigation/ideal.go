@@ -7,7 +7,7 @@ package mitigation
 // (Section 6.1). It bounds what any counter- or probability-based
 // mechanism could hope to achieve.
 type Ideal struct {
-	p Params
+	base
 
 	// hammers[bank][row] counts accumulated hammers (a single adjacent
 	// activation contributes 0.5, so a double-sided pair contributes 1).
@@ -17,13 +17,14 @@ type Ideal struct {
 
 // NewIdeal builds the oracle tracker.
 func NewIdeal(p Params) (*Ideal, error) {
-	if err := p.Validate(); err != nil {
+	b, err := newBase(p)
+	if err != nil {
 		return nil, err
 	}
-	m := &Ideal{p: p}
+	m := &Ideal{base: b}
 	m.hammers = make([][]float32, p.Banks)
-	for b := range m.hammers {
-		m.hammers[b] = make([]float32, p.Rows)
+	for bank := range m.hammers {
+		m.hammers[bank] = make([]float32, p.Rows)
 	}
 	m.trigger = float32(p.HCFirst) - 1
 	if m.trigger < 1 {
@@ -38,15 +39,16 @@ func (m *Ideal) OnActivate(bank, row int, cycle int64, fromMitigation bool) []in
 	rows := m.hammers[bank]
 	// Activating a row restores its own charge.
 	rows[row] = 0
-	var refresh []int
-	for _, victim := range clampNeighbors(row, m.p.Rows) {
+	m.reset()
+	ns, n := neighbors(row, m.p.Rows)
+	for _, victim := range ns[:n] {
 		rows[victim] += 0.5
 		if rows[victim] >= m.trigger {
-			refresh = append(refresh, victim)
+			m.emit(victim)
 			rows[victim] = 0
 		}
 	}
-	return refresh
+	return m.out
 }
 
 func (m *Ideal) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int {
@@ -55,14 +57,4 @@ func (m *Ideal) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int {
 		rows[r] = 0
 	}
 	return nil
-}
-
-func (m *Ideal) RefreshMultiplier() float64 { return 1 }
-
-// Viable: the oracle applies at any HCfirst (it is a bound, not a
-// realizable design).
-func (m *Ideal) Viable() bool { return true }
-
-func (m *Ideal) ViabilityNote() string {
-	return "oracle bound: perfect per-row activation tracking"
 }

@@ -2,7 +2,15 @@
 // the paper evaluates (Section 6.1): Increased Refresh Rate, PARA,
 // ProHIT, MRLoc, TWiCe (plus its idealized variant) and the Ideal
 // refresh-based mechanism, each parameterized by the chip's HCfirst so
-// their overhead scaling can be measured (Figure 10).
+// their overhead scaling can be measured (Figure 10). Two later designs
+// sit on the same contract: the BlockHammer throttler (Yağlıkçı et al.,
+// HPCA 2021) and a model of the in-DRAM TRR samplers that the trr-dodge
+// study paces attacks around.
+//
+// Each mechanism is a small policy over shared parts (base): the
+// validated Params, the in-bank neighbours of an activated row, a result
+// buffer its decisions return without allocating, the no-op defaults of
+// the hooks it does not need, and (TRR, BlockHammer) an epoch clock.
 package mitigation
 
 import (
@@ -53,6 +61,10 @@ type Mechanism interface {
 	// including mitigation-triggered ones (fromMitigation=true), which
 	// are themselves activations that disturb their own neighbours. It
 	// returns rows (same bank) the controller must refresh now.
+	//
+	// The rows OnActivate and OnAutoRefresh return are borrowed: the
+	// slice is the mechanism's own buffer and stays valid only until the
+	// mechanism's next call. Callers copy what they keep.
 	OnActivate(bank, row int, cycle int64, fromMitigation bool) []int
 
 	// OnAutoRefresh is invoked per bank when a REF command's rotation
@@ -72,7 +84,6 @@ type Mechanism interface {
 // HCfirst = 2k).
 type Viability interface {
 	Viable() bool
-	ViabilityNote() string
 }
 
 // RequesterNone marks an access whose source is unknown (direct
@@ -101,28 +112,71 @@ type Throttler interface {
 	OnRequesterACT(requester, bank, row int, cycle int64)
 }
 
-// clampNeighbors returns row's adjacent rows that lie inside the bank.
-func clampNeighbors(row, rows int) []int {
-	var out []int
+// base is the part every mechanism shares: its validated parameters, the
+// buffer its decisions return, and the defaults of the hooks a policy
+// does not need — no victims, the nominal refresh rate, and viability
+// at every HCfirst.
+type base struct {
+	p   Params
+	out []int
+}
+
+func newBase(p Params) (base, error) {
+	if err := p.Validate(); err != nil {
+		return base{}, err
+	}
+	return base{p: p, out: make([]int, 0, 2)}, nil
+}
+
+// reset starts a decision: the previous result's rows are dropped.
+func (b *base) reset() { b.out = b.out[:0] }
+
+// emit adds victim rows to the current decision's result.
+func (b *base) emit(rows ...int) { b.out = append(b.out, rows...) }
+
+func (base) OnActivate(bank, row int, cycle int64, fromMitigation bool) []int { return nil }
+
+func (base) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int { return nil }
+
+func (base) RefreshMultiplier() float64 { return 1 }
+
+func (base) Viable() bool { return true }
+
+// neighbors returns the rows adjacent to row that lie inside a bank of
+// the given number of rows, lower first, as ns[:n]. Returning an array
+// keeps every decision off the heap.
+func neighbors(row, rows int) (ns [2]int, n int) {
 	if row > 0 {
-		out = append(out, row-1)
+		ns[n] = row - 1
+		n++
 	}
 	if row < rows-1 {
-		out = append(out, row+1)
+		ns[n] = row + 1
+		n++
 	}
-	return out
+	return ns, n
+}
+
+// epoch is a clock of fixed-length epochs starting at cycle 0.
+type epoch struct {
+	start, length int64
+}
+
+// next moves the clock past one epoch boundary at or before cycle and
+// reports whether there was one; callers loop so that every boundary
+// crossed since the last call is handled.
+func (e *epoch) next(cycle int64) bool {
+	if cycle-e.start < e.length {
+		return false
+	}
+	e.start += e.length
+	return true
 }
 
 // None is the no-mitigation baseline.
-type None struct{}
+type None struct{ base }
 
 // NewNone returns the baseline mechanism.
 func NewNone() None { return None{} }
 
 func (None) Name() string { return "None" }
-
-func (None) OnActivate(bank, row int, cycle int64, fromMitigation bool) []int { return nil }
-
-func (None) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int { return nil }
-
-func (None) RefreshMultiplier() float64 { return 1 }

@@ -1,6 +1,7 @@
 package mitigation
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/dram"
@@ -87,14 +88,14 @@ func TestPARAProbabilityScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !(t128.Probability() > t4800.Probability()) {
-		t.Errorf("p must grow as HCfirst shrinks: %v vs %v", t128.Probability(), t4800.Probability())
+	if !(t128.prob > t4800.prob) {
+		t.Errorf("p must grow as HCfirst shrinks: %v vs %v", t128.prob, t4800.prob)
 	}
 	// Section 6.2.2 context: p around 2% protects HCfirst≈5k chips.
-	if p := t4800.Probability(); p < 0.005 || p > 0.08 {
+	if p := t4800.prob; p < 0.005 || p > 0.08 {
 		t.Errorf("p(4.8k) = %v, want a few percent", p)
 	}
-	if p := t128.Probability(); p < 0.3 || p > 1 {
+	if p := t128.prob; p < 0.3 || p > 1 {
 		t.Errorf("p(128) = %v, want large", p)
 	}
 	// Statistical check: triggers per ACT ≈ p.
@@ -106,8 +107,8 @@ func TestPARAProbabilityScaling(t *testing.T) {
 		}
 	}
 	got := float64(hits) / float64(n)
-	if got < 0.8*t4800.Probability() || got > 1.2*t4800.Probability() {
-		t.Errorf("observed trigger rate %v, want ≈%v", got, t4800.Probability())
+	if got < 0.8*t4800.prob || got > 1.2*t4800.prob {
+		t.Errorf("observed trigger rate %v, want ≈%v", got, t4800.prob)
 	}
 }
 
@@ -136,13 +137,13 @@ func TestTWiCeRefreshesAtThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	// tRH = HCfirst/4 hammers; each single-sided ACT adds 0.5.
-	acts := int(m.TRH()*2) - 1
+	acts := int(m.tRH*2) - 1
 	for i := 0; i < acts; i++ {
 		if got := m.OnActivate(3, 100, int64(i), false); len(got) != 0 {
 			t.Fatalf("premature refresh after %d ACTs: %v", i, got)
 		}
 	}
-	if m.TableEntries() == 0 {
+	if tableEntries(m) == 0 {
 		t.Error("table empty mid-attack")
 	}
 	got := m.OnActivate(3, 100, int64(acts), false)
@@ -163,15 +164,24 @@ func TestTWiCePruningDropsColdRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.OnActivate(0, 10, 1, false) // rows 9 and 11 enter with 0.5 acts
-	if m.TableEntries() != 2 {
-		t.Fatalf("entries = %d, want 2", m.TableEntries())
+	if tableEntries(m) != 2 {
+		t.Fatalf("entries = %d, want 2", tableEntries(m))
 	}
 	// One pruning pass: act rate 0.5 per lifetime 1 is far below
 	// pruneTh = tRH/8192 ≈ 1.95, so both entries are dropped.
 	m.OnAutoRefresh(0, 5000, 2, 100)
-	if m.TableEntries() != 0 {
-		t.Fatalf("entries after prune = %d, want 0", m.TableEntries())
+	if tableEntries(m) != 0 {
+		t.Fatalf("entries after prune = %d, want 0", tableEntries(m))
 	}
+}
+
+// tableEntries reports TWiCe's tracking-table occupancy over all banks.
+func tableEntries(m *TWiCe) int {
+	n := 0
+	for _, tbl := range m.tables {
+		n += len(tbl)
+	}
+	return n
 }
 
 func TestTWiCeViability(t *testing.T) {
@@ -306,25 +316,18 @@ func TestClampNeighborsEdgeRows(t *testing.T) {
 		{rows - 2, []int{97, 99}},
 	}
 	for _, c := range cases {
-		got := clampNeighbors(c.row, rows)
-		if len(got) != len(c.want) {
-			t.Errorf("clampNeighbors(%d) = %v, want %v", c.row, got, c.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != c.want[i] {
-				t.Errorf("clampNeighbors(%d) = %v, want %v", c.row, got, c.want)
-				break
-			}
+		ns, n := neighbors(c.row, rows)
+		if got := ns[:n]; !slices.Equal(got, c.want) {
+			t.Errorf("neighbors(%d) = %v, want %v", c.row, got, c.want)
 		}
 	}
 	// A one-row bank has no neighbors at all.
-	if got := clampNeighbors(0, 1); len(got) != 0 {
-		t.Errorf("clampNeighbors(0, 1) = %v, want empty", got)
+	if _, n := neighbors(0, 1); n != 0 {
+		t.Errorf("neighbors(0, 1) found %d, want none", n)
 	}
 }
 
-func TestViabilityNotes(t *testing.T) {
+func TestViability(t *testing.T) {
 	p := testParams(32_000)
 	para, _ := NewPARA(p, 833)
 	incr, _ := NewIncreasedRefresh(p)
@@ -335,14 +338,17 @@ func TestViabilityNotes(t *testing.T) {
 	prohit, _ := NewProHIT(testParams(2_000))
 	prohitOff, _ := NewProHIT(p)
 	mrloc, _ := NewMRLoc(testParams(2_000))
+	mrlocOff, _ := NewMRLoc(p)
 	ideal, _ := NewIdeal(p)
 	bh, _ := NewBlockHammer(p)
+	trr, _ := NewTRR(p)
 
 	cases := []struct {
 		name   string
 		v      Viability
 		viable bool
 	}{
+		{"None", NewNone(), true},
 		{"PARA", para, true},
 		{"IncreasedRefresh@32k", incr, true},
 		{"IncreasedRefresh@2k", incrLow, false},
@@ -352,15 +358,14 @@ func TestViabilityNotes(t *testing.T) {
 		{"ProHIT@2k", prohit, true},
 		{"ProHIT@32k", prohitOff, false},
 		{"MRLoc@2k", mrloc, true},
+		{"MRLoc@32k", mrlocOff, false},
 		{"Ideal", ideal, true},
 		{"BlockHammer", bh, true},
+		{"TRR", trr, true},
 	}
 	for _, c := range cases {
 		if c.v.Viable() != c.viable {
 			t.Errorf("%s: Viable() = %v, want %v", c.name, c.v.Viable(), c.viable)
-		}
-		if c.v.ViabilityNote() == "" {
-			t.Errorf("%s: empty viability note", c.name)
 		}
 	}
 }
@@ -375,10 +380,10 @@ func TestBlockHammerBlacklistsAndThrottles(t *testing.T) {
 	}
 	// Below the blacklist threshold nothing is throttled, and no victim
 	// refreshes are ever requested.
-	burst := int(m.NBL()) - 1
+	burst := int(m.nbl) - 1
 	for i := 0; i < burst; i++ {
 		if !m.ActAllowed(0, 0, 700, int64(i)) {
-			t.Fatalf("throttled after only %d ACTs (NBL=%.0f)", i, m.NBL())
+			t.Fatalf("throttled after only %d ACTs (NBL=%.0f)", i, m.nbl)
 		}
 		if got := m.OnActivate(0, 700, int64(i), false); got != nil {
 			t.Fatalf("BlockHammer refreshed victims %v", got)
@@ -389,10 +394,10 @@ func TestBlockHammerBlacklistsAndThrottles(t *testing.T) {
 	if m.ActAllowed(0, 0, 700, int64(burst)+1) {
 		t.Error("blacklisted row allowed to activate immediately")
 	}
-	if !m.ActAllowed(0, 0, 700, int64(burst)+m.MinInterval()+1) {
+	if !m.ActAllowed(0, 0, 700, int64(burst)+m.minInterval+1) {
 		t.Error("blacklisted row still blocked after the spacing interval")
 	}
-	if m.ThrottleEvents() == 0 {
+	if m.throttleEvents == 0 {
 		t.Error("no throttle events counted")
 	}
 	// Other rows are unaffected.
@@ -421,8 +426,8 @@ func TestBlockHammerBudgetBoundsWindowACTs(t *testing.T) {
 	if acts >= p.HCFirst {
 		t.Errorf("throttler admitted %d ACTs in one window, budget is < %d", acts, p.HCFirst)
 	}
-	if acts < int(m.NBL()) {
-		t.Errorf("throttler admitted only %d ACTs; burst of %.0f should pass", acts, m.NBL())
+	if acts < int(m.nbl) {
+		t.Errorf("throttler admitted only %d ACTs; burst of %.0f should pass", acts, m.nbl)
 	}
 }
 
@@ -432,7 +437,7 @@ func TestBlockHammerEpochRotationForgivesOldActivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nbl := int(m.NBL())
+	nbl := int(m.nbl)
 	for i := 0; i < nbl+10; i++ {
 		m.OnActivate(0, 42, int64(i), false)
 	}
@@ -456,7 +461,7 @@ func TestBlockHammerPerRequesterAdmission(t *testing.T) {
 	// Requester 0 hammers one row the way the controller reports it: the
 	// per-source attribution hook fires for every issued ACT, then the
 	// mechanism observes the ACT itself.
-	hammer := int(2.5 * m.NBL())
+	hammer := int(2.5 * m.nbl)
 	for i := 0; i < hammer; i++ {
 		m.OnRequesterACT(0, 0, 700, int64(i))
 		m.OnActivate(0, 700, int64(i), false)
@@ -495,10 +500,10 @@ func TestBlockHammerPerRequesterAdmission(t *testing.T) {
 	if b.Name() == m.Name() {
 		t.Error("blanket variant shares the per-requester name")
 	}
-	for i := 0; i < int(b.NBL())+1; i++ {
+	for i := 0; i < int(b.nbl)+1; i++ {
 		b.OnActivate(0, 700, int64(i), false)
 	}
-	bc := int64(b.NBL()) + 1
+	bc := int64(b.nbl) + 1
 	if b.AdmitRequest(1, 0, 700, 0.9, bc) {
 		t.Error("blanket policy admitted a blacklisted-row read on a loaded queue")
 	}
@@ -515,7 +520,7 @@ func TestBlockHammerProportionalDelay(t *testing.T) {
 	}
 	// Drive requester 0 to a high RHLI and requester 2 to a borderline
 	// one (hot-row ACTs only after the ramp threshold count).
-	hammer := int(3 * m.NBL())
+	hammer := int(3 * m.nbl)
 	for i := 0; i < hammer; i++ {
 		m.OnRequesterACT(0, 0, 700, int64(i))
 		m.OnActivate(0, 700, int64(i), false)
@@ -542,8 +547,8 @@ func TestBlockHammerProportionalDelay(t *testing.T) {
 	if m.AdmitRequest(2, 0, 700, 0, cycle) {
 		t.Fatal("borderline source admitted without serving its delay")
 	}
-	lightDelay := int64(light * float64(m.MinInterval()))
-	heavyDelay := int64(heavy * float64(m.MinInterval()))
+	lightDelay := int64(light * float64(m.minInterval))
+	heavyDelay := int64(heavy * float64(m.minInterval))
 	if lightDelay >= heavyDelay {
 		t.Fatalf("delays not proportional: light %d vs heavy %d", lightDelay, heavyDelay)
 	}
@@ -591,7 +596,7 @@ func TestBlockHammerRHLISurvivesEpochRotation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hammer := int(3 * m.NBL())
+	hammer := int(3 * m.nbl)
 	for i := 0; i < hammer; i++ {
 		m.OnRequesterACT(0, 0, 700, int64(i))
 		m.OnActivate(0, 700, int64(i), false)

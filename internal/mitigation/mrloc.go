@@ -8,7 +8,7 @@ import "repro/internal/stats"
 // interval are likelier to be refreshed. The published parameters target
 // HCfirst = 2000; like the paper, we evaluate it only there.
 type MRLoc struct {
-	p Params
+	base
 
 	queueSize int
 	pMax      float64
@@ -36,11 +36,12 @@ var MRLocDefaults = struct {
 
 // NewMRLoc builds the mechanism with published defaults.
 func NewMRLoc(p Params) (*MRLoc, error) {
-	if err := p.Validate(); err != nil {
+	b, err := newBase(p)
+	if err != nil {
 		return nil, err
 	}
 	return &MRLoc{
-		p:         p,
+		base:      b,
 		queueSize: MRLocDefaults.QueueSize,
 		pMax:      MRLocDefaults.PMax,
 		queue:     make([][]mrlocEntry, p.Banks),
@@ -52,8 +53,9 @@ func NewMRLoc(p Params) (*MRLoc, error) {
 func (m *MRLoc) Name() string { return "MRLoc" }
 
 func (m *MRLoc) OnActivate(bank, row int, cycle int64, fromMitigation bool) []int {
-	var refresh []int
-	for _, victim := range clampNeighbors(row, m.p.Rows) {
+	m.reset()
+	ns, n := neighbors(row, m.p.Rows)
+	for _, victim := range ns[:n] {
 		m.serial[bank]++
 		q := m.queue[bank]
 		// Find the victim's previous insertion, newest first.
@@ -71,7 +73,7 @@ func (m *MRLoc) OnActivate(bank, row int, cycle int64, fromMitigation bool) []in
 				// short gap get close to pMax, distant ones near zero.
 				pr := m.pMax * (1 - float64(dist)/float64(m.queueSize))
 				if m.rng.Bernoulli(pr) {
-					refresh = append(refresh, victim)
+					m.emit(victim)
 				}
 			}
 			q = append(q[:prev], q[prev+1:]...)
@@ -82,16 +84,8 @@ func (m *MRLoc) OnActivate(bank, row int, cycle int64, fromMitigation bool) []in
 		}
 		m.queue[bank] = q
 	}
-	return refresh
+	return m.out
 }
-
-func (m *MRLoc) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int { return nil }
-
-func (m *MRLoc) RefreshMultiplier() float64 { return 1 }
 
 // Viable only at the published HCfirst = 2000 operating point.
 func (m *MRLoc) Viable() bool { return m.p.HCFirst == MRLocDefaults.PublishedHCFirst }
-
-func (m *MRLoc) ViabilityNote() string {
-	return "parameters tuned empirically for HCfirst=2000; no scaling rule published"
-}

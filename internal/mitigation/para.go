@@ -12,7 +12,7 @@ import (
 // the cost of ever more refresh activations (Figure 10's most scalable
 // but eventually slowest curve).
 type PARA struct {
-	p    Params
+	base
 	prob float64
 	rng  *stats.RNG
 }
@@ -29,10 +29,11 @@ const TargetBER = 1e-15
 // (1−p/2)^HCfirst; with 3600s/(HCfirst·tRC) attack windows per hour the
 // per-window budget follows.
 func NewPARA(p Params, tckPS int64) (*PARA, error) {
-	if err := p.Validate(); err != nil {
+	b, err := newBase(p)
+	if err != nil {
 		return nil, err
 	}
-	m := &PARA{p: p, rng: stats.NewRNG(p.Seed ^ 0x9a7a)}
+	m := &PARA{base: b, rng: stats.NewRNG(p.Seed ^ 0x9a7a)}
 	trcSec := float64(p.TRC) * float64(tckPS) * 1e-12
 	windowsPerHour := 3600 / (float64(p.HCFirst) * trcSec)
 	if windowsPerHour < 1 {
@@ -47,28 +48,20 @@ func NewPARA(p Params, tckPS int64) (*PARA, error) {
 	return m, nil
 }
 
-// Probability returns the derived refresh probability p.
-func (m *PARA) Probability() float64 { return m.prob }
-
 func (m *PARA) Name() string { return "PARA" }
 
 func (m *PARA) OnActivate(bank, row int, cycle int64, fromMitigation bool) []int {
 	if !m.rng.Bernoulli(m.prob) {
 		return nil
 	}
-	ns := clampNeighbors(row, m.p.Rows)
-	if len(ns) <= 1 {
-		return ns // an edge row has one neighbour: no side to draw
+	m.reset()
+	ns, n := neighbors(row, m.p.Rows)
+	switch n {
+	case 1:
+		m.emit(ns[0]) // an edge row has one neighbour: no side to draw
+	case 2:
+		// Refresh one adjacent row, chosen uniformly.
+		m.emit(ns[m.rng.Intn(n)])
 	}
-	// Refresh one adjacent row, chosen uniformly.
-	return []int{ns[m.rng.Intn(len(ns))]}
+	return m.out
 }
-
-func (m *PARA) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int { return nil }
-
-func (m *PARA) RefreshMultiplier() float64 { return 1 }
-
-// Viable: PARA's design scales to any HCfirst.
-func (m *PARA) Viable() bool { return true }
-
-func (m *PARA) ViabilityNote() string { return "scales to arbitrary HCfirst by raising p" }

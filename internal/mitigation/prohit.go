@@ -9,14 +9,15 @@ import "repro/internal/stats"
 // implementation exposes the table parameters but reports itself viable
 // only at that published operating point.
 type ProHIT struct {
-	p Params
+	base
 
 	hotSize, coldSize int
 	pInsert           float64 // pi: probability an unseen victim enters cold
 	pEvict            float64 // pe: eviction position randomization
 	pPromote          float64 // pt: promotion position randomization
 
-	// Per-bank tables, most-significant entry first.
+	// Per-bank tables, most-significant entry first, allocated at their
+	// full size so the in-place updates below never reallocate.
 	hot, cold [][]int
 	rng       *stats.RNG
 }
@@ -35,11 +36,12 @@ var ProHITDefaults = struct {
 
 // NewProHIT builds the mechanism with the published defaults.
 func NewProHIT(p Params) (*ProHIT, error) {
-	if err := p.Validate(); err != nil {
+	b, err := newBase(p)
+	if err != nil {
 		return nil, err
 	}
 	m := &ProHIT{
-		p:        p,
+		base:     b,
 		hotSize:  ProHITDefaults.HotSize,
 		coldSize: ProHITDefaults.ColdSize,
 		pInsert:  ProHITDefaults.PInsert,
@@ -48,6 +50,10 @@ func NewProHIT(p Params) (*ProHIT, error) {
 		hot:      make([][]int, p.Banks),
 		cold:     make([][]int, p.Banks),
 		rng:      stats.NewRNG(p.Seed ^ 0x9406177),
+	}
+	for bank := range m.hot {
+		m.hot[bank] = make([]int, 0, m.hotSize)
+		m.cold[bank] = make([]int, 0, m.coldSize)
 	}
 	return m, nil
 }
@@ -64,7 +70,8 @@ func indexOf(tbl []int, row int) int {
 }
 
 func (m *ProHIT) OnActivate(bank, row int, cycle int64, fromMitigation bool) []int {
-	for _, victim := range clampNeighbors(row, m.p.Rows) {
+	ns, n := neighbors(row, m.p.Rows)
+	for _, victim := range ns[:n] {
 		m.observe(bank, victim)
 	}
 	return nil
@@ -124,27 +131,26 @@ func (m *ProHIT) insertCold(bank, victim int) {
 		cold = append(cold[:evict], cold[evict+1:]...)
 	}
 	// Most recently inserted entries sit at the front.
-	cold = append([]int{victim}, cold...)
+	cold = append(cold, 0)
+	copy(cold[1:], cold)
+	cold[0] = victim
 	m.cold[bank] = cold
 }
 
 // OnAutoRefresh refreshes the top hot entry of the refreshed bank and
-// removes it, as the paper describes, and drops tracking state for rows
-// covered by the rotation.
+// removes it from the table, as the paper describes. The rest of the
+// bank's tracking state is kept, including entries for rows the REF's
+// rotation has just refreshed.
 func (m *ProHIT) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int {
-	var out []int
-	if hot := m.hot[bank]; len(hot) > 0 {
-		out = append(out, hot[0])
-		m.hot[bank] = hot[1:]
+	hot := m.hot[bank]
+	if len(hot) == 0 {
+		return nil
 	}
-	return out
+	m.reset()
+	m.emit(hot[0])
+	m.hot[bank] = append(hot[:0], hot[1:]...)
+	return m.out
 }
-
-func (m *ProHIT) RefreshMultiplier() float64 { return 1 }
 
 // Viable only at the published HCfirst = 2000 operating point.
 func (m *ProHIT) Viable() bool { return m.p.HCFirst == ProHITDefaults.PublishedHCFirst }
-
-func (m *ProHIT) ViabilityNote() string {
-	return "published parameters cover HCfirst=2000 only; no scaling model exists"
-}

@@ -10,16 +10,17 @@ package mitigation
 // The design cannot scale below HCfirst ≈ 32k: the window becomes too
 // short to fit the per-window refresh commands themselves.
 type IncreasedRefresh struct {
-	p          Params
+	base
 	multiplier float64
 }
 
 // NewIncreasedRefresh builds the mechanism for the given parameters.
 func NewIncreasedRefresh(p Params) (*IncreasedRefresh, error) {
-	if err := p.Validate(); err != nil {
+	b, err := newBase(p)
+	if err != nil {
 		return nil, err
 	}
-	m := &IncreasedRefresh{p: p}
+	m := &IncreasedRefresh{base: b}
 	scaledWindow := float64(p.HCFirst) * float64(p.TRC)
 	m.multiplier = float64(p.TREFW) / scaledWindow
 	if m.multiplier < 1 {
@@ -30,20 +31,8 @@ func NewIncreasedRefresh(p Params) (*IncreasedRefresh, error) {
 
 func (m *IncreasedRefresh) Name() string { return "IncreasedRefresh" }
 
-func (m *IncreasedRefresh) OnActivate(bank, row int, cycle int64, fromMitigation bool) []int {
-	return nil
-}
-
-func (m *IncreasedRefresh) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int {
-	return nil
-}
-
 func (m *IncreasedRefresh) RefreshMultiplier() float64 { return m.multiplier }
 
 // Viable reports whether the scaled refresh window is long enough to
 // scale refresh this far (Section 6.1's HCfirst ≥ 32k bound).
 func (m *IncreasedRefresh) Viable() bool { return m.p.HCFirst >= 32_000 }
-
-func (m *IncreasedRefresh) ViabilityNote() string {
-	return "refresh window HCfirst×tRC cannot fit the mandatory refreshes below HCfirst≈32k"
-}

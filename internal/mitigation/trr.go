@@ -31,15 +31,15 @@ import (
 // TRR issues no refreshes beyond the piggybacked victim rows and never
 // changes the REF pace.
 type TRR struct {
-	p   Params
+	base
 	cfg TRRConfig
 
 	// tables holds per-bank sampler entries, insertion order preserved.
 	tables [][]trrEntry
 	rng    *stats.RNG
 
-	// epochStart is the start cycle of the current tREFW clearing epoch.
-	epochStart int64
+	// epoch is the tREFW clearing epoch.
+	epoch epoch
 
 	samples         int64
 	victimRefreshes int64
@@ -83,7 +83,8 @@ func NewTRR(p Params) (*TRR, error) { return NewTRRWithConfig(p, TRRConfig{}) }
 // NewTRRWithConfig builds the sampler with explicit parameters; zero
 // fields keep the defaults.
 func NewTRRWithConfig(p Params, cfg TRRConfig) (*TRR, error) {
-	if err := p.Validate(); err != nil {
+	b, err := newBase(p)
+	if err != nil {
 		return nil, err
 	}
 	if cfg.SampleRate == 0 {
@@ -119,24 +120,20 @@ func NewTRRWithConfig(p Params, cfg TRRConfig) (*TRR, error) {
 		}
 	}
 	return &TRR{
-		p:      p,
+		base:   b,
 		cfg:    cfg,
 		tables: make([][]trrEntry, p.Banks),
 		rng:    stats.NewRNG(p.Seed ^ 0x7225a3),
+		epoch:  epoch{length: p.TREFW},
 	}, nil
 }
 
 func (m *TRR) Name() string { return "TRR" }
 
-// Config returns the resolved sampler parameters (defaults filled,
-// threshold derived).
-func (m *TRR) Config() TRRConfig { return m.cfg }
-
 // rotate clears every bank's counters at tREFW boundaries: the rotation
 // has refreshed all rows by then, so accumulated suspicion is stale.
 func (m *TRR) rotate(cycle int64) {
-	for cycle-m.epochStart >= m.p.TREFW {
-		m.epochStart += m.p.TREFW
+	for m.epoch.next(cycle) {
 		for b := range m.tables {
 			m.tables[b] = m.tables[b][:0]
 		}
@@ -199,34 +196,23 @@ func (m *TRR) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int {
 	if bank < 0 || bank >= m.p.Banks {
 		return nil
 	}
-	var out []int
+	m.reset()
 	kept := m.tables[bank][:0]
 	for _, e := range m.tables[bank] {
 		if e.count >= m.cfg.Threshold {
-			ns := clampNeighbors(e.row, m.p.Rows)
-			out = append(out, ns...)
-			m.victimRefreshes += int64(len(ns))
+			ns, n := neighbors(e.row, m.p.Rows)
+			m.emit(ns[:n]...)
+			m.victimRefreshes += int64(n)
 			continue
 		}
 		kept = append(kept, e)
 	}
 	m.tables[bank] = kept
-	return out
+	return m.out
 }
-
-func (m *TRR) RefreshMultiplier() float64 { return 1 }
 
 // Samples returns how many activations the sampler has observed.
 func (m *TRR) Samples() int64 { return m.samples }
 
 // VictimRefreshes returns how many neighbour refreshes REFs have issued.
 func (m *TRR) VictimRefreshes() int64 { return m.victimRefreshes }
-
-// Viable: samplers are what vendors actually deployed at low HCfirst, so
-// the mechanism is "viable" at any point — the trr-dodge study exists to
-// show that viable is not the same as secure.
-func (m *TRR) Viable() bool { return true }
-
-func (m *TRR) ViabilityNote() string {
-	return "deployed in-DRAM sampler; dodgeable by paced (duty-cycle/phase) and table-thrashing attacks"
-}

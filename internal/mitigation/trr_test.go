@@ -46,7 +46,7 @@ func TestTRRConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := m.Config()
+	cfg := m.cfg
 	if cfg.SampleRate != TRRDefaults.SampleRate || cfg.TableSize != TRRDefaults.TableSize ||
 		cfg.WindowFrac != TRRDefaults.WindowFrac {
 		t.Errorf("defaults not filled: %+v", cfg)

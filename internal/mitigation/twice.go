@@ -11,13 +11,13 @@ package mitigation
 // would grow unboundedly. TWiCe-ideal assumes those engineering issues
 // away and is what the paper evaluates below 32k.
 type TWiCe struct {
-	p     Params
+	base
 	ideal bool
 
 	tRH     float64 // refresh threshold in activations
 	pruneTh float64 // activations-per-lifetime pruning rate
 
-	tables []map[int]*twiceEntry // per bank
+	tables []map[int]twiceEntry // per bank
 }
 
 type twiceEntry struct {
@@ -28,18 +28,19 @@ type twiceEntry struct {
 // NewTWiCe builds the mechanism; ideal selects TWiCe-ideal, which is
 // evaluated below the real design's HCfirst ≥ 32k bound.
 func NewTWiCe(p Params, ideal bool) (*TWiCe, error) {
-	if err := p.Validate(); err != nil {
+	b, err := newBase(p)
+	if err != nil {
 		return nil, err
 	}
-	m := &TWiCe{p: p, ideal: ideal}
+	m := &TWiCe{base: b, ideal: ideal}
 	m.tRH = float64(p.HCFirst) / 4
 	if m.tRH < 1 {
 		m.tRH = 1
 	}
 	m.pruneTh = m.tRH / p.refsPerWindow()
-	m.tables = make([]map[int]*twiceEntry, p.Banks)
+	m.tables = make([]map[int]twiceEntry, p.Banks)
 	for i := range m.tables {
-		m.tables[i] = make(map[int]*twiceEntry)
+		m.tables[i] = make(map[int]twiceEntry)
 	}
 	return m, nil
 }
@@ -51,27 +52,23 @@ func (m *TWiCe) Name() string {
 	return "TWiCe"
 }
 
-// TRH returns the refresh threshold in activations.
-func (m *TWiCe) TRH() float64 { return m.tRH }
-
 func (m *TWiCe) OnActivate(bank, row int, cycle int64, fromMitigation bool) []int {
-	var refresh []int
+	m.reset()
 	tbl := m.tables[bank]
-	for _, victim := range clampNeighbors(row, m.p.Rows) {
-		e, ok := tbl[victim]
-		if !ok {
-			e = &twiceEntry{}
-			tbl[victim] = e
-		}
+	ns, n := neighbors(row, m.p.Rows)
+	for _, victim := range ns[:n] {
 		// Each adjacent activation contributes half a (double-sided)
 		// hammer to the victim.
+		e := tbl[victim]
 		e.acts += 0.5
 		if e.acts >= m.tRH {
-			refresh = append(refresh, victim)
+			m.emit(victim)
 			delete(tbl, victim)
+			continue
 		}
+		tbl[victim] = e
 	}
-	return refresh
+	return m.out
 }
 
 // OnAutoRefresh performs the pruning stage (hidden behind REF latency in
@@ -87,21 +84,11 @@ func (m *TWiCe) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int {
 		e.life++
 		if e.acts < m.pruneTh*e.life {
 			delete(tbl, row)
+			continue
 		}
+		tbl[row] = e
 	}
 	return nil
-}
-
-func (m *TWiCe) RefreshMultiplier() float64 { return 1 }
-
-// TableEntries reports the current tracking-table occupancy (for the
-// scalability analysis).
-func (m *TWiCe) TableEntries() int {
-	n := 0
-	for _, tbl := range m.tables {
-		n += len(tbl)
-	}
-	return n
 }
 
 // Viable: the real design requires tRH ≥ refreshes-per-window (within a
@@ -113,11 +100,4 @@ func (m *TWiCe) Viable() bool {
 		return true
 	}
 	return m.tRH >= 0.95*m.p.refsPerWindow()
-}
-
-func (m *TWiCe) ViabilityNote() string {
-	if m.ideal {
-		return "idealized: assumes the pruning/table-size issues below HCfirst=32k are solved"
-	}
-	return "tRH below the per-window refresh count (HCfirst < 32k) breaks pruning"
 }

@@ -208,6 +208,24 @@ func TestNonPowerOfTwoBanksRejected(t *testing.T) {
 	}
 }
 
+// TestMultiRankRejected pins that a channel with more than one rank is an
+// error: the controller issues every command to rank 0, so two requests
+// to one bank and row in different ranks would share a single ACT.
+func TestMultiRankRejected(t *testing.T) {
+	cfg := quickConfig()
+	cfg.Geo.Ranks = 2
+	ch, err := dram.NewChannel(cfg.Geo, cfg.T)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := memctrl.New(cfg.Ctrl, ch, nil); err == nil {
+		t.Error("memctrl.New accepted a 2-rank channel")
+	}
+	if _, err := Run(cfg, quickMix(1, 1)); err == nil {
+		t.Error("Run accepted a 2-rank channel")
+	}
+}
+
 func TestRequesterStatsReachController(t *testing.T) {
 	cfg := quickConfig()
 	mix := quickMix(3, 5)

@@ -117,12 +117,3 @@ func (r *RNG) Normal() float64 {
 // Fork derives an independent generator from this one, for giving each
 // chip/row/workload its own stream without coupling draw orders.
 func (r *RNG) Fork() *RNG { return NewRNG(r.Uint64()) }
-
-// Shuffle permutes the first n indices using the Fisher–Yates algorithm,
-// calling swap for each exchange.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}

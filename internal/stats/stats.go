@@ -1,7 +1,7 @@
 // Package stats provides the small set of statistics used throughout the
-// RowHammer reproduction: box-and-whisker summaries (Figure 8), histograms
-// (Figures 4, 6, 7), means with deviations (Figure 9, Table 5), and
-// least-squares fits in log-log space (Observation 4).
+// RowHammer reproduction: box-and-whisker summaries (Figure 8), means
+// with deviations (Figures 6, 7 and 9), and least-squares fits in
+// log-log space (Figure 5, Observation 4).
 package stats
 
 import (
@@ -146,56 +146,6 @@ func NewBoxPlot(xs []float64) (BoxPlot, error) {
 	return b, nil
 }
 
-// Histogram counts samples into len(edges)-1 bins; edges must be strictly
-// increasing. Samples outside [edges[0], edges[last]) are dropped, except
-// that a sample equal to the final edge lands in the last bin.
-type Histogram struct {
-	Edges  []float64
-	Counts []int
-	Total  int // samples actually binned
-}
-
-// NewHistogram builds a histogram of xs over the given bin edges.
-func NewHistogram(xs []float64, edges []float64) (*Histogram, error) {
-	if len(edges) < 2 {
-		return nil, errors.New("stats: histogram needs at least two edges")
-	}
-	for i := 1; i < len(edges); i++ {
-		if edges[i] <= edges[i-1] {
-			return nil, errors.New("stats: histogram edges must be strictly increasing")
-		}
-	}
-	h := &Histogram{Edges: edges, Counts: make([]int, len(edges)-1)}
-	for _, x := range xs {
-		if x < edges[0] || x > edges[len(edges)-1] {
-			continue
-		}
-		i := sort.SearchFloat64s(edges, x)
-		// SearchFloat64s returns the first index with edges[i] >= x.
-		if i > 0 && (i == len(edges) || edges[i] != x) {
-			i--
-		}
-		if i == len(edges)-1 {
-			i-- // x equals the final edge
-		}
-		h.Counts[i]++
-		h.Total++
-	}
-	return h, nil
-}
-
-// Fractions returns each bin count as a fraction of the binned total.
-func (h *Histogram) Fractions() []float64 {
-	fs := make([]float64, len(h.Counts))
-	if h.Total == 0 {
-		return fs
-	}
-	for i, c := range h.Counts {
-		fs[i] = float64(c) / float64(h.Total)
-	}
-	return fs
-}
-
 // LinearFit is a least-squares line y = Slope·x + Intercept with the
 // coefficient of determination R2.
 type LinearFit struct {
@@ -246,19 +196,4 @@ func FitLogLog(xs, ys []float64) (LinearFit, error) {
 		}
 	}
 	return FitLine(lx, ly)
-}
-
-// GeoMean returns the geometric mean of xs; all entries must be positive.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: geometric mean requires positive values")
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs))), nil
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -89,30 +88,6 @@ func TestBoxPlot(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h, err := NewHistogram([]float64{0.5, 1.5, 1.7, 2.5, 3}, []float64{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Counts[0] != 1 || h.Counts[1] != 2 || h.Counts[2] != 2 {
-		t.Errorf("counts = %v", h.Counts)
-	}
-	fr := h.Fractions()
-	sum := 0.0
-	for _, f := range fr {
-		sum += f
-	}
-	if math.Abs(sum-1) > 1e-12 {
-		t.Errorf("fractions sum to %v", sum)
-	}
-	if _, err := NewHistogram(nil, []float64{1}); err == nil {
-		t.Error("single-edge histogram accepted")
-	}
-	if _, err := NewHistogram(nil, []float64{2, 1}); err == nil {
-		t.Error("non-increasing edges accepted")
-	}
-}
-
 func TestFitLine(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{3, 5, 7, 9} // y = 2x + 1
@@ -144,22 +119,6 @@ func TestFitLogLogPowerLaw(t *testing.T) {
 	}
 	if math.Abs(f.Slope-2.5) > 1e-9 {
 		t.Errorf("log-log slope = %v, want 2.5", f.Slope)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(g-4) > 1e-12 {
-		t.Errorf("geomean = %v, want 4", g)
-	}
-	if _, err := GeoMean([]float64{1, -1}); err == nil {
-		t.Error("negative value accepted")
-	}
-	if _, err := GeoMean(nil); err == nil {
-		t.Error("empty accepted")
 	}
 }
 
@@ -255,19 +214,6 @@ func TestRNGNormal(t *testing.T) {
 	std := math.Sqrt(ss/float64(n) - mean*mean)
 	if math.Abs(mean) > 0.02 || math.Abs(std-1) > 0.02 {
 		t.Errorf("normal mean=%v std=%v", mean, std)
-	}
-}
-
-func TestRNGShuffleIsPermutation(t *testing.T) {
-	r := NewRNG(3)
-	xs := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	r.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	sorted := append([]int(nil), xs...)
-	sort.Ints(sorted)
-	for i, v := range sorted {
-		if v != i {
-			t.Fatalf("shuffle lost elements: %v", xs)
-		}
 	}
 }
 

@@ -420,7 +420,8 @@ func NewChannel(geo Geometry, t Timing) (*Channel, error) { return dram.NewChann
 // NewAddressMapper builds the address translator for a geometry.
 func NewAddressMapper(geo Geometry) (*AddressMapper, error) { return dram.NewAddressMapper(geo) }
 
-// NewMemController builds a controller over a channel; mech may be nil.
+// NewMemController builds a controller over a single-rank channel; mech
+// may be nil.
 func NewMemController(cfg MemControllerConfig, ch *Channel, mech Mechanism) (*MemController, error) {
 	return memctrl.New(cfg, ch, mech)
 }
