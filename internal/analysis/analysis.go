@@ -48,17 +48,6 @@ type Analyzer struct {
 	FactTypes []Fact
 }
 
-// usesFacts reports whether any analyzer in the set declares facts, in
-// which case the driver must walk dependencies fact-first.
-func usesFacts(analyzers []*Analyzer) bool {
-	for _, a := range analyzers {
-		if len(a.FactTypes) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Analyzers returns the full suite in catalog order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{MapIter, WallClock, HotAlloc, SeedFlow}

@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -121,13 +122,19 @@ func TestFactsFixtureStandalone(t *testing.T) {
 	}
 }
 
-// TestFactStoreRoundTrip pins gob serialization for every fact type and
-// the byte-determinism of Encode.
-func TestFactStoreRoundTrip(t *testing.T) {
+// sampleFacts holds one fact of every type.
+func sampleFacts() *FactStore {
 	s := NewFactStore()
 	s.put("example.com/a", "F", &Allocates{Why: "append at f.go:10"})
 	s.put("example.com/a", "G", &Impure{TimeNow: true, Getenv: true, Why: "time.Now at g.go:3"})
 	s.put("example.com/b", "T.M", &ReturnsDerivedPRNG{})
+	return s
+}
+
+// TestFactStoreRoundTrip pins gob serialization for every fact type and
+// the byte-determinism of Encode.
+func TestFactStoreRoundTrip(t *testing.T) {
+	s := sampleFacts()
 	data, err := s.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -163,6 +170,49 @@ func TestFactStoreRoundTrip(t *testing.T) {
 	if err := NewFactStore().Decode(nil); err != nil {
 		t.Errorf("Decode(nil) = %v, want nil", err)
 	}
+}
+
+// FuzzDecodeFacts covers the vetx fact files rhlint reads from a unit's
+// dependencies under go vet -vettool, outside bytes: Decode never
+// panics, every fact it accepts reads back through get, and an accepted
+// store re-encodes to bytes that decode and re-encode identically.
+func FuzzDecodeFacts(f *testing.F) {
+	seed, err := sampleFacts().Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := NewFactStore()
+		if err := s.Decode(data); err != nil {
+			return
+		}
+		for k, f := range s.m {
+			got := reflect.New(reflect.TypeOf(f).Elem()).Interface().(Fact)
+			if !s.get(k.pkg, k.obj, got) || !reflect.DeepEqual(got, f) {
+				t.Fatalf("fact %q.%q %T does not read back: got %+v, want %+v", k.pkg, k.obj, f, got, f)
+			}
+		}
+		enc, err := s.Encode()
+		if err != nil {
+			t.Fatalf("encode accepted facts: %v", err)
+		}
+		again := NewFactStore()
+		if err := again.Decode(enc); err != nil {
+			t.Fatalf("re-encoded facts rejected: %v", err)
+		}
+		if again.Len() != s.Len() {
+			t.Fatalf("re-decoding kept %d of %d facts", again.Len(), s.Len())
+		}
+		enc2, err := again.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoding changed the bytes:\n%q\nvs\n%q", enc, enc2)
+		}
+	})
 }
 
 // diagLine normalizes one driver output line to "base.go:line: message",

@@ -69,14 +69,16 @@ type Cache struct {
 	free     *mshr     // idle MSHRs
 	inflight mshrTable // outstanding MSHRs by line address
 
-	// hit-latency delay ring: ring[cycle % len] holds callbacks due.
+	// Hit-latency delay ring: a callback due d Ticks from now waits in
+	// ring[(head+d) % len(ring)]. Slots are relative to head, and Tick
+	// moves head only while a callback is pending, because an empty
+	// ring's position is unobservable.
 	ring     [][]func()
-	cycle    int64
+	head     int
 	npending int // callbacks waiting in the ring
 
-	Stats    Stats
-	PerCore  []Stats
-	nrequest int
+	Stats   Stats
+	PerCore []Stats
 }
 
 // New builds a cache over the backend for n requesters (cores).
@@ -131,55 +133,36 @@ func New(cfg Config, backend Backend, cores int) (*Cache, error) {
 	return c, nil
 }
 
-// Tick advances the CPU clock and fires due hit callbacks.
+// Tick advances the CPU clock one cycle and fires the hit callbacks due.
+// With nothing pending it returns at once.
 func (c *Cache) Tick() {
-	c.cycle++
-	slot := c.cycle % int64(len(c.ring))
-	if fns := c.ring[slot]; len(fns) > 0 {
+	if c.npending == 0 {
+		return
+	}
+	c.head++
+	if c.head == len(c.ring) {
+		c.head = 0
+	}
+	if fns := c.ring[c.head]; len(fns) > 0 {
 		c.npending -= len(fns)
 		for _, fn := range fns {
 			fn()
 		}
-		c.ring[slot] = c.ring[slot][:0]
+		c.ring[c.head] = c.ring[c.head][:0]
 	}
 }
 
-// AdvanceIdle advances the CPU clock n cycles without firing anything.
-// Legal only when no ring callback is due in the window — the caller must
-// cap n below NextPendingCycle()-Cycle().
+// HitsPending reports whether a hit callback is waiting in the ring.
+// While one is, every cycle needs a real Tick.
 //
 //rhlint:hotpath
-func (c *Cache) AdvanceIdle(n int64) { c.cycle += n }
-
-// Cycle returns the cache's current CPU cycle.
-func (c *Cache) Cycle() int64 { return c.cycle }
-
-// NextPendingCycle returns the cycle at which the earliest scheduled hit
-// callback fires, or -1 when the ring is empty. Every scheduled callback
-// is due within the next len(ring)-1 cycles, so occupied slots map back
-// to absolute cycles unambiguously; the scan walks forward from the next
-// cycle and stops at the first occupied slot, so a callback due soon
-// costs only a few probes.
-//
-//rhlint:hotpath
-func (c *Cache) NextPendingCycle() int64 {
-	if c.npending == 0 {
-		return -1
-	}
-	l := int64(len(c.ring))
-	for d := int64(1); d <= l; d++ {
-		if len(c.ring[(c.cycle+d)%l]) > 0 {
-			return c.cycle + d
-		}
-	}
-	return -1
-}
+func (c *Cache) HitsPending() bool { return c.npending > 0 }
 
 func (c *Cache) schedule(delay int, fn func()) {
 	if delay < 1 {
 		delay = 1
 	}
-	slot := (c.cycle + int64(delay)) % int64(len(c.ring))
+	slot := (c.head + delay) % len(c.ring)
 	//rhlint:allow hotalloc(amortized: Tick truncates fired slots to length 0, so slot capacity is reused across cycles)
 	c.ring[slot] = append(c.ring[slot], fn)
 	c.npending++

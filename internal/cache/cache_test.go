@@ -289,39 +289,47 @@ func TestPerCoreStats(t *testing.T) {
 	}
 }
 
-// TestNextPendingCycleAcrossWrap checks the event engine's LLC horizon:
-// the earliest due hit callback is found at every ring phase, including
-// a callback whose slot sits just behind the current index, which the
-// forward scan reaches only by wrapping past the end of the ring.
-func TestNextPendingCycleAcrossWrap(t *testing.T) {
+// TestHitRingAfterIdleTicks checks the hit-latency ring, whose slots are
+// relative to a head that idle Ticks leave in place: after k idle Ticks,
+// for every k up to twice the ring length, a hit scheduled now fires on
+// exactly the HitLatency-th later Tick, and a second hit with a shorter
+// delay fires first. Each round moves the head by HitLatency, so the
+// rounds start at every ring phase.
+func TestHitRingAfterIdleTicks(t *testing.T) {
 	cfg := Table6Config()
-	cfg.HitLatency = 5 // a six-slot ring; 5 steps per phase visit every offset
+	cfg.HitLatency = 5 // a six-slot ring
 	c, err := New(cfg, &fakeMem{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fired := 0
-	cb := func() { fired++ }
-	want := func(due int64) {
-		t.Helper()
-		if got := c.NextPendingCycle(); got != due {
-			t.Fatalf("cycle %d: NextPendingCycle = %d, want %d", c.Cycle(), got, due)
+	const short = 2
+	for k := 0; k <= 2*len(c.ring); k++ {
+		for i := 0; i < k; i++ {
+			c.Tick()
 		}
-	}
-	for phase := 0; phase < 2*len(c.ring); phase++ {
-		now := c.Cycle()
-		want(-1)
-		c.schedule(cfg.HitLatency, cb)
-		want(now + int64(cfg.HitLatency))
-		c.schedule(2, cb)
-		want(now + 2)
-		c.AdvanceIdle(1)
-		c.Tick() // fires the callback due at now+2
-		want(now + int64(cfg.HitLatency))
-		c.AdvanceIdle(int64(cfg.HitLatency) - 3)
-		c.Tick()
-		if fired != 2*(phase+1) {
-			t.Fatalf("phase %d: %d callbacks fired, want %d", phase, fired, 2*(phase+1))
+		if c.HitsPending() {
+			t.Fatalf("k=%d: a hit is pending after idle ticks", k)
+		}
+		tick, longAt, shortAt := 0, 0, 0
+		c.schedule(cfg.HitLatency, func() { longAt = tick })
+		c.schedule(short, func() {
+			if longAt != 0 {
+				t.Errorf("k=%d: the shorter hit fired after the longer one", k)
+			}
+			shortAt = tick
+		})
+		for tick = 1; tick <= cfg.HitLatency; tick++ {
+			if !c.HitsPending() {
+				t.Fatalf("k=%d: nothing pending before tick %d", k, tick)
+			}
+			c.Tick()
+		}
+		if shortAt != short || longAt != cfg.HitLatency {
+			t.Fatalf("k=%d: hits fired on ticks %d and %d, want %d and %d",
+				k, shortAt, longAt, short, cfg.HitLatency)
+		}
+		if c.HitsPending() {
+			t.Fatalf("k=%d: a hit is still pending", k)
 		}
 	}
 }

@@ -6,6 +6,7 @@ package cpu
 
 import (
 	"errors"
+	"fmt"
 
 	"repro/internal/cache"
 	"repro/internal/trace"
@@ -32,9 +33,9 @@ type Core struct {
 	pass   int64
 	offset int64 // current pass's address offset
 
-	// Instruction window: a ring of done flags. seqHead is the sequence
-	// number of the oldest in-flight instruction. mask shortcuts the ring
-	// modulo when the window size is a power of two (-1 otherwise).
+	// Instruction window: a ring of done flags indexed by sequence number
+	// modulo the (power-of-two) window size. seqHead is the sequence
+	// number of the oldest in-flight instruction.
 	done    []bool
 	mask    int64
 	seqHead int64
@@ -58,7 +59,6 @@ type Core struct {
 
 	Retired int64
 	Cycles  int64
-	stalled int64 // cycles with zero issue due to back-pressure
 }
 
 // New builds a core over the shared cache.
@@ -66,19 +66,18 @@ func New(id int, cfg Config, trc *trace.Trace, llc *cache.Cache) (*Core, error) 
 	if cfg.IssueWidth <= 0 || cfg.WindowSize <= 0 {
 		return nil, errors.New("cpu: issue width and window size must be positive")
 	}
+	if cfg.WindowSize&(cfg.WindowSize-1) != 0 {
+		return nil, fmt.Errorf("cpu: window size %d must be a power of two", cfg.WindowSize)
+	}
 	if trc == nil || len(trc.Records) == 0 {
 		return nil, errors.New("cpu: empty trace")
-	}
-	mask := int64(-1)
-	if cfg.WindowSize&(cfg.WindowSize-1) == 0 {
-		mask = int64(cfg.WindowSize - 1)
 	}
 	c := &Core{
 		ID:       id,
 		cfg:      cfg,
 		trc:      trc,
 		done:     make([]bool, cfg.WindowSize),
-		mask:     mask,
+		mask:     int64(cfg.WindowSize - 1),
 		complete: make([]func(), cfg.WindowSize),
 		llc:      llc,
 	}
@@ -96,23 +95,14 @@ func (c *Core) IPC() float64 {
 	return float64(c.Retired) / float64(c.Cycles)
 }
 
-// StallCycles returns cycles in which the core could not issue anything.
-func (c *Core) StallCycles() int64 { return c.stalled }
-
 // ResetStats zeroes retirement statistics (end of warmup) without
 // disturbing the pipeline state.
 func (c *Core) ResetStats() {
 	c.Retired = 0
 	c.Cycles = 0
-	c.stalled = 0
 }
 
-func (c *Core) slot(seq int64) int {
-	if c.mask >= 0 {
-		return int(seq & c.mask)
-	}
-	return int(seq % int64(len(c.done)))
-}
+func (c *Core) slot(seq int64) int { return int(seq & c.mask) }
 
 // Tick advances the core one CPU cycle: retire up to IssueWidth done
 // instructions from the window head, then issue up to IssueWidth new ones.
@@ -190,18 +180,15 @@ func (c *Core) Tick() {
 		c.recLoaded = false
 		issued++
 	}
-	if issued == 0 && c.inFlite > 0 {
-		c.stalled++
-	}
 }
 
-// BulkWindow reports how many CPU cycles the core can advance without an
-// exact Tick, and which bulk method applies. A window of 0 means the core
-// must tick cycle-by-cycle. The two bulk-replayable states:
+// BulkWindow reports how many CPU cycles Advance may replay in place of
+// exact Ticks; 0 means the core must tick cycle by cycle. Two states are
+// replayable:
 //
 //   - blocked: the instruction window is full and its head instruction is
-//     incomplete. Tick is exactly {Cycles++, stalled++} until an external
-//     callback completes the head, and callbacks only fire from the LLC or
+//     incomplete. Tick is exactly Cycles++ until an external callback
+//     completes the head, and callbacks only fire from the LLC or
 //     controller clocks — which the event engine holds still during a
 //     jump. Unbounded (the engine's other horizons cap the jump).
 //
@@ -212,36 +199,34 @@ func (c *Core) Tick() {
 //     cycles.
 //
 //rhlint:hotpath
-func (c *Core) BulkWindow() (n int64, gapRun bool) {
-	if c.inFlite == len(c.done) && !c.done[c.slot(c.seqHead)] {
-		return 1 << 62, false
+func (c *Core) BulkWindow() int64 {
+	if c.blocked() {
+		return 1 << 62
 	}
 	if c.outstanding == 0 && c.recLoaded && c.gapLeft > c.cfg.IssueWidth {
-		return int64((c.gapLeft - 1) / c.cfg.IssueWidth), true
+		return int64((c.gapLeft - 1) / c.cfg.IssueWidth)
 	}
-	return 0, false
+	return 0
 }
 
-// AdvanceIdle advances a blocked core (window full, head incomplete) by n
-// cycles: pure stall time.
-//
-//rhlint:hotpath
-func (c *Core) AdvanceIdle(n int64) {
-	c.Cycles += n
-	c.stalled += n
+func (c *Core) blocked() bool {
+	return c.inFlite == len(c.done) && !c.done[c.slot(c.seqHead)]
 }
 
-// AdvanceGap replays n cycles of a gap run (BulkWindow gapRun=true, n no
-// larger than its window) without touching the done ring per cycle. With
-// every in-flight slot complete, one cycle retires r=min(I,inFlite) and
-// issues a=min(I, W-inFlite+r) immediately-done gap instructions; the
-// state reaches a fixed point (r==a) after at most one transient cycle,
-// so the remainder is a multiplication. The done ring is rebuilt at the
-// end: exactly the surviving in-flight span is complete.
+// Advance replays n cycles, n no larger than BulkWindow(), with the same
+// effect as n Ticks. A blocked core only counts cycles. In a gap run
+// every in-flight slot is complete, so one cycle retires
+// r=min(I,inFlite) and issues a=min(I, W-inFlite+r) immediately-done gap
+// instructions; the state reaches a fixed point (r==a) after at most one
+// transient cycle, so the remainder is a multiplication. The done ring is
+// rebuilt at the end: exactly the surviving in-flight span is complete.
 //
 //rhlint:hotpath
-func (c *Core) AdvanceGap(n int64) {
+func (c *Core) Advance(n int64) {
 	c.Cycles += n
+	if c.blocked() {
+		return
+	}
 	iw := int64(c.cfg.IssueWidth)
 	w := int64(len(c.done))
 	f := int64(c.inFlite)

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
@@ -41,6 +42,10 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(0, Table6Config(), &trace.Trace{}, llc); err == nil {
 		t.Error("empty trace accepted")
+	}
+	// Window slots are sequence numbers masked by size-1.
+	if _, err := New(0, Config{IssueWidth: 4, WindowSize: 100}, tr, llc); err == nil {
+		t.Error("window size 100 accepted")
 	}
 }
 
@@ -183,5 +188,106 @@ func TestPassOffsetAdvancesAddresses(t *testing.T) {
 	// keep growing well beyond the two distinct trace lines.
 	if mem.reads < 10 {
 		t.Errorf("backend reads = %d; pass shifting not applied", mem.reads)
+	}
+}
+
+// heldMem accepts every read and completes it only on release.
+type heldMem struct{ pending []func() }
+
+func (m *heldMem) EnqueueRead(_ int, _ int64, onDone func()) bool {
+	m.pending = append(m.pending, onDone)
+	return true
+}
+func (m *heldMem) EnqueueWrite(int, int64) {}
+
+func (m *heldMem) release() {
+	for _, fn := range m.pending {
+		fn()
+	}
+	m.pending = nil
+}
+
+// coreState is everything Tick reads or writes on the core.
+type coreState struct {
+	Retired, Cycles, SeqHead int64
+	InFlite, Outstanding     int
+	Done                     []bool
+	Pos, GapLeft             int
+	Pass, Offset             int64
+	RecLoaded                bool
+	Rec                      trace.Record
+}
+
+func stateOf(c *Core) coreState {
+	return coreState{
+		Retired: c.Retired, Cycles: c.Cycles, SeqHead: c.seqHead,
+		InFlite: c.inFlite, Outstanding: c.outstanding,
+		Done: append([]bool(nil), c.done...),
+		Pos:  c.pos, GapLeft: c.gapLeft, Pass: c.pass, Offset: c.offset,
+		RecLoaded: c.recLoaded, Rec: c.rec,
+	}
+}
+
+// TestAdvanceMatchesTicks checks the event engine's bulk replay against
+// the exact path: for every n up to BulkWindow(), Advance(n) leaves a
+// core exactly where n Ticks leave its twin over the same trace. One
+// load with a long gap behind it drives the core through both
+// replayable states: blocked while the load's fill is withheld (the
+// window fills with completed gap instructions behind it), then a gap
+// run once the fill lands.
+func TestAdvanceMatchesTicks(t *testing.T) {
+	tr := &trace.Trace{Records: []trace.Record{
+		{Gap: 0, Addr: 0},
+		{Gap: 2000, Addr: 64 * 64},
+	}}
+	// build makes a core and ticks it into the state under test; twins
+	// built by the same calls are identical.
+	build := func(t *testing.T, release bool) (*Core, *cache.Cache) {
+		mem := &heldMem{}
+		llc := newLLC(t, mem)
+		c, err := New(0, Table6Config(), tr, llc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for c.BulkWindow() == 0 {
+			llc.Tick()
+			c.Tick()
+		}
+		if release {
+			mem.release()
+			for c.BulkWindow() == 0 {
+				llc.Tick()
+				c.Tick()
+			}
+		}
+		return c, llc
+	}
+	// A blocked core's window is unbounded; a few window lengths of stall
+	// stand for it.
+	const blockedCap = 4 * 128
+	for _, tc := range []struct {
+		name    string
+		release bool // the fill lands: a gap run, else blocked
+	}{
+		{"blocked", false},
+		{"gap run", true},
+	} {
+		c, _ := build(t, tc.release)
+		window := min(c.BulkWindow(), blockedCap)
+		if tc.release != (c.outstanding == 0) {
+			t.Fatalf("%s: setup reached the wrong state (outstanding %d)", tc.name, c.outstanding)
+		}
+		for n := int64(1); n <= window; n++ {
+			bulk, _ := build(t, tc.release)
+			exact, llc := build(t, tc.release)
+			bulk.Advance(n)
+			for i := int64(0); i < n; i++ {
+				llc.Tick()
+				exact.Tick()
+			}
+			if got, want := stateOf(bulk), stateOf(exact); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, n=%d: Advance left\n%+v\nTicks left\n%+v", tc.name, n, got, want)
+			}
+		}
 	}
 }

@@ -36,9 +36,6 @@ func NewAddressMapper(geo Geometry) (*AddressMapper, error) {
 	return &AddressMapper{geo: geo, banks: geo.Banks(), lineMask: int64(geo.LineBytes - 1)}, nil
 }
 
-// Capacity returns the number of addressable bytes.
-func (m *AddressMapper) Capacity() int64 { return m.geo.CapacityBytes() }
-
 // Map translates a byte address to DRAM coordinates. Addresses wrap
 // modulo the channel capacity so trace generators need not care about the
 // exact size.

@@ -175,10 +175,6 @@ type Controller struct {
 
 	cycle int64
 
-	// nwVal/nwValid memoize NextWork between invalidating mutations.
-	nwVal   int64
-	nwValid bool
-
 	// issuingMitigation marks Issue calls made for mitigation ops so the
 	// OnACT observer can attribute them.
 	issuingMitigation bool
@@ -359,7 +355,6 @@ func (c *Controller) freeReq(r *request) {
 //
 //rhlint:hotpath
 func (c *Controller) EnqueueRead(requester int, addr int64, onDone func()) bool {
-	c.nwValid = false
 	// Read-after-write forwarding from the write backlog (which can only
 	// hold the line when it is non-empty, so the usual read-heavy phase
 	// skips the line mapping entirely).
@@ -414,7 +409,6 @@ func (c *Controller) writeQueued(a dram.Address) bool {
 // write buffer hierarchy above the 64-entry drain queue). requester is
 // the source whose fill or flush produced the writeback.
 func (c *Controller) EnqueueWrite(requester int, addr int64) {
-	c.nwValid = false
 	a := c.mapper.Map(addr)
 	if c.writeQueued(a) {
 		return // coalesce
@@ -439,21 +433,8 @@ func (c *Controller) Cycle() int64 { return c.cycle }
 // conservative (a real Tick at the returned cycle may still find nothing
 // ready — rank-scoped DRAM constraints are ignored); it is never late.
 //
-// The scan is memoized: controller state only changes through Tick,
-// AdvanceIdle, and the enqueue paths, each of which invalidates the
-// cached bound, so the event engine may probe every CPU cycle for free.
-//
 //rhlint:hotpath
 func (c *Controller) NextWork() int64 {
-	if !c.nwValid {
-		c.nwVal = c.nextWorkScan()
-		c.nwValid = true
-	}
-	return c.nwVal
-}
-
-//rhlint:hotpath
-func (c *Controller) nextWorkScan() int64 {
 	// States whose Tick mutates per-cycle state even without issuing:
 	// a due refresh keeps closing banks, mitigation ops flip their
 	// activated flag outside the command slot, and a throttling mechanism
@@ -509,7 +490,6 @@ func (c *Controller) nextWorkScan() int64 {
 //
 //rhlint:hotpath
 func (c *Controller) AdvanceIdle(k int64) {
-	c.nwValid = false
 	c.cycle += k
 	if c.cfg.BLISS {
 		// The per-cycle loop fires a clear at exactly cycle==blissClear
@@ -525,7 +505,6 @@ func (c *Controller) AdvanceIdle(k int64) {
 //
 //rhlint:hotpath
 func (c *Controller) Tick() {
-	c.nwValid = false
 	c.cycle++
 	c.fireReturns()
 

@@ -14,9 +14,8 @@ import (
 // TestEventBulkSkipZeroAlloc is the allocation-regression gate of the
 // event engine's bulk-skip path, the companion of the controller's
 // TestSaturatedTickZeroAlloc: on a pure-gap workload the loop settles
-// into AdvanceGap/AdvanceIdle jumps punctuated by exact ticks at REF
-// deadlines, and apart from the one gapRun buffer everything after
-// newSystem must stay off the heap. The gate compares total allocations
+// into Advance jumps punctuated by exact ticks at REF deadlines, and
+// everything after newSystem must stay off the heap. The gate compares total allocations
 // of a short and a 4x-longer run of the same configuration: setup cost
 // is identical, so any difference is the loop allocating per cycle (or
 // per skip), which is exactly the regression the event engine exists to

@@ -8,17 +8,36 @@ package sim
 //     same clock-divider arithmetic), or
 //
 //   - bulk-advance n cycles after proving that each of those cycles would
-//     have been trivial for every component: cores either fully blocked
-//     or in an arithmetic gap run (cpu.Core.BulkWindow), no LLC fill
-//     callback due (cache.NextPendingCycle), and every skipped memory
-//     tick a no-op for the controller (memctrl.NextWork). The bulk
-//     replays the per-cycle effects — stall/retire counters, clock
-//     phases, the BLISS clearing schedule — with closed-form updates.
+//     have been trivial for every component, then replay them in closed
+//     form: cpu.Core.Advance for the cores, memctrl.AdvanceIdle (clock
+//     and BLISS clearing schedule) for the controller. The LLC needs no
+//     replay: a jump is refused while it holds a pending hit.
 //
 // A cycle on which anything non-trivial could happen is therefore always
 // executed exactly, on exactly the cycle number the reference loop would
 // have used: the CPU/mem phase accumulator is stepped with the same
 // modular arithmetic, so ACT/REF/return timing is preserved bit-for-bit.
+//
+// Three horizons bound a jump. Each earns its place on the benchmark's
+// sim workloads (counts from one run of each workload's spec at
+// benchmark seed 1):
+//
+//   - cores: every core blocked on its window head or in an arithmetic
+//     gap run (cpu.Core.BulkWindow). Paced attacks live here:
+//     paced-dodge skips 901M of its 960M CPU cycles.
+//   - LLC: no hit callback pending (cache.HitsPending). A flag is
+//     enough: it refuses 1,912 of the 2.79M mitigation-sweep probes that
+//     pass the core scan, 42 on hammer-attack and none on paced-dodge.
+//   - controller: no command, return or REF deadline due before
+//     memctrl.NextWork. Its per-bank scan lets jumps run while requests
+//     wait on DRAM timing: 126M of paced-dodge's skipped cycles and
+//     6.58M of mitigation-sweep's 6.63M. Were every queued request
+//     treated as due next cycle, paced-dodge would tick 191M cycles
+//     exactly instead of 58.7M.
+//
+// The probe backoff (runEvent) keeps dense runs from paying for probes
+// that fail: mitigation-sweep probes on 3.36M of its 62.8M cycles, and
+// would probe on 56.1M without it.
 
 // minBulk is the smallest jump worth taking: below it, the exact path is
 // cheaper than rebuilding gap-run done rings.
@@ -52,8 +71,6 @@ func (s *system) retireNeed(tgt, iw int64) int64 {
 func (s *system) runEvent() {
 	target := s.cfg.WarmupInsts
 	iw := int64(s.cfg.Core.IssueWidth)
-	//rhlint:allow hotalloc(one buffer per run, allocated before the loop)
-	gapRun := make([]bool, len(s.cores))
 
 	// Probe backoff: skipping a probe is always safe (the exact path IS
 	// the oracle), so after a failed probe the loop runs up to maxBackoff
@@ -68,8 +85,8 @@ func (s *system) runEvent() {
 
 	for s.cpuCycle = 0; s.cpuCycle < s.maxCycles; {
 		// Longest provably-trivial window starting at this cycle. Probe
-		// cheapest-first — core windows, then the (memoized) controller
-		// horizon, then the LLC ring — and stop probing as soon as the
+		// cheapest-first — core windows, the LLC's pending flag, then the
+		// controller's per-bank horizon — and stop probing as soon as the
 		// window provably cannot reach minBulk, so dense regimes pay only
 		// the core scan per cycle.
 		var n int64
@@ -80,35 +97,27 @@ func (s *system) runEvent() {
 			probed = true
 			n = s.maxCycles - s.cpuCycle
 		}
-		for i, c := range s.cores {
+		for _, c := range s.cores {
 			if n < minBulk {
-				break // exact path; remaining gapRun entries unused
+				break
 			}
-			w, g := c.BulkWindow()
-			gapRun[i] = g
-			if w < n {
+			if w := c.BulkWindow(); w < n {
 				n = w
 			}
+		}
+		if n >= minBulk && s.llc.HitsPending() {
+			// A hit callback fires on a real Tick; jump only once the
+			// ring is empty.
+			n = 0
 		}
 		if n >= minBulk {
 			// At most kmax memory ticks may be skipped; convert to CPU
 			// cycles through the phase accumulator: ticks in n cycles =
 			// floor((memAcc + n*memF)/cpuF). A busy controller (the common
-			// dense state) bounds this to ~cpuF/memF cycles, ending the
-			// probe before the LLC ring is touched.
+			// dense state) bounds this to ~cpuF/memF cycles.
 			kmax := s.ctrl.NextWork() - s.ctrl.Cycle() - 1
 			if nmem := (s.cpuF*(kmax+1) - 1 - s.memAcc) / s.memF; nmem < n {
 				n = nmem
-			}
-		}
-		if n >= minBulk {
-			// The cycle an LLC callback fires must be a real Tick; one due
-			// within minBulk cycles caps n below minBulk, forcing the exact
-			// path.
-			if due := s.llc.NextPendingCycle(); due >= 0 {
-				if m := due - s.llc.Cycle() - 1; m < n {
-					n = m
-				}
 			}
 		}
 		if n >= minBulk {
@@ -132,13 +141,8 @@ func (s *system) runEvent() {
 			s.cpuCycle++
 		} else {
 			backoff = 1
-			s.llc.AdvanceIdle(n)
-			for i, c := range s.cores {
-				if gapRun[i] {
-					c.AdvanceGap(n)
-				} else {
-					c.AdvanceIdle(n)
-				}
+			for _, c := range s.cores {
+				c.Advance(n)
 			}
 			ticks := (s.memAcc + n*s.memF) / s.cpuF
 			s.memAcc += n*s.memF - ticks*s.cpuF

@@ -6,12 +6,13 @@
 //
 // Two execution engines drive the same component graph. EngineCycle is
 // the original loop: one CPU cycle per iteration, the reference
-// semantics. EngineEvent (the default) advances time to the next
-// scheduled wakeup — an LLC fill, a controller command or REF deadline, a
-// core leaving a bulk-replayable state — while preserving the exact
-// CPU/mem clock-ratio phase, so every DRAM command lands on the identical
-// cycle and all results are byte-identical to the cycle engine (enforced
-// by the differential tests in this package).
+// semantics. EngineEvent (the default) jumps over stretches it can prove
+// idle — every core blocked on memory or in a gap run, no LLC hit
+// pending, no controller command, return or REF deadline due — while
+// preserving the exact CPU/mem clock-ratio phase, so every DRAM command
+// lands on the identical cycle and all results are byte-identical to the
+// cycle engine (enforced by the differential tests in this package).
+// engine_event.go records what each of those horizons skips.
 package sim
 
 import (
