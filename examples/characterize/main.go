@@ -49,7 +49,7 @@ func main() {
 		}
 
 		// Step 3 (Section 5.5): measure HCfirst under the worst pattern.
-		hcFirst, found, err := tester.MeasureHCFirst(rowhammer.HCFirstOptions{Stride: 2})
+		hcFirst, found, err := tester.MeasureHCFirst(2)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -54,7 +54,7 @@ func main() {
 	}
 
 	// Find the chip's HCfirst the way Section 5.5 does.
-	hcFirst, found, err := tester.MeasureHCFirst(rowhammer.HCFirstOptions{})
+	hcFirst, found, err := tester.MeasureHCFirst(1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -137,13 +137,13 @@ func (o *Observer) OnACT(rank, bank, row int, cycle int64) {
 		k := o.key(bank, n)
 		o.damage[k] += w
 		if o.next[k] == 0 {
-			_, t := o.crossings(bank, n, 0)
+			_, t := o.chip.ThresholdCrossings(bank, n, 0)
 			o.next[k] = t
 		}
 		if o.damage[k] < o.next[k] {
 			return
 		}
-		crossed, t := o.crossings(bank, n, o.damage[k])
+		crossed, t := o.chip.ThresholdCrossings(bank, n, o.damage[k])
 		o.next[k] = t
 		if o.ecc {
 			o.recordRawCrossings(crossed, cycle)
@@ -153,15 +153,6 @@ func (o *Observer) OnACT(rank, bank, row int, cycle int64) {
 			}
 		}
 	})
-}
-
-// crossings selects the raw (parity-inclusive) or data-only threshold
-// query depending on whether the chip corrects through on-die ECC.
-func (o *Observer) crossings(bank, wl int, e float64) ([]faultmodel.Flip, float64) {
-	if o.ecc {
-		return o.chip.RawThresholdCrossings(bank, wl, e)
-	}
-	return o.chip.ThresholdCrossings(bank, wl, e)
 }
 
 // recordRawCrossings folds new raw cell flips into their rows' flip sets

@@ -1,11 +1,14 @@
 //go:build !race
 
-// The race detector instruments allocations, so the zero-alloc gate only
-// runs in the regular test pass (CI runs both).
+// The race detector instruments allocations, so the allocation gates
+// only run in the regular test pass (CI runs both).
 
 package cache
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+)
 
 // TestRefusedMissZeroAlloc pins the retry path of a back-pressured miss:
 // the controller refuses the read, the core retries next cycle, and no
@@ -22,5 +25,22 @@ func TestRefusedMissZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("refused miss allocated %.2f times per retry; want 0", allocs)
+	}
+}
+
+// TestNewTable6Bytes pins what building the paper's 16 MiB LLC costs: one
+// array of lines and one of LRU stacks (4.46 MB), with no per-set slice
+// headers on top.
+func TestNewTable6Bytes(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := New(Table6Config(), &fakeMem{}, 8)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(c)
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 4.6 {
+		t.Fatalf("cache.New(Table6Config()) allocated %.2f MB; want ≤ 4.6", mb)
 	}
 }

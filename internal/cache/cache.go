@@ -60,9 +60,11 @@ type Stats struct {
 // Cache is a set-associative LLC. It is driven in the CPU clock domain:
 // call Tick once per CPU cycle.
 type Cache struct {
-	cfg     Config
-	sets    [][]line
-	lru     [][]int8 // per-set LRU stack: lru[s][0] = most recent way
+	cfg Config
+	// Set s owns ways [s·Assoc, (s+1)·Assoc) of lines and lru; lru holds
+	// each set's LRU stack, most recent way first.
+	lines   []line
+	lru     []int8
 	nsets   int
 	backend Backend
 
@@ -113,22 +115,10 @@ func New(cfg Config, backend Backend, cores int) (*Cache, error) {
 		m.fill = func() { c.fill(m) }
 		c.release(m)
 	}
-	// Carve all per-set slices out of two flat backing arrays: large
-	// caches (32K sets) would otherwise pay 2*nsets allocations here,
-	// which dominated the allocation profile of experiments that build
-	// one cache hierarchy per simulated core mix.
-	lineBuf := make([]line, nsets*cfg.Assoc)
-	lruBuf := make([]int8, nsets*cfg.Assoc)
-	c.sets = make([][]line, nsets)
-	c.lru = make([][]int8, nsets)
-	for i := range c.sets {
-		lo, hi := i*cfg.Assoc, (i+1)*cfg.Assoc
-		c.sets[i] = lineBuf[lo:hi:hi]
-		order := lruBuf[lo:hi:hi]
-		for w := range order {
-			order[w] = int8(w)
-		}
-		c.lru[i] = order
+	c.lines = make([]line, nsets*cfg.Assoc)
+	c.lru = make([]int8, nsets*cfg.Assoc)
+	for i := range c.lru {
+		c.lru[i] = int8(i % cfg.Assoc)
 	}
 	return c, nil
 }
@@ -172,9 +162,15 @@ func (c *Cache) lineAddr(addr int64) int64 { return addr / int64(c.cfg.LineBytes
 
 func (c *Cache) setOf(la int64) int { return int(la & int64(c.nsets-1)) }
 
+// set returns set s's lines and its LRU stack.
+func (c *Cache) set(s int) ([]line, []int8) {
+	lo, hi := s*c.cfg.Assoc, (s+1)*c.cfg.Assoc
+	return c.lines[lo:hi], c.lru[lo:hi]
+}
+
 // touch moves way to the MRU position of set s.
 func (c *Cache) touch(s, way int) {
-	order := c.lru[s]
+	_, order := c.set(s)
 	for i, w := range order {
 		if int(w) == way {
 			copy(order[1:i+1], order[:i])
@@ -184,11 +180,12 @@ func (c *Cache) touch(s, way int) {
 	}
 }
 
-// lookup returns the way holding la, or -1.
+// lookup returns la's set and the way holding it, or -1.
 func (c *Cache) lookup(la int64) (set, way int) {
 	s := c.setOf(la)
-	for w := range c.sets[s] {
-		if c.sets[s][w].valid && c.sets[s][w].tag == la {
+	lines, _ := c.set(s)
+	for w := range lines {
+		if lines[w].valid && lines[w].tag == la {
 			return s, w
 		}
 	}
@@ -200,15 +197,15 @@ func (c *Cache) lookup(la int64) (set, way int) {
 // displaced the victim line.
 func (c *Cache) install(req int, la int64, dirty bool) {
 	s := c.setOf(la)
-	order := c.lru[s]
+	lines, order := c.set(s)
 	victim := int(order[len(order)-1])
-	for w := range c.sets[s] { // prefer an invalid way
-		if !c.sets[s][w].valid {
+	for w := range lines { // prefer an invalid way
+		if !lines[w].valid {
 			victim = w
 			break
 		}
 	}
-	v := &c.sets[s][victim]
+	v := &lines[victim]
 	if v.valid && v.dirty {
 		c.Stats.Writebacks++
 		c.backend.EnqueueWrite(req, v.tag*int64(c.cfg.LineBytes))
@@ -247,7 +244,7 @@ func (c *Cache) access(core int, addr int64, write bool, onDone func()) bool {
 		c.account(core, true)
 		c.touch(s, w)
 		if write {
-			c.sets[s][w].dirty = true
+			c.lines[s*c.cfg.Assoc+w].dirty = true
 		}
 		if onDone != nil {
 			c.schedule(c.cfg.HitLatency, onDone)
@@ -340,11 +337,12 @@ func (c *Cache) ReadUncached(core int, addr int64, onDone func()) bool {
 		return false
 	}
 	if s, w := c.lookup(la); w >= 0 {
-		if c.sets[s][w].dirty {
+		l := &c.lines[s*c.cfg.Assoc+w]
+		if l.dirty {
 			c.Stats.Writebacks++
 			c.backend.EnqueueWrite(core, la*int64(c.cfg.LineBytes))
 		}
-		c.sets[s][w] = line{}
+		*l = line{}
 	}
 	c.account(core, false)
 	return true

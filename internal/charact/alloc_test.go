@@ -1,0 +1,42 @@
+//go:build !race
+
+// The race detector instruments allocations, so the zero-alloc gate only
+// runs in the regular test pass (CI runs both).
+
+package charact
+
+import (
+	"testing"
+
+	"repro/internal/dram"
+	"repro/internal/faultmodel"
+)
+
+// TestFlipFreeTestZeroAlloc pins Algorithm 1's inner loop: once the rows
+// a double-sided test reads have their cells, a test that flips nothing
+// allocates nothing, on paired and unpaired chips with on-die ECC.
+func TestFlipFreeTestZeroAlloc(t *testing.T) {
+	for _, paired := range []bool{false, true} {
+		c := testChip(t, func(cfg *faultmodel.Config) {
+			cfg.Type = dram.LPDDR4
+			cfg.OnDieECC = true
+			cfg.PairedWordlines = paired
+			cfg.W3 = 0.12
+		})
+		tt := newTester(t, c)
+		// Below half of every threshold, so no cell can flip.
+		hc := int(c.Config().HCFirst) / 4
+		test := func() {
+			for v := 8; v < c.Rows()-8; v += 13 {
+				flips, err := tt.HammerDoubleSided(v, hc)
+				if err != nil || len(flips) > 0 {
+					t.Fatalf("paired=%v victim %d: %d flips, %v", paired, v, len(flips), err)
+				}
+			}
+		}
+		test() // generate the rows' cells and grow the activation list
+		if allocs := testing.AllocsPerRun(20, test); allocs != 0 {
+			t.Errorf("paired=%v: flip-free tests allocated %.1f times per sweep; want 0", paired, allocs)
+		}
+	}
+}

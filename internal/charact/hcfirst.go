@@ -2,57 +2,29 @@ package charact
 
 import "math"
 
-// HCFirstOptions controls the first-flip search.
-type HCFirstOptions struct {
-	// MinHC and MaxHC bound the sweep; the paper uses 2k–150k
-	// (Section 5.1). Zero values take those defaults (MaxHC additionally
-	// clamped to the 32 ms bound).
-	MinHC, MaxHC int
-	// Stride samples victim rows during probes (1 = every row).
-	Stride int
-	// Precision stops the refinement when the bracket is within this
-	// relative width (default 2%).
-	Precision float64
-	// Probes is how many sweep iterations each hammer count gets before
-	// it is declared flip-free (default 2); flips near the threshold are
-	// probabilistic, so a single probe is noisy.
-	Probes int
-}
-
-func (o HCFirstOptions) normalized(t *Tester) HCFirstOptions {
-	if o.MinHC <= 0 {
-		o.MinHC = 2_000
-	}
-	if o.MaxHC <= 0 {
-		o.MaxHC = 150_000
-	}
-	if o.MaxHC > t.MaxHC {
-		o.MaxHC = t.MaxHC
-	}
-	if o.Stride < 1 {
-		o.Stride = 1
-	}
-	if o.Precision <= 0 {
-		o.Precision = 0.02
-	}
-	if o.Probes < 1 {
-		o.Probes = 2
-	}
-	return o
-}
+// The first-flip search of Section 5.1: hammer counts from 2k to 150k
+// (clamped to the 32 ms bound), refined until the bracket is within 2%,
+// with two sweeps per hammer count before it is declared flip-free —
+// flips near the threshold are probabilistic, so one sweep is noisy.
+const (
+	hcFirstMin       = 2_000
+	hcFirstMax       = 150_000
+	hcFirstPrecision = 0.02
+	hcFirstProbes    = 2
+)
 
 // MeasureHCFirst finds the chip's HCfirst — the minimum hammer count that
 // induces the first bit flip (Section 5.5) — under the currently written
-// pattern. It ladders the hammer count geometrically until a flip appears
-// and then bisects the bracket. found is false when the chip shows no
-// flips within the sweep bound, i.e. the chip is not RowHammerable
-// (Table 2).
-func (t *Tester) MeasureHCFirst(opts HCFirstOptions) (hcFirst int, found bool, err error) {
-	o := opts.normalized(t)
+// pattern, sampling victim rows at the stride (1 = every row). It
+// ladders the hammer count geometrically until a flip appears and then
+// bisects the bracket. found is false when the chip shows no flips
+// within the sweep bound, i.e. the chip is not RowHammerable (Table 2).
+func (t *Tester) MeasureHCFirst(stride int) (hcFirst int, found bool, err error) {
+	maxHC := min(hcFirstMax, t.MaxHC)
 
 	probe := func(hc int) (bool, error) {
-		for i := 0; i < o.Probes; i++ {
-			any, err := t.AnyFlip(hc, o.Stride)
+		for i := 0; i < hcFirstProbes; i++ {
+			any, err := t.AnyFlip(hc, stride)
 			if err != nil || any {
 				return any, err
 			}
@@ -60,9 +32,9 @@ func (t *Tester) MeasureHCFirst(opts HCFirstOptions) (hcFirst int, found bool, e
 		return false, nil
 	}
 
-	// Geometric ladder: ×1.4 steps from MinHC to MaxHC.
+	// Geometric ladder: ×1.4 steps from hcFirstMin to maxHC.
 	lo, hi := 0, -1
-	hc := o.MinHC
+	hc := hcFirstMin
 	for {
 		any, err := probe(hc)
 		if err != nil {
@@ -73,20 +45,20 @@ func (t *Tester) MeasureHCFirst(opts HCFirstOptions) (hcFirst int, found bool, e
 			break
 		}
 		lo = hc
-		if hc >= o.MaxHC {
+		if hc >= maxHC {
 			return 0, false, nil
 		}
 		hc = int(math.Ceil(float64(hc) * 1.4))
-		if hc > o.MaxHC {
-			hc = o.MaxHC
+		if hc > maxHC {
+			hc = maxHC
 		}
 	}
 	if lo == 0 {
-		lo = o.MinHC / 2 // first probe already flipped
+		lo = hcFirstMin / 2 // first probe already flipped
 	}
 
 	// Bisect [lo, hi]: lo never flipped, hi did.
-	for float64(hi-lo) > o.Precision*float64(hi) && hi-lo > 64 {
+	for float64(hi-lo) > hcFirstPrecision*float64(hi) && hi-lo > 64 {
 		mid := (lo + hi) / 2
 		any, err := probe(mid)
 		if err != nil {

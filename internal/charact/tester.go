@@ -45,29 +45,11 @@ func (t *Tester) Chip() *faultmodel.Chip { return t.chip }
 // lines 2–3).
 func (t *Tester) WritePattern(p faultmodel.Pattern) { t.chip.WriteAll(p) }
 
-// victimWindow returns the logical rows that can be disturbed when the
-// given victim row is double-sided hammered, including the victim itself.
-func (t *Tester) victimWindow(victim int) []int {
-	radius := t.chip.BlastRadius() + 1 // aggressor offset 1 + coupling reach
-	var rows []int
-	step := 1
-	if t.chip.Wordlines() != t.chip.Rows() {
-		step = 2 // paired wordlines: two logical rows per physical step
-	}
-	for off := -radius * step; off <= radius*step+step-1; off++ {
-		r := victim + off
-		if r >= 0 && r < t.chip.Rows() {
-			rows = append(rows, r)
-		}
-	}
-	return rows
-}
-
 // HammerDoubleSided runs one core-loop iteration of Algorithm 1: refresh
 // the victim, disable refresh, activate each physically-adjacent
-// aggressor hc times, and collect the observed bit flips in all rows the
-// hammering can disturb. It returns an error when hc exceeds the 32 ms
-// bound or the victim has no two adjacent rows.
+// aggressor hc times, and read back the observed bit flips in every row
+// the hammering can disturb (the chip's TestFlips). It returns an error
+// when hc exceeds the 32 ms bound or the victim has no two adjacent rows.
 func (t *Tester) HammerDoubleSided(victim, hc int) ([]faultmodel.Flip, error) {
 	if hc <= 0 {
 		return nil, fmt.Errorf("charact: hammer count must be positive, got %d", hc)
@@ -87,11 +69,7 @@ func (t *Tester) HammerDoubleSided(victim, hc int) ([]faultmodel.Flip, error) {
 	if err := t.chip.Activate(t.bank, hi, hc); err != nil {
 		return nil, err
 	}
-	var flips []faultmodel.Flip
-	for _, r := range t.victimWindow(victim) {
-		flips = append(flips, t.chip.ObservedFlips(t.bank, r)...)
-	}
-	return flips, nil
+	return t.chip.TestFlips(t.bank), nil
 }
 
 // HammerSingleSided activates a single aggressor row hc times and returns
@@ -105,15 +83,7 @@ func (t *Tester) HammerSingleSided(aggressor, hc int) ([]faultmodel.Flip, error)
 	if err := t.chip.Activate(t.bank, aggressor, hc); err != nil {
 		return nil, err
 	}
-	var flips []faultmodel.Flip
-	radius := (t.chip.BlastRadius() + 1) * 2
-	for off := -radius; off <= radius; off++ {
-		r := aggressor + off
-		if r >= 0 && r < t.chip.Rows() && r != aggressor {
-			flips = append(flips, t.chip.ObservedFlips(t.bank, r)...)
-		}
-	}
-	return flips, nil
+	return t.chip.TestFlips(t.bank), nil
 }
 
 // victims returns the victim rows a full-chip sweep tests: every row that

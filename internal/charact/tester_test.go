@@ -40,7 +40,7 @@ func newTester(t *testing.T, c *faultmodel.Chip) *Tester {
 func TestMeasureHCFirstFindsWeakestCell(t *testing.T) {
 	c := testChip(t, nil)
 	tt := newTester(t, c)
-	hc, found, err := tt.MeasureHCFirst(HCFirstOptions{})
+	hc, found, err := tt.MeasureHCFirst(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestMeasureHCFirstFindsWeakestCell(t *testing.T) {
 func TestMeasureHCFirstNotRowHammerable(t *testing.T) {
 	c := testChip(t, func(cfg *faultmodel.Config) { cfg.HCFirst = 220_000 })
 	tt := newTester(t, c)
-	_, found, err := tt.MeasureHCFirst(HCFirstOptions{})
+	_, found, err := tt.MeasureHCFirst(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,6 +78,36 @@ func TestHammerBounds(t *testing.T) {
 	if _, err := tt.HammerDoubleSided(0, 1000); err == nil {
 		t.Error("edge row without two aggressors accepted")
 	}
+}
+
+// TestPairedOddVictimWindow pins the window a double-sided test reads on
+// a paired-wordline chip. The low aggressor of an odd victim on wordline
+// v disturbs wordline v-1-BlastRadius, whose even row lies 2·reach+1 rows
+// below the victim (reach = BlastRadius+1); the weakest cell sits there
+// and W3 = 0.5 puts a full aggressor's damage on it.
+func TestPairedOddVictimWindow(t *testing.T) {
+	c := testChip(t, func(cfg *faultmodel.Config) {
+		cfg.PairedWordlines = true
+		cfg.W3 = 0.5
+	})
+	tt := newTester(t, c)
+	weak := c.WeakestCell()
+	reach := c.BlastRadius() + 1
+	victim := 2*(weak.Row/2+reach) + 1
+	if _, _, ok := c.AggressorsFor(victim); !ok {
+		t.Fatalf("victim %d (weak row %d) has no aggressors; pick another seed", victim, weak.Row)
+	}
+	flips, err := tt.HammerDoubleSided(victim, 3*int(c.Config().HCFirst))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := faultmodel.Flip{Bank: weak.Bank, Row: weak.Row, Bit: weak.Bit}
+	for _, f := range flips {
+		if f == want {
+			return
+		}
+	}
+	t.Fatalf("victim %d (weak row %d, reach %d): weakest cell's flip not observed", victim, weak.Row, reach)
 }
 
 func TestSweepRateGrowsWithHC(t *testing.T) {
@@ -257,7 +287,7 @@ func TestPopulationChipMeasurement(t *testing.T) {
 		t.Fatal(err)
 	}
 	tt.WritePattern(chip.Config().WorstPattern)
-	hc, found, err := tt.MeasureHCFirst(HCFirstOptions{})
+	hc, found, err := tt.MeasureHCFirst(1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,10 +118,23 @@ var moduleSets = map[string]func() []chips.ModuleSpec{
 }
 
 // Validate rejects geometry and population names the registry does not
-// define, so a typo fails at spec decode instead of inside the run.
+// define, and custom geometries a chip cannot be built on, so a bad spec
+// fails at decode instead of inside the run.
 func (p *CharParams) Validate() error {
 	if _, ok := scalesByName[p.Scale]; !ok && p.CustomScale == nil && p.Scale != "" {
 		return fmt.Errorf("core: unknown scale %q (tiny, small, medium, full)", p.Scale)
+	}
+	if s := p.CustomScale; s != nil && s.Rows != 0 {
+		// A geometry without rows falls back to the small one (population);
+		// any other must fit the most constrained chip a population holds,
+		// with on-die ECC and paired wordlines.
+		cfg := faultmodel.Config{
+			Banks: s.Banks, Rows: s.Rows, RowBits: s.RowBits, HCFirst: 1,
+			OnDieECC: true, PairedWordlines: true,
+		}
+		if err := cfg.Validate(); err != nil {
+			return fmt.Errorf("core: custom_scale: %w", err)
+		}
 	}
 	if _, ok := moduleSets[p.Modules]; !ok && p.Modules != "" {
 		return fmt.Errorf("core: unknown module set %q (all, ddr3, ddr4, lpddr4)", p.Modules)

@@ -285,7 +285,7 @@ func init() {
 		if err != nil {
 			return hcFirstCell{}, err
 		}
-		hc, found, err := t.MeasureHCFirst(charact.HCFirstOptions{Stride: pl.stride})
+		hc, found, err := t.MeasureHCFirst(pl.stride)
 		if err != nil {
 			return hcFirstCell{}, fmt.Errorf("hcfirst %s: %w", j.spec.Name, err)
 		}

@@ -239,6 +239,11 @@ func TestDecodeSpecRejectsBadAxes(t *testing.T) {
 		{`{"name":"trr-dodge","params":{"patterns":[""]}}`, `unknown attack pattern ""`},
 		{`{"name":"fig5","params":{"scale":"huge"}}`, `unknown scale "huge"`},
 		{`{"name":"table1","params":{"modules":"ddr5"}}`, `unknown module set "ddr5"`},
+		{`{"name":"fig5","params":{"custom_scale":{"Banks":1,"Rows":1,"RowBits":128}}}`, "rows must be at least 4"},
+		{`{"name":"fig5","params":{"modules":"ddr4","custom_scale":{"Banks":1,"Rows":256,"RowBits":32}}}`, "row bits must be at least 64"},
+		{`{"name":"table4","params":{"custom_scale":{"Banks":0,"Rows":256,"RowBits":1024}}}`, "banks must be positive"},
+		{`{"name":"table4","params":{"custom_scale":{"Banks":1,"Rows":256,"RowBits":192}}}`, "divisible by 128"},
+		{`{"name":"table4","params":{"custom_scale":{"Banks":1,"Rows":255,"RowBits":1024}}}`, "even row count"},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeSpec([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -33,37 +33,23 @@ func (c *Chip) ForEachCoupledWordline(wl int, fn func(neighbor int, weight float
 	}
 }
 
-// ThresholdCrossings returns the data-bit flips an accumulated damage of
+// ThresholdCrossings returns the raw cell flips an accumulated damage of
 // e effective hammers causes on a wordline of a bank (deterministic
 // threshold crossing over the cells eligible under the currently written
-// pattern), plus the smallest eligible
-// threshold strictly above e — math.Inf(1) when no further cell can ever
-// flip. Callers cache the returned next-threshold so the common ACT path
-// costs one float comparison. On-die ECC parity cells are skipped: the
-// crossings are raw data-bit flips.
+// pattern), plus the smallest eligible threshold strictly above e —
+// math.Inf(1) when no further cell can ever flip. Callers cache the
+// returned next-threshold so the common ACT path costs one float
+// comparison. The crossings cover the full raw bit array: with on-die
+// ECC, Flip.Bit indexes data bits in [0,RowBits) and parity bits above,
+// and ObservedFromRaw tells what the system sees after correction.
 func (c *Chip) ThresholdCrossings(bank, wl int, e float64) ([]Flip, float64) {
-	return c.thresholdCrossings(bank, wl, e, false)
-}
-
-// RawThresholdCrossings is ThresholdCrossings over the full raw bit array:
-// on-die ECC parity cells are included, with Flip.Bit indexing raw bits
-// (data in [0,RowBits), parity above). Hammer accountants for ECC chips
-// track raw crossings and pass them through ObservedFromRaw to learn what
-// the system sees after correction.
-func (c *Chip) RawThresholdCrossings(bank, wl int, e float64) ([]Flip, float64) {
-	return c.thresholdCrossings(bank, wl, e, true)
-}
-
-func (c *Chip) thresholdCrossings(bank, wl int, e float64, includeParity bool) ([]Flip, float64) {
 	next := math.Inf(1)
 	var flips []Flip
-	for _, row := range c.rowsOnWordline(wl) {
+	k := c.rowsPerWordline()
+	for row := wl * k; row < (wl+1)*k; row++ {
 		cells := c.rowCells(bank, row)
 		for i := range cells {
 			cl := &cells[i]
-			if !includeParity && cl.bit >= c.cfg.RowBits {
-				continue
-			}
 			if !c.eligible(cl, c.pattern, row) {
 				continue
 			}

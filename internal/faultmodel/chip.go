@@ -36,8 +36,9 @@ func (c *cell) effectiveThreshold(p Pattern) float64 {
 
 // Chip is one simulated DRAM chip with RowHammer protection disabled, as
 // the paper tests them (Algorithm 1): WriteAll → BeginTest → Activate
-// aggressors → ObservedFlips. Flips are sampled probabilistically per
-// test and do not persist, matching line 16 ("restore bit flips").
+// aggressors → TestFlips (or ObservedFlips per row). Flips are sampled
+// probabilistically per test and do not persist, matching line 16
+// ("restore bit flips").
 // Hammering through a memory controller, where refreshes interleave with
 // activations, is accounted outside the chip (internal/attack's Observer)
 // against the structure and thresholds accounting.go exposes.
@@ -60,18 +61,16 @@ type Chip struct {
 
 	parityByByte map[byte][]byte // cached SEC128 parity bits per row byte
 
-	// Dynamic state. The per-ACT accounting is flat slices indexed by
-	// wordline key (bank*wordlines+wl) with a touched-key journal, so the
-	// hot Activate path is array arithmetic and reset cost is O(touched)
-	// rather than O(chip). The slices are allocated lazily on the first
-	// Activate; while they are nil every key reads as zero.
-	pattern   Pattern
-	nonce     uint64
-	damage    []float64 // accumulated hammers per wordline key
-	activated []int64   // ACT counts per wordline key within a test
-	journaled []bool    // wordline keys present in touched
-	touched   []int     // journal of keys with any nonzero accounting
+	// Dynamic state: the written pattern, the test's sampling nonce, and
+	// the test's activations in the order made. A row's damage is summed
+	// from acts when the row is read.
+	pattern Pattern
+	nonce   uint64
+	acts    []act
 }
+
+// act is one Activate call of the current test.
+type act struct{ bank, wl, times int }
 
 // NewChip constructs a chip from cfg. The vulnerable-cell population is
 // generated lazily per row, deterministically from cfg.Seed.
@@ -133,7 +132,7 @@ func NewChip(cfg Config) (*Chip, error) {
 	// the chip's measured value matches its calibration (the paper's
 	// LPDDR4 numbers are likewise post-ECC observations). Without ECC the
 	// companion models the word-level clustering of Figures 7/9.
-	mateT := cfg.HCFirst * rng.Range(cfg.ClusterLo, cfg.ClusterHi)
+	mateT := cfg.HCFirst * rng.Range(clusterLo, clusterHi)
 	if cfg.OnDieECC {
 		mateT = cfg.HCFirst * rng.Range(1.02, 1.12)
 	}
@@ -167,13 +166,9 @@ func (c *Chip) wordlineOf(row int) int {
 	return row
 }
 
-// rowsOnWordline returns the logical rows sharing a wordline.
-func (c *Chip) rowsOnWordline(wl int) []int {
-	if c.cfg.PairedWordlines {
-		return []int{2 * wl, 2*wl + 1}
-	}
-	return []int{wl}
-}
+// rowsPerWordline returns k: wordline wl holds logical rows
+// [wl·k, (wl+1)·k), with k = 2 on paired-wordline chips and 1 otherwise.
+func (c *Chip) rowsPerWordline() int { return c.cfg.Rows / c.wordlines }
 
 // AggressorsFor returns one logical row on each wordline physically
 // adjacent to the victim's wordline, i.e. the rows a double-sided hammer
@@ -183,9 +178,8 @@ func (c *Chip) AggressorsFor(victim int) (lo, hi int, ok bool) {
 	if wl <= 0 || wl >= c.wordlines-1 {
 		return 0, 0, false
 	}
-	lows := c.rowsOnWordline(wl - 1)
-	highs := c.rowsOnWordline(wl + 1)
-	return lows[0], highs[0], true
+	k := c.rowsPerWordline()
+	return (wl - 1) * k, (wl + 1) * k, true
 }
 
 // BlastRadius returns the maximum wordline distance at which this chip's
@@ -266,13 +260,13 @@ func (c *Chip) rowCells(bank, row int) []cell {
 			t = c.cfg.HCFirst * 1.02
 		}
 		pref := c.cfg.WorstPattern
-		if !rng.Bernoulli(c.cfg.PrefBias) {
+		if !rng.Bernoulli(prefBias) {
 			pref = Pattern(rng.Intn(int(NumPatterns)))
 		}
 		cs = append(cs, c.makeCell(rng, row, bit, t, pref))
 		// Grow a same-word cluster (only meaningful for data bits),
 		// capped at four cells per word as Observation 8 reports. The
-		// second cell sits ClusterLo–ClusterHi above the first; deeper
+		// second cell sits clusterLo–clusterHi above the first; deeper
 		// cells cluster tightly above the second, which is what makes
 		// Figure 9's 2→3 multiplier smaller than its 1→2 multiplier
 		// (Observation 13's diminishing returns).
@@ -283,7 +277,7 @@ func (c *Chip) rowCells(bank, row int) []cell {
 			for size := 1; size < 4 && rng.Bernoulli(contP); size++ {
 				nb := wordStart + rng.Intn(64)
 				if size == 1 {
-					prev *= rng.Range(c.cfg.ClusterLo, c.cfg.ClusterHi)
+					prev *= rng.Range(clusterLo, clusterHi)
 				} else {
 					prev *= rng.Range(1.05, 1.5)
 				}
@@ -340,48 +334,18 @@ func (c *Chip) flipProbability(effHammers, threshold float64) float64 {
 	}
 	r := effHammers / threshold
 	if r < 0.5 {
-		return 0 // below 2% probability; treat as impossible
+		return 0 // below 5·10⁻⁸ probability; treat as impossible
 	}
-	return 1 - math.Exp2(-math.Pow(r, c.cfg.Gamma))
+	return 1 - math.Exp2(-math.Pow(r, gamma))
 }
 
 // --- dynamic state ---------------------------------------------------------
-
-// ensureAccounting allocates the flat accounting slices on first use.
-func (c *Chip) ensureAccounting() {
-	if c.damage != nil {
-		return
-	}
-	n := c.cfg.Banks * c.wordlines
-	c.damage = make([]float64, n)
-	c.activated = make([]int64, n)
-	c.journaled = make([]bool, n)
-}
-
-// journal records key in the touched set so resetAccounting can clear it.
-func (c *Chip) journal(key int) {
-	if !c.journaled[key] {
-		c.journaled[key] = true
-		c.touched = append(c.touched, key)
-	}
-}
-
-// resetAccounting zeroes the per-test hammer accounting (damage and ACT
-// counts) by replaying the touched-key journal.
-func (c *Chip) resetAccounting() {
-	for _, key := range c.touched {
-		c.damage[key] = 0
-		c.activated[key] = 0
-		c.journaled[key] = false
-	}
-	c.touched = c.touched[:0]
-}
 
 // WriteAll stores pattern p into every cell and clears all accumulated
 // damage (Algorithm 1 lines 2–3).
 func (c *Chip) WriteAll(p Pattern) {
 	c.pattern = p
-	c.resetAccounting()
+	c.acts = c.acts[:0]
 }
 
 // Pattern returns the currently written data pattern.
@@ -393,10 +357,8 @@ func (c *Chip) Pattern() Pattern { return c.pattern }
 // repeated iterations model run-to-run variation (Section 5.6).
 func (c *Chip) BeginTest(nonce uint64) {
 	c.nonce = nonce
-	c.resetAccounting()
+	c.acts = c.acts[:0]
 }
-
-func (c *Chip) wlKey(bank, wl int) int { return bank*c.wordlines + wl }
 
 // Activate issues times activations to (bank, row): the row's own
 // wordline is refreshed (and becomes immune for the rest of the test) and
@@ -405,49 +367,44 @@ func (c *Chip) Activate(bank, row, times int) error {
 	if bank < 0 || bank >= c.cfg.Banks || row < 0 || row >= c.cfg.Rows {
 		return fmt.Errorf("faultmodel: activate out of range: bank %d row %d", bank, row)
 	}
-	if times <= 0 {
-		return nil
-	}
-	c.ensureAccounting()
-	wl := c.wordlineOf(row)
-	self := c.wlKey(bank, wl)
-	c.journal(self)
-	c.activated[self] += int64(times)
-	c.damage[self] = 0 // an activation restores the row's own charge
-	for _, d := range [...]int{1, 3, 5} {
-		w := c.couplingWeight(d)
-		if w == 0 {
-			continue
-		}
-		for _, nwl := range [...]int{wl - d, wl + d} {
-			if nwl < 0 || nwl >= c.wordlines {
-				continue
-			}
-			key := c.wlKey(bank, nwl)
-			c.journal(key)
-			c.damage[key] += float64(times) * w
-		}
+	if times > 0 {
+		c.acts = append(c.acts, act{bank: bank, wl: c.wordlineOf(row), times: times})
 	}
 	return nil
 }
 
+// damage returns the effective hammers the test's activations put on
+// wordline wl of a bank, summed in activation order, and whether the test
+// activated wl itself, which restores its charge.
+func (c *Chip) damage(bank, wl int) (e float64, activated bool) {
+	for _, a := range c.acts {
+		if a.bank != bank {
+			continue
+		}
+		d := a.wl - wl
+		if d == 0 {
+			return 0, true
+		}
+		if d < 0 {
+			d = -d
+		}
+		if w := c.couplingWeight(d); w != 0 {
+			e += float64(a.times) * w
+		}
+	}
+	return e, false
+}
+
 // rawFlips samples this test's raw (pre-ECC) cell flips for a row.
 func (c *Chip) rawFlips(bank, row int) []int {
-	if c.damage == nil {
-		return nil
-	}
-	wl := c.wordlineOf(row)
-	key := c.wlKey(bank, wl)
-	if c.activated[key] > 0 {
+	e, activated := c.damage(bank, c.wordlineOf(row))
+	if activated || e <= 0 {
 		return nil // aggressor rows cannot fail (Section 5.4)
 	}
-	e := c.damage[key]
-	if e <= 0 {
-		return nil
-	}
 	var bits []int
-	for i := range c.rowCells(bank, row) {
-		cl := &c.cells[bank*c.cfg.Rows+row][i]
+	cells := c.rowCells(bank, row)
+	for i := range cells {
+		cl := &cells[i]
 		if !c.eligible(cl, c.pattern, row) {
 			continue
 		}
@@ -463,22 +420,35 @@ func (c *Chip) rawFlips(bank, row int) []int {
 	return bits
 }
 
+// TestFlips returns the flips the current test caused in a bank: the
+// observed flips of every row on the wordlines its activations can
+// disturb, from the lowest activated wordline minus BlastRadius to the
+// highest plus BlastRadius, in row order.
+func (c *Chip) TestFlips(bank int) []Flip {
+	lo, hi := c.wordlines, -1
+	for _, a := range c.acts {
+		if a.bank == bank {
+			lo, hi = min(lo, a.wl), max(hi, a.wl)
+		}
+	}
+	if hi < 0 {
+		return nil
+	}
+	r := c.BlastRadius()
+	lo, hi = max(lo-r, 0), min(hi+r, c.wordlines-1)
+	k := c.rowsPerWordline()
+	var flips []Flip
+	for row := lo * k; row < (hi+1)*k; row++ {
+		flips = append(flips, c.ObservedFlips(bank, row)...)
+	}
+	return flips
+}
+
 // ObservedFlips returns the bit flips visible to the system in a row for
 // the current test: raw cell flips filtered through on-die ECC when the
 // chip has it. Bit indices refer to the row's data bits.
 func (c *Chip) ObservedFlips(bank, row int) []Flip {
-	raw := c.rawFlips(bank, row)
-	if len(raw) == 0 {
-		return nil
-	}
-	if !c.cfg.OnDieECC {
-		fs := make([]Flip, 0, len(raw))
-		for _, b := range raw {
-			fs = append(fs, Flip{Bank: bank, Row: row, Bit: b})
-		}
-		return fs
-	}
-	return c.decodeThroughECC(bank, row, raw)
+	return c.ObservedFromRaw(bank, row, c.rawFlips(bank, row))
 }
 
 // ObservedFromRaw filters a row's raw cell flips (raw-bit indices; on-die
@@ -578,8 +548,9 @@ func (c *Chip) MinThreshold(p Pattern) (float64, bool) {
 	found := false
 	for bank := 0; bank < c.cfg.Banks; bank++ {
 		for row := 0; row < c.cfg.Rows; row++ {
-			for i := range c.rowCells(bank, row) {
-				cl := &c.cells[bank*c.cfg.Rows+row][i]
+			cells := c.rowCells(bank, row)
+			for i := range cells {
+				cl := &cells[i]
 				if !c.eligible(cl, p, row) {
 					continue
 				}
@@ -602,8 +573,9 @@ func (c *Chip) WordThresholds(p Pattern, n int) []float64 {
 	byWord := make(map[wordKey][]float64)
 	for bank := 0; bank < c.cfg.Banks; bank++ {
 		for row := 0; row < c.cfg.Rows; row++ {
-			for i := range c.rowCells(bank, row) {
-				cl := &c.cells[bank*c.cfg.Rows+row][i]
+			cells := c.rowCells(bank, row)
+			for i := range cells {
+				cl := &cells[i]
 				if cl.bit >= c.cfg.RowBits || !c.eligible(cl, p, row) {
 					continue
 				}

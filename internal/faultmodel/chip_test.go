@@ -1,9 +1,12 @@
 package faultmodel
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/dram"
+	"repro/internal/stats"
 )
 
 // testConfig returns a small, fast chip configuration.
@@ -33,7 +36,10 @@ func TestNewChipValidation(t *testing.T) {
 	}{
 		{"zero banks", func(c *Config) { c.Banks = 0 }},
 		{"zero rows", func(c *Config) { c.Rows = 0 }},
+		{"one row", func(c *Config) { c.Rows = 1 }},
+		{"three rows", func(c *Config) { c.Rows = 3 }},
 		{"zero row bits", func(c *Config) { c.RowBits = 0 }},
+		{"row bits below a word", func(c *Config) { c.RowBits = 32 }},
 		{"zero hcfirst", func(c *Config) { c.HCFirst = 0 }},
 		{"bad pattern", func(c *Config) { c.WorstPattern = NumPatterns }},
 		{"ecc non-multiple", func(c *Config) { c.OnDieECC = true; c.RowBits = 100 }},
@@ -233,5 +239,128 @@ func TestBetaDerivation(t *testing.T) {
 	c2 := mustChip(t, cfg)
 	if c2.Beta() != DefaultBeta {
 		t.Fatalf("beta = %v, want default %v", c2.Beta(), DefaultBeta)
+	}
+}
+
+// refAccounting is the reference for the chip's damage sum: per-wordline
+// damage and ACT counts in arrays updated on every activation, where the
+// chip sums its activation list when a row is read.
+type refAccounting struct {
+	c         *Chip
+	damage    []float64 // effective hammers per bank*wordlines+wl
+	activated []int64   // ACTs per bank*wordlines+wl
+}
+
+func newRefAccounting(c *Chip) *refAccounting {
+	n := c.Banks() * c.Wordlines()
+	return &refAccounting{c: c, damage: make([]float64, n), activated: make([]int64, n)}
+}
+
+func (r *refAccounting) reset() {
+	clear(r.damage)
+	clear(r.activated)
+}
+
+func (r *refAccounting) activate(bank, row, times int) {
+	if times <= 0 {
+		return
+	}
+	wl := r.c.wordlineOf(row)
+	self := bank*r.c.wordlines + wl
+	r.activated[self] += int64(times)
+	r.damage[self] = 0 // an activation restores the row's own charge
+	for _, d := range [...]int{1, 3, 5} {
+		w := r.c.couplingWeight(d)
+		if w == 0 {
+			continue
+		}
+		for _, nwl := range [...]int{wl - d, wl + d} {
+			if nwl < 0 || nwl >= r.c.wordlines {
+				continue
+			}
+			r.damage[bank*r.c.wordlines+nwl] += float64(times) * w
+		}
+	}
+}
+
+// TestDamageMatchesReferenceAccounting drives chips and the reference
+// with the same seeded BeginTest/Activate sequences — several banks, edge
+// and repeated rows, zero-count activations — over paired and unpaired
+// wordlines, three coupling reaches, and on-die ECC on and off. The
+// chip's damage must equal the reference's bit for bit on every
+// wordline, and TestFlips must equal ObservedFlips over every row of the
+// bank, in row order.
+func TestDamageMatchesReferenceAccounting(t *testing.T) {
+	rng := stats.NewRNG(2005_13121)
+	totalFlips := 0
+	for _, paired := range []bool{false, true} {
+		for _, ecc := range []bool{false, true} {
+			for _, w := range [][2]float64{{0, 0}, {0.35, 0}, {0.35, 0.2}} {
+				cfg := testConfig()
+				cfg.Banks, cfg.Rows = 3, 64
+				cfg.Rate150k = 5e-3
+				cfg.PairedWordlines, cfg.OnDieECC = paired, ecc
+				if ecc {
+					cfg.Type = dram.LPDDR4
+				}
+				cfg.W3, cfg.W5 = w[0], w[1]
+				cfg.Seed = rng.Uint64()
+				c := mustChip(t, cfg)
+				ref := newRefAccounting(c)
+				c.WriteAll(cfg.WorstPattern)
+				for test := 0; test < 12; test++ {
+					c.BeginTest(rng.Uint64())
+					ref.reset()
+					var rows []int
+					for i, n := 0, 1+rng.Intn(5); i < n; i++ {
+						bank := rng.Intn(cfg.Banks)
+						var row int
+						switch k := rng.Intn(4); {
+						case k == 0 && len(rows) > 0:
+							row = rows[rng.Intn(len(rows))] // repeated row
+						case k == 1:
+							row = [...]int{0, 1, cfg.Rows - 2, cfg.Rows - 1}[rng.Intn(4)]
+						default:
+							row = rng.Intn(cfg.Rows)
+						}
+						rows = append(rows, row)
+						times := 0
+						if rng.Intn(5) != 0 {
+							times = rng.Intn(60_000)
+						}
+						if err := c.Activate(bank, row, times); err != nil {
+							t.Fatal(err)
+						}
+						ref.activate(bank, row, times)
+					}
+					for bank := 0; bank < cfg.Banks; bank++ {
+						for wl := 0; wl < c.Wordlines(); wl++ {
+							key := bank*c.Wordlines() + wl
+							e, activated := c.damage(bank, wl)
+							if activated != (ref.activated[key] > 0) {
+								t.Fatalf("%+v bank %d wl %d: activated %v, reference ACTs %d",
+									cfg, bank, wl, activated, ref.activated[key])
+							}
+							if !activated && math.Float64bits(e) != math.Float64bits(ref.damage[key]) {
+								t.Fatalf("%+v bank %d wl %d: damage %v, reference %v",
+									cfg, bank, wl, e, ref.damage[key])
+							}
+						}
+						var want []Flip
+						for row := 0; row < cfg.Rows; row++ {
+							want = append(want, c.ObservedFlips(bank, row)...)
+						}
+						if got := c.TestFlips(bank); !reflect.DeepEqual(got, want) {
+							t.Fatalf("%+v bank %d: TestFlips %v, every row's ObservedFlips %v",
+								cfg, bank, got, want)
+						}
+						totalFlips += len(want)
+					}
+				}
+			}
+		}
+	}
+	if totalFlips == 0 {
+		t.Fatal("no test flipped anything; the TestFlips comparison is vacuous")
 	}
 }

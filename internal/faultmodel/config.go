@@ -36,12 +36,6 @@ type Config struct {
 	// Beta overrides the derived power-law exponent when positive.
 	Beta float64
 
-	// Gamma controls how sharply a cell's flip probability rises around
-	// its threshold: P = 1 − 2^−(E/T)^Gamma. Defaults to 24, making the
-	// 10%→90% transition span only a few percent of HC — what Table 5's
-	// >97% monotonicity (20 trials, 5k HC steps) implies for real cells.
-	Gamma float64
-
 	// W3 and W5 are the aggressor coupling weights at odd wordline
 	// distances 3 and 5, relative to the distance-1 weight of 0.5
 	// (DESIGN.md §4). Zero means no coupling at that distance; newer
@@ -49,18 +43,14 @@ type Config struct {
 	W3, W5 float64
 
 	// WorstPattern is the chip's worst-case data pattern (Table 3).
-	// PrefBias is the probability that a vulnerable cell prefers that
-	// pattern rather than a uniformly random one. Defaults to 0.55.
 	WorstPattern Pattern
-	PrefBias     float64
 
 	// ClusterP is the probability that a vulnerable site grows an extra
 	// cell in the same 64-bit word (geometrically, capped at 4 cells),
-	// with each extra cell's threshold multiplied by a uniform draw from
-	// [ClusterLo, ClusterHi]. This reproduces the multi-bit words of
-	// Figures 7 and 9. Defaults: 0.25, [1.4, 2.9].
-	ClusterP             float64
-	ClusterLo, ClusterHi float64
+	// the first extra cell's threshold multiplied by a uniform draw from
+	// [clusterLo, clusterHi]. This reproduces the multi-bit words of
+	// Figures 7 and 9. Defaults to 0.25.
+	ClusterP float64
 
 	// OnDieECC routes every read through a (136,128) single-error-
 	// correcting code, as in all tested LPDDR4 chips.
@@ -75,16 +65,28 @@ type Config struct {
 
 // Defaults used when the corresponding Config field is zero.
 const (
-	DefaultGamma     = 24.0
-	DefaultPrefBias  = 0.55
-	DefaultClusterP  = 0.25
-	DefaultClusterLo = 1.4
-	DefaultClusterHi = 2.9
-	DefaultBeta      = 3.0
+	DefaultClusterP = 0.25
+	DefaultBeta     = 3.0
+)
+
+const (
+	// gamma controls how sharply a cell's flip probability rises around
+	// its threshold: P = 1 − 2^−(E/T)^gamma. At 24 the 10%→90% transition
+	// spans only a few percent of HC — what Table 5's >97% monotonicity
+	// (20 trials, 5k HC steps) implies for real cells.
+	gamma = 24.0
+
+	// prefBias is the probability that a vulnerable cell prefers the
+	// chip's worst-case pattern rather than a uniformly random one.
+	prefBias = 0.55
+
+	// clusterLo and clusterHi bound the factor by which a cluster's
+	// second cell's threshold exceeds the first's.
+	clusterLo, clusterHi = 1.4, 2.9
 
 	// thresholdCutoff is the largest hammer threshold instantiated as a
-	// concrete vulnerable cell. Tests sweep HC ≤ 150k; with Gamma = 6 a
-	// cell needs T ≤ ~1.4×E to have non-negligible flip probability, so
+	// concrete vulnerable cell. Tests sweep HC ≤ 150k; with gamma = 24 a
+	// cell needs T ≤ ~1.4×E to flip with probability above 2·10⁻⁴, so
 	// 400k covers every observable flip with margin.
 	thresholdCutoff = 400_000.0
 
@@ -92,27 +94,12 @@ const (
 	// contributes half a hammer per activation, so a double-sided hammer
 	// (one ACT to each neighbor) contributes exactly one.
 	w1 = 0.5
-
-	// refHammers converts one hammer to the paper's reporting convention.
-	hcReportUnit = 1000.0
 )
 
 // normalized returns cfg with defaults applied.
 func (cfg Config) normalized() Config {
-	if cfg.Gamma == 0 {
-		cfg.Gamma = DefaultGamma
-	}
-	if cfg.PrefBias == 0 {
-		cfg.PrefBias = DefaultPrefBias
-	}
 	if cfg.ClusterP == 0 {
 		cfg.ClusterP = DefaultClusterP
-	}
-	if cfg.ClusterLo == 0 {
-		cfg.ClusterLo = DefaultClusterLo
-	}
-	if cfg.ClusterHi == 0 {
-		cfg.ClusterHi = DefaultClusterHi
 	}
 	return cfg
 }
@@ -122,10 +109,12 @@ func (cfg Config) Validate() error {
 	switch {
 	case cfg.Banks <= 0:
 		return fmt.Errorf("faultmodel: banks must be positive, got %d", cfg.Banks)
-	case cfg.Rows <= 0:
-		return fmt.Errorf("faultmodel: rows must be positive, got %d", cfg.Rows)
-	case cfg.RowBits <= 0:
-		return fmt.Errorf("faultmodel: row bits must be positive, got %d", cfg.RowBits)
+	case cfg.Rows < 4:
+		// NewChip draws the weakest cell's even row from [2, Rows).
+		return fmt.Errorf("faultmodel: rows must be at least 4, got %d", cfg.Rows)
+	case cfg.RowBits < 64:
+		// NewChip draws the weakest cell's 64-bit data word.
+		return fmt.Errorf("faultmodel: row bits must be at least 64, got %d", cfg.RowBits)
 	case cfg.HCFirst <= 0:
 		return fmt.Errorf("faultmodel: HCFirst must be positive, got %g", cfg.HCFirst)
 	case cfg.WorstPattern < 0 || cfg.WorstPattern >= NumPatterns:

@@ -182,6 +182,8 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"unknown pattern", `{"name": "pareto", "params": {"patterns": ["triple-sided"]}}`, http.StatusBadRequest},
 		{"unknown scheduler", `{"name": "attack", "params": {"scheduler": "FIFO"}}`, http.StatusBadRequest},
 		{"non-positive hc", `{"name": "fig10", "params": {"hc": [2000, 0]}}`, http.StatusBadRequest},
+		{"one-row custom scale", `{"name": "fig5", "params": {"custom_scale": {"Banks": 1, "Rows": 1, "RowBits": 128}}}`, http.StatusBadRequest},
+		{"sub-word custom rows", `{"name": "fig5", "params": {"modules": "ddr4", "custom_scale": {"Banks": 1, "Rows": 256, "RowBits": 32}}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

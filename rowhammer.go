@@ -85,9 +85,6 @@ func NewChip(cfg ChipConfig) (*Chip, error) { return faultmodel.NewChip(cfg) }
 // Tester drives a chip through the paper's testing methodology.
 type Tester = charact.Tester
 
-// HCFirstOptions controls the first-flip search.
-type HCFirstOptions = charact.HCFirstOptions
-
 // NewTester prepares a chip for characterization on one bank.
 func NewTester(chip *Chip, bank int) (*Tester, error) { return charact.NewTester(chip, bank) }
 

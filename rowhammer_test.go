@@ -31,7 +31,7 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	if len(flips) == 0 {
 		t.Fatal("no flips above threshold")
 	}
-	hc, found, err := tester.MeasureHCFirst(rowhammer.HCFirstOptions{})
+	hc, found, err := tester.MeasureHCFirst(1)
 	if err != nil || !found {
 		t.Fatalf("HCfirst not found: %v", err)
 	}
