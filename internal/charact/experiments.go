@@ -1,6 +1,7 @@
 package charact
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/faultmodel"
@@ -224,21 +225,24 @@ func (m *MonotonicityResult) Percent() float64 {
 }
 
 // MeasureMonotonicity runs the Section 5.6 experiment: sweep HC over the
-// given ladder, hammering every victim row iterations times per HC, and
+// given ladder, hammering Sweep's victims iterations times per HC, and
 // test each flipping cell's empirical flip-probability sequence for
 // monotonic non-decrease.
 func (t *Tester) MeasureMonotonicity(hcs []int, iterations, stride int) (*MonotonicityResult, error) {
+	if iterations < 1 {
+		return nil, fmt.Errorf("charact: monotonicity needs at least one iteration, got %d", iterations)
+	}
 	if len(hcs) == 0 {
 		hcs = DefaultMonotonicityHCs()
 	}
 	sort.Ints(hcs)
-	if iterations < 2 {
-		iterations = 20
-	}
 	counts := make(map[faultmodel.Flip][]int)
 	for hi, hc := range hcs {
 		for it := 0; it < iterations; it++ {
-			for _, v := range t.victims(stride) {
+			for v := 0; v < t.chip.Rows(); v += max(stride, 1) {
+				if _, _, ok := t.chip.AggressorsFor(v); !ok {
+					continue
+				}
 				flips, err := t.HammerDoubleSided(v, hc)
 				if err != nil {
 					return nil, err

@@ -86,22 +86,6 @@ func (t *Tester) HammerSingleSided(aggressor, hc int) ([]faultmodel.Flip, error)
 	return t.chip.TestFlips(t.bank), nil
 }
 
-// victims returns the victim rows a full-chip sweep tests: every row that
-// has aggressors on both sides, honouring the stride (stride > 1 samples
-// the row space uniformly for cheaper sweeps).
-func (t *Tester) victims(stride int) []int {
-	if stride < 1 {
-		stride = 1
-	}
-	var vs []int
-	for v := 0; v < t.chip.Rows(); v += stride {
-		if _, _, ok := t.chip.AggressorsFor(v); ok {
-			vs = append(vs, v)
-		}
-	}
-	return vs
-}
-
 // SweepResult aggregates one full-chip hammer sweep at a fixed HC.
 type SweepResult struct {
 	HC          int
@@ -121,9 +105,12 @@ func (r *SweepResult) Rate() float64 {
 	return float64(len(r.Flips)) / float64(r.TestedBits)
 }
 
-// Sweep double-sided hammers every victim row (at the given stride) with
-// the chip's current pattern and aggregates unique flips. Flips are also
-// attributed to their row offset from the victim for Figure 6.
+// Sweep double-sided hammers every victim row with the chip's current
+// pattern and aggregates unique flips. The victims are rows 0, stride,
+// 2·stride, … that have aggressors on both sides (stride > 1 samples the
+// row space uniformly for cheaper sweeps; below 1 it means every row).
+// Flips are also attributed to their row offset from the victim for
+// Figure 6.
 func (t *Tester) Sweep(hc, stride int) (*SweepResult, error) {
 	res := &SweepResult{
 		HC:          hc,
@@ -131,7 +118,10 @@ func (t *Tester) Sweep(hc, stride int) (*SweepResult, error) {
 		Flips:       make(map[faultmodel.Flip]bool),
 		FlipsByDist: make(map[int]int),
 	}
-	for _, v := range t.victims(stride) {
+	for v := 0; v < t.chip.Rows(); v += max(stride, 1) {
+		if _, _, ok := t.chip.AggressorsFor(v); !ok {
+			continue
+		}
 		flips, err := t.HammerDoubleSided(v, hc)
 		if err != nil {
 			return nil, err
@@ -146,10 +136,13 @@ func (t *Tester) Sweep(hc, stride int) (*SweepResult, error) {
 	return res, nil
 }
 
-// AnyFlip sweeps victims at the stride and reports whether any flip is
+// AnyFlip sweeps Sweep's victims and reports whether any flip is
 // observed at the given HC, stopping at the first one.
 func (t *Tester) AnyFlip(hc, stride int) (bool, error) {
-	for _, v := range t.victims(stride) {
+	for v := 0; v < t.chip.Rows(); v += max(stride, 1) {
+		if _, _, ok := t.chip.AggressorsFor(v); !ok {
+			continue
+		}
 		flips, err := t.HammerDoubleSided(v, hc)
 		if err != nil {
 			return false, err

@@ -254,6 +254,26 @@ func TestMonotonicityECCVsRaw(t *testing.T) {
 	}
 }
 
+// TestMonotonicityIterations pins Table 5's iteration count: the
+// measurement runs and reports as many iterations as asked, one included,
+// and rejects fewer than one instead of substituting a default.
+func TestMonotonicityIterations(t *testing.T) {
+	tt := newTester(t, testChip(t, nil))
+	hcs := []int{20_000, 30_000}
+	m, err := tt.MeasureMonotonicity(hcs, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Iterations != 1 {
+		t.Errorf("one iteration asked, %d reported", m.Iterations)
+	}
+	for _, n := range []int{0, -3} {
+		if _, err := tt.MeasureMonotonicity(hcs, n, 4); err == nil {
+			t.Errorf("%d iterations accepted", n)
+		}
+	}
+}
+
 func TestHCForRateApproximatesTarget(t *testing.T) {
 	c := testChip(t, func(cfg *faultmodel.Config) { cfg.Rate150k = 1e-3 })
 	tt := newTester(t, c)

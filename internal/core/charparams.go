@@ -118,8 +118,9 @@ var moduleSets = map[string]func() []chips.ModuleSpec{
 }
 
 // Validate rejects geometry and population names the registry does not
-// define, and custom geometries a chip cannot be built on, so a bad spec
-// fails at decode instead of inside the run.
+// define, custom geometries a chip cannot be built on, and negative
+// counts other than chips = -1, so a bad spec fails at decode instead of
+// inside the run (or as a second store key for the default's bytes).
 func (p *CharParams) Validate() error {
 	if _, ok := scalesByName[p.Scale]; !ok && p.CustomScale == nil && p.Scale != "" {
 		return fmt.Errorf("core: unknown scale %q (tiny, small, medium, full)", p.Scale)
@@ -138,6 +139,14 @@ func (p *CharParams) Validate() error {
 	}
 	if _, ok := moduleSets[p.Modules]; !ok && p.Modules != "" {
 		return fmt.Errorf("core: unknown module set %q (all, ddr3, ddr4, lpddr4)", p.Modules)
+	}
+	switch {
+	case p.Chips < -1:
+		return fmt.Errorf("core: chips must be -1 (every chip), 0 (the default) or positive, got %d", p.Chips)
+	case p.Stride < 0:
+		return fmt.Errorf("core: stride must not be negative, got %d", p.Stride)
+	case p.Iterations < 0:
+		return fmt.Errorf("core: iterations must not be negative, got %d", p.Iterations)
 	}
 	return nil
 }

@@ -244,6 +244,10 @@ func TestDecodeSpecRejectsBadAxes(t *testing.T) {
 		{`{"name":"table4","params":{"custom_scale":{"Banks":0,"Rows":256,"RowBits":1024}}}`, "banks must be positive"},
 		{`{"name":"table4","params":{"custom_scale":{"Banks":1,"Rows":256,"RowBits":192}}}`, "divisible by 128"},
 		{`{"name":"table4","params":{"custom_scale":{"Banks":1,"Rows":255,"RowBits":1024}}}`, "even row count"},
+		{`{"name":"table5","params":{"iterations":-3}}`, "iterations must not be negative, got -3"},
+		{`{"name":"fig4","params":{"iterations":-1}}`, "iterations must not be negative, got -1"},
+		{`{"name":"fig5","params":{"stride":-2}}`, "stride must not be negative, got -2"},
+		{`{"name":"table4","params":{"chips":-7}}`, "got -7"},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeSpec([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.want) {

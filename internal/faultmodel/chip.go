@@ -53,7 +53,13 @@ type Chip struct {
 
 	siteLambda float64 // expected vulnerable sites per row
 
-	cells map[int][]cell // lazily generated, keyed by bank*Rows+row
+	// cells holds each generated row's vulnerable cells, keyed by
+	// bank*Rows+row, the row's smallest threshold first; a row without
+	// cells stores nil. rowCells generates a row into rowBuf and stores
+	// an exact-size copy. NewChip sizes rowBuf for 16 cells, more than
+	// any row of an attack or TRR study's chip holds.
+	cells  map[int][]cell
+	rowBuf []cell
 
 	weakKey  int // row key holding the forced weakest cell
 	weakCell cell
@@ -85,6 +91,7 @@ func NewChip(cfg Config) (*Chip, error) {
 		wordlines:    cfg.Rows,
 		rawBits:      cfg.RowBits,
 		cells:        make(map[int][]cell),
+		rowBuf:       make([]cell, 0, 16),
 		parityByByte: make(map[byte][]byte),
 		pattern:      cfg.WorstPattern,
 	}
@@ -242,7 +249,8 @@ func (c *Chip) makeCell(rng *stats.RNG, row, bit int, threshold float64, pref Pa
 	return cl
 }
 
-// rowCells returns (generating on first use) the vulnerable cells of a row.
+// rowCells returns (generating on first use) the vulnerable cells of a
+// row, the one with the smallest threshold first.
 func (c *Chip) rowCells(bank, row int) []cell {
 	key := bank*c.cfg.Rows + row
 	if cs, ok := c.cells[key]; ok {
@@ -250,7 +258,7 @@ func (c *Chip) rowCells(bank, row int) []cell {
 	}
 	rng := stats.NewRNG(mix64(c.cfg.Seed ^ uint64(key)<<1 ^ 0xc0ffee))
 	n := rng.Poisson(c.siteLambda)
-	var cs []cell
+	cs := c.rowBuf[:0]
 	for i := 0; i < n; i++ {
 		bit := rng.Intn(c.rawBits)
 		// T = cutoff·U^(1/β): inverse CDF of the power law, clamped just
@@ -289,8 +297,21 @@ func (c *Chip) rowCells(bank, row int) []cell {
 	if key == c.weakKey {
 		cs = append(cs, c.weakCell, c.weakMate)
 	}
-	c.cells[key] = cs
-	return cs
+	c.rowBuf = cs
+	var stored []cell
+	if len(cs) > 0 {
+		lowest := 0
+		for i := range cs {
+			if cs[i].threshold < cs[lowest].threshold {
+				lowest = i
+			}
+		}
+		cs[0], cs[lowest] = cs[lowest], cs[0]
+		stored = make([]cell, len(cs))
+		copy(stored, cs)
+	}
+	c.cells[key] = stored
+	return stored
 }
 
 // storedBitUnder returns the value pattern p stores in a row's raw bit.
@@ -396,13 +417,29 @@ func (c *Chip) damage(bank, wl int) (e float64, activated bool) {
 }
 
 // rawFlips samples this test's raw (pre-ECC) cell flips for a row.
+//
+// A row whose damage is below half of its smallest raw threshold flips
+// nothing, and rawFlips returns before scanning its cells: an effective
+// threshold is the raw one divided by an affinity of at most 1, so it is
+// never smaller, and correctly rounded division is monotone, so every
+// cell's e/threshold in flipProbability is below 0.5 as well. NewChip
+// puts no raw threshold below HCFirst, so checking against HCFirst
+// first prunes most rows before their cells are looked up or generated.
+// hammerRand is a stateless hash, so the cells a prune skips move no
+// other cell's draw.
 func (c *Chip) rawFlips(bank, row int) []int {
 	e, activated := c.damage(bank, c.wordlineOf(row))
 	if activated || e <= 0 {
 		return nil // aggressor rows cannot fail (Section 5.4)
 	}
-	var bits []int
+	if e/c.cfg.HCFirst < 0.5 {
+		return nil
+	}
 	cells := c.rowCells(bank, row)
+	if len(cells) == 0 || e/cells[0].threshold < 0.5 {
+		return nil
+	}
+	var bits []int
 	for i := range cells {
 		cl := &cells[i]
 		if !c.eligible(cl, c.pattern, row) {

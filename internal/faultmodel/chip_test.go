@@ -3,6 +3,8 @@ package faultmodel
 import (
 	"math"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/dram"
@@ -362,5 +364,207 @@ func TestDamageMatchesReferenceAccounting(t *testing.T) {
 	}
 	if totalFlips == 0 {
 		t.Fatal("no test flipped anything; the TestFlips comparison is vacuous")
+	}
+}
+
+// refRawFlips is the reference for rawFlips: the full per-cell scan of a
+// row, with no prune.
+func refRawFlips(c *Chip, bank, row int) []int {
+	e, activated := c.damage(bank, c.wordlineOf(row))
+	if activated || e <= 0 {
+		return nil
+	}
+	var bits []int
+	cells := c.rowCells(bank, row)
+	for i := range cells {
+		cl := &cells[i]
+		if !c.eligible(cl, c.pattern, row) {
+			continue
+		}
+		p := c.flipProbability(e, cl.effectiveThreshold(c.pattern))
+		if p <= 0 {
+			continue
+		}
+		if c.hammerRand(bank, row, cl.bit, c.nonce) < p {
+			bits = append(bits, cl.bit)
+		}
+	}
+	sort.Ints(bits)
+	return bits
+}
+
+// TestPrunedFlipsMatchFullScan checks rawFlips' two prunes (damage below
+// half of HCFirst, and below half of the row's first cell's threshold)
+// against the full scan on seeded random chips — on-die ECC on and off,
+// paired wordlines, W3/W5 set and unset, HCFirst below and above
+// thresholdCutoff — under every pattern. Each test double-side hammers
+// the row of the weakest cell or of a random one at a count near half of
+// that cell's threshold or around it, so both prunes land on both sides
+// of their boundary; pruned and full-scan flips must be equal on every
+// row. Through ForEachCell it also checks what the prunes rely on: no
+// threshold below HCFirst, and each row's smallest threshold first.
+func TestPrunedFlipsMatchFullScan(t *testing.T) {
+	rng := stats.NewRNG(0x2005_13121)
+	var flips, floorPruned, rowPruned, scanned int
+	var near [2][2]int // [HCFirst, row's first cell][just below, just above half]
+	for n := 0; n < 24; n++ {
+		cfg := testConfig()
+		cfg.Banks, cfg.Rows = 2, 64
+		cfg.Rate150k = 2e-3
+		cfg.OnDieECC, cfg.PairedWordlines = rng.Bool(), rng.Bool()
+		if cfg.OnDieECC {
+			cfg.Type = dram.LPDDR4
+		}
+		cfg.W3, cfg.W5 = 0, 0
+		if rng.Bool() {
+			cfg.W3 = rng.Range(0.05, 0.4)
+			if rng.Bool() {
+				cfg.W5 = rng.Range(0.02, 0.2)
+			}
+		}
+		cfg.HCFirst = rng.Range(2_000, 150_000)
+		if n%4 == 3 {
+			cfg.HCFirst = rng.Range(thresholdCutoff, 3*thresholdCutoff)
+		}
+		cfg.Seed = rng.Uint64()
+		c := mustChip(t, cfg)
+
+		var all []CellInfo
+		firstKey, first := -1, 0.0
+		c.ForEachCell(func(ci CellInfo) {
+			if ci.Threshold < cfg.HCFirst {
+				t.Fatalf("%+v: cell %+v below HCFirst", cfg, ci)
+			}
+			if key := ci.Bank*cfg.Rows + ci.Row; key != firstKey {
+				firstKey, first = key, ci.Threshold
+			} else if ci.Threshold < first {
+				t.Fatalf("%+v: row %d bank %d: cell threshold %v below the first cell's %v",
+					cfg, ci.Row, ci.Bank, ci.Threshold, first)
+			}
+			all = append(all, ci)
+		})
+
+		for p := Pattern(0); p < NumPatterns; p++ {
+			c.WriteAll(p)
+			for test := 0; test < 6; test++ {
+				target := c.WeakestCell()
+				if rng.Bool() {
+					target = all[rng.Intn(len(all))]
+				}
+				var hc float64
+				switch rng.Intn(3) {
+				case 0:
+					hc = target.Threshold / 2 // the boundary itself, rounded either way
+				case 1:
+					hc = target.Threshold / 2 * rng.Range(0.9, 1.1)
+				default:
+					hc = target.Threshold * rng.Range(0.9, 1.3)
+				}
+				hc = math.Round(hc) + float64(rng.Intn(3)-1)
+				lo, hi, ok := c.AggressorsFor(target.Row)
+				if !ok {
+					continue
+				}
+				c.BeginTest(rng.Uint64())
+				for _, agg := range []int{lo, hi} {
+					if err := c.Activate(target.Bank, agg, int(hc)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for bank := 0; bank < cfg.Banks; bank++ {
+					for row := 0; row < cfg.Rows; row++ {
+						want := refRawFlips(c, bank, row)
+						if got := c.rawFlips(bank, row); !slices.Equal(got, want) {
+							t.Fatalf("%+v pattern %v hc %v bank %d row %d: pruned flips %v, full scan %v",
+								cfg, p, hc, bank, row, got, want)
+						}
+						flips += len(want)
+						e, activated := c.damage(bank, c.wordlineOf(row))
+						rc := c.rowCells(bank, row)
+						if activated || e <= 0 || len(rc) == 0 {
+							continue
+						}
+						switch {
+						case e/cfg.HCFirst < 0.5:
+							floorPruned++
+						case e/rc[0].threshold < 0.5:
+							rowPruned++
+						default:
+							scanned++
+						}
+						for i, r := range [2]float64{e / cfg.HCFirst, e / rc[0].threshold} {
+							if r >= 0.45 && r < 0.55 {
+								near[i][int(r/0.5)]++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("rows: %d pruned by HCFirst, %d by their first cell, %d scanned; within 10%% of half: %v; %d raw flips",
+		floorPruned, rowPruned, scanned, near, flips)
+	if flips == 0 || floorPruned == 0 || rowPruned == 0 || scanned == 0 ||
+		near[0][0] == 0 || near[0][1] == 0 || near[1][0] == 0 || near[1][1] == 0 {
+		t.Fatal("the random tests did not reach both sides of both prunes and some flips; the comparison is vacuous")
+	}
+}
+
+// TestPruneBoundaryFlips pins where the prunes cut, which the random
+// comparison cannot: just over half a threshold a cell flips with
+// probability near 4·10⁻⁸. It hammers rows to the first hammer count at
+// or above half their first cell's threshold, written with that cell's
+// preferred pattern (affinity 1, so the row-level prune is tight; on the
+// weakest cell's row the HCFirst prune is tight too), searches a nonce
+// under which that cell flips, and requires rawFlips to report the flip.
+func TestPruneBoundaryFlips(t *testing.T) {
+	rng := stats.NewRNG(0x2005_13121)
+	for n := 0; n < 4; n++ {
+		cfg := testConfig()
+		cfg.Rate150k = 2e-3
+		cfg.OnDieECC, cfg.PairedWordlines = n%2 == 1, n >= 2
+		if cfg.OnDieECC {
+			cfg.Type = dram.LPDDR4
+		}
+		// An even HCFirst puts the weakest cell's row exactly at half.
+		cfg.HCFirst = 2 * math.Round(rng.Range(1_000, 75_000))
+		cfg.Seed = rng.Uint64()
+		c := mustChip(t, cfg)
+		rows := []int{c.WeakestCell().Row}
+		for len(rows) < 3 {
+			if row := rng.Intn(cfg.Rows); len(c.rowCells(0, row)) > 0 {
+				rows = append(rows, row)
+			}
+		}
+		for _, row := range rows {
+			lo, hi, ok := c.AggressorsFor(row)
+			if !ok {
+				continue
+			}
+			cl := c.rowCells(0, row)[0]
+			for p := Pattern(0); p < NumPatterns; p++ {
+				if cl.affin[p] == 1 {
+					c.WriteAll(p)
+				}
+			}
+			hc := math.Ceil(cl.threshold / 2)
+			prob := c.flipProbability(hc, cl.threshold)
+			nonce := uint64(0)
+			for c.hammerRand(0, row, cl.bit, nonce) >= prob {
+				nonce++
+			}
+			c.BeginTest(nonce)
+			if err := c.Activate(0, lo, int(hc)); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Activate(0, hi, int(hc)); err != nil {
+				t.Fatal(err)
+			}
+			want := refRawFlips(c, 0, row)
+			if got := c.rawFlips(0, row); !slices.Contains(want, cl.bit) || !slices.Equal(got, want) {
+				t.Fatalf("%+v row %d at hc %v (threshold %v, flip probability %.2g): pruned flips %v, full scan %v, want bit %d",
+					cfg, row, hc, cl.threshold, prob, got, want, cl.bit)
+			}
+		}
 	}
 }

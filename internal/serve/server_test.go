@@ -184,6 +184,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"non-positive hc", `{"name": "fig10", "params": {"hc": [2000, 0]}}`, http.StatusBadRequest},
 		{"one-row custom scale", `{"name": "fig5", "params": {"custom_scale": {"Banks": 1, "Rows": 1, "RowBits": 128}}}`, http.StatusBadRequest},
 		{"sub-word custom rows", `{"name": "fig5", "params": {"modules": "ddr4", "custom_scale": {"Banks": 1, "Rows": 256, "RowBits": 32}}}`, http.StatusBadRequest},
+		{"negative iterations", `{"name": "table5", "params": {"scale": "tiny", "iterations": -3}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
