@@ -238,6 +238,10 @@ func (s Spec) paceRecords(recs []trace.Record) error {
 	return nil
 }
 
+// MinRows is the smallest bank, in rows, that Synthesize lays a pattern
+// out in.
+const MinRows = 16
+
 // Synthesize builds the attacker's access stream against the target as a
 // first-class trace (uncached flush+load records, fixed addresses every
 // pass) plus the list of rows it deliberately hammers. The victim row is
@@ -253,7 +257,7 @@ func (s Spec) Synthesize(geo dram.Geometry, t Target) (*trace.Trace, []RowRef, e
 		return nil, nil, err
 	}
 	rows := geo.Rows
-	if rows < 16 {
+	if rows < MinRows {
 		return nil, nil, fmt.Errorf("attack: geometry too small (%d rows)", rows)
 	}
 	if t.Bank < 0 || t.Bank >= geo.Banks() {

@@ -98,11 +98,15 @@ type AttackParams struct {
 }
 
 // Validate rejects axis values no grid cell can evaluate (unknown
-// mechanisms, patterns or scheduler, non-positive HCfirst points) and
-// attack pacing outside its [0,1) domain at spec decode, so a mistyped
-// value fails validation instead of inside the run.
+// mechanisms, patterns or scheduler, non-positive HCfirst points), sizes
+// no run can use (negative, or too few rows; checkSweepSizes) and attack
+// pacing outside its [0,1) domain at spec decode, so a mistyped value
+// fails validation instead of inside the run.
 func (p *AttackParams) Validate() error {
 	if err := checkAxes(p.Mechanisms, []SchedulerID{p.Scheduler}, p.Patterns, p.HCSweep); err != nil {
+		return err
+	}
+	if err := checkSweepSizes(p.BenignCores, p.TraceRecords, p.MemCycles, p.Rows, p.AttackRecords); err != nil {
 		return err
 	}
 	if p.Attack != nil {

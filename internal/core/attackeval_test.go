@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -113,5 +114,34 @@ func TestAttackEvalFormat(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("format output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestSweepsRunAtMinRows runs the three adversarial sweeps at the
+// smallest rows override DecodeSpec accepts, so the decode bound and the
+// bound the runs enforce (the attack synthesizer's and the fault model's)
+// cannot drift apart.
+func TestSweepsRunAtMinRows(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		params any
+	}{
+		{"attack", AttackParams{Patterns: attack.Kinds(), Mechanisms: []MechanismID{MechPARA},
+			HCSweep: []int{512}, BenignCores: 1, TraceRecords: 200, MemCycles: 5_000, Rows: attack.MinRows}},
+		{"pareto", ParetoParams{Mechanisms: []MechanismID{MechBlockHammer}, Schedulers: []SchedulerID{SchedBLISS},
+			Patterns: []attack.Kind{attack.Decoy}, HCSweep: []int{512}, BenignCores: 1, TraceRecords: 200,
+			MemCycles: 5_000, Rows: attack.MinRows}},
+		{"trr-dodge", TRRDodgeParams{Patterns: []attack.Kind{attack.ManySided}, DutyCycles: []float64{0.5},
+			Phases: []float64{0.5}, MemCycles: 5_000, Rows: attack.MinRows}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := NewSpec(tc.name, 1, tc.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunContext(context.Background(), spec, Exec{}); err != nil {
+				t.Fatalf("rows %d accepted at decode but the run failed: %v", attack.MinRows, err)
+			}
+		})
 	}
 }

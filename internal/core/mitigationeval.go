@@ -166,10 +166,15 @@ type Fig10Params struct {
 	Mechanisms   []MechanismID `json:"mechanisms,omitempty"`
 }
 
-// Validate rejects unknown mechanisms and non-positive HCfirst points at
-// spec decode.
+// Validate rejects unknown mechanisms, non-positive HCfirst points and
+// negative sizes at spec decode.
 func (p *Fig10Params) Validate() error {
-	return checkAxes(p.Mechanisms, nil, nil, p.HCSweep)
+	if err := checkAxes(p.Mechanisms, nil, nil, p.HCSweep); err != nil {
+		return err
+	}
+	return checkSizes(size{"mixes", int64(p.Mixes)}, size{"cores", int64(p.Cores)},
+		size{"trace_records", int64(p.TraceRecords)}, size{"warmup_insts", p.WarmupInsts},
+		size{"measure_insts", p.MeasureInsts})
 }
 
 func (p Fig10Params) normalized() Fig10Params {

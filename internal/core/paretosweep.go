@@ -90,6 +90,37 @@ func checkAxes(mechs []MechanismID, scheds []SchedulerID, pats []attack.Kind, hc
 	return nil
 }
 
+// size is one count or length field of a parameter block, by JSON name.
+type size struct {
+	name string
+	v    int64
+}
+
+// checkSizes rejects negative sizes, which would otherwise run as the
+// default (0 asks for it), at spec decode.
+func checkSizes(sizes ...size) error {
+	for _, s := range sizes {
+		if s.v < 0 {
+			return fmt.Errorf("core: %s must not be negative, got %d (omit it for the default)", s.name, s.v)
+		}
+	}
+	return nil
+}
+
+// checkSweepSizes checks the sizes the adversarial sweeps share: none
+// negative, and a rows override no smaller than the attack synthesizer's
+// minimum bank (0 keeps the Table 6 geometry).
+func checkSweepSizes(benignCores, traceRecords int, memCycles int64, rows, attackRecords int) error {
+	if err := checkSizes(size{"benign_cores", int64(benignCores)}, size{"trace_records", int64(traceRecords)},
+		size{"mem_cycles", memCycles}, size{"rows", int64(rows)}, size{"attack_records", int64(attackRecords)}); err != nil {
+		return err
+	}
+	if rows > 0 && rows < attack.MinRows {
+		return fmt.Errorf("core: rows %d below the minimum of %d (omit it for the Table 6 geometry)", rows, attack.MinRows)
+	}
+	return nil
+}
+
 // attackSimCfg builds the simulated system for a duration-terminated
 // adversarial run. rows 0 keeps the Table 6 geometry.
 func attackSimCfg(memCycles int64, rows int) sim.Config {
@@ -424,12 +455,15 @@ type ParetoParams struct {
 }
 
 // Validate rejects axis values no grid cell can evaluate (unknown
-// mechanisms, schedulers or patterns, non-positive HCfirst points), BLISS
-// axis values the grid cannot distinguish from the defaults (labels
-// would collide into duplicate task keys), and attack pacing outside its
-// [0,1) domain.
+// mechanisms, schedulers or patterns, non-positive HCfirst points), sizes
+// no run can use (checkSweepSizes), BLISS axis values the grid cannot
+// distinguish from the defaults (labels would collide into duplicate task
+// keys), and attack pacing outside its [0,1) domain.
 func (p *ParetoParams) Validate() error {
 	if err := checkAxes(p.Mechanisms, p.Schedulers, p.Patterns, p.HCSweep); err != nil {
+		return err
+	}
+	if err := checkSweepSizes(p.BenignCores, p.TraceRecords, p.MemCycles, p.Rows, p.AttackRecords); err != nil {
 		return err
 	}
 	if p.Attack != nil {

@@ -248,6 +248,26 @@ func TestDecodeSpecRejectsBadAxes(t *testing.T) {
 		{`{"name":"fig4","params":{"iterations":-1}}`, "iterations must not be negative, got -1"},
 		{`{"name":"fig5","params":{"stride":-2}}`, "stride must not be negative, got -2"},
 		{`{"name":"table4","params":{"chips":-7}}`, "got -7"},
+		// Sizes: a negative one would run as the default, and a bank too
+		// small for the attack synthesizer would fail every task.
+		{`{"name":"attack","params":{"rows":15}}`, "rows 15 below the minimum of 16"},
+		{`{"name":"attack","params":{"rows":3}}`, "rows 3 below the minimum of 16"},
+		{`{"name":"attack","params":{"rows":-5}}`, "rows must not be negative, got -5"},
+		{`{"name":"attack","params":{"benign_cores":-1}}`, "benign_cores must not be negative"},
+		{`{"name":"attack","params":{"trace_records":-2}}`, "trace_records must not be negative"},
+		{`{"name":"attack","params":{"mem_cycles":-3}}`, "mem_cycles must not be negative"},
+		{`{"name":"attack","params":{"attack_records":-4}}`, "attack_records must not be negative"},
+		{`{"name":"pareto","params":{"rows":1}}`, "rows 1 below the minimum of 16"},
+		{`{"name":"pareto","params":{"benign_cores":-1}}`, "benign_cores must not be negative"},
+		{`{"name":"pareto","params":{"mem_cycles":-1}}`, "mem_cycles must not be negative"},
+		{`{"name":"trr-dodge","params":{"rows":8}}`, "rows 8 below the minimum of 16"},
+		{`{"name":"trr-dodge","params":{"benign_cores":-1}}`, "benign_cores must not be negative"},
+		{`{"name":"trr-dodge","params":{"attack_records":-1}}`, "attack_records must not be negative"},
+		{`{"name":"fig10","params":{"mixes":-1}}`, "mixes must not be negative, got -1"},
+		{`{"name":"fig10","params":{"cores":-8}}`, "cores must not be negative"},
+		{`{"name":"fig10","params":{"trace_records":-1}}`, "trace_records must not be negative"},
+		{`{"name":"fig10","params":{"warmup_insts":-1000}}`, "warmup_insts must not be negative"},
+		{`{"name":"fig10","params":{"measure_insts":-1}}`, "measure_insts must not be negative"},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeSpec([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.want) {

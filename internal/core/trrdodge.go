@@ -68,9 +68,13 @@ type TRRDodgeParams struct {
 
 // Validate rejects out-of-domain axis values at spec decode: unknown
 // patterns, duty cycles and phases outside [0,1), sample rates outside
-// (0,1], non-positive table sizes, and a negative HCfirst.
+// (0,1], non-positive table sizes, a negative HCfirst, and sizes no run
+// can use (checkSweepSizes).
 func (p *TRRDodgeParams) Validate() error {
 	if err := checkAxes(nil, nil, p.Patterns, nil); err != nil {
+		return err
+	}
+	if err := checkSweepSizes(p.BenignCores, p.TraceRecords, p.MemCycles, p.Rows, p.AttackRecords); err != nil {
 		return err
 	}
 	for _, d := range p.DutyCycles {
@@ -120,10 +124,6 @@ func (p TRRDodgeParams) normalized() TRRDodgeParams {
 	}
 	if p.HCFirst <= 0 {
 		p.HCFirst = 256
-	}
-	// BenignCores 0 is meaningful (attacker-only), not a default request.
-	if p.BenignCores < 0 {
-		p.BenignCores = 0
 	}
 	if p.TraceRecords <= 0 {
 		p.TraceRecords = 2_000

@@ -53,12 +53,16 @@ type Core struct {
 	// complete holds one load-completion callback per window slot, built
 	// once in New: issuing a load, and retrying one the LLC refused,
 	// passes an existing func value instead of allocating a closure.
+	// Each also wakes the core.
 	complete []func()
+
+	// asleep is set at the end of a Tick that leaves the core blocked
+	// and cleared by every load completion; see Asleep.
+	asleep bool
 
 	llc *cache.Cache
 
 	Retired int64
-	Cycles  int64
 }
 
 // New builds a core over the shared cache.
@@ -82,25 +86,23 @@ func New(id int, cfg Config, trc *trace.Trace, llc *cache.Cache) (*Core, error) 
 		llc:      llc,
 	}
 	for s := range c.complete {
-		c.complete[s] = func() { c.done[s] = true; c.outstanding-- }
+		c.complete[s] = func() { c.done[s] = true; c.outstanding--; c.asleep = false }
 	}
 	return c, nil
 }
 
-// IPC returns retired instructions per cycle so far.
-func (c *Core) IPC() float64 {
-	if c.Cycles == 0 {
-		return 0
-	}
-	return float64(c.Retired) / float64(c.Cycles)
-}
-
 // ResetStats zeroes retirement statistics (end of warmup) without
 // disturbing the pipeline state.
-func (c *Core) ResetStats() {
-	c.Retired = 0
-	c.Cycles = 0
-}
+func (c *Core) ResetStats() { c.Retired = 0 }
+
+// Asleep reports that the last Tick left the core blocked (its window
+// full and the head load outstanding) and no load has completed since.
+// Until one does, Tick changes nothing, so the caller may skip it. Any
+// completion wakes the core, not only the head's: waking early costs
+// one no-op Tick, never a result.
+//
+//rhlint:hotpath
+func (c *Core) Asleep() bool { return c.asleep }
 
 func (c *Core) slot(seq int64) int { return int(seq & c.mask) }
 
@@ -109,8 +111,6 @@ func (c *Core) slot(seq int64) int { return int(seq & c.mask) }
 //
 //rhlint:hotpath
 func (c *Core) Tick() {
-	c.Cycles++
-
 	// Retire.
 	for i := 0; i < c.cfg.IssueWidth && c.inFlite > 0; i++ {
 		s := c.slot(c.seqHead)
@@ -180,6 +180,7 @@ func (c *Core) Tick() {
 		c.recLoaded = false
 		issued++
 	}
+	c.asleep = c.blocked()
 }
 
 // BulkWindow reports how many CPU cycles Advance may replay in place of
@@ -187,7 +188,7 @@ func (c *Core) Tick() {
 // replayable:
 //
 //   - blocked: the instruction window is full and its head instruction is
-//     incomplete. Tick is exactly Cycles++ until an external callback
+//     incomplete. Tick does nothing until an external callback
 //     completes the head, and callbacks only fire from the LLC or
 //     controller clocks — which the event engine holds still during a
 //     jump. Unbounded (the engine's other horizons cap the jump).
@@ -214,7 +215,7 @@ func (c *Core) blocked() bool {
 }
 
 // Advance replays n cycles, n no larger than BulkWindow(), with the same
-// effect as n Ticks. A blocked core only counts cycles. In a gap run
+// effect as n Ticks. A blocked core does nothing. In a gap run
 // every in-flight slot is complete, so one cycle retires
 // r=min(I,inFlite) and issues a=min(I, W-inFlite+r) immediately-done gap
 // instructions; the state reaches a fixed point (r==a) after at most one
@@ -223,7 +224,6 @@ func (c *Core) blocked() bool {
 //
 //rhlint:hotpath
 func (c *Core) Advance(n int64) {
-	c.Cycles += n
 	if c.blocked() {
 		return
 	}

@@ -57,13 +57,14 @@ func TestNonMemoryInstructionsRetireAtWidth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 1000; i++ {
+	const cycles = 1000
+	for i := 0; i < cycles; i++ {
 		llc.Tick()
 		c.Tick()
 	}
 	// Steady-state IPC must approach the issue width (4); the window
 	// fill/drain transient costs a cycle.
-	if ipc := c.IPC(); ipc < 3.5 {
+	if ipc := float64(c.Retired) / cycles; ipc < 3.5 {
 		t.Errorf("compute-only IPC = %v, want ≈4", ipc)
 	}
 }
@@ -81,7 +82,8 @@ func TestMemoryInstructionsBlockRetirement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 2000; i++ {
+	const cycles = 2000
+	for i := 0; i < cycles; i++ {
 		llc.Tick()
 		c.Tick()
 	}
@@ -92,7 +94,7 @@ func TestMemoryInstructionsBlockRetirement(t *testing.T) {
 		t.Fatal("no memory traffic")
 	}
 	// Loads must not exceed issue width per cycle on average.
-	if ipc := c.IPC(); ipc > 4 {
+	if ipc := float64(c.Retired) / cycles; ipc > 4 {
 		t.Errorf("IPC %v exceeds issue width", ipc)
 	}
 }
@@ -128,7 +130,7 @@ func TestResetStatsKeepsPipeline(t *testing.T) {
 		c.Tick()
 	}
 	c.ResetStats()
-	if c.Retired != 0 || c.Cycles != 0 {
+	if c.Retired != 0 {
 		t.Error("stats not reset")
 	}
 	for i := 0; i < 100; i++ {
@@ -207,24 +209,31 @@ func (m *heldMem) release() {
 	m.pending = nil
 }
 
+// releaseAt completes the i-th held fill alone.
+func (m *heldMem) releaseAt(i int) {
+	fn := m.pending[i]
+	m.pending = append(m.pending[:i], m.pending[i+1:]...)
+	fn()
+}
+
 // coreState is everything Tick reads or writes on the core.
 type coreState struct {
-	Retired, Cycles, SeqHead int64
-	InFlite, Outstanding     int
-	Done                     []bool
-	Pos, GapLeft             int
-	Pass, Offset             int64
-	RecLoaded                bool
-	Rec                      trace.Record
+	Retired, SeqHead     int64
+	InFlite, Outstanding int
+	Done                 []bool
+	Pos, GapLeft         int
+	Pass, Offset         int64
+	RecLoaded, Asleep    bool
+	Rec                  trace.Record
 }
 
 func stateOf(c *Core) coreState {
 	return coreState{
-		Retired: c.Retired, Cycles: c.Cycles, SeqHead: c.seqHead,
+		Retired: c.Retired, SeqHead: c.seqHead,
 		InFlite: c.inFlite, Outstanding: c.outstanding,
 		Done: append([]bool(nil), c.done...),
 		Pos:  c.pos, GapLeft: c.gapLeft, Pass: c.pass, Offset: c.offset,
-		RecLoaded: c.recLoaded, Rec: c.rec,
+		RecLoaded: c.recLoaded, Asleep: c.asleep, Rec: c.rec,
 	}
 }
 
@@ -290,4 +299,70 @@ func TestAdvanceMatchesTicks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestAsleepMark drives a core through held and released fills and checks
+// the asleep mark at every step: an asleep core is blocked, a Tick on an
+// asleep core changes nothing, and every load completion clears the mark.
+// Fills are released oldest first (usually the head load's), newest first
+// (a slot behind the head) or all at once; repeated lines within a pass
+// also complete loads from the LLC's hit ring and through merged MSHRs.
+func TestAsleepMark(t *testing.T) {
+	var recs []trace.Record
+	for i := 0; i < 64; i++ {
+		recs = append(recs, trace.Record{Gap: i % 7 * 5, Addr: int64(i%24) * 64 * 64, Write: i%11 == 3})
+	}
+	tr := &trace.Trace{Records: recs, PassStride: 1 << 20, Span: 1 << 30}
+	mem := &heldMem{}
+	llc := newLLC(t, mem)
+	c, err := New(0, Table6Config(), tr, llc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	completions := 0
+	for s, fn := range c.complete {
+		c.complete[s] = func() {
+			fn()
+			completions++
+			if c.asleep {
+				t.Fatalf("completion of slot %d left the core asleep", s)
+			}
+		}
+	}
+	check := func(step int, when string) {
+		if c.asleep && !c.blocked() {
+			t.Fatalf("step %d, %s: asleep but not blocked: %+v", step, when, stateOf(c))
+		}
+	}
+	asleepTicks := 0
+	for step := 0; step < 20_000; step++ {
+		llc.Tick()
+		check(step, "after the LLC tick")
+		if c.asleep {
+			asleepTicks++
+			before := stateOf(c)
+			c.Tick()
+			if after := stateOf(c); !reflect.DeepEqual(before, after) {
+				t.Fatalf("step %d: Tick on an asleep core changed it\n%+v\n%+v", step, before, after)
+			}
+		} else {
+			c.Tick()
+		}
+		check(step, "after Tick")
+		switch {
+		case len(mem.pending) == 0:
+		case step%97 == 0:
+			mem.release()
+		case step%13 == 0:
+			mem.releaseAt(len(mem.pending) - 1)
+		case step%29 == 0:
+			mem.releaseAt(0)
+		}
+		check(step, "after releases")
+	}
+	if asleepTicks == 0 || completions == 0 || c.pass == 0 {
+		t.Fatalf("the core never slept or never completed a load: %d asleep ticks, %d completions, pass %d",
+			asleepTicks, completions, c.pass)
+	}
+	t.Logf("%d asleep ticks, %d completions, %d passes", asleepTicks, completions, c.pass)
 }

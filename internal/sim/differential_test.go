@@ -16,43 +16,72 @@ import (
 // so sharing them across the two runs would confound the comparison.
 type scenario func(t *testing.T) (Config, trace.Mix, *attack.Observer)
 
-// runBothEngines executes a scenario under the cycle oracle and the event
-// engine and asserts byte-identical results and observer timelines.
+// runAllCores is the reference loop without sleeping cores: it ticks
+// every core on every cycle, asleep or not, and is otherwise runCycle. It
+// is the oracle for both engines' skipping of asleep cores.
+func (s *system) runAllCores() {
+	target := s.cfg.WarmupInsts
+	for s.cpuCycle = 0; s.cpuCycle < s.maxCycles; s.cpuCycle++ {
+		s.llc.Tick()
+		for _, c := range s.cores {
+			c.Tick()
+		}
+		s.cycles++
+		s.memAcc += s.memF
+		if s.memAcc >= s.cpuF {
+			s.memAcc -= s.cpuF
+			s.ctrl.Tick()
+		}
+		if !s.warmedUp && s.allRetired(target) {
+			s.beginMeasure()
+		}
+		if s.warmedUp && s.allRetired(s.cfg.MeasureInsts) {
+			break
+		}
+	}
+}
+
+// runBothEngines executes a scenario under the cycle oracle, the event
+// engine and the all-cores loop (runAllCores), and asserts byte-identical
+// results and observer timelines.
 func runBothEngines(t *testing.T, mk scenario) {
 	t.Helper()
-	cfgC, mixC, obsC := mk(t)
-	cfgC.Engine = EngineCycle
-	resC, err := Run(cfgC, mixC)
+	cfgA, mixA, obsA := mk(t)
+	s, err := newSystem(cfgA, mixA)
 	if err != nil {
-		t.Fatalf("cycle engine: %v", err)
+		t.Fatalf("all-cores loop: %v", err)
 	}
-	cfgE, mixE, obsE := mk(t)
-	cfgE.Engine = EngineEvent
-	resE, err := Run(cfgE, mixE)
-	if err != nil {
-		t.Fatalf("event engine: %v", err)
-	}
-	if !reflect.DeepEqual(resC, resE) {
-		t.Errorf("results diverge\n cycle: %+v\n event: %+v", resC, resE)
-	}
-	if (obsC == nil) != (obsE == nil) {
-		t.Fatal("scenario built observer for one engine only")
-	}
-	if obsC == nil {
-		return
-	}
-	if !reflect.DeepEqual(obsC.Timeline(), obsE.Timeline()) {
-		t.Errorf("REF-window timelines diverge\n cycle: %+v\n event: %+v",
-			obsC.Timeline(), obsE.Timeline())
-	}
-	if !reflect.DeepEqual(obsC.Flips(), obsE.Flips()) {
-		t.Errorf("flip events diverge\n cycle: %+v\n event: %+v", obsC.Flips(), obsE.Flips())
-	}
-	if obsC.TotalACTs() != obsE.TotalACTs() || obsC.AggressorACTs() != obsE.AggressorACTs() ||
-		obsC.RawFlips() != obsE.RawFlips() || obsC.FirstFlipCycle() != obsE.FirstFlipCycle() {
-		t.Errorf("observer counters diverge: cycle (acts %d agg %d raw %d first %d) event (acts %d agg %d raw %d first %d)",
-			obsC.TotalACTs(), obsC.AggressorACTs(), obsC.RawFlips(), obsC.FirstFlipCycle(),
-			obsE.TotalACTs(), obsE.AggressorACTs(), obsE.RawFlips(), obsE.FirstFlipCycle())
+	s.runAllCores()
+	resA := s.result()
+	for _, engine := range []Engine{EngineCycle, EngineEvent} {
+		cfg, mix, obs := mk(t)
+		cfg.Engine = engine
+		res, err := Run(cfg, mix)
+		if err != nil {
+			t.Fatalf("%s engine: %v", engine, err)
+		}
+		if !reflect.DeepEqual(resA, res) {
+			t.Errorf("results diverge\n all-cores: %+v\n %s: %+v", resA, engine, res)
+		}
+		if (obsA == nil) != (obs == nil) {
+			t.Fatal("scenario built observer for some runs only")
+		}
+		if obsA == nil {
+			continue
+		}
+		if !reflect.DeepEqual(obsA.Timeline(), obs.Timeline()) {
+			t.Errorf("REF-window timelines diverge\n all-cores: %+v\n %s: %+v",
+				obsA.Timeline(), engine, obs.Timeline())
+		}
+		if !reflect.DeepEqual(obsA.Flips(), obs.Flips()) {
+			t.Errorf("flip events diverge\n all-cores: %+v\n %s: %+v", obsA.Flips(), engine, obs.Flips())
+		}
+		if obsA.TotalACTs() != obs.TotalACTs() || obsA.AggressorACTs() != obs.AggressorACTs() ||
+			obsA.RawFlips() != obs.RawFlips() || obsA.FirstFlipCycle() != obs.FirstFlipCycle() {
+			t.Errorf("observer counters diverge: all-cores (acts %d agg %d raw %d first %d) %s (acts %d agg %d raw %d first %d)",
+				obsA.TotalACTs(), obsA.AggressorACTs(), obsA.RawFlips(), obsA.FirstFlipCycle(), engine,
+				obs.TotalACTs(), obs.AggressorACTs(), obs.RawFlips(), obs.FirstFlipCycle())
+		}
 	}
 }
 

@@ -5,7 +5,8 @@ package sim
 // iteration —
 //
 //   - execute one cycle exactly as runCycle would (same component order,
-//     same clock-divider arithmetic), or
+//     same clock-divider arithmetic), after passing the no-op cycles
+//     before it in closed form when the all-asleep rule (below) holds, or
 //
 //   - bulk-advance n cycles after proving that each of those cycles would
 //     have been trivial for every component, then replay them in closed
@@ -17,6 +18,7 @@ package sim
 // executed exactly, on exactly the cycle number the reference loop would
 // have used: the CPU/mem phase accumulator is stepped with the same
 // modular arithmetic, so ACT/REF/return timing is preserved bit-for-bit.
+// An exact cycle ticks only awake cores (system.tick).
 //
 // Three horizons bound a jump. Each earns its place on the benchmark's
 // sim workloads (counts from one run of each workload's spec at
@@ -24,20 +26,30 @@ package sim
 //
 //   - cores: every core blocked on its window head or in an arithmetic
 //     gap run (cpu.Core.BulkWindow). Paced attacks live here:
-//     paced-dodge skips 901M of its 960M CPU cycles.
+//     paced-dodge jumps over 893M of its 960M CPU cycles.
 //   - LLC: no hit callback pending (cache.HitsPending). A flag is
-//     enough: it refuses 1,912 of the 2.79M mitigation-sweep probes that
-//     pass the core scan, 42 on hammer-attack and none on paced-dodge.
+//     enough: it refuses 1,924 of the 891K mitigation-sweep probes that
+//     pass the core scan, 49 on hammer-attack and none on paced-dodge.
 //   - controller: no command, return or REF deadline due before
 //     memctrl.NextWork. Its per-bank scan lets jumps run while requests
-//     wait on DRAM timing: 126M of paced-dodge's skipped cycles and
-//     6.58M of mitigation-sweep's 6.63M. Were every queued request
-//     treated as due next cycle, paced-dodge would tick 191M cycles
-//     exactly instead of 58.7M.
+//     wait on DRAM timing: 118M of paced-dodge's jumped cycles and
+//     6.44M of mitigation-sweep's 6.48M.
+//
+// Beside them sits the all-asleep rule, for the dense stretches no jump
+// covers because the controller is busy. While every core is asleep and
+// no hit is pending, a CPU cycle without a controller tick is a no-op:
+// no completion can fire, so no core can wake or retire and neither
+// retirement check can change. The k-1 cycles before the controller's
+// next tick pass in closed form, and that tick's cycle runs exactly. The
+// rule is tried once probes keep failing: it passes 32.3M of
+// mitigation-sweep's 62.8M cycles and 2.33M of hammer-attack's 14.0M.
+// On paced-dodge it passes 8.2M cycles. Tried after every failed probe,
+// it took 14.5M cycles from jumps there, ticked no fewer cycles exactly,
+// and the workload's run time rose 7-10% (4-8% with the gate).
 //
 // The probe backoff (runEvent) keeps dense runs from paying for probes
-// that fail: mitigation-sweep probes on 3.36M of its 62.8M cycles, and
-// would probe on 56.1M without it.
+// that fail: mitigation-sweep probes on 1.46M of its 24.1M loop
+// iterations, and without the backoff would probe on every one.
 
 // minBulk is the smallest jump worth taking: below it, the exact path is
 // cheaper than rebuilding gap-run done rings.
@@ -62,6 +74,18 @@ func (s *system) retireNeed(tgt, iw int64) int64 {
 		}
 	}
 	return need
+}
+
+// allAsleep reports whether every core is asleep (cpu.Core.Asleep).
+//
+//rhlint:hotpath
+func (s *system) allAsleep() bool {
+	for _, c := range s.cores {
+		if !c.Asleep() {
+			return false
+		}
+	}
+	return true
 }
 
 // runEvent drives the system to the same final state as runCycle,
@@ -137,6 +161,22 @@ func (s *system) runEvent() {
 					backoff *= 2
 				}
 			}
+			// The all-asleep rule, tried once probes keep failing (the
+			// backoff at its cap). Right after a jump another is usually
+			// near: there the rule passes cycles a jump would cover, and
+			// its checks cost more than it saves.
+			if backoff == maxBackoff && s.allAsleep() && !s.llc.HitsPending() {
+				// Nothing can happen before the controller's next tick, k
+				// cycles away: pass the k-1 cycles before it in closed form.
+				k := (s.cpuF - s.memAcc + s.memF - 1) / s.memF
+				skip := min(k-1, s.maxCycles-s.cpuCycle)
+				s.memAcc += skip * s.memF
+				s.cpuCycle += skip
+				s.cycles += skip
+				if s.cpuCycle == s.maxCycles {
+					return
+				}
+			}
 			s.tick()
 			s.cpuCycle++
 		} else {
@@ -150,6 +190,7 @@ func (s *system) runEvent() {
 				s.ctrl.AdvanceIdle(ticks)
 			}
 			s.cpuCycle += n
+			s.cycles += n
 		}
 
 		// The reference loop checks after every cycle; the retireNeed cap

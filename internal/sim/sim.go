@@ -8,11 +8,18 @@
 // the original loop: one CPU cycle per iteration, the reference
 // semantics. EngineEvent (the default) jumps over stretches it can prove
 // idle — every core blocked on memory or in a gap run, no LLC hit
-// pending, no controller command, return or REF deadline due — while
-// preserving the exact CPU/mem clock-ratio phase, so every DRAM command
-// lands on the identical cycle and all results are byte-identical to the
-// cycle engine (enforced by the differential tests in this package).
-// engine_event.go records what each of those horizons skips.
+// pending, no controller command, return or REF deadline due — and,
+// while every core is asleep and no hit is pending, passes the cycles
+// before the controller's next tick in closed form. It preserves the
+// exact CPU/mem clock-ratio phase, so every DRAM command lands on the
+// identical cycle and all results are byte-identical to the cycle engine
+// (enforced by the differential tests in this package).
+//
+// On an exact cycle both engines tick only awake cores. A core whose
+// window is full behind an outstanding head load is asleep until a load
+// completes (cpu.Core.Asleep): its Tick would change nothing, and every
+// core's IPC divides by one shared cycle count. engine_event.go records
+// what each rule skips.
 package sim
 
 import (
@@ -189,6 +196,13 @@ type system struct {
 	warmedUp       bool
 	measStartCycle int64
 
+	// cycles is every core's IPC denominator: the CPU cycles since
+	// beginMeasure (since the start when warmup never ends), counted by
+	// whichever path passes them. It differs from
+	// cpuCycle-measStartCycle by one cycle when a run stops at maxCycles
+	// after warmup ended, or stops by retiring without a warmup.
+	cycles int64
+
 	// laggard memoizes a core known to be short of the current
 	// retirement target, so the per-cycle allRetired probe is O(1) until
 	// that core crosses.
@@ -273,6 +287,7 @@ func (s *system) allRetired(n int64) bool {
 // at the current cycle.
 func (s *system) beginMeasure() {
 	s.warmedUp = true
+	s.cycles = 0
 	for _, c := range s.cores {
 		c.ResetStats()
 	}
@@ -283,14 +298,18 @@ func (s *system) beginMeasure() {
 }
 
 // tick executes one exact CPU cycle in reference order: the LLC, every
-// core, then the controller on the cycles the clock divider grants it.
+// awake core, then the controller on the cycles the clock divider grants
+// it. An asleep core's Tick would change nothing (cpu.Core.Asleep).
 //
 //rhlint:hotpath
 func (s *system) tick() {
 	s.llc.Tick()
 	for _, c := range s.cores {
-		c.Tick()
+		if !c.Asleep() {
+			c.Tick()
+		}
 	}
+	s.cycles++
 	s.memAcc += s.memF
 	if s.memAcc >= s.cpuF {
 		s.memAcc -= s.cpuF
@@ -324,7 +343,11 @@ func (s *system) result() *Result {
 	}
 	var totalInsts int64
 	for _, c := range s.cores {
-		res.IPC = append(res.IPC, c.IPC())
+		ipc := 0.0
+		if s.cycles > 0 {
+			ipc = float64(c.Retired) / float64(s.cycles)
+		}
+		res.IPC = append(res.IPC, ipc)
 		res.Retired = append(res.Retired, c.Retired)
 		totalInsts += c.Retired
 	}
