@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -98,21 +97,19 @@ type AttackParams struct {
 }
 
 // Validate rejects axis values no grid cell can evaluate (unknown
-// mechanisms, patterns or scheduler, non-positive HCfirst points), sizes
-// no run can use (negative, or too few rows; checkSweepSizes) and attack
-// pacing outside its [0,1) domain at spec decode, so a mistyped value
-// fails validation instead of inside the run.
+// mechanisms, patterns or scheduler, non-positive HCfirst points) and a
+// shape no run can use (sweepShape.validate) at spec decode, so a
+// mistyped value fails validation instead of inside the run.
 func (p *AttackParams) Validate() error {
 	if err := checkAxes(p.Mechanisms, []SchedulerID{p.Scheduler}, p.Patterns, p.HCSweep); err != nil {
 		return err
 	}
-	if err := checkSweepSizes(p.BenignCores, p.TraceRecords, p.MemCycles, p.Rows, p.AttackRecords); err != nil {
-		return err
-	}
-	if p.Attack != nil {
-		return p.Attack.Validate()
-	}
-	return nil
+	return p.shape().validate()
+}
+
+func (p AttackParams) shape() sweepShape {
+	return sweepShape{benignCores: p.BenignCores, traceRecords: p.TraceRecords, memCycles: p.MemCycles,
+		rows: p.Rows, attackRecords: p.AttackRecords, ecc: p.ECC, pacing: p.Attack}
 }
 
 func (p AttackParams) normalized() AttackParams {
@@ -138,14 +135,6 @@ func (p AttackParams) normalized() AttackParams {
 		p.MemCycles = 3_000_000
 	}
 	return p
-}
-
-// sweepMeta is the shard-invariant metadata of the adversarial sweeps.
-type sweepMeta struct {
-	MemCycles int64   `json:"mem_cycles"`
-	WallMS    float64 `json:"wall_ms"`
-	Benign    string  `json:"benign"`
-	ECC       bool    `json:"ecc,omitempty"`
 }
 
 // attackGrid enumerates the (mechanism × pattern × HCfirst) cells and
@@ -182,35 +171,12 @@ func init() {
 	// Parallelism.
 	register("attack", "Attack evaluation: mitigations under adversarial hammering (mechanism × pattern × HCfirst)", AttackParams.normalized,
 		func(rc *runCtx, p AttackParams) (*Result, error) {
-			cfg := attackSimCfg(p.MemCycles, p.Rows)
-			benign, baseIPC, base, err := benignBaseline(cfg, p.BenignCores, p.TraceRecords, rc.spec.Seed)
-			if err != nil {
-				return nil, fmt.Errorf("attack eval %w", err)
-			}
 			keys, cells := attackGrid(p, rc.spec.Seed)
-			co := newCellOptions(p.MemCycles, p.AttackRecords, p.ECC, p.Attack)
-			meta := sweepMeta{
-				MemCycles: p.MemCycles,
-				WallMS:    float64(p.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
-				Benign:    fmt.Sprintf("%d benign cores, MPKI %.0f", p.BenignCores, base.MPKI),
-				ECC:       p.ECC,
-			}
-			return gridResult(rc, meta, keys, cells,
-				func(ctx engine.TaskContext, cell sweepCell) (AttackPoint, error) {
-					pt, err := runSweepCell(cfg, co, cell, benign, baseIPC, ctx.Seed)
-					if err != nil {
-						return AttackPoint{}, fmt.Errorf("%s/%s hc=%d: %w", cell.Mech, cell.Pattern, cell.HC, err)
-					}
-					return *pt, nil
-				})
+			return runSweep(rc, p.shape(), keys, cells, attackPoint)
 		},
 		func(res *Result, p AttackParams) (Artifact, error) {
-			var meta sweepMeta
-			if err := json.Unmarshal(res.Meta, &meta); err != nil {
-				return nil, fmt.Errorf("core: attack meta: %w", err)
-			}
 			keys, _ := attackGrid(p, res.Spec.Seed)
-			points, err := cellsInOrder[AttackPoint](res, keys)
+			meta, points, err := decodeSweep[AttackPoint](res, keys)
 			if err != nil {
 				return nil, err
 			}
@@ -253,26 +219,17 @@ func (e *AttackEval) Format() string {
 	}
 
 	sb.WriteString(table(func(w *tabwriter.Writer) {
-		header := "mechanism\tpattern\tHCfirst\tflips\tt-first-flip\taggACT/s\tattBus%\tbenign perf%\toverhead%\tviable"
-		if e.ECC {
-			header = "mechanism\tpattern\tHCfirst\tflips\traw\tt-first-flip\taggACT/s\tattBus%\tbenign perf%\toverhead%\tviable"
-		}
-		fmt.Fprintln(w, header)
+		fmt.Fprintf(w, "mechanism\tpattern\tHCfirst\tflips%s\tt-first-flip\taggACT/s\tattBus%%\tbenign perf%%\toverhead%%\tviable\n",
+			rawColumn(e.ECC, "raw"))
 		for _, id := range order {
 			for _, p := range e.PointsFor(id) {
 				ttff := "-"
 				if p.TimeToFirstFlipMS >= 0 {
 					ttff = fmt.Sprintf("%.3fms", p.TimeToFirstFlipMS)
 				}
-				if e.ECC {
-					fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%d\t%s\t%.2fM\t%.1f\t%.1f\t%.3f\t%v\n",
-						p.Mechanism, p.Pattern, p.HCFirst, p.EscapedFlips, p.RawFlips, ttff,
-						p.AggACTsPerSec/1e6, p.AttackerBusPct, p.BenignPerfPct, p.OverheadPct, p.Viable)
-				} else {
-					fmt.Fprintf(w, "%s\t%s\t%d\t%d\t%s\t%.2fM\t%.1f\t%.1f\t%.3f\t%v\n",
-						p.Mechanism, p.Pattern, p.HCFirst, p.EscapedFlips, ttff,
-						p.AggACTsPerSec/1e6, p.AttackerBusPct, p.BenignPerfPct, p.OverheadPct, p.Viable)
-				}
+				fmt.Fprintf(w, "%s\t%s\t%d\t%d%s\t%s\t%.2fM\t%.1f\t%.1f\t%.3f\t%v\n",
+					p.Mechanism, p.Pattern, p.HCFirst, p.EscapedFlips, rawColumn(e.ECC, p.RawFlips), ttff,
+					p.AggACTsPerSec/1e6, p.AttackerBusPct, p.BenignPerfPct, p.OverheadPct, p.Viable)
 			}
 		}
 	}))

@@ -18,6 +18,15 @@ func table(fn func(w *tabwriter.Writer)) string {
 	return sb.String()
 }
 
+// rawColumn is the pre-correction flips column the attack and trr-dodge
+// tables carry for on-die ECC chips: v after a tab, or nothing.
+func rawColumn(ecc bool, v any) string {
+	if !ecc {
+		return ""
+	}
+	return fmt.Sprintf("\t%v", v)
+}
+
 func hcK(v float64) string {
 	if math.IsNaN(v) || v <= 0 {
 		return "n/a"

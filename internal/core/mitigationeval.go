@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/engine"
 	"repro/internal/mitigation"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -249,7 +248,7 @@ func init() {
 			// Phase 2: the sharded (mechanism, HCfirst) grid.
 			keys, jobs := fig10Grid(p)
 			return gridResult(rc, meta, keys, jobs,
-				func(_ engine.TaskContext, jb fig10Job) (F10Point, error) {
+				func(jb fig10Job, _ uint64) (F10Point, error) {
 					pt, err := runPoint(cfg, seed, jb.mech, jb.hc, mixes, alones, baselines)
 					if err != nil {
 						return F10Point{}, err

@@ -18,12 +18,13 @@ import (
 )
 
 // This file is the shared sweep core behind the system-level
-// experiments. fig10 (benign overhead), attack (security under attack)
-// and pareto (the combined frontier) all run in two phases — a baseline
-// phase followed by a grid fanned out over the deterministic engine —
-// and they share the machinery here: scheduler selection, the benign
-// baseline, per-mix baselines, and the single-cell attack runner every
-// grid point funnels through.
+// experiments. fig10 (benign overhead), attack (security under attack),
+// pareto (the combined frontier) and trr-dodge (paced attacks on a
+// sampler) all run in two phases — a baseline phase followed by a grid
+// fanned out over the deterministic engine — and they share the
+// machinery here: scheduler selection, per-mix baselines, and the one
+// sweep every attack, pareto and trr-dodge cell runs through (newSweep
+// builds its system and benign baseline, sweep.run runs a cell).
 
 // SchedulerID names a memory-controller scheduling policy of the sweep's
 // scheduler axis.
@@ -107,32 +108,45 @@ func checkSizes(sizes ...size) error {
 	return nil
 }
 
-// checkSweepSizes checks the sizes the adversarial sweeps share: none
-// negative, and a rows override no smaller than the attack synthesizer's
-// minimum bank (0 keeps the Table 6 geometry).
-func checkSweepSizes(benignCores, traceRecords int, memCycles int64, rows, attackRecords int) error {
-	if err := checkSizes(size{"benign_cores", int64(benignCores)}, size{"trace_records", int64(traceRecords)},
-		size{"mem_cycles", memCycles}, size{"rows", int64(rows)}, size{"attack_records", int64(attackRecords)}); err != nil {
-		return err
-	}
-	if rows > 0 && rows < attack.MinRows {
-		return fmt.Errorf("core: rows %d below the minimum of %d (omit it for the Table 6 geometry)", rows, attack.MinRows)
-	}
-	return nil
+// sweepShape is what the attack, pareto and trr-dodge params share: the
+// benign side's size, the attack window, the rows per bank (0 keeps the
+// Table 6 geometry), one attacker trace pass, the chip's on-die ECC, and
+// the pacing of every attack stream (nil = unpaced).
+type sweepShape struct {
+	benignCores, traceRecords int
+	memCycles                 int64
+	rows, attackRecords       int
+	ecc                       bool
+	pacing                    *attack.Spec
 }
 
-// attackSimCfg builds the simulated system for a duration-terminated
-// adversarial run. rows 0 keeps the Table 6 geometry.
-func attackSimCfg(memCycles int64, rows int) sim.Config {
-	cfg := sim.Table6Config(0, 1)
-	if rows > 0 {
-		cfg.Geo.Rows = rows
-		cfg.T = dram.DDR4_2400(rows)
+// validate rejects a shape no run can use, at spec decode: a negative
+// size, a rows override below the attack synthesizer's minimum bank or
+// above the Table 6 geometry it shrinks, and pacing that sets a field
+// every cell overwrites or lies outside its [0,1) domain.
+func (s sweepShape) validate() error {
+	if err := checkSizes(size{"benign_cores", int64(s.benignCores)}, size{"trace_records", int64(s.traceRecords)},
+		size{"mem_cycles", s.memCycles}, size{"rows", int64(s.rows)}, size{"attack_records", int64(s.attackRecords)}); err != nil {
+		return err
 	}
-	cfg.WarmupInsts = 0
-	cfg.MeasureInsts = 1 << 40 // duration-terminated: MaxCPUCycles decides
-	cfg.MaxCPUCycles = memCycles * int64(cfg.CPUFreqMHz) / int64(cfg.MemFreqMHz)
-	return cfg
+	if s.rows > 0 && s.rows < attack.MinRows {
+		return fmt.Errorf("core: rows %d below the minimum of %d (omit it for the Table 6 geometry)", s.rows, attack.MinRows)
+	}
+	if limit := dram.Table6Geometry().Rows; s.rows > limit {
+		return fmt.Errorf("core: rows %d above the Table 6 geometry's %d (rows only shrinks the system)", s.rows, limit)
+	}
+	a := s.pacing
+	switch {
+	case a == nil:
+		return nil
+	case a.Kind != "":
+		return fmt.Errorf("core: attack.kind %q is set per cell; list the patterns under patterns", a.Kind)
+	case a.Records != 0:
+		return fmt.Errorf("core: attack.records %d is set per cell; size the attacker trace with attack_records", a.Records)
+	case a.Seed != 0:
+		return fmt.Errorf("core: attack.seed %d is set per cell from the spec seed; change the spec's seed instead", a.Seed)
+	}
+	return a.Validate()
 }
 
 // attackChip builds the victim chip for an HCfirst point: a DDR4-like
@@ -159,24 +173,6 @@ func attackChip(cfg sim.Config, hc int, seed uint64, ecc bool) (*faultmodel.Chip
 	return chip, nil
 }
 
-// benignBaseline runs the benign cores alone — no attacker, no
-// mitigation, FR-FCFS — as the shared performance reference of the
-// adversarial sweeps.
-func benignBaseline(cfg sim.Config, cores, records int, seed uint64) (trace.Mix, []float64, *sim.Result, error) {
-	benign := trace.Mixes(1, cores, records, seed)[0]
-	benign.Name = "benign"
-	base, err := sim.Run(cfg, benign)
-	if err != nil {
-		return trace.Mix{}, nil, nil, fmt.Errorf("benign baseline: %w", err)
-	}
-	for i, v := range base.IPC {
-		if v <= 0 {
-			return trace.Mix{}, nil, nil, fmt.Errorf("benign baseline: core %d IPC is zero", i)
-		}
-	}
-	return benign, base.IPC, base, nil
-}
-
 // mixBaselines is phase 1 of the benign sweeps: every mix's single-core
 // alone IPCs and no-mitigation weighted speedup, fanned out over the
 // engine.
@@ -185,7 +181,7 @@ func mixBaselines(eo engine.Options, cfg sim.Config, mixes []trace.Mix) ([]mixBa
 		alone []float64
 		base  mixBaseline
 	}
-	mixResults, err := engine.Map(eo, mixes, func(_ engine.TaskContext, mix trace.Mix) (mixResult, error) {
+	mixResults, err := engine.Map(eo, mixes, func(mix trace.Mix) (mixResult, error) {
 		alone, err := sim.RunAlone(cfg, mix)
 		if err != nil {
 			return mixResult{}, err
@@ -230,9 +226,9 @@ type sweepCell struct {
 	blissStreak int
 	blissClear  int64
 	streamSeed  uint64
-	// duty / phase override the shared attack spec's pacing for this cell
-	// (the trr-dodge grid takes them as axes); duty 0 keeps the shared
-	// cellOptions.Spec values (full rate unless the spec paces).
+	// duty / phase override the sweep's pacing for this cell (the
+	// trr-dodge grid takes them as axes); duty 0 keeps the sweep's pacing
+	// (full rate unless the spec paces).
 	duty, phase float64
 	// trr, when non-nil, builds the cell's mechanism as a TRR sampler
 	// with this configuration instead of going through buildMechanism —
@@ -240,52 +236,76 @@ type sweepCell struct {
 	trr *mitigation.TRRConfig
 }
 
-// cellOptions carries the system-shape knobs runSweepCell needs; the
-// attack, pareto and trr-dodge params all reduce to it.
-type cellOptions struct {
-	MemCycles     int64
-	AttackRecords int
-	ECC           bool
-	Spec          attack.Spec // Kind/Records/Seed overridden per cell
+// sweepMeta is the shard-invariant metadata of the adversarial sweeps.
+type sweepMeta struct {
+	MemCycles int64   `json:"mem_cycles"`
+	WallMS    float64 `json:"wall_ms"`
+	Benign    string  `json:"benign"`
+	ECC       bool    `json:"ecc,omitempty"`
 }
 
-// newCellOptions collects the knobs every cell of a grid shares; pacing
-// (nil = unpaced) is applied to every synthesized attack stream.
-func newCellOptions(memCycles int64, attackRecords int, ecc bool, pacing *attack.Spec) cellOptions {
-	co := cellOptions{MemCycles: memCycles, AttackRecords: attackRecords, ECC: ecc}
-	if pacing != nil {
-		co.Spec = *pacing
+// sweep is one adversarial grid's setup, built once per run and only read
+// by its cells: the Table 6 system sized by the shape, the benign mix and
+// its baseline IPCs (empty for an attacker-only grid), and the metadata.
+type sweep struct {
+	sweepShape
+	cfg     sim.Config
+	benign  trace.Mix
+	baseIPC []float64
+	meta    sweepMeta
+}
+
+// newSweep builds the system for a duration-terminated run and runs the
+// benign cores alone — no attacker, no mitigation, FR-FCFS — as the
+// performance reference of every cell.
+func newSweep(s sweepShape, seed uint64) (*sweep, error) {
+	cfg := sim.Table6Config(0, 1<<40) // MaxCPUCycles ends the run
+	if s.rows > 0 {
+		cfg.Geo.Rows = s.rows
+		cfg.T = dram.DDR4_2400(s.rows)
 	}
-	return co
+	cfg.MaxCPUCycles = s.memCycles * int64(cfg.CPUFreqMHz) / int64(cfg.MemFreqMHz)
+	sw := &sweep{sweepShape: s, cfg: cfg, meta: sweepMeta{
+		MemCycles: s.memCycles,
+		WallMS:    float64(s.memCycles) * float64(cfg.T.TCKPS) * 1e-9,
+		Benign:    "attacker only",
+		ECC:       s.ecc,
+	}}
+	if s.benignCores == 0 {
+		return sw, nil
+	}
+	sw.benign = trace.Mixes(1, s.benignCores, s.traceRecords, seed)[0]
+	base, err := sim.Run(sw.cfg, sw.benign)
+	if err != nil {
+		return nil, fmt.Errorf("core: benign baseline: %w", err)
+	}
+	for i, v := range base.IPC {
+		if v <= 0 {
+			return nil, fmt.Errorf("core: benign baseline: core %d IPC is zero", i)
+		}
+	}
+	sw.baseIPC = base.IPC
+	sw.meta.Benign = fmt.Sprintf("%d benign cores, MPKI %.0f", s.benignCores, base.MPKI)
+	return sw, nil
 }
 
-// runSweepCell runs one grid point: a mixed attacker+benign simulation
-// (or a benign-only one for an empty Pattern) under the cell's mechanism
-// and scheduler, reporting security and performance together. mechSeed is
-// the per-task seed for mechanism-internal randomness.
-func runSweepCell(cfg sim.Config, o cellOptions, cell sweepCell,
-	benign trace.Mix, baseIPC []float64, mechSeed uint64,
-) (*AttackPoint, error) {
-	pt, _, _, err := runSweepCellObs(cfg, o, cell, benign, baseIPC, mechSeed)
-	return pt, err
-}
-
-// runSweepCellObs is runSweepCell exposing the run's observer and
-// mechanism, for grids (trr-dodge) whose cell payload carries per-REF
-// timeline evidence and mechanism-internal counters. The observer is nil
-// for benign-only cells.
-func runSweepCellObs(cfg sim.Config, o cellOptions, cell sweepCell,
-	benign trace.Mix, baseIPC []float64, mechSeed uint64,
-) (*AttackPoint, *attack.Observer, mitigation.Mechanism, error) {
+// run runs one grid point: a mixed attacker+benign simulation (or a
+// benign-only one for an empty Pattern) under the cell's mechanism and
+// scheduler, reporting security and performance together. seed is the
+// task's seed for mechanism-internal randomness. It also returns the
+// run's observer (nil for a benign-only cell) and mechanism, whose
+// per-REF timeline and counters trr-dodge reports.
+func (sw *sweep) run(cell sweepCell, seed uint64) (*AttackPoint, *attack.Observer, mitigation.Mechanism, error) {
+	cfg := sw.cfg
 	if err := applyScheduler(&cfg, cell.Sched, cell.blissStreak, cell.blissClear); err != nil {
 		return nil, nil, nil, err
 	}
 	var mech mitigation.Mechanism
 	var err error
 	if cell.trr != nil {
-		mech, err = mitigation.NewTRRWithConfig(cfg.MitigationParams(cell.HC, mechSeed^0x3eca), *cell.trr)
+		mech, err = mitigation.NewTRRWithConfig(cfg.MitigationParams(cell.HC, seed^0x3eca), *cell.trr)
 	} else {
-		mech, err = buildMechanism(cell.Mech, cfg, cell.HC, mechSeed^0x3eca)
+		mech, err = buildMechanism(cell.Mech, cfg, cell.HC, seed^0x3eca)
 	}
 	if err != nil {
 		return nil, nil, nil, err
@@ -294,16 +314,19 @@ func runSweepCellObs(cfg sim.Config, o cellOptions, cell sweepCell,
 	mix := trace.Mix{Name: "benign-only"}
 	var obs *attack.Observer
 	if cell.Pattern != "" {
-		chip, err := attackChip(cfg, cell.HC, cell.streamSeed, o.ECC)
+		chip, err := attackChip(cfg, cell.HC, cell.streamSeed, sw.ecc)
 		if err != nil {
 			return nil, nil, nil, err
 		}
 		// The attacker has profiled the chip (the strong threat model of
 		// Section 6): aim at the weakest cell's row.
 		weak := chip.WeakestCell()
-		spec := o.Spec
+		var spec attack.Spec
+		if sw.pacing != nil {
+			spec = *sw.pacing
+		}
 		spec.Kind = cell.Pattern
-		spec.Records = o.AttackRecords
+		spec.Records = sw.attackRecords
 		spec.Seed = cell.streamSeed ^ 0xdec0
 		if cell.duty > 0 {
 			spec.DutyCycle = cell.duty
@@ -318,14 +341,13 @@ func runSweepCellObs(cfg sim.Config, o cellOptions, cell sweepCell,
 		mix.Name = "attack-" + string(cell.Pattern)
 		mix.Traces = append(mix.Traces, attackTrace)
 	}
-	mix.Traces = append(mix.Traces, benign.Traces...)
+	mix.Traces = append(mix.Traces, sw.benign.Traces...)
 
-	runCfg := cfg
-	runCfg.Mechanism = mech
+	cfg.Mechanism = mech
 	if obs != nil {
-		runCfg.Observer = obs
+		cfg.Observer = obs
 	}
-	res, err := sim.Run(runCfg, mix)
+	res, err := sim.Run(cfg, mix)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -350,7 +372,7 @@ func runSweepCellObs(cfg sim.Config, o cellOptions, cell sweepCell,
 		if c := obs.FirstFlipCycle(); c >= 0 {
 			pt.TimeToFirstFlipMS = float64(c) * float64(cfg.T.TCKPS) * 1e-9
 		}
-		if secs := float64(o.MemCycles) * float64(cfg.T.TCKPS) * 1e-12; secs > 0 {
+		if secs := float64(sw.memCycles) * float64(cfg.T.TCKPS) * 1e-12; secs > 0 {
 			pt.AggACTsPerSec = float64(obs.AggressorACTs()) / secs
 		}
 		// DoS attribution: the attacker sits at core 0 of the mix, so its
@@ -363,7 +385,7 @@ func runSweepCellObs(cfg sim.Config, o cellOptions, cell sweepCell,
 	// cores sit at positions 1..N behind the attacker; in a benign-only
 	// cell they are the whole mix. An attacker-only run (trr-dodge with
 	// BenignCores 0) has no benign side to measure: -1.
-	if len(baseIPC) == 0 {
+	if len(sw.baseIPC) == 0 {
 		pt.BenignPerfPct = -1
 		return pt, obs, mech, nil
 	}
@@ -372,11 +394,47 @@ func runSweepCellObs(cfg sim.Config, o cellOptions, cell sweepCell,
 		off = 1
 	}
 	ws := 0.0
-	for i, b := range baseIPC {
+	for i, b := range sw.baseIPC {
 		ws += res.IPC[i+off] / b
 	}
-	pt.BenignPerfPct = 100 * ws / float64(len(baseIPC))
+	pt.BenignPerfPct = 100 * ws / float64(len(sw.baseIPC))
 	return pt, obs, mech, nil
+}
+
+// runSweep builds the sweep of a grid's shape and runs the shard's cells
+// on the engine; point turns one finished cell into the grid's payload.
+func runSweep[C any](rc *runCtx, s sweepShape, keys []string, cells []sweepCell,
+	point func(sweepCell, *AttackPoint, *attack.Observer, mitigation.Mechanism) C,
+) (*Result, error) {
+	sw, err := newSweep(s, rc.spec.Seed)
+	if err != nil {
+		return nil, err
+	}
+	return gridResult(rc, sw.meta, keys, cells, func(cell sweepCell, seed uint64) (C, error) {
+		pt, obs, mech, err := sw.run(cell, seed)
+		if err != nil {
+			var zero C
+			return zero, err
+		}
+		return point(cell, pt, obs, mech), nil
+	})
+}
+
+// attackPoint is the payload of an attack or pareto cell: the point as
+// run.
+func attackPoint(_ sweepCell, pt *AttackPoint, _ *attack.Observer, _ mitigation.Mechanism) AttackPoint {
+	return *pt
+}
+
+// decodeSweep reads a complete sweep result back: its metadata and its
+// cells in key order.
+func decodeSweep[C any](res *Result, keys []string) (sweepMeta, []C, error) {
+	var meta sweepMeta
+	if err := json.Unmarshal(res.Meta, &meta); err != nil {
+		return meta, nil, fmt.Errorf("core: %s meta: %w", res.Spec.Name, err)
+	}
+	cells, err := cellsInOrder[C](res, keys)
+	return meta, cells, err
 }
 
 // --- Pareto sweep --------------------------------------------------------
@@ -455,21 +513,20 @@ type ParetoParams struct {
 }
 
 // Validate rejects axis values no grid cell can evaluate (unknown
-// mechanisms, schedulers or patterns, non-positive HCfirst points), sizes
-// no run can use (checkSweepSizes), BLISS axis values the grid cannot
-// distinguish from the defaults (labels would collide into duplicate task
-// keys), and attack pacing outside its [0,1) domain.
+// mechanisms, schedulers or patterns, non-positive HCfirst points), a
+// shape no run can use (sweepShape.validate), BLISS axis values the grid
+// cannot distinguish from the defaults (labels would collide into
+// duplicate task keys), and BLISS axes with no BLISS scheduler to take
+// them.
 func (p *ParetoParams) Validate() error {
 	if err := checkAxes(p.Mechanisms, p.Schedulers, p.Patterns, p.HCSweep); err != nil {
 		return err
 	}
-	if err := checkSweepSizes(p.BenignCores, p.TraceRecords, p.MemCycles, p.Rows, p.AttackRecords); err != nil {
+	if err := p.shape().validate(); err != nil {
 		return err
 	}
-	if p.Attack != nil {
-		if err := p.Attack.Validate(); err != nil {
-			return err
-		}
+	if len(p.BLISSStreaks)+len(p.BLISSClears) > 0 && len(p.Schedulers) > 0 && !slices.Contains(p.Schedulers, SchedBLISS) {
+		return fmt.Errorf("core: pareto bliss_streaks and bliss_clears apply only to BLISS, which schedulers does not list")
 	}
 	for _, s := range p.BLISSStreaks {
 		if s <= 0 {
@@ -482,6 +539,11 @@ func (p *ParetoParams) Validate() error {
 		}
 	}
 	return nil
+}
+
+func (p ParetoParams) shape() sweepShape {
+	return sweepShape{benignCores: p.BenignCores, traceRecords: p.TraceRecords, memCycles: p.MemCycles,
+		rows: p.Rows, attackRecords: p.AttackRecords, ecc: p.ECC, pacing: p.Attack}
 }
 
 // normalized resolves the defaults: the unprotected baseline, the
@@ -607,36 +669,12 @@ func init() {
 	// scheduler dimension when set.
 	register("pareto", "Pareto sweep: worst-case security vs benign overhead per (mechanism × scheduler × HCfirst)", ParetoParams.normalized,
 		func(rc *runCtx, p ParetoParams) (*Result, error) {
-			cfg := attackSimCfg(p.MemCycles, p.Rows)
-			benign, baseIPC, base, err := benignBaseline(cfg, p.BenignCores, p.TraceRecords, rc.spec.Seed)
-			if err != nil {
-				return nil, err
-			}
 			keys, cells := paretoGrid(p, rc.spec.Seed)
-			co := newCellOptions(p.MemCycles, p.AttackRecords, p.ECC, p.Attack)
-			meta := sweepMeta{
-				MemCycles: p.MemCycles,
-				WallMS:    float64(p.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
-				Benign:    fmt.Sprintf("%d benign cores, MPKI %.0f", p.BenignCores, base.MPKI),
-				ECC:       p.ECC,
-			}
-			return gridResult(rc, meta, keys, cells,
-				func(ctx engine.TaskContext, cell sweepCell) (AttackPoint, error) {
-					pt, err := runSweepCell(cfg, co, cell, benign, baseIPC, ctx.Seed)
-					if err != nil {
-						return AttackPoint{}, fmt.Errorf("%s/%s/%s hc=%d: %w",
-							cell.Mech, cell.Sched, cell.Pattern, cell.HC, err)
-					}
-					return *pt, nil
-				})
+			return runSweep(rc, p.shape(), keys, cells, attackPoint)
 		},
 		func(res *Result, p ParetoParams) (Artifact, error) {
-			var meta sweepMeta
-			if err := json.Unmarshal(res.Meta, &meta); err != nil {
-				return nil, fmt.Errorf("core: pareto meta: %w", err)
-			}
 			keys, cells := paretoGrid(p, res.Spec.Seed)
-			results, err := cellsInOrder[AttackPoint](res, keys)
+			meta, results, err := decodeSweep[AttackPoint](res, keys)
 			if err != nil {
 				return nil, err
 			}

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/charact"
 	"repro/internal/chips"
-	"repro/internal/engine"
 )
 
 // charPlan is one characterization experiment's resolved task grid:
@@ -83,7 +82,7 @@ func charExperiment[C any](name, desc string, def charGridDef,
 		func(rc *runCtx, p CharParams) (*Result, error) {
 			pl := newCharPlan(p, rc.spec.Seed, def)
 			return gridResult(rc, nil, pl.jobKeys(), pl.jobs,
-				func(_ engine.TaskContext, j chipJob) (C, error) { return cell(pl, j) })
+				func(j chipJob, _ uint64) (C, error) { return cell(pl, j) })
 		},
 		func(res *Result, p CharParams) (Artifact, error) {
 			pl := newCharPlan(p, res.Spec.Seed, def)
@@ -170,7 +169,7 @@ func init() {
 		func(rc *runCtx, p CharParams) (*Result, error) {
 			pop := p.population(rc.spec.Seed)
 			return gridResult(rc, nil, []string{"census"}, []int{0},
-				func(engine.TaskContext, int) ([]chips.CensusRow, error) {
+				func(int, uint64) ([]chips.CensusRow, error) {
 					return pop.Census(), nil
 				})
 		},
@@ -190,7 +189,7 @@ func init() {
 			counts := chips.SpecRowHammerable(moduleSets[p.Modules](), rc.spec.Seed)
 			keys := ddr3Keys()
 			return gridResult(rc, nil, configKeyStrings(keys), keys,
-				func(_ engine.TaskContext, k ConfigKey) (Table2Row, error) {
+				func(k ConfigKey, _ uint64) (Table2Row, error) {
 					v := counts[k.Node][k.Mfr]
 					return Table2Row{Key: k, Vulnerable: v[0], Total: v[1]}, nil
 				})
@@ -364,7 +363,7 @@ func init() {
 		register(name, desc, charGridDef{}.normalize,
 			func(rc *runCtx, _ CharParams) (*Result, error) {
 				return gridResult(rc, nil, []string{"modules"}, []int{0},
-					func(engine.TaskContext, int) ([]chips.ModuleSpec, error) {
+					func(int, uint64) ([]chips.ModuleSpec, error) {
 						return modules(), nil
 					})
 			},

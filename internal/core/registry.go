@@ -142,10 +142,10 @@ type runCtx struct {
 }
 
 // engineOptions is the engine fan-out configuration every grid in this
-// run uses: the exec parallelism bound, the spec's seed, and the run's
-// cancellation context.
+// run uses: the exec parallelism bound and the run's cancellation
+// context.
 func (rc *runCtx) engineOptions() engine.Options {
-	return engine.Options{Workers: rc.exec.Parallelism, Seed: rc.spec.Seed, Context: rc.ctx}
+	return engine.Options{Workers: rc.exec.Parallelism, Context: rc.ctx}
 }
 
 // RunContext executes a spec's shard of its experiment: the one entry
@@ -254,22 +254,17 @@ func compactRaw(raw json.RawMessage) (json.RawMessage, error) {
 	return json.RawMessage(buf.Bytes()), nil
 }
 
-// Merge combines this result with other shards of the same spec into one
-// result whose spec is the unsharded identity. Cells are unioned;
-// overlapping cells must agree byte-for-byte, and metadata must be
-// identical across all parts (every shard recomputes it from the same
-// seed, so disagreement means the parts came from different specs).
-func (r *Result) Merge(others ...*Result) (*Result, error) {
-	return MergeResults(append([]*Result{r}, others...)...)
-}
-
-// MergeResults merges any number of shard results of one spec.
+// MergeResults combines shard results of one spec into one result whose
+// spec is the unsharded identity. Cells are unioned; overlapping cells
+// must agree byte-for-byte, and metadata must be identical across all
+// parts (every shard recomputes it from the same seed, so disagreement
+// means the parts came from different specs).
 func MergeResults(parts ...*Result) (*Result, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("core: nothing to merge")
 	}
 	base := parts[0]
-	want := base.Spec.sansShard()
+	want := base.Spec.WithoutShard()
 	merged := &Result{
 		Spec:  want,
 		Tasks: base.Tasks,
@@ -277,7 +272,7 @@ func MergeResults(parts ...*Result) (*Result, error) {
 		Cells: make(map[string]json.RawMessage, base.Tasks),
 	}
 	for i, p := range parts {
-		got := p.Spec.sansShard()
+		got := p.Spec.WithoutShard()
 		if got.Name != want.Name || got.Seed != want.Seed || !bytes.Equal(got.Params, want.Params) {
 			return nil, fmt.Errorf("core: merge: part %d is %q seed=%d, want %q seed=%d with identical params",
 				i, got.Name, got.Seed, want.Name, want.Seed)
@@ -331,11 +326,12 @@ func (r *Result) Format() (string, error) {
 // --- shared grid machinery -------------------------------------------------
 
 // gridResult runs the shard-owned subset of a keyed task list on the
-// engine and assembles the Result. Per-task seeds derive from the task's
-// GLOBAL grid index, so a task computes identical bytes in every
-// shard/count partition. meta may be nil.
+// engine and assembles the Result. fn receives each task's seed, derived
+// from the spec's seed and the task's GLOBAL grid index, so a task
+// computes identical bytes in every shard/count partition. meta may be
+// nil.
 func gridResult[T, C any](rc *runCtx, meta any, keys []string, items []T,
-	fn func(ctx engine.TaskContext, item T) (C, error),
+	fn func(item T, seed uint64) (C, error),
 ) (*Result, error) {
 	if len(keys) != len(items) {
 		return nil, fmt.Errorf("core: %s: %d keys for %d tasks", rc.spec.Name, len(keys), len(items))
@@ -353,10 +349,8 @@ func gridResult[T, C any](rc *runCtx, meta any, keys []string, items []T,
 			mine = append(mine, i)
 		}
 	}
-	eo := rc.engineOptions()
-	cells, err := engine.Map(eo, mine, func(_ engine.TaskContext, gi int) (json.RawMessage, error) {
-		ctx := engine.TaskContext{Index: gi, Seed: engine.DeriveSeed(rc.spec.Seed, uint64(gi))}
-		c, err := fn(ctx, items[gi])
+	cells, err := engine.Map(rc.engineOptions(), mine, func(gi int) (json.RawMessage, error) {
+		c, err := fn(items[gi], engine.DeriveSeed(rc.spec.Seed, uint64(gi)))
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", keys[gi], err)
 		}

@@ -326,7 +326,7 @@ func FuzzDecodeResult(f *testing.F) {
 		}
 
 		whole := *r
-		whole.Spec = r.Spec.sansShard()
+		whole.Spec = r.Spec.WithoutShard()
 		want, err := whole.Encode()
 		if err != nil {
 			t.Fatal(err)

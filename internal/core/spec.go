@@ -130,14 +130,6 @@ func (s ExperimentSpec) normalized() ExperimentSpec {
 	return s
 }
 
-// sansShard is the spec with the shard erased (the whole-grid identity),
-// used to check that results being merged came from the same experiment.
-func (s ExperimentSpec) sansShard() ExperimentSpec {
-	n := s.normalized()
-	n.Shard = Shard{Index: 0, Count: 1}
-	return n
-}
-
 // Validate checks the spec against the registry: the name must be
 // registered, the shard possible, and the params must decode strictly
 // into the experiment's parameter struct.
@@ -166,8 +158,13 @@ func (s ExperimentSpec) Encode() ([]byte, error) {
 // WithoutShard returns the normalized whole-grid identity of the spec:
 // the same experiment, seed and params with the shard erased. Two specs
 // that differ only in shard assignment share a WithoutShard identity —
-// the key the result store files whole-grid artifacts under.
-func (s ExperimentSpec) WithoutShard() ExperimentSpec { return s.sansShard() }
+// the key the result store files whole-grid artifacts under, and the
+// identity results being merged must share.
+func (s ExperimentSpec) WithoutShard() ExperimentSpec {
+	n := s.normalized()
+	n.Shard = Shard{Index: 0, Count: 1}
+	return n
+}
 
 // SpecHash returns the lowercase hex SHA-256 of the spec's canonical
 // encoding (Encode: normalized seed/shard, compacted params, two-space

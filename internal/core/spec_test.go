@@ -213,10 +213,10 @@ func TestMergeRejectsMismatchedSpecs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Merge(b); err == nil {
+	if _, err := MergeResults(a, b); err == nil {
 		t.Error("merge accepted results of different seeds")
 	}
-	if merged, err := a.Merge(a); err != nil || !merged.Complete() {
+	if merged, err := MergeResults(a, a); err != nil || !merged.Complete() {
 		t.Errorf("self-merge (idempotent union) failed: %v", err)
 	}
 }
@@ -268,6 +268,20 @@ func TestDecodeSpecRejectsBadAxes(t *testing.T) {
 		{`{"name":"fig10","params":{"trace_records":-1}}`, "trace_records must not be negative"},
 		{`{"name":"fig10","params":{"warmup_insts":-1000}}`, "warmup_insts must not be negative"},
 		{`{"name":"fig10","params":{"measure_insts":-1}}`, "measure_insts must not be negative"},
+		// Fields a sweep overwrites or ignores: each would only move the
+		// store key. rows above Table 6 would size the observer's per-row
+		// arrays without a cap.
+		{`{"name":"attack","params":{"attack":{"kind":"decoy"}}}`, "attack.kind"},
+		{`{"name":"attack","params":{"attack":{"records":64}}}`, "attack.records"},
+		{`{"name":"attack","params":{"attack":{"seed":99}}}`, "attack.seed"},
+		{`{"name":"pareto","params":{"attack":{"duty_cycle":0.5,"records":64}}}`, "attack_records"},
+		{`{"name":"pareto","params":{"attack":{"kind":"decoy"}}}`, "patterns"},
+		{`{"name":"pareto","params":{"schedulers":["FR-FCFS"],"bliss_streaks":[2]}}`, "apply only to BLISS"},
+		{`{"name":"pareto","params":{"schedulers":["FR-FCFS"],"bliss_clears":[1000]}}`, "apply only to BLISS"},
+		{`{"name":"trr-dodge","params":{"duty_cycles":[0],"phases":[0.25]}}`, "every duty_cycles value is 0"},
+		{`{"name":"attack","params":{"rows":16385}}`, "rows 16385 above the Table 6 geometry's 16384"},
+		{`{"name":"pareto","params":{"rows":2097152}}`, "above the Table 6 geometry"},
+		{`{"name":"trr-dodge","params":{"rows":1073741824}}`, "above the Table 6 geometry"},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeSpec([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -283,6 +297,17 @@ func TestDecodeSpecRejectsBadAxes(t *testing.T) {
 		HCSweep:    DefaultHCSweep(),
 	}); err != nil {
 		t.Errorf("every known axis value rejected: %v", err)
+	}
+	// An omitted schedulers list means both, so the BLISS axes apply, as
+	// phases do beside one paced duty cycle, and the Table 6 rows.
+	for _, spec := range []string{
+		`{"name":"pareto","params":{"bliss_streaks":[2,8],"bliss_clears":[1000]}}`,
+		`{"name":"trr-dodge","params":{"duty_cycles":[0,0.5],"phases":[0.25]}}`,
+		`{"name":"attack","params":{"rows":16384,"attack":{"duty_cycle":0.5,"phase":0.25}}}`,
+	} {
+		if _, err := DecodeSpec([]byte(spec)); err != nil {
+			t.Errorf("%s: %v", spec, err)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -10,8 +10,6 @@ import (
 	"repro/internal/attack"
 	"repro/internal/engine"
 	"repro/internal/mitigation"
-	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // The trr-dodge experiment is the ROADMAP's duty-cycle security study:
@@ -67,20 +65,24 @@ type TRRDodgeParams struct {
 }
 
 // Validate rejects out-of-domain axis values at spec decode: unknown
-// patterns, duty cycles and phases outside [0,1), sample rates outside
-// (0,1], non-positive table sizes, a negative HCfirst, and sizes no run
-// can use (checkSweepSizes).
+// patterns, duty cycles and phases outside [0,1), phases no cell takes
+// (every duty cycle is the full-rate 0), sample rates outside (0,1],
+// non-positive table sizes, a negative HCfirst, and a shape no run can
+// use (sweepShape.validate).
 func (p *TRRDodgeParams) Validate() error {
 	if err := checkAxes(nil, nil, p.Patterns, nil); err != nil {
 		return err
 	}
-	if err := checkSweepSizes(p.BenignCores, p.TraceRecords, p.MemCycles, p.Rows, p.AttackRecords); err != nil {
+	if err := p.shape().validate(); err != nil {
 		return err
 	}
 	for _, d := range p.DutyCycles {
 		if d < 0 || d >= 1 {
 			return fmt.Errorf("core: trr-dodge duty_cycles value %g outside [0,1) (0 is the full-rate baseline)", d)
 		}
+	}
+	if len(p.Phases) > 0 && len(p.DutyCycles) > 0 && !slices.ContainsFunc(p.DutyCycles, func(d float64) bool { return d > 0 }) {
+		return fmt.Errorf("core: trr-dodge phases apply only to paced cells, and every duty_cycles value is 0 (omit phases)")
 	}
 	for _, ph := range p.Phases {
 		if ph < 0 || ph >= 1 {
@@ -101,6 +103,11 @@ func (p *TRRDodgeParams) Validate() error {
 		return fmt.Errorf("core: trr-dodge hc %d must not be negative", p.HCFirst)
 	}
 	return nil
+}
+
+func (p TRRDodgeParams) shape() sweepShape {
+	return sweepShape{benignCores: p.BenignCores, traceRecords: p.TraceRecords, memCycles: p.MemCycles,
+		rows: p.Rows, attackRecords: p.AttackRecords, ecc: p.ECC}
 }
 
 // normalized resolves the defaults: one sampler configuration, the
@@ -186,14 +193,6 @@ type TRRDodge struct {
 // shortest-round-trip form so keys are stable and readable.
 func fmtAxis(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
-// dodgeCell is one trr-dodge task: a sweepCell plus the sampler
-// configuration echoed into the payload.
-type dodgeCell struct {
-	cell sweepCell
-	rate float64
-	tbl  int
-}
-
 // trrDodgeGrid enumerates the (sampler × pattern × pacing) grid. The
 // full-rate baseline (duty 0) appears once per (sampler, pattern) point
 // — the phase axis only multiplies paced cells. The stream seed (and
@@ -201,16 +200,13 @@ type dodgeCell struct {
 // position in the axis, so every sampler configuration and every pacing
 // faces the same chip and the same base access stream for a given
 // pattern — across runs with differently composed pattern lists too.
-func trrDodgeGrid(p TRRDodgeParams, seed uint64) (keys []string, cells []dodgeCell) {
+func trrDodgeGrid(p TRRDodgeParams, seed uint64) (keys []string, cells []sweepCell) {
 	add := func(rate float64, tbl int, pat attack.Kind, duty, phase float64) {
-		cells = append(cells, dodgeCell{
-			cell: sweepCell{
-				Mech: MechTRR, Sched: SchedFRFCFS, Pattern: pat, HC: p.HCFirst,
-				duty: duty, phase: phase,
-				trr:        &mitigation.TRRConfig{SampleRate: rate, TableSize: tbl},
-				streamSeed: engine.DeriveSeed(seed^0xd0d9e, keyHash(string(pat))),
-			},
-			rate: rate, tbl: tbl,
+		cells = append(cells, sweepCell{
+			Mech: MechTRR, Sched: SchedFRFCFS, Pattern: pat, HC: p.HCFirst,
+			duty: duty, phase: phase,
+			trr:        &mitigation.TRRConfig{SampleRate: rate, TableSize: tbl},
+			streamSeed: engine.DeriveSeed(seed^0xd0d9e, keyHash(string(pat))),
 		})
 		keys = append(keys, fmt.Sprintf("rate=%s/table=%d/pat=%s/duty=%s/phase=%s",
 			fmtAxis(rate), tbl, pat, fmtAxis(duty), fmtAxis(phase)))
@@ -236,80 +232,12 @@ func trrDodgeGrid(p TRRDodgeParams, seed uint64) (keys []string, cells []dodgeCe
 func init() {
 	register("trr-dodge", "TRR dodge study: duty-cycle/phase-paced attacks vs an in-DRAM sampling TRR (sampler × pattern × pacing)", TRRDodgeParams.normalized,
 		func(rc *runCtx, p TRRDodgeParams) (*Result, error) {
-			cfg := attackSimCfg(p.MemCycles, p.Rows)
-			benign := trace.Mix{Name: "benign"}
-			var baseIPC []float64
-			benignDesc := "attacker only"
-			if p.BenignCores > 0 {
-				var base *sim.Result
-				var err error
-				benign, baseIPC, base, err = benignBaseline(cfg, p.BenignCores, p.TraceRecords, rc.spec.Seed)
-				if err != nil {
-					return nil, fmt.Errorf("trr-dodge %w", err)
-				}
-				benignDesc = fmt.Sprintf("%d benign cores, MPKI %.0f", p.BenignCores, base.MPKI)
-			}
 			keys, cells := trrDodgeGrid(p, rc.spec.Seed)
-			co := newCellOptions(p.MemCycles, p.AttackRecords, p.ECC, nil)
-			meta := sweepMeta{
-				MemCycles: p.MemCycles,
-				WallMS:    float64(p.MemCycles) * float64(cfg.T.TCKPS) * 1e-9,
-				Benign:    benignDesc,
-				ECC:       p.ECC,
-			}
-			return gridResult(rc, meta, keys, cells,
-				func(ctx engine.TaskContext, dc dodgeCell) (DodgePoint, error) {
-					pt, obs, mech, err := runSweepCellObs(cfg, co, dc.cell, benign, baseIPC, ctx.Seed)
-					if err != nil {
-						return DodgePoint{}, fmt.Errorf("%s duty=%s phase=%s: %w",
-							dc.cell.Pattern, fmtAxis(dc.cell.duty), fmtAxis(dc.cell.phase), err)
-					}
-					dp := DodgePoint{
-						Pattern:           dc.cell.Pattern,
-						DutyCycle:         dc.cell.duty,
-						Phase:             dc.cell.phase,
-						SampleRate:        dc.rate,
-						TableSize:         dc.tbl,
-						HCFirst:           dc.cell.HC,
-						EscapedFlips:      pt.EscapedFlips,
-						RawFlips:          pt.RawFlips,
-						TimeToFirstFlipMS: pt.TimeToFirstFlipMS,
-						AggressorACTs:     pt.AggressorACTs,
-						AggACTsPerSec:     pt.AggACTsPerSec,
-						BenignPerfPct:     pt.BenignPerfPct,
-						OverheadPct:       pt.OverheadPct,
-					}
-					if obs != nil {
-						var agg, max int64
-						for _, w := range obs.Timeline() {
-							agg += w.AggressorACTs
-							if w.AggressorACTs > max {
-								max = w.AggressorACTs
-							}
-							if w.Flips > 0 {
-								dp.FlipWindows++
-							}
-						}
-						dp.REFWindows = len(obs.Timeline())
-						dp.MaxWindowAggACTs = max
-						if dp.REFWindows > 0 {
-							dp.MeanWindowAggACTs = float64(agg) / float64(dp.REFWindows)
-						}
-					}
-					if trr, ok := mech.(*mitigation.TRR); ok {
-						dp.SamplerSamples = trr.Samples()
-						dp.SamplerRefreshes = trr.VictimRefreshes()
-					}
-					return dp, nil
-				})
+			return runSweep(rc, p.shape(), keys, cells, dodgePoint)
 		},
 		func(res *Result, p TRRDodgeParams) (Artifact, error) {
-			var meta sweepMeta
-			if err := json.Unmarshal(res.Meta, &meta); err != nil {
-				return nil, fmt.Errorf("core: trr-dodge meta: %w", err)
-			}
 			keys, _ := trrDodgeGrid(p, res.Spec.Seed)
-			points, err := cellsInOrder[DodgePoint](res, keys)
+			meta, points, err := decodeSweep[DodgePoint](res, keys)
 			if err != nil {
 				return nil, err
 			}
@@ -321,6 +249,49 @@ func init() {
 				ECC:       meta.ECC,
 			}, nil
 		})
+}
+
+// dodgePoint is the payload of a trr-dodge cell: the cell's pacing and
+// sampler, the run's security and performance, the observer's per-REF
+// timeline and the sampler's effort.
+func dodgePoint(cell sweepCell, pt *AttackPoint, obs *attack.Observer, mech mitigation.Mechanism) DodgePoint {
+	dp := DodgePoint{
+		Pattern:           cell.Pattern,
+		DutyCycle:         cell.duty,
+		Phase:             cell.phase,
+		SampleRate:        cell.trr.SampleRate,
+		TableSize:         cell.trr.TableSize,
+		HCFirst:           cell.HC,
+		EscapedFlips:      pt.EscapedFlips,
+		RawFlips:          pt.RawFlips,
+		TimeToFirstFlipMS: pt.TimeToFirstFlipMS,
+		AggressorACTs:     pt.AggressorACTs,
+		AggACTsPerSec:     pt.AggACTsPerSec,
+		BenignPerfPct:     pt.BenignPerfPct,
+		OverheadPct:       pt.OverheadPct,
+	}
+	if obs != nil {
+		var agg, max int64
+		for _, w := range obs.Timeline() {
+			agg += w.AggressorACTs
+			if w.AggressorACTs > max {
+				max = w.AggressorACTs
+			}
+			if w.Flips > 0 {
+				dp.FlipWindows++
+			}
+		}
+		dp.REFWindows = len(obs.Timeline())
+		dp.MaxWindowAggACTs = max
+		if dp.REFWindows > 0 {
+			dp.MeanWindowAggACTs = float64(agg) / float64(dp.REFWindows)
+		}
+	}
+	if trr, ok := mech.(*mitigation.TRR); ok {
+		dp.SamplerSamples = trr.Samples()
+		dp.SamplerRefreshes = trr.VictimRefreshes()
+	}
+	return dp
 }
 
 // samplerKey groups points by sampler configuration and pattern for the
@@ -372,11 +343,8 @@ func (d *TRRDodge) Format() string {
 	sb.WriteString(")\n")
 
 	sb.WriteString(table(func(w *tabwriter.Writer) {
-		header := "pattern\tduty\tphase\trate\ttable\tflips\tt-first-flip\taggACT/s\twinACTs\tsampled\ttrrRef\tbenign perf%\toverhead%"
-		if d.ECC {
-			header = "pattern\tduty\tphase\trate\ttable\tflips\traw\tt-first-flip\taggACT/s\twinACTs\tsampled\ttrrRef\tbenign perf%\toverhead%"
-		}
-		fmt.Fprintln(w, header)
+		fmt.Fprintf(w, "pattern\tduty\tphase\trate\ttable\tflips%s\tt-first-flip\taggACT/s\twinACTs\tsampled\ttrrRef\tbenign perf%%\toverhead%%\n",
+			rawColumn(d.ECC, "raw"))
 		for _, p := range d.Points {
 			ttff := "-"
 			if p.TimeToFirstFlipMS >= 0 {
@@ -390,19 +358,11 @@ func (d *TRRDodge) Format() string {
 			if p.BenignPerfPct >= 0 {
 				benign = fmt.Sprintf("%.1f", p.BenignPerfPct)
 			}
-			if d.ECC {
-				fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d\t%d\t%d\t%s\t%.2fM\t%.0f\t%d\t%d\t%s\t%.3f\n",
-					p.Pattern, duty, fmtAxis(p.Phase), fmtAxis(p.SampleRate), p.TableSize,
-					p.EscapedFlips, p.RawFlips, ttff, p.AggACTsPerSec/1e6,
-					p.MeanWindowAggACTs, p.SamplerSamples, p.SamplerRefreshes,
-					benign, p.OverheadPct)
-			} else {
-				fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d\t%d\t%s\t%.2fM\t%.0f\t%d\t%d\t%s\t%.3f\n",
-					p.Pattern, duty, fmtAxis(p.Phase), fmtAxis(p.SampleRate), p.TableSize,
-					p.EscapedFlips, ttff, p.AggACTsPerSec/1e6,
-					p.MeanWindowAggACTs, p.SamplerSamples, p.SamplerRefreshes,
-					benign, p.OverheadPct)
-			}
+			fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%d\t%d%s\t%s\t%.2fM\t%.0f\t%d\t%d\t%s\t%.3f\n",
+				p.Pattern, duty, fmtAxis(p.Phase), fmtAxis(p.SampleRate), p.TableSize,
+				p.EscapedFlips, rawColumn(d.ECC, p.RawFlips), ttff, p.AggACTsPerSec/1e6,
+				p.MeanWindowAggACTs, p.SamplerSamples, p.SamplerRefreshes,
+				benign, p.OverheadPct)
 		}
 	}))
 

@@ -14,7 +14,11 @@ import (
 // mitigation) with the given pacing and returns the per-REF timeline.
 func pacedAttackRun(t *testing.T, duty, phase float64) []attack.REFWindow {
 	t.Helper()
-	cfg := attackSimCfg(400_000, 1024)
+	sw, err := newSweep(sweepShape{memCycles: 400_000, rows: 1024}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sw.cfg
 	chip, err := attackChip(cfg, 512, 11, false)
 	if err != nil {
 		t.Fatal(err)

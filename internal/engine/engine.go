@@ -6,9 +6,9 @@
 //
 // Three properties make that guarantee hold:
 //
-//   - Tasks are independent. A task receives its item plus a TaskContext
-//     carrying a seed derived purely from (base seed, task index), never
-//     from scheduling order.
+//   - Tasks are independent. A task receives only its item, so anything
+//     random in it must be seeded from the item, never from scheduling
+//     order (DeriveSeed mixes a base seed with a stable index).
 //   - Results land in a slice indexed by task position; aggregation
 //     happens in the caller, serially, in task order.
 //   - On failure, the error of the lowest-index failed task is returned
@@ -24,8 +24,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/stats"
 )
 
 // Options bounds one fan-out.
@@ -33,25 +31,12 @@ type Options struct {
 	// Workers is the maximum number of concurrent tasks; <= 0 uses all
 	// cores (runtime.GOMAXPROCS). Results do not depend on this value.
 	Workers int
-	// Seed is the base seed per-task seeds are derived from.
-	Seed uint64
 	// Context, when non-nil, cancels the fan-out: workers check it
 	// before claiming each task, so after cancellation at most one
 	// in-flight task per worker runs to completion and Map returns the
 	// context's error. A nil Context never cancels.
 	Context context.Context
 }
-
-// TaskContext identifies one task of a fan-out and carries its derived
-// seed. The seed depends only on (Options.Seed, Index), so randomized
-// tasks stay reproducible under any worker count.
-type TaskContext struct {
-	Index int
-	Seed  uint64
-}
-
-// RNG returns a fresh deterministic generator for this task.
-func (c TaskContext) RNG() *stats.RNG { return stats.NewRNG(c.Seed) }
 
 // DeriveSeed mixes a base seed with a task index through a SplitMix64
 // finalizer, decorrelating neighboring tasks.
@@ -77,7 +62,7 @@ func (e *TaskError) Unwrap() error { return e.Err }
 // Options.Context is canceled mid-run, unclaimed tasks are skipped and
 // Map returns the context's error (a task failure takes precedence, so
 // the reported error stays deterministic when both happen).
-func Map[T, R any](o Options, items []T, fn func(TaskContext, T) (R, error)) ([]R, error) {
+func Map[T, R any](o Options, items []T, fn func(T) (R, error)) ([]R, error) {
 	n := len(items)
 	results := make([]R, n)
 	if n == 0 {
@@ -112,8 +97,7 @@ func Map[T, R any](o Options, items []T, fn func(TaskContext, T) (R, error)) ([]
 				if failed.Load() {
 					continue // drain remaining indices without running them
 				}
-				ctx := TaskContext{Index: i, Seed: DeriveSeed(o.Seed, uint64(i))}
-				r, err := fn(ctx, items[i])
+				r, err := fn(items[i])
 				if err != nil {
 					errs[i] = &TaskError{Index: i, Err: err}
 					failed.Store(true)

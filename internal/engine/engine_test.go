@@ -17,7 +17,7 @@ func TestMapOrderStable(t *testing.T) {
 	}
 	var runs [][]int
 	for _, workers := range []int{1, 3, 16, 0} {
-		got, err := Map(Options{Workers: workers, Seed: 7}, items, func(c TaskContext, x int) (int, error) {
+		got, err := Map(Options{Workers: workers}, items, func(x int) (int, error) {
 			// Unequal work per task so a racy implementation would
 			// reorder completions.
 			s := 0
@@ -46,42 +46,6 @@ func TestMapOrderStable(t *testing.T) {
 	}
 }
 
-// TestMapSeedsIndependentOfWorkers checks per-task seed derivation:
-// distinct per task, stable across worker counts, dependent on the base.
-func TestMapSeedsIndependentOfWorkers(t *testing.T) {
-	items := make([]int, 32)
-	seedsAt := func(workers int, base uint64) []uint64 {
-		got, err := Map(Options{Workers: workers, Seed: base}, items, func(c TaskContext, _ int) (uint64, error) {
-			return c.Seed, nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	serial := seedsAt(1, 42)
-	parallel := seedsAt(8, 42)
-	other := seedsAt(8, 43)
-	seen := map[uint64]bool{}
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Errorf("task %d: seed differs across worker counts", i)
-		}
-		if seen[serial[i]] {
-			t.Errorf("task %d: duplicate seed %d", i, serial[i])
-		}
-		seen[serial[i]] = true
-		if serial[i] == other[i] {
-			t.Errorf("task %d: seed ignores base seed", i)
-		}
-	}
-	// The derived RNG must be usable and deterministic.
-	ctx := TaskContext{Index: 3, Seed: DeriveSeed(42, 3)}
-	if ctx.RNG().Uint64() != ctx.RNG().Uint64() {
-		t.Error("TaskContext.RNG not deterministic")
-	}
-}
-
 // TestMapErrorDeterministic checks that a failure surfaces as a TaskError
 // for the lowest-index failing task — the same task for any worker count,
 // even when several tasks fail.
@@ -89,7 +53,7 @@ func TestMapErrorDeterministic(t *testing.T) {
 	items := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	boom := errors.New("boom")
 	for _, workers := range []int{1, 4, 8} {
-		_, err := Map(Options{Workers: workers}, items, func(c TaskContext, x int) (int, error) {
+		_, err := Map(Options{Workers: workers}, items, func(x int) (int, error) {
 			if x == 5 || x == 7 {
 				return 0, fmt.Errorf("item %d: %w", x, boom)
 			}
@@ -112,7 +76,7 @@ func TestMapErrorDeterministic(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	got, err := Map(Options{}, nil, func(TaskContext, int) (int, error) {
+	got, err := Map(Options{}, nil, func(int) (int, error) {
 		t.Fatal("fn called for empty input")
 		return 0, nil
 	})
@@ -125,9 +89,12 @@ func TestMapEmpty(t *testing.T) {
 // to exactly one task.
 func TestMapEachIndexRunsOnce(t *testing.T) {
 	items := make([]int, 50)
+	for i := range items {
+		items[i] = i
+	}
 	hits := make([]int, len(items))
-	if _, err := Map(Options{Workers: 8}, items, func(c TaskContext, _ int) (struct{}, error) {
-		hits[c.Index]++ // each index owned by exactly one task
+	if _, err := Map(Options{Workers: 8}, items, func(i int) (struct{}, error) {
+		hits[i]++ // each index owned by exactly one task
 		return struct{}{}, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -166,7 +133,7 @@ func TestMapCancellationBounded(t *testing.T) {
 	defer cancel()
 	var ran atomic.Int64
 	_, err := Map(Options{Workers: workers, Context: ctx}, make([]int, n),
-		func(TaskContext, int) (struct{}, error) {
+		func(int) (struct{}, error) {
 			if ran.Add(1) == cancelAt {
 				cancel()
 			}
@@ -187,7 +154,7 @@ func TestMapCancelBeforeStart(t *testing.T) {
 	cancel()
 	var ran atomic.Int64
 	_, err := Map(Options{Workers: 2, Context: ctx}, make([]int, 100),
-		func(TaskContext, int) (struct{}, error) {
+		func(int) (struct{}, error) {
 			ran.Add(1)
 			return struct{}{}, nil
 		})
@@ -206,9 +173,13 @@ func TestMapTaskErrorBeatsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	boom := fmt.Errorf("boom")
-	_, err := Map(Options{Workers: 2, Context: ctx}, make([]int, 50),
-		func(c TaskContext, _ int) (struct{}, error) {
-			if c.Index == 0 {
+	items := make([]int, 50)
+	for i := range items {
+		items[i] = i
+	}
+	_, err := Map(Options{Workers: 2, Context: ctx}, items,
+		func(i int) (struct{}, error) {
+			if i == 0 {
 				cancel()
 				return struct{}{}, boom
 			}

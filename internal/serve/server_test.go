@@ -186,6 +186,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"sub-word custom rows", `{"name": "fig5", "params": {"modules": "ddr4", "custom_scale": {"Banks": 1, "Rows": 256, "RowBits": 32}}}`, http.StatusBadRequest},
 		{"negative iterations", `{"name": "table5", "params": {"scale": "tiny", "iterations": -3}}`, http.StatusBadRequest},
 		{"rows below the attack minimum", `{"name": "attack", "params": {"rows": 8}}`, http.StatusBadRequest},
+		{"rows above the Table 6 geometry", `{"name": "attack", "params": {"rows": 1073741824}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

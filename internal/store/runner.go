@@ -66,16 +66,17 @@ type Runner struct {
 // Run executes the spec with caching and resume. It returns the result,
 // its exact canonical bytes, and whether the whole request was answered
 // from the store without computing anything. A spec that arrives already
-// sharded is one cacheable unit (RunSharded); a whole-grid spec may be
-// split into Shards units for resumable caching.
+// sharded is one cacheable unit keyed by the sharded spec (the
+// `rhx run -shard i/n -store` path), never split further; a whole-grid
+// spec may be split into Shards units for resumable caching.
 func (r *Runner) Run(ctx context.Context, spec core.ExperimentSpec) (*core.Result, []byte, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, false, err
 	}
-	if spec.Shard.Count > 1 {
-		return r.RunSharded(ctx, spec)
+	if spec.Shard.Count <= 1 {
+		spec = spec.WithoutShard()
 	}
-	return r.run(ctx, spec.WithoutShard())
+	return r.unit(ctx, spec)
 }
 
 func (r *Runner) emit(ev Event) {
@@ -103,29 +104,30 @@ func (r *Runner) release() {
 	}
 }
 
-// run handles a request spec. RunSharded handles explicit shard specs.
-func (r *Runner) run(ctx context.Context, whole core.ExperimentSpec) (*core.Result, []byte, bool, error) {
-	// Whole-grid store hit: answer instantly.
+// unit serves one cacheable unit, a whole grid or one shard: from the
+// store when it holds it, else by computing and storing it. A whole grid
+// is computed as Shards shard units when the runner has a store to
+// resume them from.
+func (r *Runner) unit(ctx context.Context, spec core.ExperimentSpec) (*core.Result, []byte, bool, error) {
 	if r.Store != nil && !r.NoCache {
-		if res, raw, ok := r.Store.Get(whole); ok {
-			r.emit(Event{Shard: core.Shard{Index: 0, Count: 1}, Status: StatusCached,
-				Cells: len(res.Cells), Tasks: res.Tasks})
+		if res, raw, ok := r.Store.Get(spec); ok {
+			r.emit(Event{Shard: spec.Shard, Status: StatusCached, Cells: len(res.Cells), Tasks: res.Tasks})
 			return res, raw, true, nil
 		}
 	}
-
-	n := r.Shards
-	if n <= 1 || r.Store == nil {
-		// One unit: run the whole grid directly.
-		res, raw, err := r.runUnit(ctx, whole)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		return res, raw, false, nil
+	compute := r.runUnit
+	if spec.Shard.Count == 1 && r.Shards > 1 && r.Store != nil {
+		compute = r.split
 	}
+	res, raw, err := compute(ctx, spec)
+	return res, raw, false, err
+}
 
-	// Sharded: reuse stored shard entries, compute the missing ones
-	// concurrently (each holding one Gate slot), then merge.
+// split computes a whole grid as Shards shard units: it reuses stored
+// shard entries, computes the missing ones concurrently (each holding one
+// Gate slot), then merges and stores the whole.
+func (r *Runner) split(ctx context.Context, whole core.ExperimentSpec) (*core.Result, []byte, error) {
+	n := r.Shards
 	parts := make([]*core.Result, n)
 	errs := make([]error, n)
 	done := make(chan int, n)
@@ -136,7 +138,7 @@ func (r *Runner) run(ctx context.Context, whole core.ExperimentSpec) (*core.Resu
 			defer func() { done <- i }()
 			shardSpec := whole
 			shardSpec.Shard = core.Shard{Index: i, Count: n}
-			parts[i], _, errs[i] = r.runShard(runCtx, shardSpec)
+			parts[i], _, _, errs[i] = r.unit(runCtx, shardSpec)
 		}(i)
 	}
 	for range parts {
@@ -145,57 +147,24 @@ func (r *Runner) run(ctx context.Context, whole core.ExperimentSpec) (*core.Resu
 	// Report the lowest-index failure, deterministically.
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, false, err
+			return nil, nil, err
 		}
 	}
 
 	merged, err := core.MergeResults(parts...)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	if !merged.Complete() {
-		return nil, nil, false, fmt.Errorf("store: merged result covers %d/%d tasks", len(merged.Cells), merged.Tasks)
+		return nil, nil, fmt.Errorf("store: merged result covers %d/%d tasks", len(merged.Cells), merged.Tasks)
 	}
 	raw, err := r.put(whole, merged)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	r.emit(Event{Shard: core.Shard{Index: 0, Count: 1}, Status: StatusMerged,
 		Cells: len(merged.Cells), Tasks: merged.Tasks})
-	return merged, raw, false, nil
-}
-
-// RunSharded executes one explicitly sharded spec as a single cacheable
-// unit keyed by the sharded spec (the `rhx run -shard i/n -store` path);
-// an unsharded spec is simply its whole-grid unit. Unlike Run, the grid
-// is never split further.
-func (r *Runner) RunSharded(ctx context.Context, spec core.ExperimentSpec) (*core.Result, []byte, bool, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, nil, false, err
-	}
-	if r.Store != nil && !r.NoCache {
-		if res, raw, ok := r.Store.Get(spec); ok {
-			r.emit(Event{Shard: spec.Shard, Status: StatusCached, Cells: len(res.Cells), Tasks: res.Tasks})
-			return res, raw, true, nil
-		}
-	}
-	res, raw, err := r.runUnit(ctx, spec)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return res, raw, false, nil
-}
-
-// runShard serves one shard of a split grid: from the store if present,
-// else by computing and storing it.
-func (r *Runner) runShard(ctx context.Context, spec core.ExperimentSpec) (*core.Result, []byte, error) {
-	if !r.NoCache {
-		if res, raw, ok := r.Store.Get(spec); ok {
-			r.emit(Event{Shard: spec.Shard, Status: StatusCached, Cells: len(res.Cells), Tasks: res.Tasks})
-			return res, raw, nil
-		}
-	}
-	return r.runUnit(ctx, spec)
+	return merged, raw, nil
 }
 
 // runUnit computes one spec (whole grid or one shard) under a Gate slot
