@@ -70,6 +70,7 @@ type Cache struct {
 
 	free     *mshr     // idle MSHRs
 	inflight mshrTable // outstanding MSHRs by line address
+	changes  uint64    // MSHR allocations and fills; see Changes
 
 	// Hit-latency delay ring: a callback due d Ticks from now waits in
 	// ring[(head+d) % len(ring)]. Slots are relative to head, and Tick
@@ -141,6 +142,15 @@ func (c *Cache) Tick() {
 		c.ring[c.head] = c.ring[c.head][:0]
 	}
 }
+
+// Changes counts the MSHR allocations and line fills so far: the events
+// that can change, for a line that missed, whether it is now cached or
+// already in flight, and whether an MSHR is free. An access the cache or
+// its backend refused gets the same answer while this count and the
+// backend's state hold still.
+//
+//rhlint:hotpath
+func (c *Cache) Changes() uint64 { return c.changes }
 
 // HitsPending reports whether a hit callback is waiting in the ring.
 // While one is, every cycle needs a real Tick.
@@ -282,6 +292,7 @@ func (c *Cache) access(core int, addr int64, write bool, onDone func()) bool {
 		c.release(m)
 		return false
 	}
+	c.changes++
 	c.account(core, false)
 	return true
 }
@@ -289,6 +300,7 @@ func (c *Cache) access(core int, addr int64, write bool, onDone func()) bool {
 // fill completes m's line fill: the line is installed, every waiter
 // fires, and m returns to the free list.
 func (c *Cache) fill(m *mshr) {
+	c.changes++
 	c.inflight.remove(m.lineAddr)
 	c.install(m.req, m.lineAddr, m.dirty)
 	for _, fn := range m.waiters {

@@ -333,3 +333,41 @@ func TestHitRingAfterIdleTicks(t *testing.T) {
 		}
 	}
 }
+
+// TestChangesCountsAllocationsAndFills pins what Changes counts: an MSHR
+// allocation the backend accepted and a line fill move it; a hit, a merge
+// into an in-flight fill, a refusal by the backend or for want of an
+// MSHR, and an uncached read do not.
+func TestChangesCountsAllocationsAndFills(t *testing.T) {
+	mem := &fakeMem{}
+	c := newCache(t, mem)
+	read := func(addr int64) func() { return func() { c.Read(0, addr, func() {}) } }
+	steps := []struct {
+		name  string
+		do    func()
+		moves bool
+	}{
+		{"read miss allocates an MSHR", read(0x1000), true},
+		{"read merges into the in-flight fill", read(0x1010), false},
+		{"fill", mem.completeAll, true},
+		{"read hit", read(0x1000), false},
+		{"backend refuses the miss", func() {
+			mem.rejectRd = true
+			read(0x2000)()
+			mem.rejectRd = false
+		}, false},
+		{"write miss allocates an MSHR", func() { c.Write(0, 0x3000) }, true},
+		{"second MSHR", read(0x4000), true},
+		{"third MSHR", read(0x5000), true},
+		{"last MSHR", read(0x6000), true},
+		{"every MSHR in flight", read(0x7000), false},
+		{"uncached read", func() { c.ReadUncached(0, 0x8000, func() {}) }, false},
+	}
+	for _, st := range steps {
+		before := c.Changes()
+		st.do()
+		if moved := c.Changes() != before; moved != st.moves {
+			t.Errorf("%s: Changes moved %v, want %v", st.name, moved, st.moves)
+		}
+	}
+}

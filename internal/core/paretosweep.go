@@ -62,9 +62,18 @@ func applyScheduler(cfg *sim.Config, id SchedulerID, streak int, clear int64) er
 
 // checkAxes rejects grid-axis values no cell can evaluate: mechanisms
 // buildMechanism does not know, schedulers applyScheduler does not know,
-// patterns outside attack.Kinds(), and non-positive HCfirst points.
-// Params Validate methods call it so a bad spec fails at decode.
+// patterns outside attack.Kinds(), non-positive HCfirst points, and a
+// value repeated on any of the four axes (checkDistinct). Params Validate
+// methods call it so a bad spec fails at decode.
 func checkAxes(mechs []MechanismID, scheds []SchedulerID, pats []attack.Kind, hcs []int) error {
+	labels := make([]string, len(scheds))
+	for i, id := range scheds {
+		labels[i] = schedLabel(id) // "" runs as FR-FCFS
+	}
+	if err := errors.Join(checkDistinct("mechanisms", mechs), checkDistinct("schedulers", labels),
+		checkDistinct("patterns", pats), checkDistinct("hc", hcs)); err != nil {
+		return err
+	}
 	for _, id := range mechs {
 		// A zero config fails every constructor's params check before it
 		// allocates, so only an unknown ID reports errUnknownMechanism.
@@ -86,6 +95,18 @@ func checkAxes(mechs []MechanismID, scheds []SchedulerID, pats []attack.Kind, hc
 	for _, hc := range hcs {
 		if hc <= 0 {
 			return fmt.Errorf("core: hc value %d not positive", hc)
+		}
+	}
+	return nil
+}
+
+// checkDistinct rejects a value repeated on a grid axis. Each value names
+// its cells in the task keys, so a repeat would build a duplicate key and
+// fail the run after decode had accepted the spec.
+func checkDistinct[T comparable](axis string, vals []T) error {
+	for i, v := range vals {
+		if slices.Contains(vals[:i], v) {
+			return fmt.Errorf("core: %s value %v repeated", axis, v)
 		}
 	}
 	return nil
@@ -515,11 +536,15 @@ type ParetoParams struct {
 // Validate rejects axis values no grid cell can evaluate (unknown
 // mechanisms, schedulers or patterns, non-positive HCfirst points), a
 // shape no run can use (sweepShape.validate), BLISS axis values the grid
-// cannot distinguish from the defaults (labels would collide into
-// duplicate task keys), and BLISS axes with no BLISS scheduler to take
-// them.
+// cannot distinguish from the defaults or from each other (labels would
+// collide into duplicate task keys), and BLISS axes with no BLISS
+// scheduler to take them.
 func (p *ParetoParams) Validate() error {
 	if err := checkAxes(p.Mechanisms, p.Schedulers, p.Patterns, p.HCSweep); err != nil {
+		return err
+	}
+	if err := errors.Join(checkDistinct("pareto bliss_streaks", p.BLISSStreaks),
+		checkDistinct("pareto bliss_clears", p.BLISSClears)); err != nil {
 		return err
 	}
 	if err := p.shape().validate(); err != nil {

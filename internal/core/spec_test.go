@@ -282,21 +282,40 @@ func TestDecodeSpecRejectsBadAxes(t *testing.T) {
 		{`{"name":"attack","params":{"rows":16385}}`, "rows 16385 above the Table 6 geometry's 16384"},
 		{`{"name":"pareto","params":{"rows":2097152}}`, "above the Table 6 geometry"},
 		{`{"name":"trr-dodge","params":{"rows":1073741824}}`, "above the Table 6 geometry"},
+		// A repeated axis value names its cells twice: the run would fail
+		// on a duplicate task key after decode had accepted the spec.
+		{`{"name":"attack","params":{"hc":[512,512]}}`, "hc value 512 repeated"},
+		{`{"name":"attack","params":{"mechanisms":["PARA","Ideal","PARA"]}}`, "mechanisms value PARA repeated"},
+		{`{"name":"attack","params":{"patterns":["decoy","decoy"]}}`, "patterns value decoy repeated"},
+		{`{"name":"fig10","params":{"hc":[2000,2000]}}`, "hc value 2000 repeated"},
+		{`{"name":"fig10","params":{"mechanisms":["TWiCe","TWiCe"]}}`, "mechanisms value TWiCe repeated"},
+		{`{"name":"pareto","params":{"schedulers":["BLISS","BLISS"]}}`, "schedulers value BLISS repeated"},
+		{`{"name":"pareto","params":{"schedulers":["FR-FCFS",""]}}`, "schedulers value FR-FCFS repeated"},
+		{`{"name":"pareto","params":{"bliss_streaks":[2,8,2]}}`, "bliss_streaks value 2 repeated"},
+		{`{"name":"pareto","params":{"bliss_clears":[1000,1000]}}`, "bliss_clears value 1000 repeated"},
+		{`{"name":"trr-dodge","params":{"patterns":["many-sided","many-sided"]}}`, "patterns value many-sided repeated"},
+		{`{"name":"trr-dodge","params":{"duty_cycles":[0,0.25,0.25]}}`, "duty_cycles value 0.25 repeated"},
+		{`{"name":"trr-dodge","params":{"phases":[0.5,0.5]}}`, "phases value 0.5 repeated"},
+		{`{"name":"trr-dodge","params":{"sample_rates":[1,1]}}`, "sample_rates value 1 repeated"},
+		{`{"name":"trr-dodge","params":{"table_sizes":[4,8,4]}}`, "table_sizes value 4 repeated"},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeSpec([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error = %v, want mention of %q", tc.spec, err, tc.want)
 		}
 	}
-	// Every value the runners know still decodes.
+	// Every value the runners know still decodes. The empty scheduler
+	// runs as FR-FCFS, so it goes in a list of its own.
 	mechs := append(AllMechanisms(), MechNone, MechBlockHammer, MechBlockHammerBinary, MechBlockHammerBlanket, MechTRR)
-	if _, err := NewSpec("pareto", 1, ParetoParams{
-		Mechanisms: mechs,
-		Schedulers: append(Schedulers(), ""),
-		Patterns:   attack.Kinds(),
-		HCSweep:    DefaultHCSweep(),
-	}); err != nil {
-		t.Errorf("every known axis value rejected: %v", err)
+	for _, scheds := range [][]SchedulerID{Schedulers(), {""}} {
+		if _, err := NewSpec("pareto", 1, ParetoParams{
+			Mechanisms: mechs,
+			Schedulers: scheds,
+			Patterns:   attack.Kinds(),
+			HCSweep:    DefaultHCSweep(),
+		}); err != nil {
+			t.Errorf("every known axis value rejected: %v", err)
+		}
 	}
 	// An omitted schedulers list means both, so the BLISS axes apply, as
 	// phases do beside one paced duty cycle, and the Table 6 rows.

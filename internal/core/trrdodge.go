@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -67,10 +68,16 @@ type TRRDodgeParams struct {
 // Validate rejects out-of-domain axis values at spec decode: unknown
 // patterns, duty cycles and phases outside [0,1), phases no cell takes
 // (every duty cycle is the full-rate 0), sample rates outside (0,1],
-// non-positive table sizes, a negative HCfirst, and a shape no run can
-// use (sweepShape.validate).
+// non-positive table sizes, a value repeated on any axis
+// (checkDistinct), a negative HCfirst, and a shape no run can use
+// (sweepShape.validate).
 func (p *TRRDodgeParams) Validate() error {
 	if err := checkAxes(nil, nil, p.Patterns, nil); err != nil {
+		return err
+	}
+	if err := errors.Join(checkDistinct("trr-dodge duty_cycles", p.DutyCycles),
+		checkDistinct("trr-dodge phases", p.Phases), checkDistinct("trr-dodge sample_rates", p.SampleRates),
+		checkDistinct("trr-dodge table_sizes", p.TableSizes)); err != nil {
 		return err
 	}
 	if err := p.shape().validate(); err != nil {

@@ -59,6 +59,10 @@ type Core struct {
 	// asleep is set at the end of a Tick that leaves the core blocked
 	// and cleared by every load completion; see Asleep.
 	asleep bool
+	// refused is set at the end of a Tick that stopped at a refused
+	// access with a window head that cannot retire, and cleared by every
+	// load completion; see Refused.
+	refused bool
 
 	llc *cache.Cache
 
@@ -86,7 +90,7 @@ func New(id int, cfg Config, trc *trace.Trace, llc *cache.Cache) (*Core, error) 
 		llc:      llc,
 	}
 	for s := range c.complete {
-		c.complete[s] = func() { c.done[s] = true; c.outstanding--; c.asleep = false }
+		c.complete[s] = func() { c.done[s] = true; c.outstanding--; c.asleep, c.refused = false, false }
 	}
 	return c, nil
 }
@@ -103,6 +107,28 @@ func (c *Core) ResetStats() { c.Retired = 0 }
 //
 //rhlint:hotpath
 func (c *Core) Asleep() bool { return c.asleep }
+
+// Refused reports that the last Tick stopped at an access the LLC
+// refused (its MSHRs or the controller's read queue were full, or the
+// throttler turned the read away), that the window head cannot retire,
+// and that no load has completed since. Until the memory side changes,
+// Tick would only retry that access and be refused again, so the caller
+// may skip it if it counts what the retry would have counted.
+//
+//rhlint:hotpath
+func (c *Core) Refused() bool { return c.refused }
+
+// Requester is the requester ID the core's next access carries: the
+// record's explicit source when the trace declares one, otherwise the
+// core's ID. While the core is refused, it is the refused access's.
+//
+//rhlint:hotpath
+func (c *Core) Requester() int {
+	if c.rec.Requester != 0 {
+		return c.rec.Requester
+	}
+	return c.ID
+}
 
 func (c *Core) slot(seq int64) int { return int(seq & c.mask) }
 
@@ -125,6 +151,7 @@ func (c *Core) Tick() {
 
 	// Issue.
 	issued := 0
+	refused := false
 	for issued < c.cfg.IssueWidth && c.inFlite < len(c.done) {
 		if !c.recLoaded {
 			c.rec = c.trc.Records[c.pos]
@@ -149,14 +176,11 @@ func (c *Core) Tick() {
 			continue
 		}
 		// Memory instruction. The access carries a requester ID down the
-		// memory path: the record's explicit source when the trace declares
-		// one, otherwise this core's ID.
-		req := c.ID
-		if c.rec.Requester != 0 {
-			req = c.rec.Requester
-		}
+		// memory path.
+		req := c.Requester()
 		if c.rec.Write {
 			if !c.llc.Write(req, c.rec.Addr) {
+				refused = true
 				break // back-pressure: retry next cycle
 			}
 			c.done[c.slot(c.seqHead+int64(c.inFlite))] = true
@@ -172,6 +196,7 @@ func (c *Core) Tick() {
 				ok = c.llc.Read(req, c.rec.Addr, c.complete[s])
 			}
 			if !ok {
+				refused = true
 				break
 			}
 			c.outstanding++
@@ -181,6 +206,7 @@ func (c *Core) Tick() {
 		issued++
 	}
 	c.asleep = c.blocked()
+	c.refused = refused && (c.inFlite == 0 || !c.done[c.slot(c.seqHead)])
 }
 
 // BulkWindow reports how many CPU cycles Advance may replay in place of

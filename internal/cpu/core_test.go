@@ -366,3 +366,113 @@ func TestAsleepMark(t *testing.T) {
 	}
 	t.Logf("%d asleep ticks, %d completions, %d passes", asleepTicks, completions, c.pass)
 }
+
+// gatedMem is heldMem behind a gate: while shut, it refuses every read
+// and counts the refusals.
+type gatedMem struct {
+	heldMem
+	shut    bool
+	refused int
+}
+
+func (m *gatedMem) EnqueueRead(req int, addr int64, onDone func()) bool {
+	if m.shut {
+		m.refused++
+		return false
+	}
+	return m.heldMem.EnqueueRead(req, addr, onDone)
+}
+
+// TestRefusedMark drives a core against a memory side whose gate refuses
+// reads while shut, through an LLC of four MSHRs, and checks the refused
+// mark at every step: a refused core is not asleep, its window head
+// cannot retire and it offers no jump; while neither the gate nor the
+// LLC's Changes has moved since the refusal, a Tick on it changes
+// nothing on the core and repeats the refusal exactly (it reaches the
+// backend when the first one did, and not when every MSHR was in
+// flight); and every load completion clears the mark.
+func TestRefusedMark(t *testing.T) {
+	var recs []trace.Record
+	for i := 0; i < 64; i++ {
+		recs = append(recs, trace.Record{Gap: i % 5 * 3, Addr: int64(i%40) * 64 * 64, Write: i%9 == 4})
+	}
+	tr := &trace.Trace{Records: recs, PassStride: 1 << 20, Span: 1 << 30}
+	mem := &gatedMem{}
+	llc, err := cache.New(cache.Config{
+		SizeBytes: 1 << 20, Assoc: 8, LineBytes: 64, HitLatency: 2, MSHRs: 4,
+	}, mem, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(0, Table6Config(), tr, llc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s, fn := range c.complete {
+		c.complete[s] = func() {
+			fn()
+			if c.refused {
+				t.Fatalf("completion of slot %d left the core refused", s)
+			}
+		}
+	}
+	check := func(step int, when string) {
+		if !c.refused {
+			return
+		}
+		if c.asleep {
+			t.Fatalf("step %d, %s: refused and asleep", step, when)
+		}
+		if c.inFlite > 0 && c.done[c.slot(c.seqHead)] {
+			t.Fatalf("step %d, %s: refused with a head that can retire: %+v", step, when, stateOf(c))
+		}
+		if w := c.BulkWindow(); w != 0 {
+			t.Fatalf("step %d, %s: refused core offers a jump of %d cycles", step, when, w)
+		}
+	}
+	// The memory side when the core was last refused, and whether that
+	// refusal reached the backend.
+	var shut, reached bool
+	var changes uint64
+	repeats := map[bool]int{}
+	for step := 0; step < 20_000; step++ {
+		llc.Tick()
+		check(step, "after the LLC tick")
+		n := mem.refused
+		if c.refused && mem.shut == shut && llc.Changes() == changes {
+			before := stateOf(c)
+			c.Tick()
+			if after := stateOf(c); !reflect.DeepEqual(before, after) || !c.refused {
+				t.Fatalf("step %d: Tick on a refused core changed it\n%+v\n%+v", step, before, after)
+			}
+			want := 0
+			if reached {
+				want = 1
+			}
+			if got := mem.refused - n; got != want {
+				t.Fatalf("step %d: the repeated refusal reached the backend %d times, want %d", step, got, want)
+			}
+			repeats[reached]++
+		} else {
+			c.Tick()
+			shut, reached, changes = mem.shut, mem.refused > n, llc.Changes()
+		}
+		check(step, "after Tick")
+		switch {
+		case step%61 == 0:
+			mem.shut = !mem.shut
+		case len(mem.pending) == 0:
+		case step%97 == 0:
+			mem.release()
+		case step%13 == 0:
+			mem.releaseAt(len(mem.pending) - 1)
+		case step%29 == 0:
+			mem.releaseAt(0)
+		}
+		check(step, "after the memory side moved")
+	}
+	if repeats[true] == 0 || repeats[false] == 0 {
+		t.Fatalf("refusals were not repeated both at the backend and at the MSHRs: %v", repeats)
+	}
+	t.Logf("repeated refusals: %d at the backend, %d at the MSHRs", repeats[true], repeats[false])
+}

@@ -175,6 +175,10 @@ type Controller struct {
 
 	cycle int64
 
+	// changes counts reads entering and leaving the read queue and writes
+	// entering the write queue; see Changes.
+	changes uint64
+
 	// issuingMitigation marks Issue calls made for mitigation ops so the
 	// OnACT observer can attribute them.
 	issuingMitigation bool
@@ -384,6 +388,7 @@ func (c *Controller) EnqueueRead(requester int, addr int64, onDone func()) bool 
 	r := c.newReq()
 	r.addr, r.req, r.onDone, r.queued = a, requester, onDone, c.cycle
 	c.readQ.push(r, c.ch.OpenRow(0, a.Bank))
+	c.changes++
 	if c.cfg.BLISS && c.blissIsBlack(requester) {
 		c.demotedReads++
 	}
@@ -416,7 +421,36 @@ func (c *Controller) EnqueueWrite(requester int, addr int64) {
 	r := c.newReq()
 	r.addr, r.req, r.write, r.queued = a, requester, true, c.cycle
 	c.writeQ.push(r, c.ch.OpenRow(0, a.Bank))
+	c.changes++
 	c.Stats.Writes++
+}
+
+// Changes counts the reads that have entered or left the read queue and
+// the writes queued so far: the events that can change how EnqueueRead
+// answers a read it refused. While the count holds still, so does a
+// queue-full refusal; a throttled refusal also waits on the throttler,
+// whose state moves only inside Tick.
+//
+//rhlint:hotpath
+func (c *Controller) Changes() uint64 { return c.changes }
+
+// RepeatRefusals counts n more refusals of a read EnqueueRead refused,
+// exactly as n retries of it would have: in ReadQueueFull, or, when the
+// throttler refused it, in ThrottledReads and the requester's entry. The
+// caller vouches that the answer cannot have changed since the refusal
+// (Changes, and Cycle for a throttled read, hold still), so the throttler
+// is not asked again: a repeat of a refusal has no other effect.
+//
+//rhlint:hotpath
+func (c *Controller) RepeatRefusals(requester int, throttled bool, n int64) {
+	if !throttled {
+		c.Stats.ReadQueueFull += n
+		return
+	}
+	c.Stats.ThrottledReads += n
+	if rs := c.Stats.reqStats(requester); rs != nil {
+		rs.ThrottledReads += n
+	}
 }
 
 // PendingReads reports demand reads still queued (for drain-to-idle).
@@ -438,7 +472,7 @@ func (c *Controller) NextWork() int64 {
 	// States whose Tick mutates per-cycle state even without issuing:
 	// a due refresh keeps closing banks, mitigation ops flip their
 	// activated flag outside the command slot, and a throttling mechanism
-	// is consulted (ThrottleStallCycles, sketch queries) whenever any
+	// is consulted (ThrottleStallCycles counts its denials) whenever any
 	// request is queued.
 	if c.refPending || len(c.mitQ) > 0 ||
 		(c.throttle != nil && (c.readQ.n > 0 || c.writeQ.n > 0)) {
@@ -780,8 +814,10 @@ func (c *Controller) schedule(q *reqQueue, write bool) bool {
 
 // starvingFavoredBank returns the bank of the oldest schedulable favored
 // request if that request has starved past starveLimit, else -1. The
-// walk runs in arrival order: it consults the throttler per skipped
-// request, and that query sequence is part of the pinned behavior.
+// walk runs in arrival order and asks the throttler about each request
+// it passes; an ActAllowed query changes nothing a result can see
+// (BlockHammer only rotates its epochs, which is idempotent in the
+// cycle), so how many it makes moves no result.
 //
 //rhlint:hotpath
 func (c *Controller) starvingFavoredBank(q *reqQueue) int {
@@ -829,10 +865,10 @@ func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) bool 
 		}
 	}
 	// One throttle scan per pass: find the oldest eligible unthrottled
-	// request and hand it to progressReq, so the sketch queries behind
-	// ActAllowed are not repeated over the same prefix. The walk runs in
-	// arrival order — the throttler is stateful, so the query sequence
-	// itself is pinned behavior.
+	// request, in arrival order, and hand it to progressReq, so
+	// ActAllowed is not asked again over the same prefix. The queries
+	// themselves move no result: BlockHammer answers from its release
+	// table, and its epoch rotation is idempotent in the cycle.
 	var oldest *request
 	throttleSkip := false
 	for r := q.head; r != nil; r = r.qnext {
@@ -1006,6 +1042,7 @@ func (c *Controller) issueColumn(q *reqQueue, r *request, write bool) {
 		rs.BusBusyCycles += int64(c.ch.T.BL)
 	}
 	if !write {
+		c.changes++
 		if rs := c.Stats.reqStats(r.req); rs != nil {
 			rs.ServedReads++
 		}

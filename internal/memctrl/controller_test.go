@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/dram"
@@ -429,5 +430,106 @@ func TestBLISSClearingForgives(t *testing.T) {
 	}
 	if got := ctrl.Stats.PerRequester[0].Blacklistings; got < 2 {
 		t.Errorf("blacklistings = %d across clearing intervals, want ≥2 (clearing never forgave)", got)
+	}
+}
+
+// refuseAll admits no read at the throttler and allows every ACT.
+type refuseAll struct{ mitigation.None }
+
+func (refuseAll) ActAllowed(requester, bank, row int, cycle int64) bool { return true }
+
+func (refuseAll) AdmitRequest(requester, bank, row int, queueLoad float64, cycle int64) bool {
+	return false
+}
+
+func (refuseAll) OnRequesterACT(requester, bank, row int, cycle int64) {}
+
+// TestChangesCountsQueueMoves pins what Changes counts: a read entering
+// the read queue, a read leaving it and a write entering the write queue
+// move it; a refused read, a forwarded read, a coalesced write and a
+// Tick that serves no read do not.
+func TestChangesCountsQueueMoves(t *testing.T) {
+	geo := dram.Table6Geometry()
+	ch, err := dram.NewChannel(geo, dram.DDR4_2400(geo.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Table6Config()
+	cfg.ReadQueue = 2
+	ctrl, err := New(cfg, ch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(addr int64) func() { return func() { ctrl.EnqueueRead(0, addr, func() {}) } }
+	steps := []struct {
+		name  string
+		do    func()
+		moves bool
+	}{
+		{"read queued", read(0x10000), true},
+		{"write queued", func() { ctrl.EnqueueWrite(0, 0x200000) }, true},
+		{"write coalesced", func() { ctrl.EnqueueWrite(0, 0x200000) }, false},
+		{"read forwarded from the write queue", read(0x200000), false},
+		{"read fills the queue", read(0x400000), true},
+		{"read refused, queue full", read(0x600000), false},
+	}
+	for _, st := range steps {
+		before := ctrl.Changes()
+		st.do()
+		if moved := ctrl.Changes() != before; moved != st.moves {
+			t.Errorf("%s: Changes moved %v, want %v", st.name, moved, st.moves)
+		}
+	}
+	for served := 0; served < 2; {
+		before, pending := ctrl.Changes(), ctrl.PendingReads()
+		ctrl.Tick()
+		left := ctrl.PendingReads() < pending
+		if moved := ctrl.Changes() != before; moved != left {
+			t.Fatalf("cycle %d: Changes moved %v, a read left the queue %v", ctrl.Cycle(), moved, left)
+		}
+		if left {
+			served++
+		}
+	}
+
+	throttled, _ := testController(t, refuseAll{})
+	before := throttled.Changes()
+	if throttled.EnqueueRead(0, 0x10000, func() {}) || throttled.Changes() != before {
+		t.Error("a throttled refusal was accepted or moved Changes")
+	}
+}
+
+// TestRepeatRefusalsMatchesRetries checks RepeatRefusals against what it
+// stands for: n more EnqueueRead calls refused the same way leave the
+// same statistics, for a full read queue and for a throttled read whose
+// requester has no per-requester entry yet.
+func TestRepeatRefusalsMatchesRetries(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		mech      mitigation.Mechanism
+		throttled bool
+	}{
+		{"read queue full", nil, false},
+		{"throttled", refuseAll{}, true},
+	} {
+		retried, _ := testController(t, tc.mech)
+		repeated, _ := testController(t, tc.mech)
+		for _, ctrl := range []*Controller{retried, repeated} {
+			if !tc.throttled {
+				for i := 0; i < Table6Config().ReadQueue; i++ {
+					ctrl.EnqueueRead(0, int64(i)<<20, func() {})
+				}
+			}
+			if ctrl.EnqueueRead(3, 0x7f0000, func() {}) {
+				t.Fatalf("%s: the first read was accepted", tc.name)
+			}
+		}
+		for i := 0; i < 5; i++ {
+			retried.EnqueueRead(3, 0x7f0000, func() {})
+		}
+		repeated.RepeatRefusals(3, tc.throttled, 5)
+		if !reflect.DeepEqual(retried.Stats, repeated.Stats) {
+			t.Errorf("%s: retries left\n%+v\nRepeatRefusals left\n%+v", tc.name, retried.Stats, repeated.Stats)
+		}
 	}
 }

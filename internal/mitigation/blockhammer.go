@@ -58,8 +58,6 @@ type BlockHammer struct {
 	// hammerer keeps a high RHLI across the rotation instead of being
 	// briefly re-admitted while its index re-ramps.
 	rhliACTs map[int]float64
-
-	throttleEvents int64
 }
 
 // countMin is a small count-min sketch: k hashed counter rows, estimate =
@@ -266,16 +264,16 @@ func (m *BlockHammer) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) [
 // out minInterval between activations. The answer deliberately ignores the
 // requester — the per-row budget is the security invariant, and it must
 // hold however the activations are attributed.
+//
+// The release table alone decides it. OnActivate writes a row's entry
+// only once the row's estimate has reached NBL, and rotate clears every
+// entry; between rotations no estimate falls (filters[1] is frozen and
+// filters[0] only gains). So a live entry marks a blacklisted row, and a
+// row without one may activate whatever its estimate.
 func (m *BlockHammer) ActAllowed(requester, bank, row int, cycle int64) bool {
 	m.rotate(cycle)
-	if m.estimate(bank, row) < m.nbl {
-		return true
-	}
-	if rel, ok := m.release[m.key(bank, row)]; ok && cycle < rel {
-		m.throttleEvents++
-		return false
-	}
-	return true
+	rel, ok := m.release[m.key(bank, row)]
+	return !ok || cycle >= rel
 }
 
 // AdmitRequest implements Throttler's RowBlocker-Req.
@@ -296,33 +294,24 @@ func (m *BlockHammer) ActAllowed(requester, bank, row int, cycle int64) bool {
 // at least half full and the row is inside its spacing window.
 func (m *BlockHammer) AdmitRequest(requester, bank, row int, queueLoad float64, cycle int64) bool {
 	m.rotate(cycle)
-	if m.estimate(bank, row) < m.nbl {
+	// A live release entry marks a blacklisted row (see ActAllowed), so
+	// only rows without one need the sketch.
+	rel, spaced := m.release[m.key(bank, row)]
+	if !spaced && m.estimate(bank, row) < m.nbl {
 		return true
 	}
 	// An unknown source cannot accrue an RHLI, so it must never be
 	// privileged by the per-requester policies: fall back to the blanket
 	// rule for it (and for the blanket variant itself).
 	if m.policy == policyBlanket || requester < 0 {
-		if queueLoad < 0.5 {
-			return true
-		}
-		if rel, ok := m.release[m.key(bank, row)]; ok && cycle < rel {
-			m.throttleEvents++
-			return false
-		}
-		return true
+		return queueLoad < 0.5 || !spaced || cycle >= rel
 	}
 	if m.policy == policyBinary {
-		if m.RHLI(requester) >= 1 {
-			m.throttleEvents++
-			return false
-		}
-		return true
+		return m.RHLI(requester) < 1
 	}
 	// Proportional: serve out any open delay window first.
 	if rel, ok := m.reqRelease[requester]; ok {
 		if cycle < rel {
-			m.throttleEvents++
 			return false
 		}
 		// Window served: this request has paid its RHLI-proportional
@@ -338,7 +327,6 @@ func (m *BlockHammer) AdmitRequest(requester, bank, row int, queueLoad float64, 
 		delay = m.epoch.length
 	}
 	m.reqRelease[requester] = cycle + delay
-	m.throttleEvents++
 	return false
 }
 

@@ -187,6 +187,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"negative iterations", `{"name": "table5", "params": {"scale": "tiny", "iterations": -3}}`, http.StatusBadRequest},
 		{"rows below the attack minimum", `{"name": "attack", "params": {"rows": 8}}`, http.StatusBadRequest},
 		{"rows above the Table 6 geometry", `{"name": "attack", "params": {"rows": 1073741824}}`, http.StatusBadRequest},
+		{"repeated hc", `{"name": "attack", "params": {"hc": [512, 512]}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,6 +8,9 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/attack"
+	"repro/internal/memctrl"
+	"repro/internal/mitigation"
 	"repro/internal/trace"
 )
 
@@ -56,28 +59,55 @@ func TestEventBulkSkipZeroAlloc(t *testing.T) {
 }
 
 // TestBackPressuredDemandPathZeroAlloc is the allocation gate of the
-// dense demand path: eight memory-bound cores in front of a read queue
-// shorter than the LLC's MSHR count, so loads are refused both by full
-// MSHRs and by the full queue and retried through cpu → LLC → memctrl.
-// Once the hit ring, MSHR waiter lists and completion buffers have
+// dense demand path. In the first case eight memory-bound cores sit in
+// front of a read queue shorter than the LLC's MSHR count, so loads are
+// refused both by full MSHRs and by the full queue; in the second an
+// attacker hammers beside two benign cores and BlockHammer turns its
+// reads away at admission. Refused cores sleep and each cycle they sleep
+// counts their refusal again (system.refusalHolds). Once the hit ring,
+// MSHR waiter lists, completion buffers and the throttler's tables have
 // reached their working sizes, an exact cycle must not touch the heap,
-// neither for accepted reads nor for refused retries.
+// neither for accepted reads nor for refused or slept retries.
 func TestBackPressuredDemandPathZeroAlloc(t *testing.T) {
-	cfg := Table6Config(0, 1<<40)
-	cfg.Ctrl.ReadQueue = 16
-	s, err := newSystem(cfg, trace.Mixes(1, 8, 2_000, 1)[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 300_000; i++ {
-		s.tick()
-	}
-	full := s.ctrl.Stats.ReadQueueFull
-	allocs := testing.AllocsPerRun(20_000, s.tick)
-	if s.ctrl.Stats.ReadQueueFull == full {
-		t.Fatal("the mix never filled the read queue: no retry was exercised")
-	}
-	if allocs != 0 {
-		t.Fatalf("back-pressured exact cycle allocated %.3f times per cycle; want 0", allocs)
+	for _, tc := range []struct {
+		name   string
+		system func(t *testing.T) *system
+		// refused reads the counter the case's refusals move.
+		refused func(st memctrl.Stats) int64
+	}{
+		{"read-queue-full", func(t *testing.T) *system {
+			cfg := Table6Config(0, 1<<40)
+			cfg.Ctrl.ReadQueue = 16
+			s, err := newSystem(cfg, trace.Mixes(1, 8, 2_000, 1)[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, func(st memctrl.Stats) int64 { return st.ReadQueueFull }},
+		{"blockhammer-throttled", func(t *testing.T) *system {
+			cfg, mix, _ := attackScenario(attack.DoubleSided, 0, 0, 2,
+				blockHammer(256, 100_000, mitigation.NewBlockHammer), nil)(t)
+			cfg.Observer = nil
+			s, err := newSystem(cfg, mix)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}, func(st memctrl.Stats) int64 { return st.ThrottledReads }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.system(t)
+			for i := 0; i < 300_000; i++ {
+				s.tick()
+			}
+			before := tc.refused(s.ctrl.Stats)
+			allocs := testing.AllocsPerRun(20_000, s.tick)
+			if tc.refused(s.ctrl.Stats) == before {
+				t.Fatal("no read was refused: no retry was exercised")
+			}
+			if allocs != 0 {
+				t.Fatalf("back-pressured exact cycle allocated %.3f times per cycle; want 0", allocs)
+			}
+		})
 	}
 }

@@ -28,27 +28,31 @@ package sim
 //     gap run (cpu.Core.BulkWindow). Paced attacks live here:
 //     paced-dodge jumps over 893M of its 960M CPU cycles.
 //   - LLC: no hit callback pending (cache.HitsPending). A flag is
-//     enough: it refuses 1,924 of the 891K mitigation-sweep probes that
-//     pass the core scan, 49 on hammer-attack and none on paced-dodge.
+//     enough: it refuses 1,923 of the 892K mitigation-sweep probes that
+//     pass the core scan, 40 on hammer-attack and none on paced-dodge.
 //   - controller: no command, return or REF deadline due before
 //     memctrl.NextWork. Its per-bank scan lets jumps run while requests
 //     wait on DRAM timing: 118M of paced-dodge's jumped cycles and
 //     6.44M of mitigation-sweep's 6.48M.
 //
 // Beside them sits the all-asleep rule, for the dense stretches no jump
-// covers because the controller is busy. While every core is asleep and
-// no hit is pending, a CPU cycle without a controller tick is a no-op:
-// no completion can fire, so no core can wake or retire and neither
-// retirement check can change. The k-1 cycles before the controller's
-// next tick pass in closed form, and that tick's cycle runs exactly. The
-// rule is tried once probes keep failing: it passes 32.3M of
-// mitigation-sweep's 62.8M cycles and 2.33M of hammer-attack's 14.0M.
-// On paced-dodge it passes 8.2M cycles. Tried after every failed probe,
-// it took 14.5M cycles from jumps there, ticked no fewer cycles exactly,
-// and the workload's run time rose 7-10% (4-8% with the gate).
+// covers because the controller is busy. While every core is asleep, or
+// refused with an answer that still holds (system.refusalHolds), and
+// no hit is pending, a CPU cycle without a controller tick is a no-op
+// but for the refused cores' counts: no completion can fire and no
+// queue, MSHR or throttler state can move, so no core can wake or
+// retire and neither retirement check can change. The k-1 cycles before
+// the controller's next tick pass in closed form, each refused core
+// counts k-1 retries, and that tick's cycle runs exactly. The rule is
+// tried once probes keep failing: it passes 33.5M of mitigation-sweep's
+// 62.8M cycles and 8.31M of hammer-attack's 14.0M, where the attacker
+// mostly sleeps refused. On paced-dodge it passes 8.2M cycles. Tried
+// after every failed probe, it took 14.5M cycles from jumps there,
+// ticked no fewer cycles exactly, and the workload's run time rose 7-10%
+// (4-8% with the gate).
 //
 // The probe backoff (runEvent) keeps dense runs from paying for probes
-// that fail: mitigation-sweep probes on 1.46M of its 24.1M loop
+// that fail: mitigation-sweep probes on 1.39M of its 22.9M loop
 // iterations, and without the backoff would probe on every one.
 
 // minBulk is the smallest jump worth taking: below it, the exact path is
@@ -76,12 +80,13 @@ func (s *system) retireNeed(tgt, iw int64) int64 {
 	return need
 }
 
-// allAsleep reports whether every core is asleep (cpu.Core.Asleep).
+// allAsleep reports whether every core is asleep (cpu.Core.Asleep) or
+// refused with an answer that still holds (refusalHolds).
 //
 //rhlint:hotpath
 func (s *system) allAsleep() bool {
-	for _, c := range s.cores {
-		if !c.Asleep() {
+	for i, c := range s.cores {
+		if !c.Asleep() && !(c.Refused() && s.refusalHolds(i)) {
 			return false
 		}
 	}
@@ -168,11 +173,19 @@ func (s *system) runEvent() {
 			if backoff == maxBackoff && s.allAsleep() && !s.llc.HitsPending() {
 				// Nothing can happen before the controller's next tick, k
 				// cycles away: pass the k-1 cycles before it in closed form.
+				// A refused core would have retried on each of them.
 				k := (s.cpuF - s.memAcc + s.memF - 1) / s.memF
 				skip := min(k-1, s.maxCycles-s.cpuCycle)
 				s.memAcc += skip * s.memF
 				s.cpuCycle += skip
 				s.cycles += skip
+				if skip > 0 {
+					for i, c := range s.cores {
+						if !c.Asleep() {
+							s.repeatRefusal(i, skip)
+						}
+					}
+				}
 				if s.cpuCycle == s.maxCycles {
 					return
 				}

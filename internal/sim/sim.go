@@ -18,8 +18,11 @@
 // On an exact cycle both engines tick only awake cores. A core whose
 // window is full behind an outstanding head load is asleep until a load
 // completes (cpu.Core.Asleep): its Tick would change nothing, and every
-// core's IPC divides by one shared cycle count. engine_event.go records
-// what each rule skips.
+// core's IPC divides by one shared cycle count. A core refused by the
+// memory side sleeps until something that could change the answer
+// happens (cpu.Core.Refused, system.refusalHolds), and each cycle it
+// sleeps counts what its retry would have counted. engine_event.go
+// records what each rule skips.
 package sim
 
 import (
@@ -207,7 +210,31 @@ type system struct {
 	// retirement target, so the per-cycle allRetired probe is O(1) until
 	// that core crosses.
 	laggard int
+
+	// refusals holds, per core, the refusal a Refused core sleeps on.
+	refusals []refusal
 }
+
+// refusal is what a refused core (cpu.Core.Refused) waits on and what
+// each of its retries counts: the memory side's change counts when it
+// was refused, the controller cycle a throttled refusal also waits on,
+// and the counter its access was refused under.
+type refusal struct {
+	// changes is llc.Changes() + ctrl.Changes(): both counts only grow,
+	// so the sum moves exactly when either does.
+	changes   uint64
+	cycle     int64 // ctrl.Cycle()
+	kind      refusalKind
+	requester int
+}
+
+type refusalKind uint8
+
+const (
+	refusedMSHR      refusalKind = iota // every MSHR in flight: counts nothing
+	refusedFull                         // counts in ReadQueueFull
+	refusedThrottled                    // counts in ThrottledReads and the requester's entry
+)
 
 func newSystem(cfg Config, mix trace.Mix) (*system, error) {
 	if len(mix.Traces) == 0 {
@@ -265,6 +292,7 @@ func newSystem(cfg Config, mix trace.Mix) (*system, error) {
 		cpuF:      int64(cfg.CPUFreqMHz),
 		memF:      int64(cfg.MemFreqMHz),
 		warmedUp:  cfg.WarmupInsts == 0,
+		refusals:  make([]refusal, len(cores)),
 	}, nil
 }
 
@@ -299,14 +327,25 @@ func (s *system) beginMeasure() {
 
 // tick executes one exact CPU cycle in reference order: the LLC, every
 // awake core, then the controller on the cycles the clock divider grants
-// it. An asleep core's Tick would change nothing (cpu.Core.Asleep).
+// it. An asleep core's Tick would change nothing (cpu.Core.Asleep), and a
+// refused one's would only count its refusal again while it holds
+// (refusalHolds).
 //
 //rhlint:hotpath
 func (s *system) tick() {
 	s.llc.Tick()
-	for _, c := range s.cores {
-		if !c.Asleep() {
-			c.Tick()
+	for i, c := range s.cores {
+		if c.Asleep() {
+			continue
+		}
+		if c.Refused() && s.refusalHolds(i) {
+			s.repeatRefusal(i, 1)
+			continue
+		}
+		full, throttled := s.ctrl.Stats.ReadQueueFull, s.ctrl.Stats.ThrottledReads
+		c.Tick()
+		if c.Refused() {
+			s.recordRefusal(i, full, throttled)
 		}
 	}
 	s.cycles++
@@ -314,6 +353,56 @@ func (s *system) tick() {
 	if s.memAcc >= s.cpuF {
 		s.memAcc -= s.cpuF
 		s.ctrl.Tick()
+	}
+}
+
+// recordRefusal records the refusal core i sleeps on after a Tick that
+// left it refused. full and throttled are the controller's two refusal
+// counters before that Tick: the refused access moved one of them, or,
+// refused for want of an MSHR, never reached the controller and moved
+// neither.
+//
+//rhlint:hotpath
+func (s *system) recordRefusal(i int, full, throttled int64) {
+	r := &s.refusals[i]
+	*r = refusal{
+		changes:   s.llc.Changes() + s.ctrl.Changes(),
+		cycle:     s.ctrl.Cycle(),
+		kind:      refusedMSHR,
+		requester: s.cores[i].Requester(),
+	}
+	switch {
+	case s.ctrl.Stats.ReadQueueFull != full:
+		r.kind = refusedFull
+	case s.ctrl.Stats.ThrottledReads != throttled:
+		r.kind = refusedThrottled
+	}
+}
+
+// refusalHolds reports, for a core that is refused (cpu.Core.Refused: no
+// load of its own has completed since), whether its retry would be
+// refused the same way: no read has entered or left the read queue, no
+// write was queued, the LLC has allocated no MSHR and filled no line (the
+// two Changes counts), and, for a throttled refusal, the controller has
+// not ticked, since the throttler's answer moves with its cycle.
+//
+//rhlint:hotpath
+func (s *system) refusalHolds(i int) bool {
+	r := &s.refusals[i]
+	return r.changes == s.llc.Changes()+s.ctrl.Changes() &&
+		(r.kind != refusedThrottled || r.cycle == s.ctrl.Cycle())
+}
+
+// repeatRefusal counts n retries of core i's refused access, which
+// refusalHolds vouches would all have been refused as it was.
+//
+//rhlint:hotpath
+func (s *system) repeatRefusal(i int, n int64) {
+	switch r := &s.refusals[i]; r.kind {
+	case refusedFull:
+		s.ctrl.RepeatRefusals(r.requester, false, n)
+	case refusedThrottled:
+		s.ctrl.RepeatRefusals(r.requester, true, n)
 	}
 }
 
