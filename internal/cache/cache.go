@@ -71,6 +71,9 @@ type Cache struct {
 	free     *mshr     // idle MSHRs
 	inflight mshrTable // outstanding MSHRs by line address
 	changes  uint64    // MSHR allocations and fills; see Changes
+	// mshrRefused records whether the last access the cache refused found
+	// every MSHR in flight, rather than being refused by the backend.
+	mshrRefused bool
 
 	// Hit-latency delay ring: a callback due d Ticks from now waits in
 	// ring[(head+d) % len(ring)]. Slots are relative to head, and Tick
@@ -151,6 +154,12 @@ func (c *Cache) Tick() {
 //
 //rhlint:hotpath
 func (c *Cache) Changes() uint64 { return c.changes }
+
+// MSHRRefused reports whether the last access the cache refused was
+// refused for want of a free MSHR; otherwise its backend refused it.
+//
+//rhlint:hotpath
+func (c *Cache) MSHRRefused() bool { return c.mshrRefused }
 
 // HitsPending reports whether a hit callback is waiting in the ring.
 // While one is, every cycle needs a real Tick.
@@ -276,6 +285,7 @@ func (c *Cache) access(core int, addr int64, write bool, onDone func()) bool {
 	}
 	m := c.free
 	if m == nil {
+		c.mshrRefused = true
 		return false // every MSHR is in flight
 	}
 	c.free = m.next
@@ -290,6 +300,7 @@ func (c *Cache) access(core int, addr int64, write bool, onDone func()) bool {
 	if !c.backend.EnqueueRead(core, la*int64(c.cfg.LineBytes), m.fill) {
 		c.inflight.remove(la)
 		c.release(m)
+		c.mshrRefused = false
 		return false
 	}
 	c.changes++
@@ -346,6 +357,7 @@ func (c *Cache) ReadUncached(core int, addr int64, onDone func()) bool {
 		return true
 	}
 	if !c.backend.EnqueueRead(core, la*int64(c.cfg.LineBytes), onDone) {
+		c.mshrRefused = false
 		return false
 	}
 	if s, w := c.lookup(la); w >= 0 {

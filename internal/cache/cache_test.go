@@ -371,3 +371,37 @@ func TestChangesCountsAllocationsAndFills(t *testing.T) {
 		}
 	}
 }
+
+// TestMSHRRefusedNamesTheRefusal pins MSHRRefused: it names why the last
+// refused access was refused, whichever path refused it, and an accepted
+// access leaves it alone.
+func TestMSHRRefusedNamesTheRefusal(t *testing.T) {
+	mem := &fakeMem{}
+	c := newCache(t, mem)
+	refuse := func(name string, ok, wantMSHR bool) {
+		t.Helper()
+		if ok {
+			t.Fatalf("%s: the access was accepted", name)
+		}
+		if c.MSHRRefused() != wantMSHR {
+			t.Fatalf("%s: MSHRRefused %v, want %v", name, c.MSHRRefused(), wantMSHR)
+		}
+	}
+	for i := int64(0); i < int64(smallConfig().MSHRs); i++ {
+		if !c.Read(0, (i+1)<<12, func() {}) {
+			t.Fatal("a miss was refused with MSHRs free")
+		}
+	}
+	refuse("every MSHR in flight", c.Read(0, 0x100000, func() {}), true)
+	refuse("write with every MSHR in flight", c.Write(0, 0x200000), true)
+	mem.rejectRd = true
+	refuse("uncached read the backend refused", c.ReadUncached(0, 0x300000, func() {}), false)
+	refuse("every MSHR in flight again", c.Read(0, 0x100000, func() {}), true)
+	mem.rejectRd = false
+	if !c.ReadUncached(0, 0x300000, func() {}) || !c.MSHRRefused() {
+		t.Fatal("an accepted access changed the last refusal")
+	}
+	mem.completeAll()
+	mem.rejectRd = true
+	refuse("miss the backend refused", c.Read(0, 0x400000, func() {}), false)
+}

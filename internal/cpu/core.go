@@ -33,27 +33,30 @@ type Core struct {
 	pass   int64
 	offset int64 // current pass's address offset
 
-	// Instruction window: a ring of done flags indexed by sequence number
-	// modulo the (power-of-two) window size. seqHead is the sequence
-	// number of the oldest in-flight instruction.
-	done    []bool
-	mask    int64
+	// Instruction window: seqHead is the sequence number of the oldest
+	// in-flight instruction and inFlite the number in flight. Non-memory
+	// instructions and writes are complete at issue, so only a load can
+	// hold retirement, and the window keeps just its in-flight loads: a
+	// FIFO in issue order, loads[lhead] first, nloads long, indexed
+	// modulo the (power-of-two) window size. A load leaves the FIFO once
+	// its data has returned and it reaches the front; from then on it is
+	// a complete instruction like any other.
 	seqHead int64
 	inFlite int
+	loads   []load
+	mask    int
+	lhead   int
+	nloads  int
 
 	gapLeft   int
 	recLoaded bool
 	rec       trace.Record
 
-	// outstanding counts in-flight loads whose data has not returned, so
-	// the event engine can tell "every window slot is a completed
-	// instruction" (bulk-replayable) from "a callback may land any time".
-	outstanding int
-
-	// complete holds one load-completion callback per window slot, built
-	// once in New: issuing a load, and retrying one the LLC refused,
-	// passes an existing func value instead of allocating a closure.
-	// Each also wakes the core.
+	// complete holds one load-completion callback per FIFO position,
+	// built once in New: issuing a load, and retrying one the LLC refused,
+	// passes an existing func value instead of allocating a closure. A
+	// position is reused only after its load is done and has left the
+	// FIFO. Each also wakes the core.
 	complete []func()
 
 	// asleep is set at the end of a Tick that leaves the core blocked
@@ -69,6 +72,13 @@ type Core struct {
 	Retired int64
 }
 
+// load is one in-flight load: its sequence number, and whether its data
+// has returned.
+type load struct {
+	seq  int64
+	done bool
+}
+
 // New builds a core over the shared cache.
 func New(id int, cfg Config, trc *trace.Trace, llc *cache.Cache) (*Core, error) {
 	if cfg.IssueWidth <= 0 || cfg.WindowSize <= 0 {
@@ -77,6 +87,9 @@ func New(id int, cfg Config, trc *trace.Trace, llc *cache.Cache) (*Core, error) 
 	if cfg.WindowSize&(cfg.WindowSize-1) != 0 {
 		return nil, fmt.Errorf("cpu: window size %d must be a power of two", cfg.WindowSize)
 	}
+	if cfg.WindowSize < cfg.IssueWidth {
+		return nil, fmt.Errorf("cpu: window size %d must hold an issue group of %d", cfg.WindowSize, cfg.IssueWidth)
+	}
 	if trc == nil || len(trc.Records) == 0 {
 		return nil, errors.New("cpu: empty trace")
 	}
@@ -84,13 +97,13 @@ func New(id int, cfg Config, trc *trace.Trace, llc *cache.Cache) (*Core, error) 
 		ID:       id,
 		cfg:      cfg,
 		trc:      trc,
-		done:     make([]bool, cfg.WindowSize),
-		mask:     int64(cfg.WindowSize - 1),
+		loads:    make([]load, cfg.WindowSize),
+		mask:     cfg.WindowSize - 1,
 		complete: make([]func(), cfg.WindowSize),
 		llc:      llc,
 	}
-	for s := range c.complete {
-		c.complete[s] = func() { c.done[s] = true; c.outstanding--; c.asleep, c.refused = false, false }
+	for p := range c.complete {
+		c.complete[p] = func() { c.loads[p].done = true; c.asleep, c.refused = false, false }
 	}
 	return c, nil
 }
@@ -130,29 +143,26 @@ func (c *Core) Requester() int {
 	return c.ID
 }
 
-func (c *Core) slot(seq int64) int { return int(seq & c.mask) }
-
-// Tick advances the core one CPU cycle: retire up to IssueWidth done
+// Tick advances the core one CPU cycle: retire up to IssueWidth complete
 // instructions from the window head, then issue up to IssueWidth new ones.
 //
 //rhlint:hotpath
 func (c *Core) Tick() {
-	// Retire.
-	for i := 0; i < c.cfg.IssueWidth && c.inFlite > 0; i++ {
-		s := c.slot(c.seqHead)
-		if !c.done[s] {
-			break
-		}
-		c.done[s] = false
-		c.seqHead++
-		c.inFlite--
-		c.Retired++
+	// Retire: everything ahead of the oldest pending load is complete.
+	lim := c.seqHead + int64(c.inFlite)
+	if p, ok := c.oldestPending(); ok {
+		lim = p
 	}
+	r := min(int64(c.cfg.IssueWidth), lim-c.seqHead)
+	c.seqHead += r
+	c.inFlite -= int(r)
+	c.Retired += r
 
 	// Issue.
+	iw, w := c.cfg.IssueWidth, len(c.loads)
 	issued := 0
 	refused := false
-	for issued < c.cfg.IssueWidth && c.inFlite < len(c.done) {
+	for issued < iw && c.inFlite < w {
 		if !c.recLoaded {
 			c.rec = c.trc.Records[c.pos]
 			c.rec.Addr += c.offset
@@ -168,11 +178,11 @@ func (c *Core) Tick() {
 			c.recLoaded = true
 		}
 		if c.gapLeft > 0 {
-			// Non-memory instruction: completes immediately.
-			c.done[c.slot(c.seqHead+int64(c.inFlite))] = true
-			c.inFlite++
-			c.gapLeft--
-			issued++
+			// Non-memory instructions: complete at issue.
+			a := min(iw-issued, w-c.inFlite, c.gapLeft)
+			c.inFlite += a
+			c.gapLeft -= a
+			issued += a
 			continue
 		}
 		// Memory instruction. The access carries a requester ID down the
@@ -183,108 +193,111 @@ func (c *Core) Tick() {
 				refused = true
 				break // back-pressure: retry next cycle
 			}
-			c.done[c.slot(c.seqHead+int64(c.inFlite))] = true
-			c.inFlite++
 		} else {
-			seq := c.seqHead + int64(c.inFlite)
-			s := c.slot(seq)
-			c.done[s] = false // before Read: the callback may fire any time after
+			// Queue the load before Read: the callback may fire any time
+			// after.
+			p := (c.lhead + c.nloads) & c.mask
+			c.loads[p] = load{seq: c.seqHead + int64(c.inFlite)}
+			c.nloads++
 			var ok bool
 			if c.rec.NoCache {
-				ok = c.llc.ReadUncached(req, c.rec.Addr, c.complete[s]) // flush+load: always reaches DRAM
+				ok = c.llc.ReadUncached(req, c.rec.Addr, c.complete[p]) // flush+load: always reaches DRAM
 			} else {
-				ok = c.llc.Read(req, c.rec.Addr, c.complete[s])
+				ok = c.llc.Read(req, c.rec.Addr, c.complete[p])
 			}
 			if !ok {
+				c.nloads--
 				refused = true
 				break
 			}
-			c.outstanding++
-			c.inFlite++
 		}
+		c.inFlite++
 		c.recLoaded = false
 		issued++
 	}
 	c.asleep = c.blocked()
-	c.refused = refused && (c.inFlite == 0 || !c.done[c.slot(c.seqHead)])
+	c.refused = refused && (c.inFlite == 0 || c.headPending())
 }
 
+// oldestPending returns the sequence number of the oldest load whose data
+// has not returned, first dropping the returned loads ahead of it; ok is
+// false when no load is pending.
+//
+//rhlint:hotpath
+func (c *Core) oldestPending() (seq int64, ok bool) {
+	for c.nloads > 0 {
+		if l := c.loads[c.lhead]; !l.done {
+			return l.seq, true
+		}
+		c.lhead = (c.lhead + 1) & c.mask
+		c.nloads--
+	}
+	return 0, false
+}
+
+// headPending reports that the window's oldest instruction is a load
+// whose data has not returned. Tick and Advance leave no load older than
+// seqHead in the FIFO, so its front decides it.
+//
+//rhlint:hotpath
+func (c *Core) headPending() bool {
+	return c.nloads > 0 && c.loads[c.lhead].seq == c.seqHead && !c.loads[c.lhead].done
+}
+
+// blocked reports that the window is full and its head is a pending load:
+// Tick does nothing until a load completes.
+//
+//rhlint:hotpath
+func (c *Core) blocked() bool { return c.inFlite == len(c.loads) && c.headPending() }
+
 // BulkWindow reports how many CPU cycles Advance may replay in place of
-// exact Ticks; 0 means the core must tick cycle by cycle. Two states are
-// replayable:
-//
-//   - blocked: the instruction window is full and its head instruction is
-//     incomplete. Tick does nothing until an external callback
-//     completes the head, and callbacks only fire from the LLC or
-//     controller clocks — which the event engine holds still during a
-//     jump. Unbounded (the engine's other horizons cap the jump).
-//
-//   - gap run: no loads are outstanding (every window slot is a completed
-//     instruction) and the current record still owes more than one issue
-//     group of non-memory instructions. Retire/issue evolve arithmetically
-//     and no memory access can be attempted for (gapLeft-1)/IssueWidth
-//     cycles.
+// exact Ticks: the cycles before the core next tries a memory access,
+// provided no load completes meanwhile. Completions fire only from the
+// LLC and controller clocks, which the event engine holds still during a
+// jump. Until that access each cycle retires min(IssueWidth, oldest
+// pending load − seqHead) instructions and issues min(IssueWidth, free
+// slots, gapLeft) gap instructions. Both move at most IssueWidth per
+// cycle, so the access comes on cycle gapLeft/IssueWidth + 1, unless the
+// window fills behind a pending load first (gapLeft covers the free slots
+// plus the instructions ahead of that load): then nothing happens until a
+// completion, and the window is unbounded (the engine's other horizons
+// cap the jump). A core whose next record is not loaded yet, and that is
+// not blocked, reports 0.
 //
 //rhlint:hotpath
 func (c *Core) BulkWindow() int64 {
-	if c.blocked() {
+	if p, ok := c.oldestPending(); ok && c.gapLeft >= len(c.loads)-c.inFlite+int(p-c.seqHead) {
 		return 1 << 62
 	}
-	if c.outstanding == 0 && c.recLoaded && c.gapLeft > c.cfg.IssueWidth {
-		return int64((c.gapLeft - 1) / c.cfg.IssueWidth)
+	if !c.recLoaded {
+		return 0
 	}
-	return 0
-}
-
-func (c *Core) blocked() bool {
-	return c.inFlite == len(c.done) && !c.done[c.slot(c.seqHead)]
+	return int64(c.gapLeft / c.cfg.IssueWidth)
 }
 
 // Advance replays n cycles, n no larger than BulkWindow(), with the same
-// effect as n Ticks. A blocked core does nothing. In a gap run
-// every in-flight slot is complete, so one cycle retires
-// r=min(I,inFlite) and issues a=min(I, W-inFlite+r) immediately-done gap
-// instructions; the state reaches a fixed point (r==a) after at most one
-// transient cycle, so the remainder is a multiplication. The done ring is
-// rebuilt at the end: exactly the surviving in-flight span is complete.
+// effect as n Ticks, by BulkWindow's arithmetic in closed form. Retirement
+// runs at IssueWidth per cycle up to the oldest pending load; with none
+// pending, it trails issue by one cycle, so it is short of n·IssueWidth
+// only while the window starts with fewer than IssueWidth instructions.
+// Issue runs at IssueWidth per cycle, capped by the window's free slots
+// plus what retired, and by the gap left. Like a Tick, Advance leaves the
+// core asleep when it ends blocked, and not refused.
 //
 //rhlint:hotpath
 func (c *Core) Advance(n int64) {
-	if c.blocked() {
+	if n <= 0 {
 		return
 	}
-	iw := int64(c.cfg.IssueWidth)
-	w := int64(len(c.done))
-	f := int64(c.inFlite)
-	var retired, issued int64
-	for n > 0 {
-		r := iw
-		if f < r {
-			r = f
-		}
-		f -= r
-		a := iw
-		if w-f < a {
-			a = w - f
-		}
-		f += a
-		retired += r
-		issued += a
-		n--
-		if r == a { // fixed point: every further cycle is identical
-			retired += r * n
-			issued += a * n
-			n = 0
-		}
+	iw, f := int64(c.cfg.IssueWidth), int64(c.inFlite)
+	retired := min(n*iw, f+(n-1)*iw)
+	if p, ok := c.oldestPending(); ok {
+		retired = min(n*iw, p-c.seqHead)
 	}
-	c.Retired += retired
+	issued := min(n*iw, int64(len(c.loads))-f+retired, int64(c.gapLeft))
 	c.seqHead += retired
+	c.Retired += retired
+	c.inFlite = int(f - retired + issued)
 	c.gapLeft -= int(issued)
-	c.inFlite = int(f)
-	for i := range c.done {
-		c.done[i] = false
-	}
-	for s := int64(0); s < f; s++ {
-		c.done[c.slot(c.seqHead+s)] = true
-	}
+	c.asleep, c.refused = c.blocked(), false
 }

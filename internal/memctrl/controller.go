@@ -178,6 +178,9 @@ type Controller struct {
 	// changes counts reads entering and leaving the read queue and writes
 	// entering the write queue; see Changes.
 	changes uint64
+	// throttledRefusal records whether the last read EnqueueRead refused
+	// was turned away by the throttler, rather than by a full read queue.
+	throttledRefusal bool
 
 	// issuingMitigation marks Issue calls made for mitigation ops so the
 	// OnACT observer can attribute them.
@@ -373,6 +376,7 @@ func (c *Controller) EnqueueRead(requester int, addr int64, onDone func()) bool 
 	}
 	if c.readQ.n >= c.cfg.ReadQueue {
 		c.Stats.ReadQueueFull++
+		c.throttledRefusal = false
 		return false
 	}
 	a := c.mapper.Map(addr)
@@ -383,6 +387,7 @@ func (c *Controller) EnqueueRead(requester int, addr int64, onDone func()) bool 
 		if rs := c.Stats.reqStats(requester); rs != nil {
 			rs.ThrottledReads++
 		}
+		c.throttledRefusal = true
 		return false
 	}
 	r := c.newReq()
@@ -433,6 +438,12 @@ func (c *Controller) EnqueueWrite(requester int, addr int64) {
 //
 //rhlint:hotpath
 func (c *Controller) Changes() uint64 { return c.changes }
+
+// RefusalThrottled reports whether the last read EnqueueRead refused was
+// turned away by the throttler; otherwise the read queue was full.
+//
+//rhlint:hotpath
+func (c *Controller) RefusalThrottled() bool { return c.throttledRefusal }
 
 // RepeatRefusals counts n more refusals of a read EnqueueRead refused,
 // exactly as n retries of it would have: in ReadQueueFull, or, when the

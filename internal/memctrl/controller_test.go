@@ -533,3 +533,34 @@ func TestRepeatRefusalsMatchesRetries(t *testing.T) {
 		}
 	}
 }
+
+// TestRefusalThrottledNamesTheRefusal pins RefusalThrottled: it names the
+// counter the last refused read moved, a full read queue or the
+// throttler.
+func TestRefusalThrottledNamesTheRefusal(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		mech      mitigation.Mechanism
+		throttled bool
+	}{
+		{"read queue full", nil, false},
+		{"throttled", refuseAll{}, true},
+	} {
+		ctrl, _ := testController(t, tc.mech)
+		if !tc.throttled {
+			for i := 0; i < Table6Config().ReadQueue; i++ {
+				ctrl.EnqueueRead(0, int64(i)<<20, func() {})
+			}
+		}
+		full, throttled := ctrl.Stats.ReadQueueFull, ctrl.Stats.ThrottledReads
+		if ctrl.EnqueueRead(3, 0x7f0000, func() {}) {
+			t.Fatalf("%s: the read was accepted", tc.name)
+		}
+		if moved := ctrl.Stats.ThrottledReads != throttled; moved != tc.throttled || (ctrl.Stats.ReadQueueFull != full) == tc.throttled {
+			t.Fatalf("%s: the refusal moved the wrong counter", tc.name)
+		}
+		if ctrl.RefusalThrottled() != tc.throttled {
+			t.Errorf("%s: RefusalThrottled %v, want %v", tc.name, ctrl.RefusalThrottled(), tc.throttled)
+		}
+	}
+}

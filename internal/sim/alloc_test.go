@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/attack"
+	"repro/internal/dram"
 	"repro/internal/memctrl"
 	"repro/internal/mitigation"
 	"repro/internal/trace"
@@ -16,45 +17,82 @@ import (
 
 // TestEventBulkSkipZeroAlloc is the allocation-regression gate of the
 // event engine's bulk-skip path, the companion of the controller's
-// TestSaturatedTickZeroAlloc: on a pure-gap workload the loop settles
-// into Advance jumps punctuated by exact ticks at REF deadlines, and
-// everything after newSystem must stay off the heap. The gate compares total allocations
-// of a short and a 4x-longer run of the same configuration: setup cost
-// is identical, so any difference is the loop allocating per cycle (or
-// per skip), which is exactly the regression the event engine exists to
-// avoid.
+// TestSaturatedTickZeroAlloc: the loop settles into Advance jumps
+// punctuated by exact ticks, and everything after newSystem must stay off
+// the heap. The gate compares total allocations of a short and a
+// 4x-longer run of the same configuration: setup cost is identical, so
+// any difference is the loop allocating per cycle (or per skip), which is
+// exactly the regression the event engine exists to avoid.
+//
+// Two workloads take the two kinds of jump. In the first, one record's
+// gap is never exhausted within MaxCPUCycles: the core stays in an
+// arithmetic gap run for the whole simulation, the LLC is never touched,
+// and the controller only ever services refresh deadlines. In the
+// second, a paced attacker (the differential corpus's duty-cycle stream)
+// jumps with a load outstanding while its window fills behind it. It runs
+// without the hammer observer, whose per-REF timeline grows with the run.
 func TestEventBulkSkipZeroAlloc(t *testing.T) {
-	// One record whose gap is never exhausted within MaxCPUCycles: the
-	// core stays in an arithmetic gap run for the whole simulation, the
-	// LLC is never touched, and the controller only ever services
-	// refresh deadlines.
-	mix := trace.Mix{Name: "pure-gap", Traces: []*trace.Trace{{
-		Name:    "gap",
-		Records: []trace.Record{{Gap: 1 << 30, Addr: 0}},
-	}}}
-
-	run := func(maxCycles int64) func() {
-		cfg := Table6Config(0, 1<<40)
-		cfg.MaxCPUCycles = maxCycles
-		cfg.Engine = EngineEvent
-		return func() {
-			s, err := newSystem(cfg, mix)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.runEvent()
-			if s.cpuCycle != maxCycles {
-				t.Fatalf("run ended at cycle %d, want %d", s.cpuCycle, maxCycles)
-			}
-		}
+	paced := Table6Config(0, 1<<40)
+	paced.Geo.Rows = 4096
+	paced.T = dram.DDR4_2400(paced.Geo.Rows)
+	paced.LLC.SizeBytes = 1 << 20
+	attackTrace, _, err := attack.Spec{Kind: attack.DoubleSided, Records: 1024, Seed: 0xdec0, DutyCycle: 0.25, Phase: 0.3}.
+		Synthesize(paced.Geo, attack.Target{Bank: 3, Row: 1000})
+	if err != nil {
+		t.Fatal(err)
 	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		mix  trace.Mix
+		// loaded: the run must reach a cycle where the core offers a jump
+		// while one of its loads waits in the read queue.
+		loaded bool
+	}{
+		{"pure-gap", Table6Config(0, 1<<40), trace.Mix{Name: "pure-gap", Traces: []*trace.Trace{{
+			Name:    "gap",
+			Records: []trace.Record{{Gap: 1 << 30, Addr: 0}},
+		}}}, false},
+		{"paced-attacker", paced, trace.Mix{Name: "paced", Traces: []*trace.Trace{attackTrace}}, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(maxCycles int64) func() {
+				cfg := tc.cfg
+				cfg.MaxCPUCycles = maxCycles
+				cfg.Engine = EngineEvent
+				return func() {
+					s, err := newSystem(cfg, tc.mix)
+					if err != nil {
+						t.Fatal(err)
+					}
+					s.runEvent()
+					if s.cpuCycle != maxCycles {
+						t.Fatalf("run ended at cycle %d, want %d", s.cpuCycle, maxCycles)
+					}
+				}
+			}
+			if tc.loaded {
+				s, err := newSystem(tc.cfg, tc.mix)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := s.cores[0]
+				for i := 0; !(s.ctrl.PendingReads() > 0 && !c.Asleep() && c.BulkWindow() >= minBulk); i++ {
+					if i == 100_000 {
+						t.Fatal("the core never offered a jump with a load in the read queue")
+					}
+					s.tick()
+				}
+			}
 
-	const base = 100_000
-	short := testing.AllocsPerRun(10, run(base))
-	long := testing.AllocsPerRun(10, run(4*base))
-	if long-short > 0.5 {
-		t.Fatalf("event engine allocated in the bulk-skip loop: %.1f allocs at %d cycles vs %.1f at %d",
-			long, 4*base, short, base)
+			const base = 100_000
+			short := testing.AllocsPerRun(10, run(base))
+			long := testing.AllocsPerRun(10, run(4*base))
+			if long-short > 0.5 {
+				t.Fatalf("event engine allocated in the bulk-skip loop: %.1f allocs at %d cycles vs %.1f at %d",
+					long, 4*base, short, base)
+			}
+		})
 	}
 }
 

@@ -24,16 +24,18 @@ package sim
 // sim workloads (counts from one run of each workload's spec at
 // benchmark seed 1):
 //
-//   - cores: every core blocked on its window head or in an arithmetic
-//     gap run (cpu.Core.BulkWindow). Paced attacks live here:
-//     paced-dodge jumps over 893M of its 960M CPU cycles.
+//   - cores: no core tries a memory access (cpu.Core.BulkWindow). Between
+//     accesses a core is arithmetic, a load outstanding or not: it fills
+//     its window behind the oldest pending load, or runs through a gap
+//     run. Paced attacks live here: paced-dodge jumps over 946.9M of its
+//     960M CPU cycles, in 5.40M jumps.
 //   - LLC: no hit callback pending (cache.HitsPending). A flag is
-//     enough: it refuses 1,923 of the 892K mitigation-sweep probes that
-//     pass the core scan, 40 on hammer-attack and none on paced-dodge.
+//     enough: it refuses 4,167 of the 1.11M mitigation-sweep probes that
+//     pass the core scan, 58 on hammer-attack and none on paced-dodge.
 //   - controller: no command, return or REF deadline due before
 //     memctrl.NextWork. Its per-bank scan lets jumps run while requests
-//     wait on DRAM timing: 118M of paced-dodge's jumped cycles and
-//     6.44M of mitigation-sweep's 6.48M.
+//     wait on DRAM timing: 172M of paced-dodge's jumped cycles and
+//     6.49M of mitigation-sweep's 6.54M.
 //
 // Beside them sits the all-asleep rule, for the dense stretches no jump
 // covers because the controller is busy. While every core is asleep, or
@@ -45,18 +47,24 @@ package sim
 // the controller's next tick pass in closed form, each refused core
 // counts k-1 retries, and that tick's cycle runs exactly. The rule is
 // tried once probes keep failing: it passes 33.5M of mitigation-sweep's
-// 62.8M cycles and 8.31M of hammer-attack's 14.0M, where the attacker
-// mostly sleeps refused. On paced-dodge it passes 8.2M cycles. Tried
-// after every failed probe, it took 14.5M cycles from jumps there,
-// ticked no fewer cycles exactly, and the workload's run time rose 7-10%
-// (4-8% with the gate).
+// 62.8M cycles and 8.31M of hammer-attack's 14.0M, where the controller
+// works on every memory cycle and no jump can take them (the attacker
+// mostly sleeps refused). On paced-dodge, whose cores join jumps with a
+// load outstanding, it passes 0.12M cycles. Tried after every failed
+// probe instead, it passes 6.39M cycles there that jumps would take, and
+// that spec runs about 7% longer.
 //
 // The probe backoff (runEvent) keeps dense runs from paying for probes
 // that fail: mitigation-sweep probes on 1.39M of its 22.9M loop
 // iterations, and without the backoff would probe on every one.
 
-// minBulk is the smallest jump worth taking: below it, the exact path is
-// cheaper than rebuilding gap-run done rings.
+// minBulk is the smallest jump worth taking, and the window below which
+// a probe stops early. Shorter jumps pay a probe each for cycles the
+// exact path or the all-asleep rule passes more cheaply: at 2,
+// mitigation-sweep probed 6.88M times instead of 1.39M, jumped 1.46M
+// times instead of 20.6K, left the rule 22.7M cycles instead of 33.5M,
+// and its spec ran about 47% longer (six timed pairs); paced-dodge's ran
+// about 4% longer.
 const minBulk = 8
 
 // retireNeed returns the minimum number of cycles before allRetired(tgt)

@@ -7,10 +7,10 @@
 // Two execution engines drive the same component graph. EngineCycle is
 // the original loop: one CPU cycle per iteration, the reference
 // semantics. EngineEvent (the default) jumps over stretches it can prove
-// idle — every core blocked on memory or in a gap run, no LLC hit
-// pending, no controller command, return or REF deadline due — and,
-// while every core is asleep and no hit is pending, passes the cycles
-// before the controller's next tick in closed form. It preserves the
+// idle — no core reaching its next memory access, no LLC hit pending, no
+// controller command, return or REF deadline due — and, while every core
+// is asleep and no hit is pending, passes the cycles before the
+// controller's next tick in closed form. It preserves the
 // exact CPU/mem clock-ratio phase, so every DRAM command lands on the
 // identical cycle and all results are byte-identical to the cycle engine
 // (enforced by the differential tests in this package).
@@ -342,10 +342,9 @@ func (s *system) tick() {
 			s.repeatRefusal(i, 1)
 			continue
 		}
-		full, throttled := s.ctrl.Stats.ReadQueueFull, s.ctrl.Stats.ThrottledReads
 		c.Tick()
 		if c.Refused() {
-			s.recordRefusal(i, full, throttled)
+			s.recordRefusal(i)
 		}
 	}
 	s.cycles++
@@ -357,25 +356,24 @@ func (s *system) tick() {
 }
 
 // recordRefusal records the refusal core i sleeps on after a Tick that
-// left it refused. full and throttled are the controller's two refusal
-// counters before that Tick: the refused access moved one of them, or,
-// refused for want of an MSHR, never reached the controller and moved
-// neither.
+// left it refused. Its access was the last one the LLC refused: for want
+// of an MSHR, counting nothing, or by the controller, which names the
+// counter the refusal moved.
 //
 //rhlint:hotpath
-func (s *system) recordRefusal(i int, full, throttled int64) {
-	r := &s.refusals[i]
-	*r = refusal{
+func (s *system) recordRefusal(i int) {
+	kind := refusedFull
+	switch {
+	case s.llc.MSHRRefused():
+		kind = refusedMSHR
+	case s.ctrl.RefusalThrottled():
+		kind = refusedThrottled
+	}
+	s.refusals[i] = refusal{
 		changes:   s.llc.Changes() + s.ctrl.Changes(),
 		cycle:     s.ctrl.Cycle(),
-		kind:      refusedMSHR,
+		kind:      kind,
 		requester: s.cores[i].Requester(),
-	}
-	switch {
-	case s.ctrl.Stats.ReadQueueFull != full:
-		r.kind = refusedFull
-	case s.ctrl.Stats.ThrottledReads != throttled:
-		r.kind = refusedThrottled
 	}
 }
 
