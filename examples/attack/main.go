@@ -51,8 +51,7 @@ func attack(mech rowhammer.Mechanism, cycles int64) (flips int, acts int64, err 
 	// performs — demand or mitigation — against the chip, and clears a
 	// row's damage whenever the auto-refresh rotation restores it.
 	obs := rowhammer.NewHammerObserver(chip)
-	ctrl.OnACT(obs.OnACT)
-	ctrl.OnRefresh(obs.OnRefresh)
+	ctrl.Observe(obs)
 
 	// The attacker has profiled the chip: target the weakest cell's row.
 	weak := chip.WeakestCell()

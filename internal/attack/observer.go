@@ -44,8 +44,9 @@ type REFWindow struct {
 // real SEC decoder, so EscapedFlips reports what the system observes
 // after correction while RawFlips keeps the pre-correction count.
 //
-// It implements sim.CommandObserver; drive it manually via OnACT/OnRefresh
-// when wiring a bare controller. Not safe for concurrent use.
+// It implements memctrl.CommandObserver: attach it to a simulation as
+// sim.Config.Observer, to a bare controller with Controller.Observe, or
+// drive it manually via OnACT/OnRefresh. Not safe for concurrent use.
 type Observer struct {
 	chip      *faultmodel.Chip
 	banks     int

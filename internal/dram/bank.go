@@ -9,7 +9,6 @@ type bankState struct {
 	nextPRE int64
 	nextRD  int64
 	nextWR  int64
-	refPtr  int // next row the auto-refresh rotation will cover
 }
 
 // rankState tracks rank-scoped constraints (tRRD, tFAW, tCCD, tWTR, bus).
@@ -23,20 +22,13 @@ type rankState struct {
 	lastWREndR int64    // end of most recent write burst anywhere
 	faw        [4]int64 // issue cycles of the last four ACTs
 	fawIdx     int
+	refPtr     int // next row REF covers in every bank (all-bank REF moves them together)
 }
-
-// ACTObserver is notified of every activate the channel performs; the
-// RowHammer mitigation mechanisms and the fault model hang off this hook.
-type ACTObserver func(rank, bank, row int, cycle int64)
-
-// RefreshObserver is notified of the rows covered by each auto-refresh
-// command (the per-bank rotation), so activation trackers can reset their
-// counters exactly when the paper's mechanisms would.
-type RefreshObserver func(rank, bank, rowStart, rowCount int, cycle int64)
 
 // Channel is a cycle-accurate model of one DRAM channel: its banks, their
 // open rows, and every timing constraint between commands. All cycles are
-// in memory-clock units.
+// in memory-clock units. It is a pure timing model with no hooks: the
+// memory controller that issues each command also publishes it.
 type Channel struct {
 	Geo Geometry
 	T   Timing
@@ -48,9 +40,6 @@ type Channel struct {
 
 	// Statistics.
 	Stats ChannelStats
-
-	onACT     ACTObserver
-	onRefresh RefreshObserver
 }
 
 // ChannelStats aggregates channel activity counters.
@@ -93,12 +82,6 @@ func NewChannel(geo Geometry, t Timing) (*Channel, error) {
 	}
 	return ch, nil
 }
-
-// OnACT registers the activate observer (at most one; later calls replace).
-func (ch *Channel) OnACT(fn ACTObserver) { ch.onACT = fn }
-
-// OnRefresh registers the auto-refresh rotation observer.
-func (ch *Channel) OnRefresh(fn RefreshObserver) { ch.onRefresh = fn }
 
 func (ch *Channel) bankIndex(rank, bank int) int { return rank*ch.Geo.Banks() + bank }
 
@@ -207,9 +190,6 @@ func (ch *Channel) Issue(cmd Command, rank, bank, row int, cycle int64) int64 {
 		rk.faw[rk.fawIdx] = cycle
 		rk.fawIdx = (rk.fawIdx + 1) % len(rk.faw)
 		ch.Stats.ACTs++
-		if ch.onACT != nil {
-			ch.onACT(rank, bank, row, cycle)
-		}
 		return 0
 	case CmdPRE:
 		b := &ch.banks[ch.bankIndex(rank, bank)]
@@ -250,16 +230,10 @@ func (ch *Channel) Issue(cmd Command, rank, bank, row int, cycle int64) int64 {
 		ch.Stats.WRs++
 		return 0
 	case CmdREF:
-		rows := ch.T.RowsPerREF
 		for b := 0; b < ch.Geo.Banks(); b++ {
-			bs := &ch.banks[ch.bankIndex(rank, b)]
-			bs.nextACT = cycle + int64(ch.T.RFC)
-			start := bs.refPtr
-			if ch.onRefresh != nil {
-				ch.onRefresh(rank, b, start, rows, cycle)
-			}
-			bs.refPtr = (bs.refPtr + rows) % ch.Geo.Rows
+			ch.banks[ch.bankIndex(rank, b)].nextACT = cycle + int64(ch.T.RFC)
 		}
+		rk.refPtr = (rk.refPtr + ch.T.RowsPerREF) % ch.Geo.Rows
 		ch.Stats.REFs++
 		ch.Stats.RefreshBusyCycles += int64(ch.T.RFC) * int64(ch.Geo.Banks())
 		return 0
@@ -268,11 +242,10 @@ func (ch *Channel) Issue(cmd Command, rank, bank, row int, cycle int64) int64 {
 	}
 }
 
-// RefreshPointer returns the next row index the auto-refresh rotation will
-// cover in the given bank.
-func (ch *Channel) RefreshPointer(rank, bank int) int {
-	return ch.banks[ch.bankIndex(rank, bank)].refPtr
-}
+// RefreshPointer returns the first row the rank's next REF covers in
+// each of its banks; that REF covers RowsPerREF rows from there, wrapping
+// at the bank's last row.
+func (ch *Channel) RefreshPointer(rank int) int { return ch.ranks[rank].refPtr }
 
 // BankTimes exposes one bank's per-bank timing horizon: its open row (-1
 // when precharged) and the earliest cycles at which an ACT, PRE, RD, or WR

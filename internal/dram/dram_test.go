@@ -148,6 +148,9 @@ func TestTFAWLimitsActivates(t *testing.T) {
 	}
 }
 
+// The channel publishes nothing itself: whoever issues a REF reads the
+// rotation start through RefreshPointer first (memctrl's Observe passes it
+// on), so this test observes the rotation the same way.
 func TestRefreshRotationAndObserver(t *testing.T) {
 	geo := Table6Geometry()
 	ch, err := NewChannel(geo, DDR4_2400(geo.Rows))
@@ -155,24 +158,24 @@ func TestRefreshRotationAndObserver(t *testing.T) {
 		t.Fatal(err)
 	}
 	covered := map[int]int{}
-	ch.OnRefresh(func(rank, bank, rowStart, rowCount int, cycle int64) {
-		if bank == 0 {
-			for r := rowStart; r < rowStart+rowCount; r++ {
-				covered[r%geo.Rows]++
-			}
-		}
-	})
 	cycle := int64(10)
 	refs := geo.Rows / ch.T.RowsPerREF
 	for i := 0; i < refs; i++ {
 		if !ch.CanIssue(CmdREF, 0, 0, 0, cycle) {
 			t.Fatalf("REF %d rejected", i)
 		}
+		rowStart := ch.RefreshPointer(0)
+		for r := rowStart; r < rowStart+ch.T.RowsPerREF; r++ {
+			covered[r%geo.Rows]++
+		}
 		ch.Issue(CmdREF, 0, 0, 0, cycle)
 		cycle += int64(ch.T.RFC) + 1
 	}
 	if len(covered) != geo.Rows {
 		t.Fatalf("refresh rotation covered %d of %d rows", len(covered), geo.Rows)
+	}
+	if got := ch.RefreshPointer(0); got != 0 {
+		t.Errorf("rotation did not wrap to row 0 after a full pass: pointer %d", got)
 	}
 	// ACT blocked during tRFC.
 	ch2 := testChannel(t)
@@ -198,17 +201,6 @@ func TestIllegalIssuePanics(t *testing.T) {
 		}
 	}()
 	ch.Issue(CmdRD, 0, 0, 5, 1) // no row open
-}
-
-func TestACTObserverFires(t *testing.T) {
-	ch := testChannel(t)
-	var got []int
-	ch.OnACT(func(rank, bank, row int, cycle int64) { got = append(got, row) })
-	ch.Issue(CmdACT, 0, 0, 11, 10)
-	ch.Issue(CmdACT, 0, 8, 22, 20)
-	if len(got) != 2 || got[0] != 11 || got[1] != 22 {
-		t.Errorf("observer saw %v", got)
-	}
 }
 
 func TestAddressMapRoundTrip(t *testing.T) {

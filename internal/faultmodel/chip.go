@@ -217,21 +217,12 @@ func (c *Chip) couplingWeight(d int) float64 {
 
 // --- cell population -----------------------------------------------------
 
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
 // hammerRand returns a deterministic uniform [0,1) value for a
 // (cell, nonce) pair, so flips are reproducible within a test iteration.
 func (c *Chip) hammerRand(bank, row, bit int, nonce uint64) float64 {
 	h := c.cfg.Seed
-	h = mix64(h ^ uint64(bank)<<40 ^ uint64(row)<<16 ^ uint64(bit))
-	h = mix64(h ^ nonce)
+	h = stats.Mix64(h ^ uint64(bank)<<40 ^ uint64(row)<<16 ^ uint64(bit))
+	h = stats.Mix64(h ^ nonce)
 	return float64(h>>11) / (1 << 53)
 }
 
@@ -256,7 +247,7 @@ func (c *Chip) rowCells(bank, row int) []cell {
 	if cs, ok := c.cells[key]; ok {
 		return cs
 	}
-	rng := stats.NewRNG(mix64(c.cfg.Seed ^ uint64(key)<<1 ^ 0xc0ffee))
+	rng := stats.NewRNG(stats.Mix64(c.cfg.Seed ^ uint64(key)<<1 ^ 0xc0ffee))
 	n := rng.Poisson(c.siteLambda)
 	cs := c.rowBuf[:0]
 	for i := 0; i < n; i++ {

@@ -4,6 +4,11 @@
 // which RowHammer mitigation mechanisms observe activations and inject
 // targeted victim-row refreshes.
 //
+// The controller owns the DRAM command stream: the channel is a pure
+// timing model with no observers, every command comes from here, and the
+// CommandObserver set by Observe hears of each ACT and REF after the
+// mitigation mechanism has.
+//
 // Every demand request carries a requester (source/thread) ID, which
 // feeds two consumers: the optional BLISS fairness scheduler (per-
 // requester service-streak blacklisting, Config.BLISS) and the
@@ -182,14 +187,6 @@ type Controller struct {
 	// was turned away by the throttler, rather than by a full read queue.
 	throttledRefusal bool
 
-	// issuingMitigation marks Issue calls made for mitigation ops so the
-	// OnACT observer can attribute them.
-	issuingMitigation bool
-	// issuingReq is the requester whose demand request is being progressed
-	// when an ACT issues (RequesterNone otherwise), so the throttler's
-	// per-source bookkeeping sees who caused each activation.
-	issuingReq int
-
 	// BLISS fairness state: the last-served requester, its service streak,
 	// and the current blacklist (cleared every BLISSClearCycles). The
 	// blacklist is a dense generation-stamped slice — requester id is
@@ -211,10 +208,8 @@ type Controller struct {
 	// scheduler's two class passes within one cycle.
 	lastThrottleStall int64
 
-	// onACT and onREF forward the command stream to an external observer
-	// (the fault-model hammer accountant of internal/attack).
-	onACT dram.ACTObserver
-	onREF dram.RefreshObserver
+	// obs watches the command stream (nil: nobody does); see Observe.
+	obs CommandObserver
 
 	Stats Stats
 }
@@ -255,7 +250,6 @@ func New(cfg Config, ch *dram.Channel, mech mitigation.Mechanism) (*Controller, 
 		mapper:      mapper,
 		mech:        mech,
 		mitBankBusy: make([]bool, ch.Geo.Banks()),
-		issuingReq:  mitigation.RequesterNone,
 		blissLast:   mitigation.RequesterNone,
 	}
 	c.readQ.init(ch.Geo.Banks())
@@ -271,65 +265,64 @@ func New(cfg Config, ch *dram.Channel, mech mitigation.Mechanism) (*Controller, 
 		c.refi = int64(ch.T.RFC) + 1 // refresh storm floor: back-to-back REF
 	}
 	c.nextREF = c.refi
-	ch.OnACT(c.observeACT)
-	ch.OnRefresh(c.observeRefresh)
 	return c, nil
 }
 
-// Mechanism returns the active mitigation mechanism.
-func (c *Controller) Mechanism() mitigation.Mechanism { return c.mech }
+// CommandObserver watches the DRAM command stream a controller issues:
+// every ACT, demand or mitigation, and the rows each REF covers in each
+// bank (rowCount rows from rowStart, wrapping at the bank's last row).
+// The attack subsystem's hammer accountant is one.
+type CommandObserver interface {
+	OnACT(rank, bank, row int, cycle int64)
+	OnRefresh(rank, bank, rowStart, rowCount int, cycle int64)
+}
 
-// OnACT registers an external activation observer (e.g. the fault model).
-func (c *Controller) OnACT(fn dram.ACTObserver) { c.onACT = fn }
+// Observe sets the command-stream observer; nil detaches it. The observer
+// hears of each command after the mitigation mechanism has.
+func (c *Controller) Observe(o CommandObserver) { c.obs = o }
 
-// OnRefresh registers an external observer of the auto-refresh rotation,
-// so hammer accountants can clear per-row damage exactly when the DRAM
-// restores the rows' charge.
-func (c *Controller) OnRefresh(fn dram.RefreshObserver) { c.onREF = fn }
-
-// observeACT feeds the mitigation mechanism and external observers.
-func (c *Controller) observeACT(rank, bank, row int, cycle int64) {
-	if c.issuingMitigation {
+// activate issues an ACT and accounts it, in a fixed order: statistics
+// for a mitigation refresh (fromMitigation) or for a demand activation
+// caused by requester req, whose source the throttler records; then the
+// mechanism, whose victims join mitQ; then the observer.
+//
+//rhlint:hotpath
+func (c *Controller) activate(bank, row, req int, fromMitigation bool) {
+	c.issueRowChange(dram.CmdACT, bank, row)
+	if fromMitigation {
 		c.Stats.MitigationACTs++
 		c.Stats.MitigationBusyCycles += int64(c.ch.T.RC)
 	} else {
 		c.Stats.DemandACTs++
 		c.Stats.DemandBusyCycles += int64(c.ch.T.RC)
-		if rs := c.Stats.reqStats(c.issuingReq); rs != nil {
+		if rs := c.Stats.reqStats(req); rs != nil {
 			rs.BusBusyCycles += int64(c.ch.T.RC)
 		}
 		if c.throttle != nil {
-			c.throttle.OnRequesterACT(c.issuingReq, bank, row, cycle)
+			c.throttle.OnRequesterACT(req, bank, row, c.cycle)
 		}
 	}
 	// The victims slice is the mechanism's buffer, valid only until its
 	// next call: copy the rows into mitQ before anything can issue.
-	victims := c.mech.OnActivate(bank, row, cycle, c.issuingMitigation)
-	for _, v := range victims {
+	for _, v := range c.mech.OnActivate(bank, row, c.cycle, fromMitigation) {
 		c.enqueueMitigation(bank, v)
 	}
-	if c.onACT != nil {
-		c.onACT(rank, bank, row, cycle)
+	if c.obs != nil {
+		c.obs.OnACT(0, bank, row, c.cycle)
 	}
 }
 
-func (c *Controller) observeRefresh(rank, bank, rowStart, rowCount int, cycle int64) {
-	extra := c.mech.OnAutoRefresh(bank, rowStart, rowCount, cycle)
-	for _, v := range extra {
-		c.enqueueMitigation(bank, v)
-	}
-	if c.onREF != nil {
-		c.onREF(rank, bank, rowStart, rowCount, cycle)
-	}
-}
-
+// enqueueMitigation queues a victim refresh of the row unless an
+// identical one is still pending: one refresh suffices.
+//
+//rhlint:hotpath
 func (c *Controller) enqueueMitigation(bank, row int) {
-	// Deduplicate identical pending ops: one refresh suffices.
 	for _, op := range c.mitQ {
 		if op.bank == bank && op.row == row && !op.activated {
 			return
 		}
 	}
+	//rhlint:allow hotalloc(amortized: ops leave mitQ by in-place removal, so its capacity is reused)
 	c.mitQ = append(c.mitQ, mitOp{bank: bank, row: row})
 }
 
@@ -366,8 +359,10 @@ func (c *Controller) EnqueueRead(requester int, addr int64, onDone func()) bool 
 	// hold the line when it is non-empty, so the usual read-heavy phase
 	// skips the line mapping entirely).
 	if c.writeQ.n > 0 && c.writeQueued(c.mapper.Map(c.mapper.LineAddress(addr))) {
-		//rhlint:allow hotalloc(amortized: fireReturns compacts in place, so capacity is reused)
-		c.returns = append(c.returns, retEvent{cycle: c.cycle + 1, fn: onDone})
+		if onDone != nil {
+			//rhlint:allow hotalloc(amortized: fireReturns compacts in place, so capacity is reused)
+			c.returns = append(c.returns, retEvent{cycle: c.cycle + 1, fn: onDone})
+		}
 		c.Stats.Reads++
 		if rs := c.Stats.reqStats(requester); rs != nil {
 			rs.Reads++
@@ -634,13 +629,24 @@ func (c *Controller) fireReturns() {
 	c.returns = c.returns[:n]
 }
 
-// tryRefresh closes open banks and issues REF when possible. Returns true
-// if it consumed the command slot.
+// tryRefresh closes open banks and issues REF when possible, then
+// publishes the rows the REF covers bank by bank in ascending order, the
+// mechanism before the observer. Returns true if it consumed the command
+// slot.
 func (c *Controller) tryRefresh() bool {
 	if c.ch.CanIssue(dram.CmdREF, 0, 0, 0, c.cycle) {
 		// REF requires every bank precharged, so the hit chains are
 		// already empty and stay valid.
+		start, rows := c.ch.RefreshPointer(0), c.ch.T.RowsPerREF
 		c.ch.Issue(dram.CmdREF, 0, 0, 0, c.cycle)
+		for b := 0; b < c.ch.Geo.Banks(); b++ {
+			for _, v := range c.mech.OnAutoRefresh(b, start, rows, c.cycle) {
+				c.enqueueMitigation(b, v)
+			}
+			if c.obs != nil {
+				c.obs.OnRefresh(0, b, start, rows, c.cycle)
+			}
+		}
 		c.Stats.REFs++
 		c.Stats.RefreshBusyCycles += int64(c.ch.T.RFC) * int64(c.ch.Geo.Banks())
 		c.refPending = false
@@ -685,9 +691,7 @@ func (c *Controller) tryMitigation() bool {
 				}
 			default:
 				if c.ch.CanIssue(dram.CmdACT, 0, op.bank, op.row, c.cycle) {
-					c.issuingMitigation = true
-					c.issueRowChange(dram.CmdACT, op.bank, op.row)
-					c.issuingMitigation = false
+					c.activate(op.bank, op.row, mitigation.RequesterNone, true)
 					op.activated = true
 					return true
 				}
@@ -947,9 +951,7 @@ func (c *Controller) progressReq(q *reqQueue, req *request, write bool) bool {
 	}
 	if open == -1 {
 		if c.ch.CanIssue(dram.CmdACT, 0, bank, req.addr.Row, c.cycle) {
-			c.issuingReq = req.req
-			c.issueRowChange(dram.CmdACT, bank, req.addr.Row)
-			c.issuingReq = mitigation.RequesterNone
+			c.activate(bank, req.addr.Row, req.req, false)
 			return true
 		}
 		return false

@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -96,6 +97,12 @@ func TestReadAfterWriteForwarding(t *testing.T) {
 	if !done {
 		t.Error("forwarded read did not complete immediately")
 	}
+	// A read without a callback is served from the write queue too, and
+	// nothing is called back for it.
+	if !ctrl.EnqueueRead(0, 0x8000, nil) {
+		t.Fatal("forwarded read without a callback rejected")
+	}
+	run(ctrl, 3)
 }
 
 func TestRefreshIssuesAtTREFI(t *testing.T) {
@@ -156,31 +163,135 @@ func TestMitigationRefreshPlumbing(t *testing.T) {
 	}
 }
 
+// recorder is a CommandObserver that keeps what it hears of.
+type recorder struct {
+	acts []int        // the row of every ACT
+	refs []refPublish // every bank's share of every REF
+}
+
+type refPublish struct {
+	bank, start, rows int
+	cycle             int64
+}
+
+func (r *recorder) OnACT(rank, bank, row int, cycle int64) { r.acts = append(r.acts, row) }
+
+func (r *recorder) OnRefresh(rank, bank, rowStart, rowCount int, cycle int64) {
+	r.refs = append(r.refs, refPublish{bank, rowStart, rowCount, cycle})
+}
+
+// TestExternalACTObserver: the observer hears of every ACT the controller
+// issues, demand and mitigation alike, in issue order, and Observe(nil)
+// detaches it.
 func TestExternalACTObserver(t *testing.T) {
-	ctrl, _ := testController(t, nil)
-	var rows []int
-	ctrl.OnACT(func(rank, bank, row int, cycle int64) { rows = append(rows, row) })
-	ctrl.EnqueueRead(0, 0x30000, func() {})
+	ctrl, ch := testController(t, &hammerMech{})
+	mapper, err := dram.NewAddressMapper(ch.Geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs := &recorder{}
+	ctrl.Observe(obs)
+	ctrl.EnqueueRead(0, mapper.AddressOf(dram.Address{Bank: 3, Row: 30}), func() {})
 	run(ctrl, 300)
-	if len(rows) == 0 {
-		t.Fatal("external observer never fired")
+	// The demand ACT of row 30, then hammerMech's victim refresh of 31.
+	if !reflect.DeepEqual(obs.acts, []int{30, 31}) {
+		t.Fatalf("observer heard ACTs of rows %v, want [30 31]", obs.acts)
+	}
+	if ctrl.Stats.DemandACTs != 1 || ctrl.Stats.MitigationACTs != 1 {
+		t.Errorf("stats = %+v, want one demand and one mitigation ACT", ctrl.Stats)
+	}
+	ctrl.Observe(nil)
+	ctrl.EnqueueRead(0, mapper.AddressOf(dram.Address{Bank: 3, Row: 60}), func() {})
+	run(ctrl, 300)
+	if len(obs.acts) != 2 {
+		t.Errorf("a detached observer heard of %d more ACTs", len(obs.acts)-2)
 	}
 }
 
+// TestExternalRefreshObserver checks the REF stream an observer hears of
+// while demand reads keep banks open: each REF publishes every bank in
+// ascending order with one rotation start, the start advances by
+// RowsPerREF modulo the bank's rows, and REF k issues in
+// [k·refi, (k+8)·refi) at the controller's pace refi, since DDR4 lets a
+// controller postpone up to eight REFs. The bank is 64 rows and a REF
+// covers 3, so the rotation wraps mid-step within the run. Increased
+// Refresh sets the pace: tREFI over its multiplier, 436 cycles at
+// HCfirst 64,000, and at 32,000 the requested 218 is floored at
+// tRFC+1 = 422, back-to-back REFs.
 func TestExternalRefreshObserver(t *testing.T) {
-	ctrl, ch := testController(t, nil)
-	covered := 0
-	ctrl.OnRefresh(func(rank, bank, rowStart, rowCount int, cycle int64) {
-		covered += rowCount
-	})
-	run(ctrl, int(ch.T.REFI)*3)
-	if covered == 0 {
-		t.Fatal("external refresh observer never fired")
+	const refs = 24
+	geo := dram.Table6Geometry()
+	geo.Rows = 64
+	tm := dram.DDR4_2400(geo.Rows)
+	tm.RowsPerREF = 3
+	increased := func(hcFirst int) mitigation.Mechanism {
+		m, err := mitigation.NewIncreasedRefresh(mitigation.Params{
+			HCFirst: hcFirst, Rows: geo.Rows, Banks: geo.Banks(),
+			TRC: int64(tm.RC), TREFI: int64(tm.REFI), TREFW: tm.REFW,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	// Every REF covers RowsPerREF rows in each bank.
-	wantPerREF := ch.T.RowsPerREF * ch.Geo.Banks()
-	if covered%wantPerREF != 0 {
-		t.Errorf("covered %d rows, want a multiple of %d", covered, wantPerREF)
+	for _, tc := range []struct {
+		name string
+		mech mitigation.Mechanism
+		refi int64
+	}{
+		{"None", nil, int64(tm.REFI)},
+		{"IncreasedRefresh-64000", increased(64_000), 436},
+		{"IncreasedRefresh-32000", increased(32_000), int64(tm.RFC) + 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ch, err := dram.NewChannel(geo, tm)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctrl, err := New(Table6Config(), ch, tc.mech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ctrl.refi != tc.refi {
+				t.Fatalf("REF pace %d cycles, want %d", ctrl.refi, tc.refi)
+			}
+			mapper, err := dram.NewAddressMapper(geo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs := &recorder{}
+			ctrl.Observe(obs)
+			rng := rand.New(rand.NewSource(1))
+			for ctrl.Cycle() < (refs+8)*tc.refi && len(obs.refs) < refs*geo.Banks() {
+				if ctrl.PendingReads() < 4 {
+					ctrl.EnqueueRead(0, mapper.AddressOf(dram.Address{
+						Bank: rng.Intn(geo.Banks()), Row: rng.Intn(geo.Rows)}), func() {})
+				}
+				ctrl.Tick()
+			}
+			if len(obs.refs) < refs*geo.Banks() {
+				t.Fatalf("%d REFs in %d cycles, want %d", len(obs.refs)/geo.Banks(), ctrl.Cycle(), refs)
+			}
+			for k := 1; k <= refs; k++ {
+				first := obs.refs[(k-1)*geo.Banks()]
+				start := (k - 1) * tm.RowsPerREF % geo.Rows
+				if first.cycle < int64(k)*tc.refi || first.cycle >= int64(k+8)*tc.refi {
+					t.Errorf("REF %d at cycle %d, outside [%d, %d)", k, first.cycle, int64(k)*tc.refi, int64(k+8)*tc.refi)
+				}
+				for b := 0; b < geo.Banks(); b++ {
+					want := refPublish{bank: b, start: start, rows: tm.RowsPerREF, cycle: first.cycle}
+					if got := obs.refs[(k-1)*geo.Banks()+b]; got != want {
+						t.Fatalf("REF %d, publish %d: %+v, want %+v", k, b, got, want)
+					}
+				}
+			}
+			if ctrl.Stats.REFs != int64(len(obs.refs)/geo.Banks()) {
+				t.Errorf("Stats.REFs = %d, the observer heard of %d", ctrl.Stats.REFs, len(obs.refs)/geo.Banks())
+			}
+			if ctrl.Stats.DemandACTs == 0 {
+				t.Error("no demand ACT ran between the REFs")
+			}
+		})
 	}
 }
 

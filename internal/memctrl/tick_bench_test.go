@@ -8,10 +8,10 @@ import (
 	"repro/internal/mitigation"
 )
 
-// saturatedTickController builds a controller plus a refill closure that
-// keeps its read queue at capacity from a fixed mixed-bank address pool —
-// the steady state the dense benchmarks live in.
-func saturatedTickController(tb testing.TB) (*Controller, func()) {
+// saturatedTickController builds a controller over mech plus a refill
+// closure that keeps its read queue at capacity from a fixed mixed-bank
+// address pool — the steady state the dense benchmarks live in.
+func saturatedTickController(tb testing.TB, mech mitigation.Mechanism) (*Controller, func()) {
 	tb.Helper()
 	geo := dram.Table6Geometry()
 	ch, err := dram.NewChannel(geo, dram.DDR4_2400(geo.Rows))
@@ -19,7 +19,7 @@ func saturatedTickController(tb testing.TB) (*Controller, func()) {
 		tb.Fatal(err)
 	}
 	cfg := Table6Config()
-	ctrl, err := New(cfg, ch, mitigation.NewNone())
+	ctrl, err := New(cfg, ch, mech)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func saturatedTickController(tb testing.TB) (*Controller, func()) {
 // BenchmarkSaturatedTick measures the per-cycle cost of the scheduler
 // with the read queue pinned at capacity.
 func BenchmarkSaturatedTick(b *testing.B) {
-	ctrl, fill := saturatedTickController(b)
+	ctrl, fill := saturatedTickController(b, mitigation.NewNone())
 	fill()
 	for i := 0; i < 10_000; i++ { // warm the free list and returns buffer
 		ctrl.Tick()

@@ -1,5 +1,7 @@
 package mitigation
 
+import "repro/internal/stats"
+
 // BlockHammer (Yağlıkçı et al., HPCA 2021) is a throttling-based defense:
 // instead of refreshing victims it rate-limits aggressors. Per-bank dual
 // counting Bloom filters (count-min sketches here) estimate every row's
@@ -73,22 +75,13 @@ func newCountMin(m int, seed uint64) *countMin {
 	cm := &countMin{}
 	for i := range cm.rows {
 		cm.rows[i] = make([]uint32, m)
-		cm.salts[i] = bhMix(seed + uint64(i)*0x9e3779b97f4a7c15)
+		cm.salts[i] = stats.Mix64(seed + uint64(i)*0x9e3779b97f4a7c15)
 	}
 	return cm
 }
 
-func bhMix(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
 func (cm *countMin) slot(i int, key uint64) int {
-	return int(bhMix(key^cm.salts[i]) % uint64(len(cm.rows[i])))
+	return int(stats.Mix64(key^cm.salts[i]) % uint64(len(cm.rows[i])))
 }
 
 func (cm *countMin) insert(key uint64) {

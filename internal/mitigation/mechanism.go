@@ -57,7 +57,7 @@ type Mechanism interface {
 	// Name identifies the mechanism in reports.
 	Name() string
 
-	// OnActivate is invoked for every ACT the channel performs —
+	// OnActivate is invoked for every ACT the controller issues —
 	// including mitigation-triggered ones (fromMitigation=true), which
 	// are themselves activations that disturb their own neighbours. It
 	// returns rows (same bank) the controller must refresh now.

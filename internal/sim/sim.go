@@ -15,6 +15,10 @@
 // identical cycle and all results are byte-identical to the cycle engine
 // (enforced by the differential tests in this package).
 //
+// The DRAM channel has no observers: Config.Observer watches the command
+// stream through memctrl.Controller.Observe, hearing of each ACT and REF
+// after the mitigation mechanism has.
+//
 // On an exact cycle both engines tick only awake cores. A core whose
 // window is full behind an outstanding head load is asleep until a load
 // completes (cpu.Core.Asleep): its Tick would change nothing, and every
@@ -106,16 +110,14 @@ type Config struct {
 
 	// Observer, when non-nil, receives the controller's full DRAM command
 	// stream (every ACT including mitigation refreshes, and the rows each
-	// auto-refresh rotation covers). The attack subsystem couples the
-	// fault model to the simulation through this hook.
+	// auto-refresh rotation covers) through memctrl.Controller.Observe.
+	// The attack subsystem couples the fault model to the simulation
+	// through it.
 	Observer CommandObserver
 }
 
 // CommandObserver watches the DRAM command stream of a simulation run.
-type CommandObserver interface {
-	OnACT(rank, bank, row int, cycle int64)
-	OnRefresh(rank, bank, rowStart, rowCount int, cycle int64)
-}
+type CommandObserver = memctrl.CommandObserver
 
 // Table6Config returns the paper's system configuration with the given
 // per-core instruction budget.
@@ -259,10 +261,7 @@ func newSystem(cfg Config, mix trace.Mix) (*system, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Observer != nil {
-		ctrl.OnACT(cfg.Observer.OnACT)
-		ctrl.OnRefresh(cfg.Observer.OnRefresh)
-	}
+	ctrl.Observe(cfg.Observer)
 	llc, err := cache.New(cfg.LLC, ctrl, len(mix.Traces))
 	if err != nil {
 		return nil, err

@@ -29,6 +29,18 @@ func NewRNG(seed uint64) *RNG {
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
+// Mix64 is MurmurHash3's 64-bit finalizer (fmix64): a bijection on
+// uint64 under which every output bit depends on every input bit, so
+// hashing a key through it gives a reproducible pseudo-random value.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x
+}
+
 // Uint64 returns the next 64 pseudo-random bits.
 func (r *RNG) Uint64() uint64 {
 	result := rotl(r.s[1]*5, 7) * 9

@@ -325,8 +325,9 @@ type AttackTarget = attack.Target
 type AttackRowRef = attack.RowRef
 
 // HammerObserver is the per-bank hammer accountant coupling a memory
-// controller's ACT/REF command stream to a fault-model chip; it
-// implements SimConfig's CommandObserver hook.
+// controller's ACT/REF command stream to a fault-model chip. Attach it
+// to a simulation as SimConfig.Observer, or to a bare MemController with
+// its Observe method; the DRAM channel itself has no observers.
 type HammerObserver = attack.Observer
 
 // AttackFlipEvent is one escaped bit flip with its crossing cycle.
@@ -403,6 +404,8 @@ type AddressMapper = dram.AddressMapper
 type Timing = dram.Timing
 
 // MemController is the FR-FCFS memory controller with the mitigation hook.
+// It issues every DRAM command, and Observe attaches one command-stream
+// observer (a HammerObserver, say) to what it issues.
 type MemController = memctrl.Controller
 
 // MemControllerConfig sizes the controller queues.
