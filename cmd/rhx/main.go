@@ -40,14 +40,13 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"syscall"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/serve"
 	"repro/internal/store"
@@ -77,7 +76,9 @@ func main() {
 	case "trace":
 		err = cmdTrace(os.Args[2:])
 	case "lint":
-		err = cmdLint(os.Args[2:])
+		// The suite prints its own findings and errors; its exit code is
+		// 0 clean, 1 findings, 2 an error.
+		os.Exit(analysis.Standalone(".", os.Args[2:], os.Stdout, os.Stderr))
 	case "-h", "-help", "--help", "help":
 		usage()
 		return
@@ -85,9 +86,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "rhx: unknown command %q\n", os.Args[1])
 		usage()
 		os.Exit(2)
-	}
-	if errors.Is(err, errLintFindings) {
-		os.Exit(1) // findings: exit code without the "rhx:" wrapper
 	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rhx: %v\n", err)
@@ -105,7 +103,7 @@ func usage() {
   rhx serve -addr a -store d [flags]     run the HTTP experiment service
   rhx report [-quick|-full] [flags]      run every paper artifact into one report
   rhx trace  -list|-profile p|-stat      generate or summarize workload traces
-  rhx lint  [-print] [packages]          run the rhlint static analyzers (default ./...)`)
+  rhx lint  [-json] [packages]           run the rhlint static analyzers (default ./...)`)
 }
 
 // loadSpec resolves -spec/-name/-seed/-shard into a validated spec.
@@ -394,70 +392,6 @@ func cmdSpec(args []string) error {
 	}
 	_, err = os.Stdout.Write(data)
 	return err
-}
-
-// errLintFindings reports that rhlint printed diagnostics: rhx exits 1
-// without adding a message of its own.
-var errLintFindings = errors.New("lint findings")
-
-// cmdLint runs the rhlint static-analysis suite: it builds cmd/rhlint
-// (the analyzers live in their own binary because the go vet -vettool
-// protocol requires a dedicated executable) and drives it through
-// `go vet`, so test packages are covered and the go build cache skips
-// unchanged packages. Findings propagate as errLintFindings once the
-// temporary build directory is removed. -print restores the old
-// behavior of only printing the manual invocations.
-func cmdLint(args []string) error {
-	fs := flag.NewFlagSet("rhx lint", flag.ExitOnError)
-	printOnly := fs.Bool("print", false, "print the manual lint invocations instead of running them")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *printOnly {
-		fmt.Print(`rhx lint: the static analyzers ship as cmd/rhlint (see docs/LINT.md).
-
-Run them standalone:
-
-  go build -o /tmp/rhlint ./cmd/rhlint
-  /tmp/rhlint ./...
-
-or through go vet (identical diagnostics, build-cache driven):
-
-  go vet -vettool=/tmp/rhlint ./...
-
-or as part of the full lint gate (gofmt, go vet, rhlint, staticcheck,
-shellcheck):
-
-  scripts/lint.sh
-`)
-		return nil
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	tmp, err := os.MkdirTemp("", "rhlint")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(tmp)
-	bin := filepath.Join(tmp, "rhlint")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/rhlint")
-	build.Stdout, build.Stderr = os.Stdout, os.Stderr
-	if err := build.Run(); err != nil {
-		return fmt.Errorf("building rhlint: %w", err)
-	}
-	vet := exec.Command("go", append([]string{"vet", "-vettool=" + bin}, patterns...)...)
-	vet.Stdout, vet.Stderr = os.Stdout, os.Stderr
-	if err := vet.Run(); err != nil {
-		var exit *exec.ExitError
-		if errors.As(err, &exit) {
-			return errLintFindings
-		}
-		return err
-	}
-	fmt.Println("rhx lint: clean")
-	return nil
 }
 
 // signalContext returns a context canceled by SIGINT/SIGTERM, so ^C

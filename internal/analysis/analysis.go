@@ -8,9 +8,9 @@
 // golang.org/x/tools/go/analysis analyzer shape on the standard library
 // alone — the repository carries no module dependencies, so the real
 // framework cannot be imported. The surface is deliberately the same:
-// an Analyzer holds a Name, a Doc, and a Run(*Pass); cmd/rhlint drives
-// the suite either standalone (rhlint ./...) or as a `go vet -vettool`
-// (the unitchecker .cfg protocol, see unit.go).
+// an Analyzer holds a Name, a Doc, and a Run(*Pass). One driver runs the
+// suite: Standalone, behind `rhx lint`, walks the module's packages
+// dependencies-first in one process (standalone.go).
 //
 // Findings are suppressed with an annotation that must carry a reason:
 //
@@ -37,7 +37,7 @@ type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //rhlint:allow annotations.
 	Name string
-	// Doc is the one-paragraph catalog entry (`rhlint help`).
+	// Doc is the one-paragraph catalog entry (`rhx lint help`).
 	Doc string
 	// Run reports findings on one package through pass.Reportf.
 	Run func(*Pass) error
@@ -81,7 +81,7 @@ func (p *Pass) SuppressedAt(pos token.Pos) bool {
 }
 
 // A Diagnostic is one finding. Suppressed is the //rhlint:allow reason
-// when a directive covers the finding; drivers print only unsuppressed
+// when a directive covers the finding; the walk prints only unsuppressed
 // diagnostics but -json exposes both.
 type Diagnostic struct {
 	Analyzer   string
@@ -106,7 +106,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // IsTestFile reports whether the file is a _test.go file. The
 // determinism analyzers skip test files: tests do not produce published
 // results, and the runtime suites (differential corpus, shard-merge
-// invariance) already pin their behavior.
+// invariance) already pin their behavior. The walk loads no test files
+// (Load reads a package's GoFiles), so only a caller that hands
+// RunPackage one, such as the golden-diagnostic harness, meets this.
 func (p *Pass) IsTestFile(f *ast.File) bool {
 	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }
@@ -240,8 +242,7 @@ func isHotpath(fd *ast.FuncDecl) bool {
 
 // A Package is one loaded, type-checked compilation unit. FactsOnly
 // marks a dependency loaded solely so its facts exist before its
-// dependents are analyzed; drivers discard its diagnostics — the
-// standalone equivalent of the vet protocol's VetxOnly units.
+// dependents are analyzed; the walk discards its diagnostics.
 type Package struct {
 	Path      string
 	Fset      *token.FileSet
@@ -257,7 +258,7 @@ type Package struct {
 // can expose them; callers that print filter with ActiveOnly.
 // Malformed directives are reported once per package. facts may be nil
 // for a fact-free run; with a store, facts of dependency packages must
-// already be present (the drivers walk the build graph in dependency
+// already be present (the walk visits the build graph in dependency
 // order) and this package's facts are added to the store.
 func RunPackage(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
 	dirs := scanDirectives(pkg.Fset, pkg.Files)

@@ -177,24 +177,6 @@ func TestMalformedDirectives(t *testing.T) {
 	testAnalyzer(t, MapIter, filepath.Join("testdata", "directives", "sim"), "example.com/x/sim")
 }
 
-func TestIsUnitProtocol(t *testing.T) {
-	cases := []struct {
-		args []string
-		want bool
-	}{
-		{[]string{"./..."}, false},
-		{[]string{}, false},
-		{[]string{"-V=full"}, true},
-		{[]string{"-flags"}, true},
-		{[]string{"-mapiter=false", "/tmp/vet1234.cfg"}, true},
-	}
-	for _, c := range cases {
-		if got := IsUnitProtocol(c.args); got != c.want {
-			t.Errorf("IsUnitProtocol(%v) = %v, want %v", c.args, got, c.want)
-		}
-	}
-}
-
 func TestSimVisiblePkg(t *testing.T) {
 	for _, path := range []string{"repro", "repro/internal/sim", "repro/internal/memctrl", "example.com/x/stats"} {
 		if !simVisiblePkg(path) {

@@ -12,34 +12,25 @@ package analysis
 // time.Now, seedflow learns that a constructor wrapper really does
 // return a derived PRNG.
 //
-// Facts are serialized with encoding/gob. In the `go vet -vettool`
-// protocol each compilation unit reads the fact files (.vetx) of its
-// dependencies and writes its own (unit.go); in the standalone driver
-// the store simply persists in memory across the topologically ordered
-// package walk (load.go). Both drivers therefore see the same facts
-// and must produce identical diagnostics — pinned by the facts fixture
-// tests.
+// Facts live in memory: one store persists across the dependencies-first
+// package walk (load.go), so a package's facts exist before any of its
+// dependents is analyzed. No fact file is written or read.
 //
 // Objects are identified by a stable textual key rather than by
-// go/types object identity, because the same function is a
-// source-checked *types.Func in one run and an export-data import in
-// the next. Facts only attach to package-level functions and methods,
-// so the key is simply "FuncName" or "RecvTypeName.MethodName" — the
-// subset of x/tools' objectpath this suite needs.
+// go/types object identity. Facts only attach to package-level
+// functions and methods, so the key is simply "FuncName" or
+// "RecvTypeName.MethodName" — the subset of x/tools' objectpath this
+// suite needs.
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
 )
 
 // A Fact is a typed message attached to a package-level function or
 // method, produced in the defining package and consumed in dependents.
-// Implementations must be pointers to gob-encodable structs and are
-// registered via RegisterFactTypes at init time.
+// Implementations are pointers to structs.
 type Fact interface {
 	AFact() // dummy method to mark fact types
 }
@@ -111,12 +102,6 @@ func (*ReturnsDerivedPRNG) AFact() {}
 
 func (f *ReturnsDerivedPRNG) String() string { return "returnsDerivedPRNG" }
 
-func init() {
-	gob.Register(&Allocates{})
-	gob.Register(&Impure{})
-	gob.Register(&ReturnsDerivedPRNG{})
-}
-
 // --- object keys ------------------------------------------------------------
 
 // objectKey returns the stable intra-package key for a package-level
@@ -161,10 +146,8 @@ type factKey struct {
 	typ reflect.Type
 }
 
-// A FactStore holds every fact known to the current driver run: the
-// facts of already-analyzed packages in standalone mode, or the decoded
-// dependency .vetx files plus the current unit's new facts in vettool
-// mode.
+// A FactStore holds every fact known to one walk: the facts of the
+// packages analyzed so far.
 type FactStore struct {
 	m map[factKey]Fact
 }
@@ -188,58 +171,6 @@ func (s *FactStore) get(pkg, obj string, ptr Fact) bool {
 	return true
 }
 
-// factEntry is the serialized form of one fact.
-type factEntry struct {
-	Pkg    string // defining package import path
-	Object string // objectKey within Pkg
-	Fact   Fact   // concrete type registered with gob
-}
-
-// Encode serializes the whole store. Entries are sorted so the bytes
-// are deterministic — fact files participate in the go command's build
-// cache, and this repository does not ship nondeterministic bytes.
-func (s *FactStore) Encode() ([]byte, error) {
-	entries := make([]factEntry, 0, len(s.m))
-	//rhlint:allow mapiter(entries are fully sorted below before encoding)
-	for k, f := range s.m {
-		entries = append(entries, factEntry{Pkg: k.pkg, Object: k.obj, Fact: f})
-	}
-	sort.Slice(entries, func(i, j int) bool {
-		a, b := entries[i], entries[j]
-		if a.Pkg != b.Pkg {
-			return a.Pkg < b.Pkg
-		}
-		if a.Object != b.Object {
-			return a.Object < b.Object
-		}
-		return reflect.TypeOf(a.Fact).String() < reflect.TypeOf(b.Fact).String()
-	})
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(entries); err != nil {
-		return nil, fmt.Errorf("encoding facts: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// Decode merges serialized facts into the store. Empty input is a valid
-// empty fact set (the pre-fact stub wrote zero bytes; tolerate it).
-func (s *FactStore) Decode(data []byte) error {
-	if len(data) == 0 {
-		return nil
-	}
-	var entries []factEntry
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&entries); err != nil {
-		return fmt.Errorf("decoding facts: %w", err)
-	}
-	for _, e := range entries {
-		if e.Fact == nil {
-			continue
-		}
-		s.put(e.Pkg, e.Object, e.Fact)
-	}
-	return nil
-}
-
 // Len reports the number of stored facts (tests and -json summary).
 func (s *FactStore) Len() int { return len(s.m) }
 
@@ -261,7 +192,7 @@ func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
 
 // ImportObjectFact copies the fact of obj's concrete type into ptr and
 // reports whether one was found. Works for objects of the current
-// package and of any dependency whose facts the driver loaded.
+// package and of any dependency the walk has already analyzed.
 func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	if p.Facts == nil || obj == nil || obj.Pkg() == nil {
 		return false

@@ -2,9 +2,9 @@ package analysis
 
 // Tests for the interprocedural layer: the multi-package facts fixture
 // (testdata/facts: impure/allocating leaf -> clean middle -> flagged sim
-// caller), gob round-tripping of every fact type, and driver parity —
-// the standalone walk and the `go vet -vettool` protocol must emit
-// identical diagnostics from identical facts.
+// caller), run through the in-memory harness below and through
+// Standalone, the walk behind `rhx lint`; the two must emit identical
+// diagnostics.
 
 import (
 	"bytes"
@@ -12,9 +12,7 @@ import (
 	"go/parser"
 	"go/token"
 	"os"
-	"os/exec"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"sort"
 	"strconv"
@@ -31,7 +29,7 @@ var factsFixture = []struct{ dir, path string }{
 
 // loadFactsFixture type-checks the fixture packages against each other
 // (shared loader) and runs the full suite over them with a shared fact
-// store — the same walk the standalone driver performs.
+// store: a test-only reference for the walk Standalone performs.
 func loadFactsFixture(t *testing.T) ([]Diagnostic, *FactStore, []string) {
 	t.Helper()
 	var allFiles []string
@@ -122,101 +120,9 @@ func TestFactsFixtureStandalone(t *testing.T) {
 	}
 }
 
-// sampleFacts holds one fact of every type.
-func sampleFacts() *FactStore {
-	s := NewFactStore()
-	s.put("example.com/a", "F", &Allocates{Why: "append at f.go:10"})
-	s.put("example.com/a", "G", &Impure{TimeNow: true, Getenv: true, Why: "time.Now at g.go:3"})
-	s.put("example.com/b", "T.M", &ReturnsDerivedPRNG{})
-	return s
-}
-
-// TestFactStoreRoundTrip pins gob serialization for every fact type and
-// the byte-determinism of Encode.
-func TestFactStoreRoundTrip(t *testing.T) {
-	s := sampleFacts()
-	data, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	data2, err := s.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(data, data2) {
-		t.Errorf("Encode is not deterministic")
-	}
-
-	r := NewFactStore()
-	if err := r.Decode(data); err != nil {
-		t.Fatal(err)
-	}
-	if r.Len() != 3 {
-		t.Fatalf("round-trip lost facts: got %d, want 3", r.Len())
-	}
-	var alloc Allocates
-	if !r.get("example.com/a", "F", &alloc) || alloc.Why != "append at f.go:10" {
-		t.Errorf("Allocates round-trip: got %+v", alloc)
-	}
-	var imp Impure
-	if !r.get("example.com/a", "G", &imp) || !imp.TimeNow || !imp.Getenv || imp.GlobalRand || imp.Why != "time.Now at g.go:3" {
-		t.Errorf("Impure round-trip: got %+v", imp)
-	}
-	if !r.get("example.com/b", "T.M", &ReturnsDerivedPRNG{}) {
-		t.Errorf("ReturnsDerivedPRNG round-trip: fact missing")
-	}
-
-	// The pre-fact stub wrote zero-byte files; they must stay readable.
-	if err := NewFactStore().Decode(nil); err != nil {
-		t.Errorf("Decode(nil) = %v, want nil", err)
-	}
-}
-
-// FuzzDecodeFacts covers the vetx fact files rhlint reads from a unit's
-// dependencies under go vet -vettool, outside bytes: Decode never
-// panics, every fact it accepts reads back through get, and an accepted
-// store re-encodes to bytes that decode and re-encode identically.
-func FuzzDecodeFacts(f *testing.F) {
-	seed, err := sampleFacts().Encode()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(seed)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s := NewFactStore()
-		if err := s.Decode(data); err != nil {
-			return
-		}
-		for k, f := range s.m {
-			got := reflect.New(reflect.TypeOf(f).Elem()).Interface().(Fact)
-			if !s.get(k.pkg, k.obj, got) || !reflect.DeepEqual(got, f) {
-				t.Fatalf("fact %q.%q %T does not read back: got %+v, want %+v", k.pkg, k.obj, f, got, f)
-			}
-		}
-		enc, err := s.Encode()
-		if err != nil {
-			t.Fatalf("encode accepted facts: %v", err)
-		}
-		again := NewFactStore()
-		if err := again.Decode(enc); err != nil {
-			t.Fatalf("re-encoded facts rejected: %v", err)
-		}
-		if again.Len() != s.Len() {
-			t.Fatalf("re-decoding kept %d of %d facts", again.Len(), s.Len())
-		}
-		enc2, err := again.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc, enc2) {
-			t.Fatalf("re-encoding changed the bytes:\n%q\nvs\n%q", enc, enc2)
-		}
-	})
-}
-
-// diagLine normalizes one driver output line to "base.go:line: message",
-// or "" for non-diagnostic lines (package headers, summaries).
+// normalizeDiagLines keeps the diagnostic lines of out, each reduced to
+// "base.go:line: analyzer: message" so the temp module's paths and the
+// testdata paths compare equal, and sorts them.
 var diagLineRe = regexp.MustCompile(`([^/\s]+\.go):(\d+):\d+: (.+)$`)
 
 func normalizeDiagLines(out string) []string {
@@ -230,15 +136,12 @@ func normalizeDiagLines(out string) []string {
 	return lines
 }
 
-// TestFactsFixtureVettoolParity copies the fixture into a temp module,
-// builds rhlint, and runs it both standalone and as `go vet -vettool`.
-// The diagnostic streams must be identical — which also pins that vetx
-// fact files round-trip through the go command: the sim findings exist
-// only if the leaf and mid facts survived the per-unit handoff.
-func TestFactsFixtureVettoolParity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds binaries and runs go vet")
-	}
+// TestFactsFixtureWalk copies the fixture into a temp module and lints
+// it with Standalone over ./..., as `rhx lint` does. The sim findings
+// exist only if the leaf and mid facts reached the sim package through
+// the walk, and the findings must equal the in-memory harness's line for
+// line.
+func TestFactsFixtureWalk(t *testing.T) {
 	tmp := t.TempDir()
 	if err := os.WriteFile(filepath.Join(tmp, "go.mod"), []byte("module example.com/facts\n\ngo 1.22\n"), 0o666); err != nil {
 		t.Fatal(err)
@@ -257,48 +160,32 @@ func TestFactsFixtureVettoolParity(t *testing.T) {
 		}
 	}
 
-	bin := filepath.Join(tmp, "rhlint")
-	build := exec.Command("go", "build", "-o", bin, "repro/cmd/rhlint")
-	build.Dir = filepath.Join("..", "..")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building rhlint: %v\n%s", err, out)
+	var stdout, stderr bytes.Buffer
+	if code := Standalone(tmp, []string{"./..."}, &stdout, &stderr); code != 1 {
+		t.Fatalf("Standalone exit %d, want 1 (findings)\n%s%s", code, stdout.String(), stderr.String())
 	}
+	walk := normalizeDiagLines(stdout.String())
 
-	runIn := func(name string, args ...string) string {
-		cmd := exec.Command(name, args...)
-		cmd.Dir = tmp
-		var buf bytes.Buffer
-		cmd.Stdout = &buf
-		cmd.Stderr = &buf
-		err := cmd.Run()
-		if _, ok := err.(*exec.ExitError); err != nil && !ok {
-			t.Fatalf("%s %v: %v\n%s", name, args, err, buf.String())
-		}
-		if err == nil {
-			t.Fatalf("%s %v: exit 0, want findings\n%s", name, args, buf.String())
-		}
-		return buf.String()
+	diags, _, _ := loadFactsFixture(t)
+	var harness []string
+	for _, d := range ActiveOnly(diags) {
+		harness = append(harness, d.String())
 	}
+	ref := normalizeDiagLines(strings.Join(harness, "\n"))
 
-	standalone := normalizeDiagLines(runIn(bin, "./..."))
-	vettool := normalizeDiagLines(runIn("go", "vet", "-vettool="+bin, "./..."))
-
-	if len(standalone) == 0 {
-		t.Fatalf("standalone run produced no diagnostics")
-	}
-	if fmt.Sprint(standalone) != fmt.Sprint(vettool) {
-		t.Errorf("driver outputs differ:\nstandalone:\n  %s\nvettool:\n  %s",
-			strings.Join(standalone, "\n  "), strings.Join(vettool, "\n  "))
+	if fmt.Sprint(walk) != fmt.Sprint(ref) {
+		t.Errorf("walk and harness differ:\nwalk:\n  %s\nharness:\n  %s",
+			strings.Join(walk, "\n  "), strings.Join(ref, "\n  "))
 	}
 	for _, want := range []string{"mid.When reads wall-clock time", "mid.Note allocates in hotpath Hot", "passed across goroutine boundary"} {
 		found := false
-		for _, line := range standalone {
+		for _, line := range walk {
 			if strings.Contains(line, want) {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("no diagnostic containing %q in:\n  %s", want, strings.Join(standalone, "\n  "))
+			t.Errorf("no diagnostic containing %q in:\n  %s", want, strings.Join(walk, "\n  "))
 		}
 	}
 }

@@ -31,9 +31,9 @@ import (
 //     offending path down to the concrete allocation site.
 //
 // Unlike the determinism analyzers, hotalloc applies wherever the
-// annotation appears — any package, including _test.go files — because
-// the annotation itself is the opt-in. Facts, however, are computed for
-// every module package the driver walks, annotated or not.
+// annotation appears — any package — because the annotation itself is
+// the opt-in. Facts, however, are computed for every module package the
+// walk visits, annotated or not.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: `reports allocating constructs in //rhlint:hotpath functions
@@ -52,9 +52,9 @@ an allocation site also stops the fact from propagating to callers.`,
 
 // stdAllocates names standard-library functions that are documented or
 // well-known allocators. The standard library is never analyzed for
-// facts (both drivers must see identical fact sets, and only the module
-// tree is walked by both), so this curated table is the std knowledge
-// the transitive analysis is allowed to use.
+// facts (its export data carries no function bodies, see Load), so this
+// curated table is the std knowledge the transitive analysis is allowed
+// to use.
 var stdAllocates = map[string]bool{
 	"fmt.Sprintf": true, "fmt.Sprint": true, "fmt.Sprintln": true,
 	"fmt.Errorf": true, "fmt.Appendf": true,

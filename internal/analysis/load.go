@@ -1,7 +1,6 @@
 package analysis
 
-// Package loading for the standalone driver and the analysistest
-// harness. The real go/analysis stack rides on go/packages; this
+// Package loading for the walk and the analysistest harness. The real go/analysis stack rides on go/packages; this
 // reimplementation shells out to `go list -export` for the build graph
 // and export data (compiled type information), then type-checks only
 // the packages under analysis from source. Everything below is standard
@@ -155,11 +154,12 @@ func (l *loader) typecheck(path string, files []string, importMap map[string]str
 // — plus, so cross-package facts exist no matter which subset of the
 // module the patterns name, every non-standard dependency. Packages
 // come back in dependency (topological) order, dependencies first;
-// dependency-only packages are marked FactsOnly, and drivers run the
+// dependency-only packages are marked FactsOnly, and the walk runs the
 // analyzers over them for their facts while discarding their
-// diagnostics. The standard library is never analyzed: both drivers
-// must see the same fact universe, and the vet driver cannot cheaply
-// walk std sources, so std knowledge lives in curated analyzer tables.
+// diagnostics. The standard library is never analyzed: it is imported
+// from export data, which carries types but no function bodies, so no
+// fact can be computed for it; std knowledge lives in curated analyzer
+// tables instead.
 func Load(dir string, patterns []string) ([]*Package, error) {
 	pkgs, err := goList(dir, patterns)
 	if err != nil {

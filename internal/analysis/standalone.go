@@ -1,15 +1,15 @@
 package analysis
 
-// The standalone driver: `rhlint [-json] [packages]` loads the patterns
-// (default ./...), walks the build graph dependencies-first so
-// cross-package facts are available, runs the suite, and prints
-// findings. It is the diagnostic-equivalent of the `go vet -vettool`
-// invocation (unit.go) for non-test files; CI may use either.
+// The driver behind `rhx lint [-json] [packages]`: it loads the
+// patterns (default ./...), walks the build graph dependencies-first so
+// cross-package facts are in memory before a dependent needs them, runs
+// the suite, and prints findings.
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 )
 
 // jsonDiagnostic is the -json wire form of one finding. Suppressed
@@ -25,20 +25,25 @@ type jsonDiagnostic struct {
 	Suppressed string `json:"suppressed,omitempty"`
 }
 
-// Standalone runs the suite over the patterns and returns the process
-// exit code: 0 clean, 1 findings, 2 operational error. With -json the
-// full diagnostic set (suppressed included) is printed as a JSON array
-// on stdout and a one-line summary on stderr.
+// Standalone runs the suite over the patterns, resolved in dir, and
+// returns the process exit code: 0 clean, 1 findings, 2 operational
+// error. Without -json it prints each finding on stdout, or
+// "rhx lint: clean" when there is none. With -json the full diagnostic
+// set (suppressed included) is printed as a JSON array on stdout and a
+// one-line summary on stderr.
 func Standalone(dir string, args []string, stdout, stderr io.Writer) int {
 	jsonOut := false
 	var patterns []string
 	for _, a := range args {
-		switch a {
-		case "-json", "--json":
+		switch {
+		case a == "-json" || a == "--json":
 			jsonOut = true
-		case "help", "-h", "--help", "-help":
+		case a == "help" || a == "-h" || a == "--help" || a == "-help":
 			printHelp(stdout)
 			return 0
+		case strings.HasPrefix(a, "-"):
+			fmt.Fprintf(stderr, "rhx lint: unknown flag %s (want [-json] [packages])\n", a)
+			return 2
 		default:
 			patterns = append(patterns, a)
 		}
@@ -48,7 +53,7 @@ func Standalone(dir string, args []string, stdout, stderr io.Writer) int {
 	}
 	pkgs, err := Load(dir, patterns)
 	if err != nil {
-		fmt.Fprintf(stderr, "rhlint: %v\n", err)
+		fmt.Fprintf(stderr, "rhx lint: %v\n", err)
 		return 2
 	}
 	facts := NewFactStore()
@@ -57,7 +62,7 @@ func Standalone(dir string, args []string, stdout, stderr io.Writer) int {
 	for _, pkg := range pkgs {
 		diags, err := RunPackage(pkg, Analyzers(), facts)
 		if err != nil {
-			fmt.Fprintf(stderr, "rhlint: %v\n", err)
+			fmt.Fprintf(stderr, "rhx lint: %v\n", err)
 			return 2
 		}
 		if pkg.FactsOnly {
@@ -82,14 +87,17 @@ func Standalone(dir string, args []string, stdout, stderr io.Writer) int {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "\t")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(stderr, "rhlint: %v\n", err)
+			fmt.Fprintf(stderr, "rhx lint: %v\n", err)
 			return 2
 		}
-		fmt.Fprintf(stderr, "rhlint: %d finding(s), %d suppressed, %d package(s), %d fact(s)\n",
+		fmt.Fprintf(stderr, "rhx lint: %d finding(s), %d suppressed, %d package(s), %d fact(s)\n",
 			len(active), len(all)-len(active), analyzed, facts.Len())
 	} else {
 		for _, d := range active {
 			fmt.Fprintln(stdout, d.String())
+		}
+		if len(active) == 0 {
+			fmt.Fprintln(stdout, "rhx lint: clean")
 		}
 	}
 	if len(active) > 0 {
@@ -99,24 +107,24 @@ func Standalone(dir string, args []string, stdout, stderr io.Writer) int {
 }
 
 func printHelp(w io.Writer) {
-	fmt.Fprintf(w, `rhlint statically enforces the repository's determinism and hot-path
-allocation discipline. See docs/LINT.md.
+	fmt.Fprintf(w, `rhx lint runs rhlint, the repository's determinism and hot-path
+allocation suite, over the packages (default ./...). See docs/LINT.md.
 
 Usage:
-  rhlint [-json] [packages]         standalone (default ./...)
-  go vet -vettool=$(which rhlint) ./...   as a vet tool (includes test
-                                    packages; _test.go files are exempt)
+  rhx lint [-json] [packages]
+
+Exit status: 0 clean, 1 findings, 2 an error.
 
 -json prints machine-readable diagnostics (file/line/column/analyzer/
 message, plus suppressed findings with their allow reason) and a
 summary line on stderr.
 
-Both drivers are interprocedural: per-function facts (Allocates,
-Impure, ReturnsDerivedPRNG) are computed for every module package and
-flow through the build graph, so a hotpath function calling an
-un-annotated helper that allocates — or a sim package reaching
-time.Now through two layers of calls — is flagged at the boundary with
-the offending path named.
+The suite is interprocedural: per-function facts (Allocates, Impure,
+ReturnsDerivedPRNG) are computed for every module package and kept in
+memory across one dependencies-first walk, so a hotpath function
+calling an un-annotated helper that allocates — or a sim package
+reaching time.Now through two layers of calls — is flagged at the
+boundary with the offending path named.
 
 Suppress a finding with an annotation carrying a reason, on the line or
 the line above:

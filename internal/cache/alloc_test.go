@@ -8,6 +8,8 @@ package cache
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/allocgate"
 )
 
 // TestRefusedMissZeroAlloc pins the retry path of a back-pressured miss:
@@ -17,14 +19,21 @@ func TestRefusedMissZeroAlloc(t *testing.T) {
 	mem := &fakeMem{rejectRd: true}
 	c := newCache(t, mem)
 	onDone := func() {}
-	c.Read(0, 0x40, onDone) // grow the MSHR's waiter capacity once
-	allocs := testing.AllocsPerRun(1000, func() {
+	retry := func() {
 		if c.Read(0, 0x40, onDone) {
 			t.Fatal("read accepted while the backend refuses")
 		}
+	}
+	c.Read(0, 0x40, onDone) // grow the MSHR's waiter capacity once
+	retry()                 // one more unmeasured retry, then the window
+	const retries = 1000
+	allocs := allocgate.Mallocs(func() {
+		for i := 0; i < retries; i++ {
+			retry()
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("refused miss allocated %.2f times per retry; want 0", allocs)
+		t.Fatalf("refused miss allocated %d times in %d retries; want 0", allocs, retries)
 	}
 }
 

@@ -78,7 +78,8 @@ type Cache struct {
 	// Hit-latency delay ring: a callback due d Ticks from now waits in
 	// ring[(head+d) % len(ring)]. Slots are relative to head, and Tick
 	// moves head only while a callback is pending, because an empty
-	// ring's position is unobservable.
+	// ring's position is unobservable. Each slot starts with room for
+	// one callback per core, carved from one backing array.
 	ring     [][]func()
 	head     int
 	npending int // callbacks waiting in the ring
@@ -112,6 +113,11 @@ func New(cfg Config, backend Backend, cores int) (*Cache, error) {
 		inflight: newMSHRTable(cfg.MSHRs),
 		ring:     make([][]func(), cfg.HitLatency+1),
 		PerCore:  make([]Stats, cores),
+	}
+	slots := make([]func(), len(c.ring)*cores)
+	for i := range c.ring {
+		// Capped at its own share, so a fuller slot reallocates alone.
+		c.ring[i] = slots[i*cores : i*cores : (i+1)*cores]
 	}
 	pool := make([]mshr, cfg.MSHRs)
 	for i := range pool {
@@ -172,7 +178,7 @@ func (c *Cache) schedule(delay int, fn func()) {
 		delay = 1
 	}
 	slot := (c.head + delay) % len(c.ring)
-	//rhlint:allow hotalloc(amortized: Tick truncates fired slots to length 0, so slot capacity is reused across cycles)
+	//rhlint:allow hotalloc(amortized: a slot starts with one entry per core and Tick truncates fired slots to length 0, so slot capacity is reused across cycles)
 	c.ring[slot] = append(c.ring[slot], fn)
 	c.npending++
 }

@@ -8,6 +8,7 @@ package charact
 import (
 	"testing"
 
+	"repro/internal/allocgate"
 	"repro/internal/dram"
 	"repro/internal/faultmodel"
 )
@@ -35,8 +36,15 @@ func TestFlipFreeTestZeroAlloc(t *testing.T) {
 			}
 		}
 		test() // generate the rows' cells and grow the activation list
-		if allocs := testing.AllocsPerRun(20, test); allocs != 0 {
-			t.Errorf("paired=%v: flip-free tests allocated %.1f times per sweep; want 0", paired, allocs)
+		test() // one more unmeasured sweep, then the window
+		const sweeps = 20
+		allocs := allocgate.Mallocs(func() {
+			for i := 0; i < sweeps; i++ {
+				test()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("paired=%v: %d sweeps of flip-free tests allocated %d times; want 0", paired, sweeps, allocs)
 		}
 	}
 }
@@ -62,8 +70,15 @@ func TestFlipFreeAnyFlipZeroAlloc(t *testing.T) {
 			}
 		}
 		sweep() // generate the rows' cells and grow the activation list
-		if allocs := testing.AllocsPerRun(20, sweep); allocs != 0 {
-			t.Errorf("paired=%v: a flip-free AnyFlip sweep allocated %.1f times; want 0", paired, allocs)
+		sweep() // one more unmeasured sweep, then the window
+		const sweeps = 20
+		allocs := allocgate.Mallocs(func() {
+			for i := 0; i < sweeps; i++ {
+				sweep()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("paired=%v: %d flip-free AnyFlip sweeps allocated %d times; want 0", paired, sweeps, allocs)
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dram"
 	"repro/internal/engine"
 	"repro/internal/faultmodel"
+	"repro/internal/memctrl"
 	"repro/internal/mitigation"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -670,10 +671,10 @@ func variantLabel(sched SchedulerID, streak int, clear int64) string {
 	}
 	s, c := streak, clear
 	if s == 0 {
-		s = 4
+		s = memctrl.DefaultBLISSStreak
 	}
 	if c == 0 {
-		c = 10_000
+		c = memctrl.DefaultBLISSClearCycles
 	}
 	return fmt.Sprintf("%s[s=%d,c=%d]", SchedBLISS, s, c)
 }

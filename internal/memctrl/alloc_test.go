@@ -6,9 +6,9 @@
 package memctrl
 
 import (
-	"runtime"
 	"testing"
 
+	"repro/internal/allocgate"
 	"repro/internal/dram"
 	"repro/internal/mitigation"
 )
@@ -55,7 +55,7 @@ func TestSaturatedTickZeroAlloc(t *testing.T) {
 			ctrl.mitQ = append(make([]mitOp, 0, 1024), ctrl.mitQ...)
 			const ticks = 50_000
 			warm := ctrl.Stats.MitigationACTs
-			allocs := mallocsDuring(func() {
+			allocs := allocgate.Mallocs(func() {
 				for i := 0; i < ticks; i++ {
 					ctrl.Tick()
 					fill()
@@ -70,16 +70,4 @@ func TestSaturatedTickZeroAlloc(t *testing.T) {
 			t.Logf("%d mitigation ACTs, %d of them measured", ctrl.Stats.MitigationACTs, ctrl.Stats.MitigationACTs-warm)
 		})
 	}
-}
-
-// mallocsDuring counts the heap allocations f makes. testing.AllocsPerRun
-// truncates to whole allocations per run, which would hide one made every
-// few hundred cycles, such as a mitigation queue growing again.
-func mallocsDuring(f func()) uint64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
 }

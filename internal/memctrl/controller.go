@@ -45,12 +45,19 @@ type Config struct {
 	// without per-request bookkeeping.
 	BLISS bool
 	// BLISSStreak is the consecutive-service count that blacklists a
-	// requester (default 4).
+	// requester (default DefaultBLISSStreak).
 	BLISSStreak int
 	// BLISSClearCycles is the blacklist clearing period in memory-clock
-	// cycles (default 10000).
+	// cycles (default DefaultBLISSClearCycles).
 	BLISSClearCycles int64
 }
+
+// BLISS's defaults, applied by New to a zero or negative BLISSStreak or
+// BLISSClearCycles.
+const (
+	DefaultBLISSStreak      = 4
+	DefaultBLISSClearCycles = 10_000
+)
 
 // Table6Config returns the paper's controller parameters.
 func Table6Config() Config { return Config{ReadQueue: 64, WriteQueue: 64} }
@@ -238,10 +245,10 @@ func New(cfg Config, ch *dram.Channel, mech mitigation.Mechanism) (*Controller, 
 	}
 	if cfg.BLISS {
 		if cfg.BLISSStreak <= 0 {
-			cfg.BLISSStreak = 4
+			cfg.BLISSStreak = DefaultBLISSStreak
 		}
 		if cfg.BLISSClearCycles <= 0 {
-			cfg.BLISSClearCycles = 10_000
+			cfg.BLISSClearCycles = DefaultBLISSClearCycles
 		}
 	}
 	c := &Controller{
@@ -810,7 +817,8 @@ func (c *Controller) blissClearAll() {
 //rhlint:hotpath
 func (c *Controller) schedule(q *reqQueue, write bool) bool {
 	if c.cfg.BLISS && !write && c.blissCount > 0 {
-		if c.scheduleClass(q, write, classFilter{kind: classFavored}) {
+		issued, starving := c.scheduleClass(q, write, classFilter{kind: classFavored})
+		if issued {
 			return true
 		}
 		// A *starving* favored request claims its bank from the demoted
@@ -819,36 +827,15 @@ func (c *Controller) schedule(q *reqQueue, write bool) bool {
 		// horizon and the favored request starves behind the very traffic
 		// BLISS demoted. Short of starvation, demoted requests may fill
 		// the idle slot anywhere — BLISS reorders, it does not idle banks.
-		if ex := c.starvingFavoredBank(q); ex >= 0 {
-			return c.scheduleClass(q, write, classFilter{kind: classDemotedNotBank, notBank: ex})
+		demoted := classFilter{kind: classDemoted}
+		if starving >= 0 {
+			demoted = classFilter{kind: classDemotedNotBank, notBank: starving}
 		}
-		return c.scheduleClass(q, write, classFilter{kind: classDemoted})
+		issued, _ = c.scheduleClass(q, write, demoted)
+		return issued
 	}
-	return c.scheduleClass(q, write, classFilter{})
-}
-
-// starvingFavoredBank returns the bank of the oldest schedulable favored
-// request if that request has starved past starveLimit, else -1. The
-// walk runs in arrival order and asks the throttler about each request
-// it passes; an ActAllowed query changes nothing a result can see
-// (BlockHammer only rotates its epochs, which is idempotent in the
-// cycle), so how many it makes moves no result.
-//
-//rhlint:hotpath
-func (c *Controller) starvingFavoredBank(q *reqQueue) int {
-	for r := q.head; r != nil; r = r.qnext {
-		if c.blissIsBlack(r.req) {
-			continue
-		}
-		if c.throttle != nil && c.throttledIdle(r) {
-			continue
-		}
-		if c.cycle-r.queued > starveLimit {
-			return r.addr.Bank
-		}
-		return -1 // oldest schedulable favored request is not starving
-	}
-	return -1
+	issued, _ := c.scheduleClass(q, write, classFilter{})
+	return issued
 }
 
 // scheduleClass applies FR-FCFS to the subset of q matching the class
@@ -856,12 +843,14 @@ func (c *Controller) starvingFavoredBank(q *reqQueue) int {
 // oldest request (ACT or PRE). Once the oldest request is starving, it
 // preempts row hits to its bank. A throttle-blacklisted request is
 // waiting on the mechanism, not on the scheduler, so it neither counts
-// as starving nor preempts anyone. Returns true if a command issued.
+// as starving nor preempts anyone. Returns whether a command issued and
+// the bank of the class's oldest schedulable request when that request
+// is starving, else -1.
 //
 //rhlint:hotpath
-func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) bool {
+func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) (issued bool, starvingBank int) {
 	if q.n == 0 {
-		return false
+		return false, -1
 	}
 	// A class with no queued members issues nothing and consults the
 	// throttler for nothing (class eligibility is checked before the
@@ -871,11 +860,11 @@ func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) bool 
 		switch f.kind {
 		case classFavored:
 			if q.n == c.demotedReads {
-				return false
+				return false, -1
 			}
 		case classDemoted, classDemotedNotBank:
 			if c.demotedReads == 0 {
-				return false
+				return false, -1
 			}
 		}
 	}
@@ -907,23 +896,22 @@ func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) bool 
 	if oldest == nil {
 		// Every eligible request is throttle-blocked with its row closed:
 		// no row hit or progress is possible for this class this cycle.
-		return false
+		return false, -1
 	}
-	starving := c.cycle-oldest.queued > starveLimit
-	excludeBank := -1
-	if starving {
-		excludeBank = oldest.addr.Bank
+	starvingBank = -1
+	if c.cycle-oldest.queued > starveLimit {
+		starvingBank = oldest.addr.Bank
 		if c.progressReq(q, oldest, write) {
-			return true
+			return true, starvingBank
 		}
 	}
-	if c.scheduleRowHits(q, write, excludeBank, f) {
-		return true
+	if c.scheduleRowHits(q, write, starvingBank, f) {
+		return true, starvingBank
 	}
-	if !starving && c.progressReq(q, oldest, write) {
-		return true
+	if starvingBank < 0 && c.progressReq(q, oldest, write) {
+		return true, -1
 	}
-	return false
+	return false, starvingBank
 }
 
 // throttledIdle reports whether a request is blocked by the throttling

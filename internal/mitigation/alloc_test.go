@@ -5,7 +5,11 @@
 
 package mitigation
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/allocgate"
+)
 
 // TestDecisionsZeroAlloc is the allocation gate of the mechanism
 // contract: under a steady double-sided attack, fed the way the memory
@@ -34,8 +38,15 @@ func TestDecisionsZeroAlloc(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			step()
 		}
-		if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
-			t.Errorf("%s: a 64-ACT step allocated %.2f times; want 0", m.Name(), allocs)
+		step() // one more unmeasured step, then the window
+		const steps = 100
+		allocs := allocgate.Mallocs(func() {
+			for i := 0; i < steps; i++ {
+				step()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %d 64-ACT steps allocated %d times; want 0", m.Name(), steps, allocs)
 		}
 	}
 }

@@ -8,6 +8,7 @@ package sim
 import (
 	"testing"
 
+	"repro/internal/allocgate"
 	"repro/internal/attack"
 	"repro/internal/dram"
 	"repro/internal/memctrl"
@@ -139,12 +140,18 @@ func TestBackPressuredDemandPathZeroAlloc(t *testing.T) {
 				s.tick()
 			}
 			before := tc.refused(s.ctrl.Stats)
-			allocs := testing.AllocsPerRun(20_000, s.tick)
+			s.tick() // one more unmeasured cycle, then the window
+			const cycles = 20_000
+			allocs := allocgate.Mallocs(func() {
+				for i := 0; i < cycles; i++ {
+					s.tick()
+				}
+			})
 			if tc.refused(s.ctrl.Stats) == before {
 				t.Fatal("no read was refused: no retry was exercised")
 			}
 			if allocs != 0 {
-				t.Fatalf("back-pressured exact cycle allocated %.3f times per cycle; want 0", allocs)
+				t.Fatalf("back-pressured exact cycles allocated %d times in %d cycles; want 0", allocs, cycles)
 			}
 		})
 	}

@@ -23,17 +23,17 @@ echo "== go vet =="
 go vet ./... || fail=1
 
 echo "== rhlint =="
-rhlint_bin="$(mktemp -t rhlint.XXXXXX)"
-if go build -o "$rhlint_bin" ./cmd/rhlint; then
-	# The gate: go vet mode covers test packages and rides the build cache.
-	go vet -vettool="$rhlint_bin" ./... || fail=1
+rhx_bin="$(mktemp -t rhx.XXXXXX)"
+if go build -o "$rhx_bin" ./cmd/rhx; then
+	# The gate: every unsuppressed finding fails it.
+	"$rhx_bin" lint ./... || fail=1
 	# The inventory: the -json run's stderr summary counts findings,
 	# suppressed (//rhlint:allow) sites, packages, and facts.
-	"$rhlint_bin" -json ./... >/dev/null || fail=1
+	"$rhx_bin" lint -json ./... >/dev/null || fail=1
 else
 	fail=1
 fi
-rm -f "$rhlint_bin"
+rm -f "$rhx_bin"
 
 echo "== staticcheck =="
 if command -v staticcheck >/dev/null 2>&1; then
