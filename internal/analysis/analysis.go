@@ -39,13 +39,9 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph catalog entry (`rhx lint help`).
 	Doc string
-	// Run reports findings on one package through pass.Reportf.
+	// Run reports findings on one package through pass.Reportf, and
+	// records the package's facts in pass.Facts (see facts.go).
 	Run func(*Pass) error
-	// FactTypes lists the fact types the analyzer exports and imports
-	// (see facts.go). An analyzer with facts is run over dependency
-	// packages too — fact-only, diagnostics discarded — so its facts
-	// exist by the time a dependent package needs them.
-	FactTypes []Fact
 }
 
 // Analyzers returns the full suite in catalog order.
@@ -61,7 +57,7 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 	// Facts is the cross-package fact store the driver threads through
-	// the build graph; nil in fact-free runs (see facts.go).
+	// the build graph (see facts.go).
 	Facts *FactStore
 
 	dirs   *directives
@@ -101,16 +97,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Pos:      p.Fset.Position(pos),
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// IsTestFile reports whether the file is a _test.go file. The
-// determinism analyzers skip test files: tests do not produce published
-// results, and the runtime suites (differential corpus, shard-merge
-// invariance) already pin their behavior. The walk loads no test files
-// (Load reads a package's GoFiles), so only a caller that hands
-// RunPackage one, such as the golden-diagnostic harness, meets this.
-func (p *Pass) IsTestFile(f *ast.File) bool {
-	return strings.HasSuffix(p.Fset.Position(f.Package).Filename, "_test.go")
 }
 
 // simVisible names the packages whose state reaches published results:
@@ -256,10 +242,10 @@ type Package struct {
 // directives, and returns every diagnostic sorted by position —
 // suppressed findings included, carrying their allow reason, so -json
 // can expose them; callers that print filter with ActiveOnly.
-// Malformed directives are reported once per package. facts may be nil
-// for a fact-free run; with a store, facts of dependency packages must
-// already be present (the walk visits the build graph in dependency
-// order) and this package's facts are added to the store.
+// Malformed directives are reported once per package. facts must
+// already hold the facts of the package's dependencies (the walk visits
+// the build graph dependencies first); this package's facts are added
+// to it.
 func RunPackage(pkg *Package, analyzers []*Analyzer, facts *FactStore) ([]Diagnostic, error) {
 	dirs := scanDirectives(pkg.Fset, pkg.Files)
 	diags := append([]Diagnostic(nil), dirs.malformed...)
@@ -321,18 +307,6 @@ func newInfo() *types.Info {
 		Scopes:     map[ast.Node]*types.Scope{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-}
-
-// calleeFunc resolves the called function object of a call expression,
-// or nil (func-typed variables, method values through interfaces, etc.).
-func calleeFunc(info *types.Info, call *ast.CallExpr) types.Object {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return info.Uses[fun]
-	case *ast.SelectorExpr:
-		return info.Uses[fun.Sel]
-	}
-	return nil
 }
 
 // inspectWithStack walks the file keeping the ancestor stack, calling fn

@@ -23,14 +23,9 @@ type funcInfo struct {
 
 // packageFuncs returns the package's function declarations with bodies,
 // in file/source order (deterministic fact and diagnostic order).
-// Test-file functions are excluded: their objects are not importable,
-// so facts about them could never be consumed.
 func packageFuncs(pass *Pass) []funcInfo {
 	var out []funcInfo
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
@@ -65,17 +60,30 @@ func propagate(funcs []funcInfo, compute func(fn funcInfo) bool) {
 	}
 }
 
-// calleeAt resolves the *types.Func a call expression statically
-// invokes, or nil for builtins, conversions, func-typed values, and
-// interface-method calls (which the fact analyses conservatively treat
-// as unknown — same limit the direct checks always had).
-func calleeAt(info *types.Info, call *ast.CallExpr) *types.Func {
-	obj := calleeFunc(info, call)
-	fn, ok := obj.(*types.Func)
+// callee resolves the function a call expression statically invokes,
+// as declared — a method of an instantiated generic type resolves to its
+// generic origin, the object its facts are keyed by — or nil for
+// builtins, conversions and func-typed values. An interface-method call
+// resolves to the interface's method, which carries no fact, so the
+// fact analyses treat it as unknown.
+func callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	fn, ok := rootObject(info, call.Fun).(*types.Func)
 	if !ok {
 		return nil
 	}
-	return fn
+	return fn.Origin()
+}
+
+// rootObject resolves the object an identifier or field selection
+// denotes, or nil.
+func rootObject(info *types.Info, e ast.Expr) types.Object {
+	switch e := ast.Unparen(e).(type) {
+	case *ast.Ident:
+		return info.Uses[e]
+	case *ast.SelectorExpr:
+		return info.Uses[e.Sel]
+	}
+	return nil
 }
 
 // shortPos renders a position as "file.go:123" for fact Why chains —
@@ -105,7 +113,7 @@ func factName(fn *types.Func) string {
 }
 
 // capWhy bounds a Why chain so deeply nested propagation cannot bloat
-// fact files or diagnostics.
+// facts or diagnostics.
 func capWhy(s string) string {
 	const max = 240
 	if len(s) <= max {

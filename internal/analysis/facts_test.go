@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -29,8 +30,10 @@ var factsFixture = []struct{ dir, path string }{
 
 // loadFactsFixture type-checks the fixture packages against each other
 // (shared loader) and runs the full suite over them with a shared fact
-// store: a test-only reference for the walk Standalone performs.
-func loadFactsFixture(t *testing.T) ([]Diagnostic, *FactStore, []string) {
+// store: a test-only reference for the walk Standalone performs. It
+// returns the diagnostics, the store, the fixture's files, and its
+// packages in factsFixture order.
+func loadFactsFixture(t *testing.T) ([]Diagnostic, *FactStore, []string, []*Package) {
 	t.Helper()
 	var allFiles []string
 	imports := map[string]bool{}
@@ -81,6 +84,7 @@ func loadFactsFixture(t *testing.T) ([]Diagnostic, *FactStore, []string) {
 
 	facts := NewFactStore()
 	var diags []Diagnostic
+	var pkgs []*Package
 	for i, fx := range factsFixture {
 		pkg, err := l.typecheck(fx.path, perPkg[i], nil, "")
 		if err != nil {
@@ -91,31 +95,31 @@ func loadFactsFixture(t *testing.T) ([]Diagnostic, *FactStore, []string) {
 			t.Fatal(err)
 		}
 		diags = append(diags, ds...)
+		pkgs = append(pkgs, pkg)
 	}
-	return diags, facts, allFiles
+	return diags, facts, allFiles, pkgs
 }
 
 func TestFactsFixtureStandalone(t *testing.T) {
-	diags, facts, files := loadFactsFixture(t)
+	diags, facts, files, pkgs := loadFactsFixture(t)
 	compareWants(t, parseWants(t, files), ActiveOnly(diags))
 
-	// Pin the fact propagation the wants depend on.
-	const mid = "example.com/facts/mid"
-	var imp Impure
-	if !facts.get(mid, "When", &imp) || !imp.TimeNow {
-		t.Errorf("mid.When: want Impure{TimeNow} fact, got %+v (found=%v)", imp, facts.get(mid, "When", &imp))
+	// Pin the fact propagation the wants depend on, looking each fact up
+	// by the function mid declares.
+	mid := func(name string) *types.Func { return pkgs[1].Types.Scope().Lookup(name).(*types.Func) }
+	if imp, ok := facts.impure[mid("When")]; !ok || !imp.TimeNow {
+		t.Errorf("mid.When: want Impure{TimeNow} fact, got %+v (found=%v)", imp, ok)
 	}
-	if facts.get(mid, "Logged", &Impure{}) {
+	if _, ok := facts.impure[mid("Logged")]; ok {
 		t.Errorf("mid.Logged: leaf-side allow should have stopped the Impure fact")
 	}
-	var alloc Allocates
-	if !facts.get(mid, "Note", &alloc) || !strings.Contains(alloc.Why, "leaf.Describe") {
-		t.Errorf("mid.Note: want Allocates fact naming leaf.Describe, got %+v", alloc)
+	if why, ok := facts.allocates[mid("Note")]; !ok || !strings.Contains(why, "leaf.Describe") {
+		t.Errorf("mid.Note: want Allocates fact naming leaf.Describe, got %q (found=%v)", why, ok)
 	}
-	if !facts.get(mid, "Fresh", &ReturnsDerivedPRNG{}) {
+	if !facts.derived[mid("Fresh")] {
 		t.Errorf("mid.Fresh: want ReturnsDerivedPRNG fact, got none")
 	}
-	if facts.get(mid, "Shared", &ReturnsDerivedPRNG{}) {
+	if facts.derived[mid("Shared")] {
 		t.Errorf("mid.Shared: shared-global accessor must not get ReturnsDerivedPRNG")
 	}
 }
@@ -166,7 +170,7 @@ func TestFactsFixtureWalk(t *testing.T) {
 	}
 	walk := normalizeDiagLines(stdout.String())
 
-	diags, _, _ := loadFactsFixture(t)
+	diags, _, _, _ := loadFactsFixture(t)
 	var harness []string
 	for _, d := range ActiveOnly(diags) {
 		harness = append(harness, d.String())

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -46,8 +47,7 @@ transitively, across packages, via Allocates facts. Arguments of panic
 calls are exempt: a crash path produces no result bytes. Amortized or
 one-time allocations carry //rhlint:allow hotalloc(reason); an allow on
 an allocation site also stops the fact from propagating to callers.`,
-	Run:       runHotAlloc,
-	FactTypes: []Fact{(*Allocates)(nil)},
+	Run: runHotAlloc,
 }
 
 // stdAllocates names standard-library functions that are documented or
@@ -68,204 +68,112 @@ var stdAllocates = map[string]bool{
 }
 
 func runHotAlloc(pass *Pass) error {
-	computeAllocFacts(pass)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !isHotpath(fd) {
-				continue
+	funcs := packageFuncs(pass)
+	// The Allocates fact of a function is its first allocating site that
+	// no //rhlint:allow hotalloc(...) covers: a reasoned
+	// amortized-allocation allow clears the whole hotpath closure above
+	// it. Callees in this package resolve by fixpoint, callees in other
+	// packages by their stored facts.
+	propagate(funcs, func(fn funcInfo) bool {
+		if _, ok := pass.Facts.allocates[fn.obj]; ok {
+			return false // already known to allocate; monotone, done
+		}
+		found := false
+		allocSites(pass, fn.decl, func(s allocSite) bool {
+			if !pass.SuppressedAt(s.pos) {
+				pass.Facts.allocates[fn.obj] = capWhy(s.why)
+				found = true
 			}
-			checkHotFunc(pass, fd)
+			return !found
+		})
+		return found
+	})
+	for _, fn := range funcs {
+		if isHotpath(fn.decl) {
+			allocSites(pass, fn.decl, func(s allocSite) bool {
+				pass.Reportf(s.pos, "%s", s.msg)
+				return true
+			})
 		}
 	}
 	return nil
 }
 
-// computeAllocFacts attaches an Allocates fact to every package-level
-// function that allocates on some path — directly, or by calling a
-// callee that does (same package via fixpoint, other packages via
-// imported facts). Sites covered by //rhlint:allow hotalloc(...) are
-// excluded: a reasoned amortized-allocation allow clears the whole
-// hotpath closure above it, exactly as the annotation always promised.
-func computeAllocFacts(pass *Pass) {
-	funcs := packageFuncs(pass)
-	propagate(funcs, func(fn funcInfo) bool {
-		var have Allocates
-		if pass.ImportObjectFact(fn.obj, &have) {
-			return false // already known to allocate; monotone, done
-		}
-		why, found := firstAllocation(pass, fn.decl)
-		if !found {
-			return false
-		}
-		pass.ExportObjectFact(fn.obj, &Allocates{Why: capWhy(why)})
-		return true
-	})
+// An allocSite is one allocating construct: where it is, the reason an
+// Allocates fact records for it, and the finding a hotpath reports.
+type allocSite struct {
+	pos token.Pos
+	why string
+	msg string
 }
 
-// firstAllocation scans a function body in source order and returns a
-// description of the first unsuppressed allocation evidence, direct or
-// via a callee's Allocates fact.
-func firstAllocation(pass *Pass, fd *ast.FuncDecl) (string, bool) {
+// allocSites calls yield for each allocating construct in fd's body, in
+// source order, until yield returns false. Within one call, callee
+// evidence comes before the variadic argument slice ("calls
+// fmt.Sprintf" names the path better than the generic slice message),
+// and both before the call's boxed arguments. Function literal bodies
+// are not walked (a literal runs later; its body is its own problem),
+// nor are the arguments of panic calls: a hotpath about to crash may
+// allocate its message, since nothing downstream of a panic produces
+// result bytes.
+func allocSites(pass *Pass, fd *ast.FuncDecl, yield func(allocSite) bool) {
 	info := pass.TypesInfo
-	why := ""
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		if why != "" {
-			return false
+	hot := fd.Name.Name
+	more := true
+	emit := func(pos token.Pos, what, tail, format string, args ...any) {
+		if more {
+			why := what + " at " + shortPos(pass.Fset, pos) + tail
+			more = yield(allocSite{pos: pos, why: why, msg: fmt.Sprintf(format, args...)})
 		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if isPanicCall(info, n) {
-				return false // crash path: allocation cannot perturb results
-			}
-			if w, ok := callAllocation(pass, n); ok {
-				why = w
+			pos := n.Pos()
+			switch name := builtinName(info, n); name {
+			case "panic":
 				return false
-			}
-			// Boxing at argument positions and explicit conversions.
-			forEachBoxedArg(pass, n, func(arg ast.Expr) {
-				if why == "" && !pass.SuppressedAt(arg.Pos()) {
-					why = "interface boxing at " + shortPos(pass.Fset, arg.Pos())
+			case "append":
+				emit(pos, name, "", "append in hotpath %s may grow the backing array (preallocate, use a free list, or //rhlint:allow hotalloc(amortized: ...))", hot)
+			case "make", "new":
+				emit(pos, name, "", "%s allocates in hotpath %s", name, hot)
+			case "":
+				fn := callee(info, n)
+				if fn != nil && fn.Pkg() != nil && stdAllocates[fn.Pkg().Path()+"."+fn.Name()] {
+					emit(pos, "calls "+factName(fn), "", "call to %s allocates in hotpath %s (known allocating standard-library function)", factName(fn), hot)
+				} else if why, ok := pass.Facts.allocates[fn]; ok {
+					emit(pos, "calls "+factName(fn), ": "+why, "call to %s allocates in hotpath %s: %s (make the callee allocation-free, or //rhlint:allow hotalloc(reason))", factName(fn), hot, why)
 				}
+				if k := variadicInterfaceArgs(info, n); k > 0 {
+					emit(pos, "variadic interface call", "", "call to %s passes %d argument(s) through a variadic interface parameter in hotpath %s: the argument slice allocates per call", types.ExprString(n.Fun), k, hot)
+				}
+			}
+			forEachBoxedArg(pass, n, func(arg ast.Expr) {
+				emit(arg.Pos(), "interface boxing", "", "interface conversion boxes %s in hotpath %s (non-pointer value escapes to the heap)", info.Types[arg].Type, hot)
 			})
 		case *ast.CompositeLit:
-			if pass.SuppressedAt(n.Pos()) {
-				return true
-			}
 			if tv, ok := info.Types[n]; ok {
 				switch tv.Type.Underlying().(type) {
 				case *types.Map:
-					why = "map literal at " + shortPos(pass.Fset, n.Pos())
+					emit(n.Pos(), "map literal", "", "map literal allocates in hotpath %s", hot)
 				case *types.Slice:
-					why = "slice literal at " + shortPos(pass.Fset, n.Pos())
+					emit(n.Pos(), "slice literal", "", "slice literal allocates in hotpath %s", hot)
 				}
 			}
 		case *ast.UnaryExpr:
-			if n.Op == token.AND && !pass.SuppressedAt(n.Pos()) {
-				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
-					why = "&composite literal at " + shortPos(pass.Fset, n.Pos())
-				}
+			if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok && n.Op == token.AND {
+				emit(n.Pos(), "&composite literal", "", "&composite literal allocates in hotpath %s (reuse a pooled or preallocated object)", hot)
 			}
 		case *ast.FuncLit:
-			if !pass.SuppressedAt(n.Pos()) && capturedVar(info, n, fd) != nil {
-				why = "capturing closure at " + shortPos(pass.Fset, n.Pos())
+			if v := capturedVar(info, n, fd); v != nil {
+				emit(n.Pos(), "capturing closure", "", "closure captures %s in hotpath %s: capturing closures allocate (hoist the closure or pass state explicitly)", v.Name(), hot)
 			}
-			return false // the literal runs later; its body is its own problem
+			return false
 		case *ast.GoStmt:
-			if !pass.SuppressedAt(n.Pos()) {
-				why = "go statement at " + shortPos(pass.Fset, n.Pos())
-			}
+			emit(n.Pos(), "go statement", "", "go statement in hotpath %s: goroutine start allocates its stack", hot)
 		}
-		return why == ""
+		return more
 	})
-	return why, why != ""
-}
-
-// callAllocation reports allocation evidence carried by one call
-// expression: allocating builtins, known std allocators, variadic
-// interface argument slices, and callees with Allocates facts.
-func callAllocation(pass *Pass, call *ast.CallExpr) (string, bool) {
-	if pass.SuppressedAt(call.Pos()) {
-		return "", false
-	}
-	info := pass.TypesInfo
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append", "make", "new":
-				return b.Name() + " at " + shortPos(pass.Fset, call.Pos()), true
-			}
-			return "", false
-		}
-	}
-	// Callee-based evidence first: "calls fmt.Sprintf" names the path
-	// better than the generic variadic-slice message would.
-	if callee := calleeAt(info, call); callee != nil {
-		if callee.Pkg() != nil && stdAllocates[callee.Pkg().Path()+"."+callee.Name()] {
-			return "calls " + factName(callee) + " at " + shortPos(pass.Fset, call.Pos()), true
-		}
-		var fact Allocates
-		if pass.ImportObjectFact(callee, &fact) {
-			return "calls " + factName(callee) + " at " + shortPos(pass.Fset, call.Pos()) + ": " + fact.Why, true
-		}
-	}
-	if n := variadicInterfaceArgs(info, call); n > 0 {
-		return "variadic interface call at " + shortPos(pass.Fset, call.Pos()), true
-	}
-	return "", false
-}
-
-func checkHotFunc(pass *Pass, fd *ast.FuncDecl) {
-	info := pass.TypesInfo
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isPanicCall(info, n) {
-				return false // crash path: allocation cannot perturb results
-			}
-			checkHotCall(pass, fd, n)
-		case *ast.CompositeLit:
-			tv, ok := info.Types[n]
-			if !ok {
-				return true
-			}
-			switch tv.Type.Underlying().(type) {
-			case *types.Map:
-				pass.Reportf(n.Pos(), "map literal allocates in hotpath %s", fd.Name.Name)
-			case *types.Slice:
-				pass.Reportf(n.Pos(), "slice literal allocates in hotpath %s", fd.Name.Name)
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				if _, ok := ast.Unparen(n.X).(*ast.CompositeLit); ok {
-					pass.Reportf(n.Pos(), "&composite literal allocates in hotpath %s (reuse a pooled or preallocated object)", fd.Name.Name)
-				}
-			}
-		case *ast.FuncLit:
-			if capt := capturedVar(info, n, fd); capt != nil {
-				pass.Reportf(n.Pos(), "closure captures %s in hotpath %s: capturing closures allocate (hoist the closure or pass state explicitly)", capt.Name(), fd.Name.Name)
-			}
-			return false // don't double-report the literal's own body
-		case *ast.GoStmt:
-			pass.Reportf(n.Pos(), "go statement in hotpath %s: goroutine start allocates its stack", fd.Name.Name)
-		}
-		return true
-	})
-	// Boxing: walk again looking at every expression with both a
-	// concrete type and an interface conversion context.
-	checkBoxing(pass, fd)
-}
-
-func checkHotCall(pass *Pass, fd *ast.FuncDecl, call *ast.CallExpr) {
-	info := pass.TypesInfo
-	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
-		if b, ok := info.Uses[id].(*types.Builtin); ok {
-			switch b.Name() {
-			case "append":
-				pass.Reportf(call.Pos(), "append in hotpath %s may grow the backing array (preallocate, use a free list, or //rhlint:allow hotalloc(amortized: ...))", fd.Name.Name)
-			case "make":
-				pass.Reportf(call.Pos(), "make allocates in hotpath %s", fd.Name.Name)
-			case "new":
-				pass.Reportf(call.Pos(), "new allocates in hotpath %s", fd.Name.Name)
-			}
-			return
-		}
-	}
-	if n := variadicInterfaceArgs(info, call); n > 0 {
-		pass.Reportf(call.Pos(), "call to %s passes %d argument(s) through a variadic interface parameter in hotpath %s: the argument slice allocates per call", types.ExprString(call.Fun), n, fd.Name.Name)
-	}
-	callee := calleeAt(info, call)
-	if callee == nil {
-		return
-	}
-	if callee.Pkg() != nil && stdAllocates[callee.Pkg().Path()+"."+callee.Name()] {
-		pass.Reportf(call.Pos(), "call to %s allocates in hotpath %s (known allocating standard-library function)", factName(callee), fd.Name.Name)
-		return
-	}
-	var fact Allocates
-	if pass.ImportObjectFact(callee, &fact) {
-		pass.Reportf(call.Pos(), "call to %s allocates in hotpath %s: %s (make the callee allocation-free, or //rhlint:allow hotalloc(reason))", factName(callee), fd.Name.Name, fact.Why)
-	}
 }
 
 // variadicInterfaceArgs returns how many arguments the call passes
@@ -324,36 +232,14 @@ func capturedVar(info *types.Info, lit *ast.FuncLit, outer *ast.FuncDecl) *types
 	return captured
 }
 
-// checkBoxing flags conversions of non-pointer-shaped concrete values to
-// interface types: call arguments, explicit conversions, and returns.
-func checkBoxing(pass *Pass, fd *ast.FuncDecl) {
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			if isPanicCall(pass.TypesInfo, n) {
-				return false
-			}
-			forEachBoxedArg(pass, n, func(arg ast.Expr) {
-				pass.Reportf(arg.Pos(), "interface conversion boxes %s in hotpath %s (non-pointer value escapes to the heap)", pass.TypesInfo.Types[arg].Type, fd.Name.Name)
-			})
-		case *ast.FuncLit:
-			return false
+// builtinName returns the name of the builtin the call invokes, or "".
+func builtinName(info *types.Info, call *ast.CallExpr) string {
+	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
+		if b, ok := info.Uses[id].(*types.Builtin); ok {
+			return b.Name()
 		}
-		return true
-	})
-}
-
-// isPanicCall reports whether the call invokes the panic builtin. A
-// hotpath that is about to crash is allowed to allocate its message:
-// nothing downstream of a panic produces result bytes, so the zero-alloc
-// discipline does not apply to the crash path.
-func isPanicCall(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok {
-		return false
 	}
-	b, ok := info.Uses[id].(*types.Builtin)
-	return ok && b.Name() == "panic"
+	return ""
 }
 
 // forEachBoxedArg calls fn for every argument of the call that boxes a

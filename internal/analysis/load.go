@@ -21,7 +21,6 @@ import (
 	"os"
 	"os/exec"
 	"runtime"
-	"sort"
 	"strings"
 )
 
@@ -31,7 +30,6 @@ type listPkg struct {
 	Dir        string
 	GoFiles    []string
 	CgoFiles   []string
-	Imports    []string
 	ImportMap  map[string]string
 	Export     string
 	DepOnly    bool
@@ -50,7 +48,7 @@ type listPkg struct {
 func goList(dir string, patterns []string) ([]*listPkg, error) {
 	args := []string{
 		"list", "-deps", "-export",
-		"-json=ImportPath,Dir,GoFiles,CgoFiles,Imports,ImportMap,Export,DepOnly,Standard,Module,Error",
+		"-json=ImportPath,Dir,GoFiles,CgoFiles,ImportMap,Export,DepOnly,Standard,Module,Error",
 		"--",
 	}
 	args = append(args, patterns...)
@@ -153,7 +151,8 @@ func (l *loader) typecheck(path string, files []string, importMap map[string]str
 // Load lists the patterns in dir and type-checks every matched package
 // — plus, so cross-package facts exist no matter which subset of the
 // module the patterns name, every non-standard dependency. Packages
-// come back in dependency (topological) order, dependencies first;
+// come back in the order `go list -deps` lists them, a depth-first
+// post-order that puts every package after its dependencies;
 // dependency-only packages are marked FactsOnly, and the walk runs the
 // analyzers over them for their facts while discarding their
 // diagnostics. The standard library is never analyzed: it is imported
@@ -169,7 +168,7 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 	l := newLoader(fset)
 	l.addExports(pkgs)
 
-	selected := map[string]*listPkg{}
+	var out []*Package
 	for _, p := range pkgs {
 		if p.Standard {
 			continue
@@ -177,44 +176,6 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		if p.Error != nil {
 			return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
 		}
-		selected[p.ImportPath] = p
-	}
-
-	// Topological order (dependencies first) over the selected set, with
-	// deterministic tie-breaking by import path.
-	var order []*listPkg
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *listPkg)
-	visit = func(p *listPkg) {
-		if state[p.ImportPath] != 0 {
-			return
-		}
-		state[p.ImportPath] = 1
-		deps := append([]string(nil), p.Imports...)
-		sort.Strings(deps)
-		for _, imp := range deps {
-			if real, ok := p.ImportMap[imp]; ok {
-				imp = real
-			}
-			if dep, ok := selected[imp]; ok {
-				visit(dep)
-			}
-		}
-		state[p.ImportPath] = 2
-		order = append(order, p)
-	}
-	roots := make([]string, 0, len(selected))
-	//rhlint:allow mapiter(roots are sorted before use)
-	for path := range selected {
-		roots = append(roots, path)
-	}
-	sort.Strings(roots)
-	for _, path := range roots {
-		visit(selected[path])
-	}
-
-	var out []*Package
-	for _, p := range order {
 		var files []string
 		for _, lists := range [][]string{p.GoFiles, p.CgoFiles} {
 			for _, f := range lists {

@@ -37,9 +37,6 @@ func runMapIter(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		inspectWithStack(f, func(n ast.Node, stack []ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
@@ -99,18 +96,6 @@ func sameObject(info *types.Info, a, b ast.Expr) bool {
 	return types.ExprString(a) == types.ExprString(b)
 }
 
-// rootObject resolves the object an identifier or field selection
-// denotes, or nil.
-func rootObject(info *types.Info, e ast.Expr) types.Object {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		return info.Uses[e]
-	case *ast.SelectorExpr:
-		return info.Uses[e.Sel]
-	}
-	return nil
-}
-
 // feedsSort reports whether the range loop only writes locals that are
 // sorted after the loop in the same function body (the sort-then-iterate
 // pattern): collect keys/values in arbitrary order, order them, then
@@ -167,7 +152,9 @@ func feedsSort(pass *Pass, rs *ast.RangeStmt, stack []ast.Node) bool {
 			if !ok || sorted {
 				return !sorted
 			}
-			obj := calleeFunc(pass.TypesInfo, call)
+			// The called object, function or conversion type alike:
+			// sort.Sort(sort.StringSlice(keys)) sorts keys.
+			obj := rootObject(pass.TypesInfo, call.Fun)
 			if obj == nil || obj.Pkg() == nil {
 				return true
 			}

@@ -44,8 +44,7 @@ goroutine boundary — fork a child generator per goroutine instead.
 Functions that return derived generators carry a ReturnsDerivedPRNG
 fact (computed across packages), so wrapper constructors are recognized
 and shared-global accessors are not.`,
-	Run:       runSeedFlow,
-	FactTypes: []Fact{(*ReturnsDerivedPRNG)(nil)},
+	Run: runSeedFlow,
 }
 
 func runSeedFlow(pass *Pass) error {
@@ -54,9 +53,6 @@ func runSeedFlow(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -79,14 +75,10 @@ func runSeedFlow(pass *Pass) error {
 func computeDerivedPRNGFacts(pass *Pass) {
 	funcs := packageFuncs(pass)
 	propagate(funcs, func(fn funcInfo) bool {
-		var have ReturnsDerivedPRNG
-		if pass.ImportObjectFact(fn.obj, &have) {
+		if pass.Facts.derived[fn.obj] || !returnsDerivedPRNG(pass, fn) {
 			return false
 		}
-		if !returnsDerivedPRNG(pass, fn) {
-			return false
-		}
-		pass.ExportObjectFact(fn.obj, &ReturnsDerivedPRNG{})
+		pass.Facts.derived[fn.obj] = true
 		return true
 	})
 }
@@ -155,36 +147,37 @@ func isDerivedPRNGExpr(pass *Pass, e ast.Expr) bool {
 			return true
 		}
 	}
-	obj := calleeFunc(info, call)
+	fn := callee(info, call)
 	// Known constructor with a seed-traced argument.
-	if i, ok := seedArgIndex(obj); ok {
+	if i, ok := seedArgIndex(fn); ok {
 		return len(call.Args) > i && isSeedDerived(pass, call.Args[i])
 	}
 	// rand.New(src): derived iff its source argument is.
-	if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
-		path := fn.Pkg().Path()
-		if (path == "math/rand" || path == "math/rand/v2") && fn.Name() == "New" {
-			return len(call.Args) > 0 &&
-				(isDerivedPRNGExpr(pass, call.Args[0]) || isSeedDerived(pass, call.Args[0]))
-		}
+	if isRandNew(fn) {
+		return len(call.Args) > 0 &&
+			(isDerivedPRNGExpr(pass, call.Args[0]) || isSeedDerived(pass, call.Args[0]))
 	}
 	// A wrapper already proven to return derived generators.
-	if fn, ok := obj.(*types.Func); ok {
-		var fact ReturnsDerivedPRNG
-		if pass.ImportObjectFact(fn, &fact) {
-			return true
-		}
+	return pass.Facts.derived[fn]
+}
+
+// isRandNew reports whether fn is math/rand's or math/rand/v2's New,
+// which wraps a source in a generator.
+func isRandNew(fn *types.Func) bool {
+	if fn == nil || fn.Pkg() == nil {
+		return false
 	}
-	return false
+	path := fn.Pkg().Path()
+	return (path == "math/rand" || path == "math/rand/v2") && fn.Name() == "New"
 }
 
 // seedArgIndex maps constructor name -> index of the seed argument, for
 // math/rand, math/rand/v2, and the repo's stats.NewRNG.
-func seedArgIndex(obj types.Object) (int, bool) {
-	if obj == nil || obj.Pkg() == nil {
+func seedArgIndex(fn *types.Func) (int, bool) {
+	if fn == nil || fn.Pkg() == nil {
 		return 0, false
 	}
-	path, name := obj.Pkg().Path(), obj.Name()
+	path, name := fn.Pkg().Path(), fn.Name()
 	switch {
 	case path == "math/rand" && name == "NewSource":
 		return 0, true
@@ -197,8 +190,8 @@ func seedArgIndex(obj types.Object) (int, bool) {
 }
 
 func checkSeedConstruction(pass *Pass, call *ast.CallExpr) {
-	obj := calleeFunc(pass.TypesInfo, call)
-	i, ok := seedArgIndex(obj)
+	fn := callee(pass.TypesInfo, call)
+	i, ok := seedArgIndex(fn)
 	if !ok || len(call.Args) <= i {
 		return
 	}
@@ -207,7 +200,7 @@ func checkSeedConstruction(pass *Pass, call *ast.CallExpr) {
 		return
 	}
 	pass.Reportf(call.Pos(), "%s seeded from %s, which does not trace to a derived task seed (use engine.DeriveSeed, a seed-named variable, or Fork an existing generator)",
-		obj.Name(), types.ExprString(arg))
+		fn.Name(), types.ExprString(arg))
 }
 
 // isSeedDerived reports whether the expression plausibly carries a
@@ -345,26 +338,19 @@ func freshPRNGCall(pass *Pass, call *ast.CallExpr) bool {
 			return true // rng.Fork() and friends
 		}
 	}
-	obj := calleeFunc(info, call)
-	if _, ok := seedArgIndex(obj); ok {
+	fn := callee(info, call)
+	if _, ok := seedArgIndex(fn); ok {
 		return true
 	}
-	if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil {
-		path := fn.Pkg().Path()
-		if (path == "math/rand" || path == "math/rand/v2") && fn.Name() == "New" {
-			// rand.New wraps its source: fresh iff the source is.
-			if len(call.Args) == 0 {
-				return true // rand/v2 has no such form; be permissive
-			}
-			if inner, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok {
-				return freshPRNGCall(pass, inner)
-			}
-			return false // rand.New(sharedSource): the source crosses the boundary
+	if isRandNew(fn) {
+		// rand.New wraps its source: fresh iff the source is.
+		if len(call.Args) == 0 {
+			return true // rand/v2 has no such form; be permissive
 		}
-		var fact ReturnsDerivedPRNG
-		if pass.ImportObjectFact(fn, &fact) {
-			return true
+		if inner, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok {
+			return freshPRNGCall(pass, inner)
 		}
+		return false // rand.New(sharedSource): the source crosses the boundary
 	}
-	return false
+	return pass.Facts.derived[fn]
 }

@@ -88,3 +88,15 @@ func allowedAmortized(buf []int, v int) []int {
 	//rhlint:allow hotalloc(amortized: callers reuse capacity across calls)
 	return append(buf, v)
 }
+
+// box is generic: a call to push through box[int] resolves to the
+// instantiated method, not the declaration, so its Allocates fact must
+// be found through the method's generic origin.
+type box[T any] struct{ items []T }
+
+func (b *box[T]) push(v T) { b.items = append(b.items, v) }
+
+//rhlint:hotpath
+func pushes(b *box[int]) {
+	b.push(1) // want `call to hot\.\(box\)\.push allocates in hotpath pushes: append at hotalloc\.go:\d+`
+}

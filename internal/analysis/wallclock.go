@@ -31,8 +31,7 @@ ambient process state — and so does any function that reaches one of
 them through helpers, which the Impure fact tracks across packages.
 Seeded generators (rand.New(rand.NewSource(s))) and the documented
 RH_ENGINE engine-selection variable are allowed.`,
-	Run:       runWallClock,
-	FactTypes: []Fact{(*Impure)(nil)},
+	Run: runWallClock,
 }
 
 // seededRandConstructors are the math/rand functions that construct
@@ -52,9 +51,6 @@ func runWallClock(pass *Pass) error {
 		return nil
 	}
 	for _, f := range pass.Files {
-		if pass.IsTestFile(f) {
-			continue
-		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -69,14 +65,13 @@ func runWallClock(pass *Pass) error {
 			// inside sim-visible packages are flagged at the read (or
 			// at their own boundary call), so only foreign, unflagged
 			// impurity is surfaced here.
-			callee := calleeAt(pass.TypesInfo, call)
-			if callee == nil || callee.Pkg() == nil || callee.Pkg().Path() == pass.Pkg.Path() || simVisiblePkg(callee.Pkg().Path()) {
+			fn := callee(pass.TypesInfo, call)
+			if fn == nil || fn.Pkg() == nil || fn.Pkg().Path() == pass.Pkg.Path() || simVisiblePkg(fn.Pkg().Path()) {
 				return true
 			}
-			var fact Impure
-			if pass.ImportObjectFact(callee, &fact) {
+			if fact, ok := pass.Facts.impure[fn]; ok {
 				pass.Reportf(call.Pos(), "call to %s reads %s in simulation-visible package %q: %s (plumb cycles, configuration, or a seeded source through explicitly)",
-					factName(callee), fact.kinds(), pass.Pkg.Path(), fact.Why)
+					factName(fn), fact.kinds(), pass.Pkg.Path(), fact.Why)
 			}
 			return true
 		})
@@ -96,10 +91,7 @@ func computeImpureFacts(pass *Pass) {
 		found := false
 		ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if pass.SuppressedAt(call.Pos()) {
+			if !ok || pass.SuppressedAt(call.Pos()) {
 				return true
 			}
 			if kind, detail := directImpureCall(pass.TypesInfo, call); kind != nil {
@@ -110,14 +102,10 @@ func computeImpureFacts(pass *Pass) {
 				found = true
 				return true
 			}
-			callee := calleeAt(pass.TypesInfo, call)
-			if callee == nil {
-				return true
-			}
-			var fact Impure
-			if pass.ImportObjectFact(callee, &fact) {
+			c := callee(pass.TypesInfo, call)
+			if fact, ok := pass.Facts.impure[c]; ok {
 				if !found {
-					merged.Why = capWhy("calls " + factName(callee) + " at " + shortPos(pass.Fset, call.Pos()) + ": " + fact.Why)
+					merged.Why = "calls " + factName(c) + " at " + shortPos(pass.Fset, call.Pos()) + ": " + fact.Why
 				}
 				mergeImpure(&merged, &fact)
 				found = true
@@ -127,16 +115,14 @@ func computeImpureFacts(pass *Pass) {
 		if !found {
 			return false
 		}
-		var have Impure
-		if pass.ImportObjectFact(fn.obj, &have) &&
-			have.TimeNow == merged.TimeNow && have.GlobalRand == merged.GlobalRand && have.Getenv == merged.Getenv {
-			return false // fixpoint for this function
+		if have, ok := pass.Facts.impure[fn.obj]; ok {
+			merged.Why = have.Why // keep the first-found chain stable
+			if merged == have {
+				return false // fixpoint for this function
+			}
 		}
 		merged.Why = capWhy(merged.Why)
-		if have.Why != "" {
-			merged.Why = have.Why // keep the first-found chain stable
-		}
-		pass.ExportObjectFact(fn.obj, &merged)
+		pass.Facts.impure[fn.obj] = merged
 		return true
 	})
 }
@@ -152,15 +138,11 @@ func mergeImpure(dst, src *Impure) {
 // or (nil, ""). Allowlisted reads (RH_ENGINE, seeded constructors,
 // methods on explicit generators) return nil.
 func directImpureCall(info *types.Info, call *ast.CallExpr) (*Impure, string) {
-	obj := calleeFunc(info, call)
-	if obj == nil || obj.Pkg() == nil {
+	fn := callee(info, call)
+	if fn == nil || fn.Pkg() == nil {
 		return nil, ""
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil, ""
-	}
-	pkg, name := obj.Pkg().Path(), obj.Name()
+	pkg, name := fn.Pkg().Path(), fn.Name()
 	switch pkg {
 	case "time":
 		switch name {
@@ -184,7 +166,7 @@ func directImpureCall(info *types.Info, call *ast.CallExpr) (*Impure, string) {
 		if seededRandConstructors[name] {
 			return nil, ""
 		}
-		return &Impure{GlobalRand: true}, obj.Pkg().Name() + "." + name
+		return &Impure{GlobalRand: true}, fn.Pkg().Name() + "." + name
 	}
 	return nil, ""
 }

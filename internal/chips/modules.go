@@ -1,7 +1,5 @@
 package chips
 
-import "repro/internal/dram"
-
 // ModuleSpec is one row of the paper's module tables (Tables 7 and 8 for
 // DDR4/DDR3; LPDDR4 modules are synthesized to match Table 1's census and
 // Table 4's minimum HCfirst values, since the paper publishes no per-
@@ -156,10 +154,4 @@ func AllModules() []ModuleSpec {
 	ms = append(ms, DDR4Modules()...)
 	ms = append(ms, LPDDR4Modules()...)
 	return ms
-}
-
-// Timing returns the DRAM timing parameters appropriate for the module's
-// type, sized for the given rows per bank.
-func (m ModuleSpec) Timing(rowsPerBank int) dram.Timing {
-	return dram.TimingFor(m.Node.Type, rowsPerBank)
 }

@@ -136,17 +136,6 @@ func (p *Population) Instantiate(cs ChipSpec) (*faultmodel.Chip, error) {
 	return faultmodel.NewChip(cfg)
 }
 
-// ChipsOf returns the population's chips for one configuration.
-func (p *Population) ChipsOf(tn TypeNode, mfr string) []ChipSpec {
-	var out []ChipSpec
-	for _, c := range p.Chips {
-		if c.Node == tn && c.Mfr == mfr {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // CensusRow is one cell of Table 1: chips (modules) of a configuration.
 type CensusRow struct {
 	Node    TypeNode

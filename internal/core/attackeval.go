@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"text/tabwriter"
 
@@ -252,19 +251,4 @@ func (e *AttackEval) Format() string {
 		}
 	}
 	return sb.String()
-}
-
-// MaxEscaped returns the largest escaped-flip count for a mechanism
-// across the grid (diagnostics and tests).
-func (e *AttackEval) MaxEscaped(id MechanismID) int {
-	max := math.MinInt
-	for _, p := range e.PointsFor(id) {
-		if p.EscapedFlips > max {
-			max = p.EscapedFlips
-		}
-	}
-	if max == math.MinInt {
-		return 0
-	}
-	return max
 }

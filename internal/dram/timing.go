@@ -189,19 +189,6 @@ func LPDDR4_3200(rowsPerBank int) Timing {
 	return t
 }
 
-// TimingFor returns the default timing set for a DRAM type, sized for the
-// given rows per bank.
-func TimingFor(typ Type, rowsPerBank int) Timing {
-	switch typ {
-	case DDR3:
-		return DDR3_1600(rowsPerBank)
-	case LPDDR4:
-		return LPDDR4_3200(rowsPerBank)
-	default:
-		return DDR4_2400(rowsPerBank)
-	}
-}
-
 // TRCByType returns the activation cycle time in nanoseconds the paper
 // quotes per DRAM type in Section 4.3: DDR3 52.5 ns, DDR4 50 ns,
 // LPDDR4 60 ns. These bound the achievable hammer rate.

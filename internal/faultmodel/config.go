@@ -147,8 +147,3 @@ func (cfg Config) beta() float64 {
 	}
 	return b
 }
-
-// TotalDataBits returns the chip's addressable data capacity in bits.
-func (cfg Config) TotalDataBits() int64 {
-	return int64(cfg.Banks) * int64(cfg.Rows) * int64(cfg.RowBits)
-}

@@ -76,13 +76,10 @@ type Stats struct {
 
 	DemandACTs     int64
 	MitigationACTs int64
-	REFs           int64
 
 	// MitigationBusyCycles: bank-cycles consumed by mitigation refreshes
 	// (tRC per targeted refresh).
 	MitigationBusyCycles int64
-	// RefreshBusyCycles: bank-cycles consumed by REF commands.
-	RefreshBusyCycles int64
 	// DemandBusyCycles: bank-cycles consumed by demand activates (tRC
 	// per row cycle, an upper-bound attribution).
 	DemandBusyCycles int64
@@ -654,8 +651,6 @@ func (c *Controller) tryRefresh() bool {
 				c.obs.OnRefresh(0, b, start, rows, c.cycle)
 			}
 		}
-		c.Stats.REFs++
-		c.Stats.RefreshBusyCycles += int64(c.ch.T.RFC) * int64(c.ch.Geo.Banks())
 		c.refPending = false
 		c.nextREF += c.refi
 		return true

@@ -108,8 +108,8 @@ func TestReadAfterWriteForwarding(t *testing.T) {
 func TestRefreshIssuesAtTREFI(t *testing.T) {
 	ctrl, ch := testController(t, nil)
 	run(ctrl, int(ch.T.REFI)*3+100)
-	if ctrl.Stats.REFs < 2 || ctrl.Stats.REFs > 4 {
-		t.Errorf("REFs = %d after 3×tREFI, want ≈3", ctrl.Stats.REFs)
+	if ch.Stats.REFs < 2 || ch.Stats.REFs > 4 {
+		t.Errorf("REFs = %d after 3×tREFI, want ≈3", ch.Stats.REFs)
 	}
 }
 
@@ -127,9 +127,9 @@ func TestIncreasedRefreshMultipliesREFs(t *testing.T) {
 	cycles := int(ch.T.REFI) * 4
 	run(ctrl, cycles)
 	base := int64(cycles) / int64(ch.T.REFI)
-	if ctrl.Stats.REFs < 4*base {
+	if ch.Stats.REFs < 4*base {
 		t.Errorf("REFs = %d, want ≥ %d (multiplier %.0f)",
-			ctrl.Stats.REFs, 4*base, mech.RefreshMultiplier())
+			ch.Stats.REFs, 4*base, mech.RefreshMultiplier())
 	}
 }
 
@@ -285,8 +285,8 @@ func TestExternalRefreshObserver(t *testing.T) {
 					}
 				}
 			}
-			if ctrl.Stats.REFs != int64(len(obs.refs)/geo.Banks()) {
-				t.Errorf("Stats.REFs = %d, the observer heard of %d", ctrl.Stats.REFs, len(obs.refs)/geo.Banks())
+			if ch.Stats.REFs != int64(len(obs.refs)/geo.Banks()) {
+				t.Errorf("channel Stats.REFs = %d, the observer heard of %d", ch.Stats.REFs, len(obs.refs)/geo.Banks())
 			}
 			if ctrl.Stats.DemandACTs == 0 {
 				t.Error("no demand ACT ran between the REFs")

@@ -53,8 +53,8 @@ func (m *Ideal) OnActivate(bank, row int, cycle int64, fromMitigation bool) []in
 
 func (m *Ideal) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int {
 	rows := m.hammers[bank]
-	for r := rowStart; r < rowStart+rowCount && r < len(rows); r++ {
-		rows[r] = 0
+	for i := 0; i < rowCount; i++ {
+		rows[(rowStart+i)%len(rows)] = 0
 	}
 	return nil
 }

@@ -68,9 +68,11 @@ type Mechanism interface {
 	OnActivate(bank, row int, cycle int64, fromMitigation bool) []int
 
 	// OnAutoRefresh is invoked per bank when a REF command's rotation
-	// covers [rowStart, rowStart+rowCount); mechanisms reset tracking
-	// state for those rows and may return extra rows to refresh (ProHIT
-	// services its hot table on refresh commands).
+	// covers rowCount rows from rowStart, wrapping at the bank's last
+	// row: when Rows is not a multiple of the rows per REF, a REF that
+	// starts near the end also covers the first rows. Mechanisms reset
+	// tracking state for those rows and may return extra rows to
+	// refresh (ProHIT services its hot table on refresh commands).
 	OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int
 
 	// RefreshMultiplier scales the controller's REF rate: 1 is nominal;

@@ -275,6 +275,42 @@ func TestIdealAutoRefreshResets(t *testing.T) {
 	}
 }
 
+// TestAutoRefreshWrapsAtBankEnd: the DRAM channel advances its refresh
+// pointer modulo the rows, so when Rows is not a multiple of the rows
+// per REF, a REF that starts at a bank's last row also covers row 0.
+// Both per-row trackers must forget row 0 on that REF.
+func TestAutoRefreshWrapsAtBankEnd(t *testing.T) {
+	p := testParams(1_000)
+	last := p.Rows - 1
+
+	ideal, err := NewIdeal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ideal.OnActivate(0, 1, 0, false) // row 0 at 0.5 hammers
+	ideal.OnAutoRefresh(0, last, 2, 1)
+	if h := ideal.hammers[0][0]; h != 0 {
+		t.Errorf("Ideal: row 0 keeps %v hammers after a REF covering rows %d and 0", h, last)
+	}
+
+	twice, err := NewTWiCe(p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Rows 0 and 2 enter with 5 acts each, far above the pruning rate
+	// pruneTh·life ≈ 0.03: pruning alone keeps both.
+	for i := 0; i < 10; i++ {
+		twice.OnActivate(0, 1, int64(i), false)
+	}
+	twice.OnAutoRefresh(0, last, 2, 10)
+	if e, ok := twice.tables[0][0]; ok {
+		t.Errorf("TWiCe: row 0 entry %+v survives a REF covering rows %d and 0", e, last)
+	}
+	if _, ok := twice.tables[0][2]; !ok {
+		t.Error("TWiCe: pruning dropped row 2, which the REF did not cover")
+	}
+}
+
 func TestProHITTracksAndRefreshesHotRows(t *testing.T) {
 	m, err := NewProHIT(testParams(2_000))
 	if err != nil {

@@ -77,7 +77,9 @@ func (m *TWiCe) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) []int {
 	tbl := m.tables[bank]
 	//rhlint:allow mapiter(independent per-key prune-or-age; order-free)
 	for row, e := range tbl {
-		if row >= rowStart && row < rowStart+rowCount {
+		// Refreshed: the row's distance past rowStart, wrapping at the
+		// bank's last row, is under rowCount.
+		if (row-rowStart+m.p.Rows)%m.p.Rows < rowCount {
 			delete(tbl, row)
 			continue
 		}

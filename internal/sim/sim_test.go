@@ -44,7 +44,7 @@ func TestBaselineRunCompletes(t *testing.T) {
 	if res.Ctrl.Reads == 0 {
 		t.Error("no memory reads reached the controller")
 	}
-	if res.Ctrl.REFs == 0 {
+	if res.Chan.REFs == 0 {
 		t.Error("no refresh commands issued")
 	}
 	if res.MPKI <= 0 {
