@@ -137,9 +137,14 @@ func parseWants(t *testing.T, files []string) map[string][]*regexp.Regexp {
 			}
 			key := fmt.Sprintf("%s:%d", name, i+1)
 			for _, arg := range wantArgRe.FindAllStringSubmatch(m[1], -1) {
-				expr := arg[1]
-				if arg[2] != "" {
-					expr = arg[2]
+				// A double-quoted argument is a Go string literal, as in
+				// analysistest: its escapes are unquoted before it is
+				// compiled. A backquoted one is the regexp as written.
+				expr := arg[2]
+				if arg[0][0] == '"' {
+					if expr, err = strconv.Unquote(arg[0]); err != nil {
+						t.Fatalf("%s: bad want string %s: %v", key, arg[0], err)
+					}
 				}
 				re, err := regexp.Compile(expr)
 				if err != nil {

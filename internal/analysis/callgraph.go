@@ -61,13 +61,24 @@ func propagate(funcs []funcInfo, compute func(fn funcInfo) bool) {
 }
 
 // callee resolves the function a call expression statically invokes,
-// as declared — a method of an instantiated generic type resolves to its
-// generic origin, the object its facts are keyed by — or nil for
-// builtins, conversions and func-typed values. An interface-method call
-// resolves to the interface's method, which carries no fact, so the
-// fact analyses treat it as unknown.
+// as declared — a method of an instantiated generic type, or an explicit
+// instantiation such as mk[int], resolves to its generic origin, the
+// object its facts are keyed by — or nil for builtins, conversions and
+// func-typed values. An interface-method call resolves to the
+// interface's method, which carries no fact, so the fact analyses treat
+// it as unknown.
 func callee(info *types.Info, call *ast.CallExpr) *types.Func {
-	fn, ok := rootObject(info, call.Fun).(*types.Func)
+	// An explicit instantiation, mk[int] or pkg.F[K, V], indexes the
+	// generic function itself. An index into a map or slice of funcs
+	// names a variable, which is no *types.Func.
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ix.X
+	case *ast.IndexListExpr:
+		fun = ix.X
+	}
+	fn, ok := rootObject(info, fun).(*types.Func)
 	if !ok {
 		return nil
 	}

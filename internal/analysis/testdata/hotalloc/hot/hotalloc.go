@@ -100,3 +100,40 @@ func (b *box[T]) push(v T) { b.items = append(b.items, v) }
 func pushes(b *box[int]) {
 	b.push(1) // want `call to hot\.\(box\)\.push allocates in hotpath pushes: append at hotalloc\.go:\d+`
 }
+
+// pushesQuoted repeats pushes with a double-quoted want, which the
+// harness unquotes as a Go string before compiling it: the regexp
+// escapes are written doubled.
+//
+//rhlint:hotpath
+func pushesQuoted(b *box[int]) {
+	b.push(1) // want "call to hot\\.\\(box\\)\\.push allocates in hotpath pushesQuoted"
+}
+
+// mk is a generic function: an explicit instantiation mk[int] is an
+// index expression around its name, and the call must still find mk's
+// Allocates fact.
+func mk[T any]() []T { return make([]T, 1) }
+
+//rhlint:hotpath
+func instantiates() []int {
+	return mk[int]() // want `call to hot\.mk allocates in hotpath instantiates: make at hotalloc\.go:\d+`
+}
+
+// pair is instantiated with two type arguments, an index-list
+// expression.
+func pair[K comparable, V any]() map[K]V { return map[K]V{} }
+
+//rhlint:hotpath
+func instantiatesList() map[string]int {
+	return pair[string, int]() // want `call to hot\.pair allocates in hotpath instantiatesList: map literal at hotalloc\.go:\d+`
+}
+
+// builders is a map of funcs: builders["mk"]() indexes the map, names no
+// declared function, and has no fact to consult.
+var builders = map[string]func() []int{"mk": mk[int]}
+
+//rhlint:hotpath
+func indexesFuncs() []int {
+	return builders["mk"]()
+}

@@ -54,16 +54,19 @@ type Observer struct {
 	wordlines int
 	ecc       bool
 
-	// damage holds effective hammers per bank*wordlines+wl since the
-	// wordline's last restoration.
-	damage []float64
-	// next caches the smallest cell threshold above the current damage
-	// (0 = not yet computed), so the hot path is one comparison.
-	next []float64
+	// pages holds the accounting of wordline key bank*wordlines+wl in
+	// page key>>pageBits. A page is allocated when an ACT first disturbs
+	// one of its wordlines; until then it is nil and reads as zero damage.
+	pages []*wordlinePage
+	// spare is the unused tail of the last block of pages allocated.
+	// Each block is as large as every block before it together, so n
+	// pages cost about log2(n) allocations.
+	spare  []wordlinePage
+	npages int // pages handed out
 
-	// watch flags aggressor rows under rate measurement, dense per
-	// bank*rows+row so the per-ACT check is one indexed load.
-	watch   []bool
+	// watch is a bitset over bank*rows+row flagging aggressor rows under
+	// rate measurement, so the per-ACT check is one indexed load.
+	watch   []uint64
 	aggACTs int64
 
 	totalACTs int64
@@ -85,6 +88,22 @@ type Observer struct {
 	lastREFCycle int64
 }
 
+// pageBits sizes an observer page: 256 wordlines, whose damage and next
+// threshold take 4 KiB.
+const (
+	pageBits      = 8
+	pageWordlines = 1 << pageBits
+)
+
+// wordlinePage is the accounting of pageWordlines consecutive wordline
+// keys. damage holds effective hammers since the wordline's last
+// restoration; next caches the smallest cell threshold above the current
+// damage (0 = not yet computed), so the hot path is one comparison.
+type wordlinePage struct {
+	damage [pageWordlines]float64
+	next   [pageWordlines]float64
+}
+
 // NewObserver builds an accountant over the chip. The chip must already
 // hold its data pattern (WriteAll) so cell eligibility is defined.
 func NewObserver(chip *faultmodel.Chip) *Observer {
@@ -95,9 +114,8 @@ func NewObserver(chip *faultmodel.Chip) *Observer {
 		rows:         chip.Rows(),
 		wordlines:    chip.Wordlines(),
 		ecc:          chip.Config().OnDieECC,
-		damage:       make([]float64, n),
-		next:         make([]float64, n),
-		watch:        make([]bool, chip.Banks()*chip.Rows()),
+		pages:        make([]*wordlinePage, (n+pageWordlines-1)>>pageBits),
+		watch:        make([]uint64, (chip.Banks()*chip.Rows()+63)/64),
 		rawSeen:      make(map[faultmodel.Flip]struct{}, 16),
 		rawByRow:     make(map[int64][]int, 16),
 		seen:         make(map[faultmodel.Flip]struct{}, 16),
@@ -113,11 +131,34 @@ func (o *Observer) WatchAggressors(refs []RowRef) {
 		if r.Bank < 0 || r.Bank >= o.banks || r.Row < 0 || r.Row >= o.rows {
 			continue // OnACT never accounts out-of-range rows
 		}
-		o.watch[r.Bank*o.rows+r.Row] = true
+		i := r.Bank*o.rows + r.Row
+		o.watch[i>>6] |= 1 << (i & 63)
 	}
 }
 
 func (o *Observer) key(bank, wl int) int { return bank*o.wordlines + wl }
+
+// lookup returns the page holding wordline key k, or nil when none of
+// its wordlines has been disturbed yet, and k's index in it.
+func (o *Observer) lookup(k int) (*wordlinePage, int) {
+	return o.pages[k>>pageBits], k & (pageWordlines - 1)
+}
+
+// page returns the page holding wordline key k, allocating it on first
+// touch, and k's index in it.
+func (o *Observer) page(k int) (*wordlinePage, int) {
+	p, i := o.lookup(k)
+	if p != nil {
+		return p, i
+	}
+	if len(o.spare) == 0 {
+		o.spare = make([]wordlinePage, min(max(o.npages, 1), len(o.pages)-o.npages))
+	}
+	p, o.spare = &o.spare[0], o.spare[1:]
+	o.pages[k>>pageBits] = p
+	o.npages++
+	return p, i
+}
 
 // OnACT accounts one activation: the row's own wordline is restored, and
 // every coupled wordline accumulates damage and is checked against the
@@ -128,24 +169,26 @@ func (o *Observer) OnACT(rank, bank, row int, cycle int64) {
 	}
 	o.totalACTs++
 	o.cur.ACTs++
-	if o.watch[bank*o.rows+row] {
+	if i := bank*o.rows + row; o.watch[i>>6]&(1<<(i&63)) != 0 {
 		o.aggACTs++
 		o.cur.AggressorACTs++
 	}
 	wl := o.chip.WordlineIndex(row)
-	o.damage[o.key(bank, wl)] = 0 // activation restores the row's charge
+	if p, i := o.lookup(o.key(bank, wl)); p != nil {
+		p.damage[i] = 0 // activation restores the row's charge
+	}
 	o.chip.ForEachCoupledWordline(wl, func(n int, w float64) {
-		k := o.key(bank, n)
-		o.damage[k] += w
-		if o.next[k] == 0 {
+		p, i := o.page(o.key(bank, n))
+		p.damage[i] += w
+		if p.next[i] == 0 {
 			_, t := o.chip.ThresholdCrossings(bank, n, 0)
-			o.next[k] = t
+			p.next[i] = t
 		}
-		if o.damage[k] < o.next[k] {
+		if p.damage[i] < p.next[i] {
 			return
 		}
-		crossed, t := o.chip.ThresholdCrossings(bank, n, o.damage[k])
-		o.next[k] = t
+		crossed, t := o.chip.ThresholdCrossings(bank, n, p.damage[i])
+		p.next[i] = t
 		if o.ecc {
 			o.recordRawCrossings(crossed, cycle)
 		} else {
@@ -220,10 +263,11 @@ func (o *Observer) OnRefresh(rank, bank, rowStart, rowCount int, cycle int64) {
 	}
 	for i := 0; i < rowCount; i++ {
 		r := (rowStart + i) % o.rows
-		k := o.key(bank, o.chip.WordlineIndex(r))
-		o.damage[k] = 0
 		// A refreshed wordline restarts from zero damage; the cached next
 		// threshold (smallest not-yet-flipped cell) stays valid.
+		if p, j := o.lookup(o.key(bank, o.chip.WordlineIndex(r))); p != nil {
+			p.damage[j] = 0
+		}
 	}
 }
 
@@ -255,5 +299,8 @@ func (o *Observer) TotalACTs() int64 { return o.totalACTs }
 // Damage returns the currently accumulated effective hammers on a row's
 // wordline (for tests and diagnostics).
 func (o *Observer) Damage(bank, row int) float64 {
-	return o.damage[o.key(bank, o.chip.WordlineIndex(row))]
+	if p, i := o.lookup(o.key(bank, o.chip.WordlineIndex(row))); p != nil {
+		return p.damage[i]
+	}
+	return 0
 }

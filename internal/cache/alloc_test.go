@@ -37,19 +37,36 @@ func TestRefusedMissZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestNewTable6Bytes pins what building the paper's 16 MiB LLC costs: one
-// array of lines and one of LRU stacks (4.46 MB), with no per-set slice
-// headers on top.
+// TestNewTable6Bytes pins what the paper's 16 MiB LLC costs. New
+// allocates no line: an untouched cache, which an attacker reading
+// around it with flush+load leaves untouched, stays under 0.1 MB. The
+// first fill allocates one word per line and one LRU byte per way (2.36
+// MB), with no per-set slice headers on top.
 func TestNewTable6Bytes(t *testing.T) {
-	var before, after runtime.MemStats
+	var before, built, filled runtime.MemStats
+	mem := &fakeMem{}
 	runtime.ReadMemStats(&before)
-	c, err := New(Table6Config(), &fakeMem{}, 8)
-	runtime.ReadMemStats(&after)
+	c, err := New(Table6Config(), mem, 8)
+	runtime.ReadMemStats(&built)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime.KeepAlive(c)
-	if mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6; mb > 4.6 {
-		t.Fatalf("cache.New(Table6Config()) allocated %.2f MB; want ≤ 4.6", mb)
+	onDone := func() {}
+	c.ReadUncached(0, 0x40, onDone)
+	if c.lines != nil {
+		t.Fatal("an uncached read allocated the lines")
 	}
+	c.Read(0, 0x80, onDone)
+	mem.completeAll()
+	runtime.ReadMemStats(&filled)
+	runtime.KeepAlive(c)
+	newMB := float64(built.TotalAlloc-before.TotalAlloc) / 1e6
+	fillMB := float64(filled.TotalAlloc-before.TotalAlloc) / 1e6
+	if newMB > 0.1 {
+		t.Fatalf("cache.New(Table6Config()) allocated %.2f MB; want ≤ 0.1", newMB)
+	}
+	if fillMB > 2.4 {
+		t.Fatalf("cache.New(Table6Config()) and one fill allocated %.2f MB; want ≤ 2.4", fillMB)
+	}
+	t.Logf("New allocated %.3f MB, New and one fill %.3f MB", newMB, fillMB)
 }

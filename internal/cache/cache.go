@@ -7,6 +7,7 @@ package cache
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Backend is the memory side of the cache (the memory controller).
@@ -44,11 +45,18 @@ func Table6Config() Config {
 	}
 }
 
-type line struct {
-	tag   int64
-	valid bool
-	dirty bool
-}
+// A line is one word: its tag, the line address above the set index,
+// shifted past the valid and dirty bits. An invalid line is the zero
+// word.
+const (
+	lineValid uint64 = 1 << 0
+	lineDirty uint64 = 1 << 1
+	tagShift         = 2
+)
+
+// maxAssoc is the widest set an LRU stack can order: each entry is a
+// byte holding way+1.
+const maxAssoc = 255
 
 // Stats counts cache activity, per requester and total.
 type Stats struct {
@@ -61,11 +69,15 @@ type Stats struct {
 // call Tick once per CPU cycle.
 type Cache struct {
 	cfg Config
-	// Set s owns ways [s·Assoc, (s+1)·Assoc) of lines and lru; lru holds
-	// each set's LRU stack, most recent way first.
-	lines   []line
-	lru     []int8
+	// Set s owns ways [s·Assoc, (s+1)·Assoc) of lines and lru, which the
+	// first install allocates: until then every lookup misses. lru holds
+	// each set's LRU stack, most recent first, as way+1; its trailing
+	// zero slots stand for the ways no fill has reached yet, so the
+	// allocator's zeroing is a valid empty stack.
+	lines   []uint64
+	lru     []uint8
 	nsets   int
+	setBits int // log2(nsets)
 	backend Backend
 
 	free     *mshr     // idle MSHRs
@@ -93,12 +105,20 @@ func New(cfg Config, backend Backend, cores int) (*Cache, error) {
 	if cfg.SizeBytes <= 0 || cfg.Assoc <= 0 || cfg.LineBytes <= 0 {
 		return nil, errors.New("cache: size, associativity and line size must be positive")
 	}
+	if cfg.Assoc > maxAssoc {
+		return nil, fmt.Errorf("cache: associativity %d exceeds the %d ways an LRU stack orders", cfg.Assoc, maxAssoc)
+	}
 	nsets := int(cfg.SizeBytes / int64(cfg.LineBytes) / int64(cfg.Assoc))
 	if nsets == 0 {
 		return nil, errors.New("cache: fewer than one set")
 	}
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d must be a power of two", nsets)
+	}
+	// The tag of any int64 address fits beside a line's two flag bits
+	// once the line offset and set index take at least two bits off it.
+	if span := int64(nsets) * int64(cfg.LineBytes); span < 1<<tagShift {
+		return nil, fmt.Errorf("cache: sets × line size is %d bytes; want at least %d, so a tag fits beside a line's flags", span, 1<<tagShift)
 	}
 	if cfg.HitLatency < 1 {
 		cfg.HitLatency = 1
@@ -109,6 +129,7 @@ func New(cfg Config, backend Backend, cores int) (*Cache, error) {
 	c := &Cache{
 		cfg:      cfg,
 		nsets:    nsets,
+		setBits:  bits.TrailingZeros(uint(nsets)),
 		backend:  backend,
 		inflight: newMSHRTable(cfg.MSHRs),
 		ring:     make([][]func(), cfg.HitLatency+1),
@@ -124,11 +145,6 @@ func New(cfg Config, backend Backend, cores int) (*Cache, error) {
 		m := &pool[i]
 		m.fill = func() { c.fill(m) }
 		c.release(m)
-	}
-	c.lines = make([]line, nsets*cfg.Assoc)
-	c.lru = make([]int8, nsets*cfg.Assoc)
-	for i := range c.lru {
-		c.lru[i] = int8(i % cfg.Assoc)
 	}
 	return c, nil
 }
@@ -187,30 +203,44 @@ func (c *Cache) lineAddr(addr int64) int64 { return addr / int64(c.cfg.LineBytes
 
 func (c *Cache) setOf(la int64) int { return int(la & int64(c.nsets-1)) }
 
+// word is the valid, clean line word of line address la.
+func (c *Cache) word(la int64) uint64 { return uint64(la>>c.setBits)<<tagShift | lineValid }
+
+// lineAddrOf inverts word for a line of set s.
+func (c *Cache) lineAddrOf(w uint64, s int) int64 {
+	return int64(w)>>tagShift<<c.setBits | int64(s)
+}
+
 // set returns set s's lines and its LRU stack.
-func (c *Cache) set(s int) ([]line, []int8) {
+func (c *Cache) set(s int) ([]uint64, []uint8) {
 	lo, hi := s*c.cfg.Assoc, (s+1)*c.cfg.Assoc
 	return c.lines[lo:hi], c.lru[lo:hi]
 }
 
-// touch moves way to the MRU position of set s.
+// touch moves way to the MRU position of set s. A way no fill has
+// reached before takes the stack's first empty slot.
 func (c *Cache) touch(s, way int) {
 	_, order := c.set(s)
-	for i, w := range order {
-		if int(w) == way {
-			copy(order[1:i+1], order[:i])
-			order[0] = int8(way)
-			return
-		}
+	e := uint8(way + 1)
+	i := 0
+	for i < len(order)-1 && order[i] != e && order[i] != 0 {
+		i++
 	}
+	copy(order[1:i+1], order[:i])
+	order[0] = e
 }
 
-// lookup returns la's set and the way holding it, or -1.
+// lookup returns la's set and the way holding it, or -1. A cache no fill
+// has reached holds nothing.
 func (c *Cache) lookup(la int64) (set, way int) {
 	s := c.setOf(la)
+	if c.lines == nil {
+		return s, -1
+	}
 	lines, _ := c.set(s)
-	for w := range lines {
-		if lines[w].valid && lines[w].tag == la {
+	want := c.word(la)
+	for w, l := range lines {
+		if l&^lineDirty == want {
 			return s, w
 		}
 	}
@@ -219,23 +249,31 @@ func (c *Cache) lookup(la int64) (set, way int) {
 
 // install fills la into its set, evicting LRU (writing back if dirty).
 // req attributes the eviction's writeback to the requester whose fill
-// displaced the victim line.
+// displaced the victim line. The first install allocates the lines and
+// the LRU stacks.
 func (c *Cache) install(req int, la int64, dirty bool) {
+	if c.lines == nil {
+		c.lines = make([]uint64, c.nsets*c.cfg.Assoc)
+		c.lru = make([]uint8, c.nsets*c.cfg.Assoc)
+	}
 	s := c.setOf(la)
 	lines, order := c.set(s)
-	victim := int(order[len(order)-1])
-	for w := range lines { // prefer an invalid way
-		if !lines[w].valid {
+	victim := int(order[len(order)-1]) - 1
+	for w, l := range lines { // prefer an invalid way
+		if l&lineValid == 0 {
 			victim = w
 			break
 		}
 	}
 	v := &lines[victim]
-	if v.valid && v.dirty {
+	if *v&lineDirty != 0 {
 		c.Stats.Writebacks++
-		c.backend.EnqueueWrite(req, v.tag*int64(c.cfg.LineBytes))
+		c.backend.EnqueueWrite(req, c.lineAddrOf(*v, s)*int64(c.cfg.LineBytes))
 	}
-	*v = line{tag: la, valid: true, dirty: dirty}
+	*v = c.word(la)
+	if dirty {
+		*v |= lineDirty
+	}
 	c.touch(s, victim)
 }
 
@@ -269,7 +307,7 @@ func (c *Cache) access(core int, addr int64, write bool, onDone func()) bool {
 		c.account(core, true)
 		c.touch(s, w)
 		if write {
-			c.lines[s*c.cfg.Assoc+w].dirty = true
+			c.lines[s*c.cfg.Assoc+w] |= lineDirty
 		}
 		if onDone != nil {
 			c.schedule(c.cfg.HitLatency, onDone)
@@ -368,11 +406,11 @@ func (c *Cache) ReadUncached(core int, addr int64, onDone func()) bool {
 	}
 	if s, w := c.lookup(la); w >= 0 {
 		l := &c.lines[s*c.cfg.Assoc+w]
-		if l.dirty {
+		if *l&lineDirty != 0 {
 			c.Stats.Writebacks++
 			c.backend.EnqueueWrite(core, la*int64(c.cfg.LineBytes))
 		}
-		*l = line{}
+		*l = 0
 	}
 	c.account(core, false)
 	return true

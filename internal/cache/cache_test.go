@@ -88,6 +88,25 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{SizeBytes: 1000, Assoc: 3, LineBytes: 64}, mem, 1); err == nil {
 		t.Error("non-power-of-two set count accepted")
 	}
+	if _, err := New(Config{SizeBytes: 32768, Assoc: 256, LineBytes: 64}, mem, 1); err == nil {
+		t.Error("256-way associativity accepted; an LRU stack entry holds at most 255 ways")
+	}
+	if _, err := New(Config{SizeBytes: 2, Assoc: 1, LineBytes: 2}, mem, 1); err == nil {
+		t.Error("a 2-byte set span accepted; a line's tag needs two bits of it")
+	}
+	// The widest set New accepts evicts its LRU line once every way is
+	// full.
+	c, err := New(Config{SizeBytes: maxAssoc * 64, Assoc: maxAssoc, LineBytes: 64}, mem, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(0); i <= maxAssoc; i++ {
+		c.Write(0, i*64)
+		mem.completeAll()
+	}
+	if len(mem.writes) != 1 || mem.writes[0] != 0 {
+		t.Fatalf("writebacks after %d fills of a %d-way set = %v, want [0]", maxAssoc+1, maxAssoc, mem.writes)
+	}
 }
 
 func TestMissThenHit(t *testing.T) {
