@@ -21,8 +21,8 @@
 //	rhx spec -name pareto -hash               # print its content address
 //	rhx serve -addr :8080 -store cache/       # HTTP experiment service
 //	rhx report -quick                         # every paper artifact in one report
-//	rhx trace -profile stream-copy -n 1000    # emit a workload trace
-//	rhx trace -stat < trace.txt               # summarize a trace file
+//	rhx trace -list                           # the workload catalog
+//	rhx trace -profile stream-copy -n 1000    # summarize a generated trace
 //	rhx lint                                  # run the rhlint analyzers
 //
 // The -store flag (shared by run and serve) points at a content-
@@ -102,7 +102,7 @@ func usage() {
   rhx spec  -name n [-seed s] [-hash]    emit a template spec (or its hash)
   rhx serve -addr a -store d [flags]     run the HTTP experiment service
   rhx report [-quick|-full] [flags]      run every paper artifact into one report
-  rhx trace  -list|-profile p|-stat      generate or summarize workload traces
+  rhx trace  -list|-profile p [-n N]     list profiles or summarize a generated trace
   rhx lint  [-json] [packages]           run the rhlint static analyzers (default ./...)`)
 }
 

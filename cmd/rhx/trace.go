@@ -8,17 +8,16 @@ import (
 	"repro/internal/trace"
 )
 
-// cmdTrace generates and inspects the synthetic workload traces used by
-// the mitigation evaluation: -list shows the workload catalog, -profile
-// emits a trace to stdout, -stat summarizes a trace read from stdin.
+// cmdTrace inspects the synthetic workload traces used by the mitigation
+// evaluation: -list shows the workload catalog, -profile generates a
+// trace and prints a one-line summary of it.
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("rhx trace", flag.ExitOnError)
 	var (
 		list    = fs.Bool("list", false, "list workload profiles")
-		profile = fs.String("profile", "", "generate a trace for this profile")
+		profile = fs.String("profile", "", "generate and summarize a trace for this profile")
 		n       = fs.Int("n", 10000, "memory records to generate")
 		seed    = fs.Uint64("seed", 1, "generator seed")
-		stat    = fs.Bool("stat", false, "summarize a trace read from stdin")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -32,36 +31,35 @@ func cmdTrace(args []string) error {
 				p.Name, 100*p.MemFraction, p.WorkingSetBytes>>20, 100*p.Sequential, 100*p.WriteRatio)
 		}
 	case *profile != "":
+		if *n < 1 {
+			return fmt.Errorf("trace: -n %d: a trace needs at least one record", *n)
+		}
 		for _, p := range trace.Catalog() {
 			if p.Name == *profile {
-				return p.Generate(*n, *seed).Encode(os.Stdout)
+				fmt.Println(summary(p.Generate(*n, *seed)))
+				return nil
 			}
 		}
 		return fmt.Errorf("unknown trace profile %q (try rhx trace -list)", *profile)
-	case *stat:
-		t, err := trace.Decode(os.Stdin)
-		if err != nil {
-			return err
-		}
-		writes := 0
-		var minAddr, maxAddr int64
-		for i, r := range t.Records {
-			if r.Write {
-				writes++
-			}
-			if i == 0 || r.Addr < minAddr {
-				minAddr = r.Addr
-			}
-			if r.Addr > maxAddr {
-				maxAddr = r.Addr
-			}
-		}
-		fmt.Printf("trace %s: %d records, %d instructions, %.1f%% writes, span %d KiB\n",
-			t.Name, len(t.Records), t.Instructions(),
-			100*float64(writes)/float64(len(t.Records)), (maxAddr-minAddr)>>10)
 	default:
 		fs.Usage()
 		os.Exit(2)
 	}
 	return nil
+}
+
+// summary describes a non-empty trace in one line: its length, its
+// instruction count, its share of writes and the address range it spans.
+func summary(t *trace.Trace) string {
+	writes := 0
+	minAddr, maxAddr := t.Records[0].Addr, t.Records[0].Addr
+	for _, r := range t.Records {
+		if r.Write {
+			writes++
+		}
+		minAddr, maxAddr = min(minAddr, r.Addr), max(maxAddr, r.Addr)
+	}
+	return fmt.Sprintf("trace %s: %d records, %d instructions, %.1f%% writes, span %d KiB",
+		t.Name, len(t.Records), t.Instructions(),
+		100*float64(writes)/float64(len(t.Records)), (maxAddr-minAddr)>>10)
 }

@@ -131,18 +131,6 @@ func (c *Core) Asleep() bool { return c.asleep }
 //rhlint:hotpath
 func (c *Core) Refused() bool { return c.refused }
 
-// Requester is the requester ID the core's next access carries: the
-// record's explicit source when the trace declares one, otherwise the
-// core's ID. While the core is refused, it is the refused access's.
-//
-//rhlint:hotpath
-func (c *Core) Requester() int {
-	if c.rec.Requester != 0 {
-		return c.rec.Requester
-	}
-	return c.ID
-}
-
 // Tick advances the core one CPU cycle: retire up to IssueWidth complete
 // instructions from the window head, then issue up to IssueWidth new ones.
 //
@@ -185,11 +173,10 @@ func (c *Core) Tick() {
 			issued += a
 			continue
 		}
-		// Memory instruction. The access carries a requester ID down the
+		// Memory instruction. The access carries the core's ID down the
 		// memory path.
-		req := c.Requester()
 		if c.rec.Write {
-			if !c.llc.Write(req, c.rec.Addr) {
+			if !c.llc.Write(c.ID, c.rec.Addr) {
 				refused = true
 				break // back-pressure: retry next cycle
 			}
@@ -201,9 +188,9 @@ func (c *Core) Tick() {
 			c.nloads++
 			var ok bool
 			if c.rec.NoCache {
-				ok = c.llc.ReadUncached(req, c.rec.Addr, c.complete[p]) // flush+load: always reaches DRAM
+				ok = c.llc.ReadUncached(c.ID, c.rec.Addr, c.complete[p]) // flush+load: always reaches DRAM
 			} else {
-				ok = c.llc.Read(req, c.rec.Addr, c.complete[p])
+				ok = c.llc.Read(c.ID, c.rec.Addr, c.complete[p])
 			}
 			if !ok {
 				c.nloads--

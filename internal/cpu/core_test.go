@@ -151,11 +151,11 @@ func TestResetStatsKeepsPipeline(t *testing.T) {
 func TestRequesterPropagation(t *testing.T) {
 	mem := &instantMem{}
 	llc := newLLC(t, mem)
-	// Two distinct-line reads: one unattributed (the replaying core's ID
-	// must substitute), one with an explicit source.
+	// Two distinct-line reads, a cached one and a flush+load: both must
+	// reach the backend under the replaying core's ID.
 	tr := &trace.Trace{Records: []trace.Record{
 		{Gap: 0, Addr: 0},
-		{Gap: 0, Addr: 64 * 64, Requester: 7},
+		{Gap: 0, Addr: 64 * 64, NoCache: true},
 	}}
 	c, err := New(3, Table6Config(), tr, llc)
 	if err != nil {
@@ -168,11 +168,10 @@ func TestRequesterPropagation(t *testing.T) {
 	if len(mem.reqs) < 2 {
 		t.Fatalf("backend saw %d requests, want 2", len(mem.reqs))
 	}
-	if mem.reqs[0] != 3 {
-		t.Errorf("unattributed record reached the backend as requester %d, want the core ID 3", mem.reqs[0])
-	}
-	if mem.reqs[1] != 7 {
-		t.Errorf("explicit record reached the backend as requester %d, want 7", mem.reqs[1])
+	for i, req := range mem.reqs[:2] {
+		if req != 3 {
+			t.Errorf("read %d reached the backend as requester %d, want the core ID 3", i, req)
+		}
 	}
 }
 
@@ -653,13 +652,6 @@ func newRefCore(id int, cfg Config, trc *trace.Trace, llc *cache.Cache) *refCore
 
 func (c *refCore) slot(seq int64) int { return int(seq & c.mask) }
 
-func (c *refCore) requester() int {
-	if c.rec.Requester != 0 {
-		return c.rec.Requester
-	}
-	return c.ID
-}
-
 func (c *refCore) blocked() bool {
 	return c.inFlite == len(c.done) && !c.done[c.slot(c.seqHead)]
 }
@@ -712,9 +704,8 @@ func (c *refCore) Tick() {
 			issued++
 			continue
 		}
-		req := c.requester()
 		if c.rec.Write {
-			if !c.llc.Write(req, c.rec.Addr) {
+			if !c.llc.Write(c.ID, c.rec.Addr) {
 				refused = true
 				break
 			}
@@ -726,9 +717,9 @@ func (c *refCore) Tick() {
 			c.done[s] = false
 			var ok bool
 			if c.rec.NoCache {
-				ok = c.llc.ReadUncached(req, c.rec.Addr, c.complete[s])
+				ok = c.llc.ReadUncached(c.ID, c.rec.Addr, c.complete[s])
 			} else {
-				ok = c.llc.Read(req, c.rec.Addr, c.complete[s])
+				ok = c.llc.Read(c.ID, c.rec.Addr, c.complete[s])
 			}
 			if !ok {
 				refused = true

@@ -88,16 +88,6 @@ func (p Pattern) Short() string {
 	}
 }
 
-// ParsePattern converts a name (long or short form) to a Pattern.
-func ParsePattern(s string) (Pattern, error) {
-	for p := Pattern(0); p < NumPatterns; p++ {
-		if s == p.String() || s == p.Short() {
-			return p, nil
-		}
-	}
-	return 0, fmt.Errorf("faultmodel: unknown data pattern %q", s)
-}
-
 // baseByte is the byte written into even rows.
 func (p Pattern) baseByte() byte {
 	switch p {

@@ -47,20 +47,6 @@ func TestPatternInverseProperty(t *testing.T) {
 	}
 }
 
-func TestParsePattern(t *testing.T) {
-	for p := Pattern(0); p < NumPatterns; p++ {
-		for _, s := range []string{p.String(), p.Short()} {
-			got, err := ParsePattern(s)
-			if err != nil || got != p {
-				t.Errorf("ParsePattern(%q) = %v, %v", s, got, err)
-			}
-		}
-	}
-	if _, err := ParsePattern("nope"); err == nil {
-		t.Error("bad name accepted")
-	}
-}
-
 func TestFigurePatternsAreSixNonSolid(t *testing.T) {
 	ps := FigurePatterns()
 	if len(ps) != 6 {

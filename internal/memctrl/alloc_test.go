@@ -6,6 +6,7 @@
 package memctrl
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/allocgate"
@@ -13,11 +14,52 @@ import (
 	"repro/internal/mitigation"
 )
 
+// saturatedTickController builds a controller over mech plus a refill
+// closure that keeps its read queue at capacity from a fixed mixed-bank
+// address pool: the steady state of a dense simulation.
+func saturatedTickController(t *testing.T, mech mitigation.Mechanism) (*Controller, func()) {
+	t.Helper()
+	geo := dram.Table6Geometry()
+	ch, err := dram.NewChannel(geo, dram.DDR4_2400(geo.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Table6Config()
+	ctrl, err := New(cfg, ch, mech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapper, err := dram.NewAddressMapper(geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	addrs := make([]int64, 4096)
+	for i := range addrs {
+		addrs[i] = mapper.AddressOf(dram.Address{
+			Bank: rng.Intn(geo.Banks()),
+			Row:  100 + rng.Intn(8), // hot rows: FR-FCFS hit chains stay busy
+			Col:  rng.Intn(64),
+		})
+	}
+	onDone := func() {}
+	ai := 0
+	fill := func() {
+		for ctrl.PendingReads() < cfg.ReadQueue {
+			if !ctrl.EnqueueRead(ai%4, addrs[ai%len(addrs)], onDone) {
+				break
+			}
+			ai++
+		}
+	}
+	return ctrl, fill
+}
+
 // TestSaturatedTickZeroAlloc is the allocation-regression gate of the
 // indexed scheduler: once the free list, completion buffer and
 // per-requester stats are warm, a saturated enqueue+Tick steady state
-// must not touch the heap at all — the property that keeps the dense
-// benchmarks allocation-flat no matter how many cycles they simulate. It
+// must not touch the heap at all — the property that keeps dense
+// simulations allocation-flat no matter how many cycles they run. It
 // runs without mitigation and under each mechanism that queues victim
 // refreshes, at HCfirst 512, where every one of them issues mitigation
 // ACTs. The mitigation queue grows by amortized doubling and may still

@@ -99,8 +99,11 @@ type Stats struct {
 	BLISSBlacklists int64
 
 	// PerRequester splits demand-read activity by source, indexed by
-	// requester ID (grown on demand; negative/unknown sources are counted
-	// only in the aggregate fields above).
+	// requester ID: a core's ID in a simulation, or whatever ID a caller
+	// of EnqueueRead passes (the facade exports the controller as
+	// MemController). It grows on demand; negative sources and those at
+	// or above maxTrackedRequesters are counted only in the aggregate
+	// fields above.
 	PerRequester []RequesterStats
 }
 
@@ -138,10 +141,10 @@ func (s *Stats) BusSharePct(id int) float64 {
 }
 
 // maxTrackedRequesters bounds the per-requester stats table. Requester
-// IDs come from trace files as well as cores, so an adversarial or
-// corrupt trace could otherwise force a multi-gigabyte allocation with
-// one huge ID; sources beyond the cap are counted only in the aggregate
-// fields.
+// IDs are core IDs in a simulation, but any caller of EnqueueRead through
+// the facade's MemController picks its own, and one huge ID would
+// otherwise force a multi-gigabyte allocation; sources beyond the cap
+// are counted only in the aggregate fields.
 const maxTrackedRequesters = 1024
 
 // reqStats returns the per-requester slot for id, growing the slice on

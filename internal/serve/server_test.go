@@ -421,7 +421,7 @@ func TestAbandonedWaitCancelsJob(t *testing.T) {
 	// The job must terminate (canceled → failed → forgotten) well before
 	// the full run would finish.
 	waitFor(func() bool { return !jobLive() }, "job to be canceled and reaped")
-	if st.Has(spec.WithoutShard()) {
+	if _, _, ok := st.Get(spec.WithoutShard()); ok {
 		t.Fatal("abandoned run still produced a whole-grid entry")
 	}
 }

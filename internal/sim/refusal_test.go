@@ -56,24 +56,6 @@ func blockHammer(hc int, refw int64, build func(mitigation.Params) (*mitigation.
 	}
 }
 
-// sharedRequester adds a second attacker to an attack scenario: a copy of
-// its attack trace, with both traces' records attributed to one
-// requester ID, so two cores are refused, throttled and counted under
-// one source.
-func sharedRequester(mk scenario) scenario {
-	return func(t *testing.T) (Config, trace.Mix, *attack.Observer) {
-		cfg, mix, obs := mk(t)
-		att := *mix.Traces[0]
-		att.Records = append([]trace.Record(nil), att.Records...)
-		for i := range att.Records {
-			att.Records[i].Requester = 9
-		}
-		twin := att
-		mix.Traces = append([]*trace.Trace{&att, &twin}, mix.Traces[1:]...)
-		return cfg, mix, obs
-	}
-}
-
 // withStreamer adds a core to a scenario that reads uncached lines in a
 // new row of a new bank each time, too spread out for any row to be
 // blacklisted. Its reads enter the read queue without an LLC allocation,
@@ -126,9 +108,8 @@ func forwardingScenario(t *testing.T) (Config, trace.Mix, *attack.Observer) {
 // against runAllCores, the loop that retries every refused access on
 // every cycle: one scenario per refusal reason (every MSHR in flight, a
 // full read queue, a throttled read), per BlockHammer admission policy,
-// for two cores whose traces share one requester, and for a warmup that
-// ends while a core sleeps refused. Each scenario first checks that it
-// reaches the state it is named for.
+// and for a warmup that ends while a core sleeps refused. Each scenario
+// first checks that it reaches the state it is named for.
 func TestRefusedSleepDifferential(t *testing.T) {
 	proportional := blockHammer(512, 0, mitigation.NewBlockHammer)
 	cases := []struct {
@@ -155,8 +136,6 @@ func TestRefusedSleepDifferential(t *testing.T) {
 		{"throttled-beside-streamer", withStreamer(attackScenario(attack.DoubleSided, 0, 0, 0,
 			blockHammer(256, 100_000, mitigation.NewBlockHammer), func(c *Config) { c.Ctrl.ReadQueue = 8 })), refusedThrottled, false},
 		{"forwarding", forwardingScenario, refusedFull, false},
-		{"shared-requester", sharedRequester(attackScenario(attack.DoubleSided, 0, 0, 1,
-			blockHammer(256, 100_000, mitigation.NewBlockHammer), nil)), refusedThrottled, false},
 		{"warmup-while-refused", attackScenario(attack.DoubleSided, 0, 0, 1, proportional,
 			func(c *Config) { c.WarmupInsts = 3_000 }), refusedThrottled, true},
 	}

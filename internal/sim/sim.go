@@ -220,14 +220,14 @@ type system struct {
 // refusal is what a refused core (cpu.Core.Refused) waits on and what
 // each of its retries counts: the memory side's change counts when it
 // was refused, the controller cycle a throttled refusal also waits on,
-// and the counter its access was refused under.
+// and the counter its access was refused under. The retries count under
+// the core's ID, the requester every access of the core carries.
 type refusal struct {
 	// changes is llc.Changes() + ctrl.Changes(): both counts only grow,
 	// so the sum moves exactly when either does.
-	changes   uint64
-	cycle     int64 // ctrl.Cycle()
-	kind      refusalKind
-	requester int
+	changes uint64
+	cycle   int64 // ctrl.Cycle()
+	kind    refusalKind
 }
 
 type refusalKind uint8
@@ -369,10 +369,9 @@ func (s *system) recordRefusal(i int) {
 		kind = refusedThrottled
 	}
 	s.refusals[i] = refusal{
-		changes:   s.llc.Changes() + s.ctrl.Changes(),
-		cycle:     s.ctrl.Cycle(),
-		kind:      kind,
-		requester: s.cores[i].Requester(),
+		changes: s.llc.Changes() + s.ctrl.Changes(),
+		cycle:   s.ctrl.Cycle(),
+		kind:    kind,
 	}
 }
 
@@ -395,11 +394,11 @@ func (s *system) refusalHolds(i int) bool {
 //
 //rhlint:hotpath
 func (s *system) repeatRefusal(i int, n int64) {
-	switch r := &s.refusals[i]; r.kind {
+	switch s.refusals[i].kind {
 	case refusedFull:
-		s.ctrl.RepeatRefusals(r.requester, false, n)
+		s.ctrl.RepeatRefusals(s.cores[i].ID, false, n)
 	case refusedThrottled:
-		s.ctrl.RepeatRefusals(r.requester, true, n)
+		s.ctrl.RepeatRefusals(s.cores[i].ID, true, n)
 	}
 }
 

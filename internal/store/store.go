@@ -186,12 +186,6 @@ func (s *Store) GetByHash(hash string) (*core.Result, []byte, bool) {
 	return s.load(hash)
 }
 
-// Has reports whether a verified entry exists for the spec.
-func (s *Store) Has(spec core.ExperimentSpec) bool {
-	_, _, ok := s.Get(spec)
-	return ok
-}
-
 // load reads and verifies one entry directory.
 func (s *Store) load(hash string) (*core.Result, []byte, bool) {
 	dir := s.entryDir(hash)

@@ -42,8 +42,8 @@ func runSpec(t *testing.T, spec core.ExperimentSpec) *core.Result {
 func TestPutGetRoundTrip(t *testing.T) {
 	s := openStore(t)
 	spec := tinySpec(t)
-	if s.Has(spec) {
-		t.Fatal("Has on empty store")
+	if _, _, ok := s.Get(spec); ok {
+		t.Fatal("Get hit on an empty store")
 	}
 	res := runSpec(t, spec)
 	put, err := s.Put(spec, res)
@@ -67,8 +67,8 @@ func TestPutGetRoundTrip(t *testing.T) {
 	if !got.Complete() || len(got.Cells) != len(res.Cells) {
 		t.Fatalf("decoded result has %d cells, want %d", len(got.Cells), len(res.Cells))
 	}
-	if !s.Has(spec) {
-		t.Fatal("Has false after Put")
+	if _, _, ok := s.Get(spec); !ok {
+		t.Fatal("Get missed after Put")
 	}
 
 	// GetByHash reaches the same entry.
@@ -164,8 +164,8 @@ func TestCorruptionDegradesToMiss(t *testing.T) {
 			if _, _, ok := s.Get(spec); ok {
 				t.Fatal("Get served a corrupt entry")
 			}
-			if s.Has(spec) {
-				t.Fatal("Has true on corrupt entry")
+			if _, _, ok := s.Get(spec); ok {
+				t.Fatal("a second Get hit the quarantined entry")
 			}
 			// The corrupt entry was quarantined: a fresh Put must heal it
 			// and serve good bytes again.
@@ -246,10 +246,10 @@ func TestGCRemovesCorruptAndKeepsGood(t *testing.T) {
 	if removed != 1 {
 		t.Fatalf("GC removed %d entries, want 1", removed)
 	}
-	if !s.Has(spec) {
+	if _, _, ok := s.Get(spec); !ok {
 		t.Fatal("GC removed a good entry")
 	}
-	if s.Has(spec2) {
+	if _, _, ok := s.Get(spec2); ok {
 		t.Fatal("GC kept a corrupt entry")
 	}
 	entries, err := s.List()
@@ -404,7 +404,7 @@ func TestRunnerNoCacheRecomputesButRefreshes(t *testing.T) {
 	if !ran {
 		t.Fatal("NoCache run did not recompute")
 	}
-	if !s.Has(spec) {
+	if _, _, ok := s.Get(spec); !ok {
 		t.Fatal("NoCache run did not refresh the store")
 	}
 }
@@ -435,7 +435,7 @@ func TestRunnerShardedSpecUnit(t *testing.T) {
 		t.Fatal("sharded unit warm run was not a byte-identical hit")
 	}
 	// The whole-grid key is untouched.
-	if s.Has(spec.WithoutShard()) {
+	if _, _, ok := s.Get(spec.WithoutShard()); ok {
 		t.Fatal("sharded unit polluted the whole-grid key")
 	}
 }

@@ -1,19 +1,14 @@
-// Package trace generates and encodes the synthetic workload traces that
-// substitute for the paper's SPEC CPU2006 mixes (Section 6.2.1): per-core
-// streams of instruction records replayed by the simple core model. A
-// record says "execute N non-memory instructions, then one memory
-// instruction at address A". Profiles span the paper's memory-intensity
-// range (mix MPKIs from 10 to 740).
+// Package trace generates the synthetic workload traces that substitute
+// for the paper's SPEC CPU2006 mixes (Section 6.2.1): per-core streams of
+// instruction records replayed by the simple core model. A record says
+// "execute N non-memory instructions, then one memory instruction at
+// address A". Profiles span the paper's memory-intensity range (mix MPKIs
+// from 10 to 740).
 package trace
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"math"
 	"math/bits"
-	"strconv"
-	"strings"
 
 	"repro/internal/stats"
 )
@@ -22,17 +17,11 @@ import (
 // memory access. NoCache marks a flush+load (the clflush-based access
 // RowHammer attack code uses): the LLC invalidates any cached copy and
 // forwards the read straight to the memory controller without allocating.
-//
-// Requester is the explicit source/thread ID of the access for traces that
-// capture multi-threaded attribution (trace format v2). The default 0
-// means "unattributed": the replaying core substitutes its own ID, so
-// per-core synthetic traces need not set it.
 type Record struct {
-	Gap       int
-	Addr      int64
-	Write     bool
-	NoCache   bool
-	Requester int
+	Gap     int
+	Addr    int64
+	Write   bool
+	NoCache bool
 }
 
 // Trace is a finite instruction trace replayed cyclically by the core.
@@ -76,132 +65,6 @@ func (t *Trace) Instructions() int64 {
 		n += int64(r.Gap) + 1
 	}
 	return n
-}
-
-// MemoryAccesses returns the number of memory instructions per pass.
-func (t *Trace) MemoryAccesses() int { return len(t.Records) }
-
-// Encode writes the trace in text format v2: "gap addr R|W|F [requester]",
-// one record per line ("F" is an uncached flush+load), with a header
-// comment carrying the format version and the replay parameters
-// (PassStride, Span) so a decoded trace pass-shifts exactly like the
-// original. The requester field is written only when nonzero, so v2 output
-// for unattributed traces stays line-compatible with v1 readers.
-func (t *Trace) Encode(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "# trace %s v2 records=%d stride=%d span=%d\n",
-		t.Name, len(t.Records), t.PassStride, t.Span); err != nil {
-		return err
-	}
-	for i, r := range t.Records {
-		op := "R"
-		switch {
-		case r.Write && r.NoCache:
-			// No op letter exists for an uncached store (the core model
-			// has no such access); refusing beats silently dropping a flag
-			// on the round trip.
-			return fmt.Errorf("trace: record %d: Write and NoCache are mutually exclusive", i)
-		case r.Write:
-			op = "W"
-		case r.NoCache:
-			op = "F"
-		}
-		if r.Requester < 0 {
-			return fmt.Errorf("trace: record %d: negative requester %d", i, r.Requester)
-		}
-		var err error
-		if r.Requester != 0 {
-			_, err = fmt.Fprintf(bw, "%d %d %s %d\n", r.Gap, r.Addr, op, r.Requester)
-		} else {
-			_, err = fmt.Fprintf(bw, "%d %d %s\n", r.Gap, r.Addr, op)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Decode parses the text format produced by Encode: both v2 (with an
-// optional fourth requester field per record) and the original
-// un-versioned v1 format (three fields, Requester 0). The trace name is
-// the word after a header's leading "trace"; a negative stride or span,
-// or an address that a pass offset would push past the int64 range, is
-// rejected.
-func Decode(r io.Reader) (*Trace, error) {
-	t := &Trace{Name: "decoded"}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	lineNo := 0
-	var maxAddr int64
-	for sc.Scan() {
-		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "#") {
-			fields := strings.Fields(line)
-			if len(fields) > 2 && fields[1] == "trace" {
-				t.Name = fields[2]
-			}
-			for _, f := range fields {
-				switch {
-				case strings.HasPrefix(f, "stride="):
-					v, err := strconv.ParseInt(f[len("stride="):], 10, 64)
-					if err != nil || v < 0 {
-						return nil, fmt.Errorf("trace: line %d: bad %q", lineNo, f)
-					}
-					t.PassStride = v
-				case strings.HasPrefix(f, "span="):
-					v, err := strconv.ParseInt(f[len("span="):], 10, 64)
-					if err != nil || v < 0 {
-						return nil, fmt.Errorf("trace: line %d: bad %q", lineNo, f)
-					}
-					t.Span = v
-				}
-			}
-			continue
-		}
-		fields := strings.Fields(line)
-		if len(fields) != 3 && len(fields) != 4 {
-			return nil, fmt.Errorf("trace: line %d: want 3 or 4 fields, got %d", lineNo, len(fields))
-		}
-		gap, err := strconv.Atoi(fields[0])
-		if err != nil || gap < 0 {
-			return nil, fmt.Errorf("trace: line %d: bad gap %q", lineNo, fields[0])
-		}
-		addr, err := strconv.ParseInt(fields[1], 10, 64)
-		if err != nil || addr < 0 {
-			return nil, fmt.Errorf("trace: line %d: bad address %q", lineNo, fields[1])
-		}
-		var write, noCache bool
-		switch fields[2] {
-		case "R":
-		case "W":
-			write = true
-		case "F":
-			noCache = true
-		default:
-			return nil, fmt.Errorf("trace: line %d: bad op %q", lineNo, fields[2])
-		}
-		requester := 0
-		if len(fields) == 4 {
-			requester, err = strconv.Atoi(fields[3])
-			if err != nil || requester < 0 {
-				return nil, fmt.Errorf("trace: line %d: bad requester %q", lineNo, fields[3])
-			}
-		}
-		t.Records = append(t.Records, Record{Gap: gap, Addr: addr, Write: write, NoCache: noCache, Requester: requester})
-		maxAddr = max(maxAddr, addr)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if t.PassStride != 0 && t.Span > 0 && maxAddr > math.MaxInt64-(t.Span-1) {
-		return nil, fmt.Errorf("trace: address %d plus a pass offset below span %d overflows", maxAddr, t.Span)
-	}
-	return t, nil
 }
 
 // Profile parameterizes a synthetic workload archetype.
