@@ -325,10 +325,14 @@ func TestSpecValidateRejectsOutOfRangePacing(t *testing.T) {
 		}
 	}
 	// A trace too short to hold even one burst plus an idle stretch would
-	// silently replay as a full-rate attack: Synthesize must reject it.
+	// silently replay as a full-rate attack: Synthesize must reject it,
+	// and so must Validate, which spec decode calls.
 	short := Spec{Kind: DoubleSided, Records: 20, DutyCycle: 0.25}
 	if _, _, err := short.Synthesize(geo, target); err == nil {
 		t.Error("Synthesize accepted a trace shorter than one duty-cycle burst")
+	}
+	if err := short.Validate(); err == nil {
+		t.Error("Validate accepted a trace shorter than one duty-cycle burst")
 	}
 }
 

@@ -138,7 +138,9 @@ type RowRef struct {
 // and phase must both lie in [0,1): 0 disables pacing, values in (0,1)
 // pace the stream, and anything else is an error rather than a silent
 // no-op (a spec that asked for pacing and didn't get it would evaluate
-// the wrong attack).
+// the wrong attack). A pacing the trace's records cannot express
+// (burstRecords), with records and period_cycles at their defaults when
+// unset, is rejected too.
 func (s Spec) Validate() error {
 	if s.DutyCycle < 0 || s.DutyCycle >= 1 {
 		return fmt.Errorf("attack: duty_cycle %g outside [0,1) (0 disables pacing)", s.DutyCycle)
@@ -149,7 +151,27 @@ func (s Spec) Validate() error {
 	if s.Phase > 0 && s.DutyCycle == 0 {
 		return fmt.Errorf("attack: phase %g without duty_cycle pacing would be silently ignored; set duty_cycle too", s.Phase)
 	}
+	if s.DutyCycle > 0 {
+		n := s.normalized()
+		if _, err := burstRecords(n.Records, n.DutyCycle, n.PeriodCycles); err != nil {
+			return err
+		}
+	}
 	return nil
+}
+
+// burstRecords returns how many records one paced burst holds at the duty
+// cycle over the period, or an error when a trace pass of the given
+// records cannot express that pacing: one burst would fill the pass and
+// leave no idle stretch, and cyclic replay of an all-burst trace is a
+// full-rate attack.
+func burstRecords(records int, duty float64, period int64) (int, error) {
+	burst := max(int(duty*float64(period)/serialACTCycles), 1)
+	if records <= burst {
+		return 0, fmt.Errorf("attack: %d records cannot express duty_cycle %g (one burst is %d records); raise records or lower duty_cycle",
+			records, duty, burst)
+	}
+	return burst, nil
 }
 
 func (s Spec) normalized() Spec {
@@ -199,16 +221,9 @@ func (s Spec) paceRecords(recs []trace.Record) error {
 	if len(recs) == 0 || s.DutyCycle <= 0 || s.DutyCycle >= 1 {
 		return nil
 	}
-	burst := int(s.DutyCycle * float64(s.PeriodCycles) / serialACTCycles)
-	if burst < 1 {
-		burst = 1
-	}
-	if len(recs) <= burst {
-		// Shorter traces would carry no idle stretch at all — cyclic
-		// replay of an all-burst trace is a full-rate attack, the silent
-		// wrong-answer this validation exists to prevent.
-		return fmt.Errorf("attack: %d records cannot express duty_cycle %g (one burst is %d records); raise records or lower duty_cycle",
-			len(recs), s.DutyCycle, burst)
+	burst, err := burstRecords(len(recs), s.DutyCycle, s.PeriodCycles)
+	if err != nil {
+		return err
 	}
 	for i := range recs {
 		recs[i].Gap += serialGapInsts

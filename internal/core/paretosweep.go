@@ -145,8 +145,11 @@ type sweepShape struct {
 // validate rejects a shape no run can use, at spec decode: a negative
 // size, a rows override below the attack synthesizer's minimum bank or
 // above the Table 6 geometry it shrinks, and pacing that sets a field
-// every cell overwrites or lies outside its [0,1) domain.
-func (s sweepShape) validate() error {
+// every cell overwrites, lies outside its [0,1) domain, or cannot be
+// expressed by one attacker trace pass of attack_records — at the
+// pacing's own duty cycle and at each of duties, the values a grid puts
+// in its place (the trr-dodge axis).
+func (s sweepShape) validate(duties ...float64) error {
 	if err := checkSizes(size{"benign_cores", int64(s.benignCores)}, size{"trace_records", int64(s.traceRecords)},
 		size{"mem_cycles", s.memCycles}, size{"rows", int64(s.rows)}, size{"attack_records", int64(s.attackRecords)}); err != nil {
 		return err
@@ -157,18 +160,32 @@ func (s sweepShape) validate() error {
 	if limit := dram.Table6Geometry().Rows; s.rows > limit {
 		return fmt.Errorf("core: rows %d above the Table 6 geometry's %d (rows only shrinks the system)", s.rows, limit)
 	}
-	a := s.pacing
-	switch {
-	case a == nil:
-		return nil
-	case a.Kind != "":
-		return fmt.Errorf("core: attack.kind %q is set per cell; list the patterns under patterns", a.Kind)
-	case a.Records != 0:
-		return fmt.Errorf("core: attack.records %d is set per cell; size the attacker trace with attack_records", a.Records)
-	case a.Seed != 0:
-		return fmt.Errorf("core: attack.seed %d is set per cell from the spec seed; change the spec's seed instead", a.Seed)
+	var a attack.Spec
+	if p := s.pacing; p != nil {
+		switch {
+		case p.Kind != "":
+			return fmt.Errorf("core: attack.kind %q is set per cell; list the patterns under patterns", p.Kind)
+		case p.Records != 0:
+			return fmt.Errorf("core: attack.records %d is set per cell; size the attacker trace with attack_records", p.Records)
+		case p.Seed != 0:
+			return fmt.Errorf("core: attack.seed %d is set per cell from the spec seed; change the spec's seed instead", p.Seed)
+		}
+		a = *p
 	}
-	return a.Validate()
+	// Each cell's stream is the pacing over attack_records (sweep.run).
+	a.Records = s.attackRecords
+	if err := a.Validate(); err != nil {
+		return err
+	}
+	for _, d := range duties {
+		if d > 0 {
+			a.DutyCycle = d
+			if err := a.Validate(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // attackChip builds the victim chip for an HCfirst point: a DDR4-like

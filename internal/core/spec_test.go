@@ -298,6 +298,12 @@ func TestDecodeSpecRejectsBadAxes(t *testing.T) {
 		{`{"name":"trr-dodge","params":{"phases":[0.5,0.5]}}`, "phases value 0.5 repeated"},
 		{`{"name":"trr-dodge","params":{"sample_rates":[1,1]}}`, "sample_rates value 1 repeated"},
 		{`{"name":"trr-dodge","params":{"table_sizes":[4,8,4]}}`, "table_sizes value 4 repeated"},
+		// A pacing one attacker trace pass cannot express: every paced
+		// task would fail after decode had accepted the spec.
+		{`{"name":"trr-dodge","params":{"attack_records":10,"duty_cycles":[0.125]}}`,
+			"10 records cannot express duty_cycle 0.125 (one burst is 18 records)"},
+		{`{"name":"attack","params":{"attack_records":2,"attack":{"duty_cycle":0.5}}}`, "2 records cannot express duty_cycle 0.5"},
+		{`{"name":"pareto","params":{"attack_records":2,"attack":{"duty_cycle":0.5}}}`, "2 records cannot express duty_cycle 0.5"},
 	}
 	for _, tc := range cases {
 		if _, err := DecodeSpec([]byte(tc.spec)); err == nil || !strings.Contains(err.Error(), tc.want) {

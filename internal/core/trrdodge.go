@@ -70,7 +70,8 @@ type TRRDodgeParams struct {
 // (every duty cycle is the full-rate 0), sample rates outside (0,1],
 // non-positive table sizes, a value repeated on any axis
 // (checkDistinct), a negative HCfirst, and a shape no run can use
-// (sweepShape.validate).
+// (sweepShape.validate), including a duty cycle, given or default, that
+// attack_records cannot express.
 func (p *TRRDodgeParams) Validate() error {
 	if err := checkAxes(nil, nil, p.Patterns, nil); err != nil {
 		return err
@@ -80,13 +81,13 @@ func (p *TRRDodgeParams) Validate() error {
 		checkDistinct("trr-dodge table_sizes", p.TableSizes)); err != nil {
 		return err
 	}
-	if err := p.shape().validate(); err != nil {
-		return err
-	}
 	for _, d := range p.DutyCycles {
 		if d < 0 || d >= 1 {
 			return fmt.Errorf("core: trr-dodge duty_cycles value %g outside [0,1) (0 is the full-rate baseline)", d)
 		}
+	}
+	if err := p.shape().validate(p.normalized().DutyCycles...); err != nil {
+		return err
 	}
 	if len(p.Phases) > 0 && len(p.DutyCycles) > 0 && !slices.ContainsFunc(p.DutyCycles, func(d float64) bool { return d > 0 }) {
 		return fmt.Errorf("core: trr-dodge phases apply only to paced cells, and every duty_cycles value is 0 (omit phases)")

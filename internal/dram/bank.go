@@ -1,6 +1,9 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // bankState tracks one bank's open row and per-bank timing horizon.
 type bankState struct {
@@ -92,78 +95,76 @@ func (ch *Channel) OpenRow(rank, bank int) int {
 	return ch.banks[ch.bankIndex(rank, bank)].openRow
 }
 
-// CanIssue reports whether cmd targeting (rank, bank, row) may legally
-// issue at the given cycle. For REF, bank and row are ignored.
-func (ch *Channel) CanIssue(cmd Command, rank, bank, row int, cycle int64) bool {
+// Never is the ReadyAt of a command the bank's open-row state rules out:
+// no amount of waiting makes it legal, only a command that opens or
+// closes the row.
+const Never int64 = math.MaxInt64
+
+// ReadyAt returns the earliest cycle at which cmd targeting (rank, bank,
+// row) may legally issue if no other command issues before it, or Never
+// when the bank's open-row state rules it out (an ACT to an open bank, a
+// PRE to a closed one, a RD or WR to a row that is not open, a REF while
+// any bank of the rank is open). For REF, bank and row are ignored. Every
+// timing rule the channel enforces is written here once, as the latest of
+// the cycles its constraints allow.
+func (ch *Channel) ReadyAt(cmd Command, rank, bank, row int) int64 {
 	rk := &ch.ranks[rank]
 	switch cmd {
 	case CmdACT:
 		b := &ch.banks[ch.bankIndex(rank, bank)]
-		if b.openRow != -1 || cycle < b.nextACT {
-			return false
+		if b.openRow != -1 {
+			return Never
 		}
 		g := ch.bankGroupOf(bank)
-		if cycle < rk.lastACTBG[g]+int64(ch.T.RRDL) {
-			return false
-		}
-		if cycle < rk.lastACT+int64(ch.T.RRDS) {
-			return false
-		}
-		// tFAW: at most four ACTs in any FAW window.
-		oldest := rk.faw[rk.fawIdx]
-		return cycle >= oldest+int64(ch.T.FAW)
+		// tFAW: at most four ACTs in any FAW window, so the oldest of the
+		// last four bounds the next.
+		return max(b.nextACT, rk.lastACTBG[g]+int64(ch.T.RRDL), rk.lastACT+int64(ch.T.RRDS),
+			rk.faw[rk.fawIdx]+int64(ch.T.FAW))
 	case CmdPRE:
 		b := &ch.banks[ch.bankIndex(rank, bank)]
-		return b.openRow != -1 && cycle >= b.nextPRE
+		if b.openRow == -1 {
+			return Never
+		}
+		return b.nextPRE
 	case CmdRD:
 		b := &ch.banks[ch.bankIndex(rank, bank)]
-		if b.openRow == -1 || b.openRow != row || cycle < b.nextRD {
-			return false
+		if b.openRow == -1 || b.openRow != row {
+			return Never
 		}
 		g := ch.bankGroupOf(bank)
-		if cycle < rk.lastCASBG[g]+int64(ch.T.CCDL) {
-			return false
-		}
-		if cycle < rk.lastCAS+int64(ch.T.CCDS) {
-			return false
-		}
-		// Write-to-read turnaround.
-		if cycle < rk.lastWREnd[g]+int64(ch.T.WTRL) {
-			return false
-		}
-		if cycle < rk.lastWREndR+int64(ch.T.WTRS) {
-			return false
-		}
-		// Data bus must be free when the burst starts.
-		return cycle+int64(ch.T.CL) >= ch.busBusyUntil
+		// tCCD, the write-to-read turnaround, and a free data bus when
+		// the burst starts.
+		return max(b.nextRD, rk.lastCASBG[g]+int64(ch.T.CCDL), rk.lastCAS+int64(ch.T.CCDS),
+			rk.lastWREnd[g]+int64(ch.T.WTRL), rk.lastWREndR+int64(ch.T.WTRS),
+			ch.busBusyUntil-int64(ch.T.CL))
 	case CmdWR:
 		b := &ch.banks[ch.bankIndex(rank, bank)]
-		if b.openRow == -1 || b.openRow != row || cycle < b.nextWR {
-			return false
+		if b.openRow == -1 || b.openRow != row {
+			return Never
 		}
 		g := ch.bankGroupOf(bank)
-		if cycle < rk.lastCASBG[g]+int64(ch.T.CCDL) {
-			return false
-		}
-		if cycle < rk.lastCAS+int64(ch.T.CCDS) {
-			return false
-		}
-		// Read-to-write turnaround.
-		if cycle < rk.lastRD+int64(ch.T.RTW) {
-			return false
-		}
-		return cycle+int64(ch.T.CWL) >= ch.busBusyUntil
+		// tCCD, the read-to-write turnaround, and a free data bus.
+		return max(b.nextWR, rk.lastCASBG[g]+int64(ch.T.CCDL), rk.lastCAS+int64(ch.T.CCDS),
+			rk.lastRD+int64(ch.T.RTW), ch.busBusyUntil-int64(ch.T.CWL))
 	case CmdREF:
+		ready := int64(math.MinInt64)
 		for b := 0; b < ch.Geo.Banks(); b++ {
 			bs := &ch.banks[ch.bankIndex(rank, b)]
-			if bs.openRow != -1 || cycle < bs.nextACT {
-				return false
+			if bs.openRow != -1 {
+				return Never
 			}
+			ready = max(ready, bs.nextACT)
 		}
-		return true
+		return ready
 	default:
-		return false
+		return Never
 	}
+}
+
+// CanIssue reports whether cmd targeting (rank, bank, row) may legally
+// issue at the given cycle. For REF, bank and row are ignored.
+func (ch *Channel) CanIssue(cmd Command, rank, bank, row int, cycle int64) bool {
+	return cycle >= ch.ReadyAt(cmd, rank, bank, row)
 }
 
 // Issue performs cmd at the given cycle. It returns the cycle at which
@@ -246,14 +247,3 @@ func (ch *Channel) Issue(cmd Command, rank, bank, row int, cycle int64) int64 {
 // each of its banks; that REF covers RowsPerREF rows from there, wrapping
 // at the bank's last row.
 func (ch *Channel) RefreshPointer(rank int) int { return ch.ranks[rank].refPtr }
-
-// BankTimes exposes one bank's per-bank timing horizon: its open row (-1
-// when precharged) and the earliest cycles at which an ACT, PRE, RD, or WR
-// targeting it could legally issue, ignoring rank-scoped constraints
-// (tRRD/tFAW/tCCD/turnaround/bus). Rank constraints only delay commands
-// further, so these values are safe lower bounds for an event-driven
-// scheduler asking "when could this bank possibly accept a command?".
-func (ch *Channel) BankTimes(rank, bank int) (openRow int, nextACT, nextPRE, nextRD, nextWR int64) {
-	b := &ch.banks[ch.bankIndex(rank, bank)]
-	return b.openRow, b.nextACT, b.nextPRE, b.nextRD, b.nextWR
-}

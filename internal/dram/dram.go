@@ -5,8 +5,9 @@
 // The model follows the organization of Section 2: a channel owns ranks,
 // ranks own bank groups and banks, banks own rows. One Channel value is a
 // complete timing-accurate state machine: the memory controller asks
-// CanIssue/Issue and the channel enforces every intra-bank, intra-group,
-// rank and data-bus constraint.
+// ReadyAt (when a command could first issue), CanIssue and Issue, and the
+// channel enforces every intra-bank, intra-group, rank and data-bus
+// constraint.
 package dram
 
 import "fmt"

@@ -182,6 +182,8 @@ func (p *protocol) violation(cmd Command, bank, row int, at int64) string {
 // phase every refPeriod cycles, and asks CanIssue and the oracle about
 // every command kind on every bank, every cycle: ACT with a random row,
 // PRE, and RD and WR both to the open row and to one that is not open.
+// For each it also pins ReadyAt: a future ReadyAt is the oracle's first
+// legal cycle, and a Never is still illegal past the oracle's horizon.
 func TestCanIssueMatchesProtocol(t *testing.T) {
 	const cycles, refPeriod = 20_000, 1_500
 	for _, tc := range []struct {
@@ -215,6 +217,25 @@ func TestCanIssueMatchesProtocol(t *testing.T) {
 				}
 				if can {
 					legal = append(legal, issued{cmd, bank, row, cycle})
+				}
+				// ReadyAt names the first legal cycle if nothing issues
+				// before it: the oracle must agree there and one cycle
+				// earlier, and a Never must outlast every timing rule.
+				switch ready := ch.ReadyAt(cmd, 0, bank, row); {
+				case ready == Never:
+					if at := cycle + p.horizon + 64; p.violation(cmd, bank, row, at) == "" {
+						t.Fatalf("cycle %d: ReadyAt(%v, bank %d, row %d) = Never, yet the oracle finds it legal at %d",
+							cycle, cmd, bank, row, at)
+					}
+				case ready > cycle:
+					if why := p.violation(cmd, bank, row, ready); why != "" {
+						t.Fatalf("cycle %d: ReadyAt(%v, bank %d, row %d) = %d; the oracle says %s there",
+							cycle, cmd, bank, row, ready, why)
+					}
+					if p.violation(cmd, bank, row, ready-1) == "" {
+						t.Fatalf("cycle %d: ReadyAt(%v, bank %d, row %d) = %d; the oracle finds it legal a cycle earlier",
+							cycle, cmd, bank, row, ready)
+					}
 				}
 			}
 			refDue := false

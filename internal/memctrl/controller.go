@@ -175,7 +175,7 @@ type Controller struct {
 	writeQ      reqQueue
 	free        *request // recycled request nodes (chained via qnext)
 	mitQ        []mitOp
-	mitBankBusy []bool // scratch: banks owned by an earlier op this cycle
+	mitBankBusy []bool // scratch: banks owned by an earlier op (tryMitigation, mitigationReady)
 
 	draining   bool
 	refPending bool
@@ -472,62 +472,153 @@ func (c *Controller) PendingReads() int { return c.readQ.n }
 // Cycle returns the controller's current memory-clock cycle.
 func (c *Controller) Cycle() int64 { return c.cycle }
 
-// NextWork returns a lower bound on the next memory cycle at which Tick
-// could do anything beyond advancing the clock: issue or progress a
-// command, fire a read return, or mutate statistics. Every Tick at a
-// cycle strictly below the bound is a no-op that AdvanceIdle replays
-// exactly, so the event engine may skip straight to it. The bound is
-// conservative (a real Tick at the returned cycle may still find nothing
-// ready — rank-scoped DRAM constraints are ignored); it is never late.
+// NextWork returns the first memory cycle at which Tick could do anything
+// beyond advancing the clock: issue a command, fire a read return, mark a
+// mitigation op, raise a due refresh, or mutate statistics. Every Tick at
+// a cycle strictly below it is a no-op that AdvanceIdle replays exactly,
+// so the event engine may skip straight to it. It is the minimum
+// dram.Channel.ReadyAt over exactly the commands the next Tick can issue:
+//
+//   - each return's cycle, and nextREF while no REF is pending;
+//   - while a REF is pending, the REF and each open bank's PRE (demand
+//     scheduling waits for the REF);
+//   - the PRE or ACT of each mitigation op that leads its bank;
+//   - otherwise, the column command of every bank in either queue's hit
+//     mask, and the ACT or PRE of each scheduling pass's oldest request
+//     (demandReady).
+//
+// Starvation, drain-mode flips and BLISS clears need no event of their
+// own: they only reorder or filter those candidates. Two states answer
+// the next cycle: an unmarked mitigation op that leads its bank and finds
+// its row already open (that Tick marks it), and a throttler with
+// requests queued and no REF pending (each Tick that schedules demand
+// consults it, and ThrottleStallCycles counts its denials). The bound may be early — a ready command can lose the
+// slot or be filtered out — but it is never late.
 //
 //rhlint:hotpath
 func (c *Controller) NextWork() int64 {
-	// States whose Tick mutates per-cycle state even without issuing:
-	// a due refresh keeps closing banks, mitigation ops flip their
-	// activated flag outside the command slot, and a throttling mechanism
-	// is consulted (ThrottleStallCycles counts its denials) whenever any
-	// request is queued.
-	if c.refPending || len(c.mitQ) > 0 ||
-		(c.throttle != nil && (c.readQ.n > 0 || c.writeQ.n > 0)) {
-		return c.cycle + 1
+	next := c.cycle + 1
+	if !c.refPending && c.throttle != nil && (c.readQ.n > 0 || c.writeQ.n > 0) {
+		return next
 	}
-	w := c.nextREF
+	w := dram.Never
+	if len(c.mitQ) > 0 {
+		w = c.mitigationReady()
+	}
 	for _, ev := range c.returns {
-		if ev.cycle < w {
-			w = ev.cycle
-		}
+		w = min(w, ev.cycle)
 	}
-	// Per-bank lower bounds from the bucket census: a bank contributes
-	// nextACT when closed, nextRD/nextWR for queued row hits, and nextPRE
-	// when a queued request wants it closed — the same value set the
-	// per-request reference scan minimizes over.
-	for b := range c.readQ.banks {
-		rb := &c.readQ.banks[b]
-		wb := &c.writeQ.banks[b]
-		if rb.n == 0 && wb.n == 0 {
+	if c.refPending {
+		w = min(w, c.ch.ReadyAt(dram.CmdREF, 0, 0, 0))
+		for b := 0; b < c.ch.Geo.Banks(); b++ {
+			w = min(w, c.ch.ReadyAt(dram.CmdPRE, 0, b, 0))
+		}
+	} else {
+		w = min(w, c.nextREF, c.demandReady(&c.readQ, false), c.demandReady(&c.writeQ, true))
+	}
+	return max(w, next)
+}
+
+// mitigationReady returns the first cycle at which tryMitigation can act:
+// the PRE or ACT of each op that leads its bank (an op behind another on
+// the same bank waits for it), or the next cycle when a leading unmarked
+// op finds its row already open. Like tryMitigation, it marks the banks
+// owned by an earlier op in mitBankBusy, clearing the marks it reads
+// first.
+//
+//rhlint:hotpath
+func (c *Controller) mitigationReady() int64 {
+	for _, op := range c.mitQ {
+		c.mitBankBusy[op.bank] = false
+	}
+	w := dram.Never
+	for _, op := range c.mitQ {
+		if c.mitBankBusy[op.bank] {
 			continue
 		}
-		open, nextACT, nextPRE, nextRD, nextWR := c.ch.BankTimes(0, b)
-		if open == -1 {
-			if nextACT < w {
-				w = nextACT
+		c.mitBankBusy[op.bank] = true
+		cmd := dram.CmdPRE
+		if !op.activated {
+			switch open := c.ch.OpenRow(0, op.bank); open {
+			case op.row:
+				return c.cycle + 1
+			case -1:
+				cmd = dram.CmdACT
 			}
-			continue
 		}
-		if rb.hitN > 0 && nextRD < w {
-			w = nextRD
-		}
-		if wb.hitN > 0 && nextWR < w {
-			w = nextWR
-		}
-		if (rb.n > rb.hitN || wb.n > wb.hitN) && nextPRE < w {
-			w = nextPRE
-		}
-	}
-	if w <= c.cycle {
-		w = c.cycle + 1
+		w = min(w, c.ch.ReadyAt(cmd, 0, op.bank, op.row))
 	}
 	return w
+}
+
+// demandReady returns the first cycle at which a scheduling pass over q
+// can issue: the column command of every bank in q's hit mask, and the
+// ACT or PRE of each pass's oldest request. Without a BLISS blacklist
+// that is the queue head. Under one the favored pass progresses the
+// oldest favored read, and the demoted pass the oldest demoted read or,
+// while the favored one starves, the oldest demoted read outside its bank
+// (classDemotedNotBank). The queue head is one of these, so a BLISS clear
+// adds no candidate.
+//
+//rhlint:hotpath
+func (c *Controller) demandReady(q *reqQueue, write bool) int64 {
+	if q.n == 0 {
+		return dram.Never
+	}
+	col := dram.CmdRD
+	if write {
+		col = dram.CmdWR
+	}
+	w := dram.Never
+	for i, word := range q.hitMask {
+		for m := word; m != 0; m &= m - 1 {
+			b := i<<6 | bits.TrailingZeros64(m)
+			w = min(w, c.ch.ReadyAt(col, 0, b, c.ch.OpenRow(0, b)))
+		}
+	}
+	if write || !c.cfg.BLISS || c.blissCount == 0 {
+		return min(w, c.rowReady(q.head))
+	}
+	var fav, dem, demOut *request
+	for r := q.head; r != nil && fav == nil; r = r.qnext {
+		if !c.blissIsBlack(r.req) {
+			fav = r
+		}
+	}
+	if c.demotedReads > 0 {
+		for r := q.head; r != nil; r = r.qnext {
+			if !c.blissIsBlack(r.req) {
+				continue
+			}
+			if dem == nil {
+				dem = r
+			}
+			if fav == nil || r.addr.Bank != fav.addr.Bank {
+				demOut = r
+				break
+			}
+		}
+	}
+	return min(w, c.rowReady(fav), c.rowReady(dem), c.rowReady(demOut))
+}
+
+// rowReady returns the first cycle at which the ACT or PRE that r needs
+// could issue: Never for no request, and for one whose row is open, since
+// its column command is a hit-mask candidate.
+//
+//rhlint:hotpath
+func (c *Controller) rowReady(r *request) int64 {
+	if r == nil {
+		return dram.Never
+	}
+	switch open := c.ch.OpenRow(0, r.addr.Bank); open {
+	case r.addr.Row:
+		return dram.Never
+	case -1:
+		return c.ch.ReadyAt(dram.CmdACT, 0, r.addr.Bank, r.addr.Row)
+	default:
+		return c.ch.ReadyAt(dram.CmdPRE, 0, r.addr.Bank, 0)
+	}
 }
 
 // AdvanceIdle advances the controller k memory cycles, replaying the only

@@ -188,6 +188,7 @@ func TestSubmitRejectsBadSpecs(t *testing.T) {
 		{"rows below the attack minimum", `{"name": "attack", "params": {"rows": 8}}`, http.StatusBadRequest},
 		{"rows above the Table 6 geometry", `{"name": "attack", "params": {"rows": 1073741824}}`, http.StatusBadRequest},
 		{"repeated hc", `{"name": "attack", "params": {"hc": [512, 512]}}`, http.StatusBadRequest},
+		{"pacing the attacker trace cannot express", `{"name": "trr-dodge", "params": {"attack_records": 10, "duty_cycles": [0.125]}}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

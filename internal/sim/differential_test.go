@@ -215,6 +215,10 @@ func TestEngineDifferentialCorpus(t *testing.T) {
 		{"attack-paced-duty25", attackScenario(attack.DoubleSided, 0.25, 0.3, 0, trr, nil)},
 		{"attack-paced-duty50-bliss", attackScenario(attack.DoubleSided, 0.5, 0, 0, nil,
 			func(c *Config) { c.Ctrl.BLISS = true })},
+		// A full-rate attacker beside two benign cores: BLISS blacklists
+		// the attacker while favored reads starve behind its row hits.
+		{"attack-double-sided-bliss", attackScenario(attack.DoubleSided, 0, 0, 2, nil,
+			func(c *Config) { c.Ctrl.BLISS = true })},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) { runBothEngines(t, tc.mk) })

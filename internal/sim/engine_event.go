@@ -27,15 +27,17 @@ package sim
 //   - cores: no core tries a memory access (cpu.Core.BulkWindow). Between
 //     accesses a core is arithmetic, a load outstanding or not: it fills
 //     its window behind the oldest pending load, or runs through a gap
-//     run. Paced attacks live here: paced-dodge jumps over 946.9M of its
-//     960M CPU cycles, in 5.40M jumps.
+//     run. Paced attacks live here: paced-dodge jumps over 949.1M of its
+//     960M CPU cycles, in 5.44M jumps.
 //   - LLC: no hit callback pending (cache.HitsPending). A flag is
-//     enough: it refuses 4,167 of the 1.11M mitigation-sweep probes that
-//     pass the core scan, 58 on hammer-attack and none on paced-dodge.
-//   - controller: no command, return or REF deadline due before
-//     memctrl.NextWork. Its per-bank scan lets jumps run while requests
-//     wait on DRAM timing: 172M of paced-dodge's jumped cycles and
-//     6.49M of mitigation-sweep's 6.54M.
+//     enough: it refuses 5,048 of the 3.53M mitigation-sweep probes that
+//     pass the core scan, 66 on hammer-attack and none on paced-dodge.
+//   - controller: no return or REF deadline due, and no command the next
+//     controller Tick can issue ready, before memctrl.NextWork, the
+//     minimum dram.Channel.ReadyAt over those commands with every rank
+//     rule applied. It lets jumps run while requests wait on DRAM timing:
+//     43.2M of mitigation-sweep's 43.3M jumped cycles have a read queued,
+//     and 172M of paced-dodge's.
 //
 // Beside them sits the all-asleep rule, for the dense stretches no jump
 // covers because the controller is busy. While every core is asleep, or
@@ -46,25 +48,28 @@ package sim
 // retire and neither retirement check can change. The k-1 cycles before
 // the controller's next tick pass in closed form, each refused core
 // counts k-1 retries, and that tick's cycle runs exactly. The rule is
-// tried once probes keep failing: it passes 33.5M of mitigation-sweep's
-// 62.8M cycles and 8.31M of hammer-attack's 14.0M, where the controller
-// works on every memory cycle and no jump can take them (the attacker
-// mostly sleeps refused). On paced-dodge, whose cores join jumps with a
-// load outstanding, it passes 0.12M cycles. Tried after every failed
-// probe instead, it passes 6.39M cycles there that jumps would take, and
-// that spec runs about 7% longer.
+// tried once probes keep failing: it passes 6.43M of mitigation-sweep's
+// 62.8M cycles and 7.14M of hammer-attack's 14.0M, where the controller
+// has a command ready on nearly every memory cycle and no jump can take
+// them (the attacker mostly sleeps refused). On paced-dodge, whose cores
+// join jumps with a load outstanding, it passes none. Tried after every
+// failed probe instead, it passes 6.27M cycles there that jumps would
+// take; that spec ran 4% longer in 10 alternating runs, within their
+// noise, and about 7% longer when the gate was added.
 //
 // The probe backoff (runEvent) keeps dense runs from paying for probes
-// that fail: mitigation-sweep probes on 1.39M of its 22.9M loop
+// that fail: mitigation-sweep probes on 4.17M of its 14.5M loop
 // iterations, and without the backoff would probe on every one.
 
 // minBulk is the smallest jump worth taking, and the window below which
 // a probe stops early. Shorter jumps pay a probe each for cycles the
-// exact path or the all-asleep rule passes more cheaply: at 2,
-// mitigation-sweep probed 6.88M times instead of 1.39M, jumped 1.46M
-// times instead of 20.6K, left the rule 22.7M cycles instead of 33.5M,
-// and its spec ran about 47% longer (six timed pairs); paced-dodge's ran
-// about 4% longer.
+// exact path or the all-asleep rule passes about as cheaply. While
+// NextWork bounded each bank by its own timing, 2 made mitigation-sweep
+// probe 4.9 times as often and run about 47% longer. Over the ReadyAt
+// horizon, at 2 it probes 6.09M times instead of 4.17M, jumps 2.62M
+// times instead of 1.41M and leaves the rule 1.72M cycles instead of
+// 6.43M, and in 10 alternating runs neither it nor paced-dodge moved
+// beyond run-to-run noise (both 2% faster in the median).
 const minBulk = 8
 
 // retireNeed returns the minimum number of cycles before allRetired(tgt)
@@ -123,7 +128,7 @@ func (s *system) runEvent() {
 	for s.cpuCycle = 0; s.cpuCycle < s.maxCycles; {
 		// Longest provably-trivial window starting at this cycle. Probe
 		// cheapest-first — core windows, the LLC's pending flag, then the
-		// controller's per-bank horizon — and stop probing as soon as the
+		// controller's ReadyAt horizon — and stop probing as soon as the
 		// window provably cannot reach minBulk, so dense regimes pay only
 		// the core scan per cycle.
 		var n int64
