@@ -41,8 +41,9 @@ type AttackPoint struct {
 	// Performance metrics.
 	BenignPerfPct float64 // benign weighted speedup vs. unattacked baseline, %
 	OverheadPct   float64 // Figure 10a's DRAM bandwidth overhead metric
-	// ThrottleStallCycles approximates memory cycles in which a throttling
-	// mechanism held back a schedulable request.
+	// ThrottleStallCycles counts the memory cycles in which a throttling
+	// mechanism held back a request the scheduler would otherwise have
+	// progressed (memctrl.Stats.ThrottleStallCycles).
 	ThrottleStallCycles int64
 	// AttackerBusPct is the attacker's share of demand DRAM bus/bank time
 	// (per-requester occupancy attribution): how much of the memory

@@ -90,8 +90,9 @@ type Stats struct {
 	// because their target row was blacklisted by a throttling mechanism
 	// (mitigation.Throttler). Unit: requests.
 	ThrottledReads int64
-	// ThrottleStallCycles counts scheduler passes that skipped at least
-	// one throttle-blocked request. Unit: (approximately) memory cycles.
+	// ThrottleStallCycles counts the memory cycles on which a scheduling
+	// pass skipped at least one request whose ACT the throttler denied.
+	// Unit: memory cycles.
 	ThrottleStallCycles int64
 
 	// BLISSBlacklists counts requester blacklisting events of the BLISS
@@ -169,7 +170,8 @@ type Controller struct {
 	ch       *dram.Channel
 	mapper   *dram.AddressMapper
 	mech     mitigation.Mechanism
-	throttle mitigation.Throttler // non-nil when mech implements it
+	throttle mitigation.Throttler       // non-nil when mech implements it
+	horizon  mitigation.ThrottleHorizon // non-nil when the throttler also reports horizons
 
 	readQ       reqQueue
 	writeQ      reqQueue
@@ -190,9 +192,9 @@ type Controller struct {
 	// changes counts reads entering and leaving the read queue and writes
 	// entering the write queue; see Changes.
 	changes uint64
-	// throttledRefusal records whether the last read EnqueueRead refused
-	// was turned away by the throttler, rather than by a full read queue.
-	throttledRefusal bool
+	// refusalUntil is the horizon of the last read EnqueueRead refused,
+	// when the throttler turned it away, and 0 when a full read queue did.
+	refusalUntil int64
 
 	// BLISS fairness state: the last-served requester, its service streak,
 	// and the current blacklist (cleared every BLISSClearCycles). The
@@ -267,6 +269,7 @@ func New(cfg Config, ch *dram.Channel, mech mitigation.Mechanism) (*Controller, 
 		c.blissClear = cfg.BLISSClearCycles
 	}
 	c.throttle, _ = mech.(mitigation.Throttler)
+	c.horizon, _ = c.throttle.(mitigation.ThrottleHorizon)
 	c.refi = int64(float64(ch.T.REFI) / mech.RefreshMultiplier())
 	if c.refi < int64(ch.T.RFC)+1 {
 		c.refi = int64(ch.T.RFC) + 1 // refresh storm floor: back-to-back REF
@@ -378,19 +381,19 @@ func (c *Controller) EnqueueRead(requester int, addr int64, onDone func()) bool 
 	}
 	if c.readQ.n >= c.cfg.ReadQueue {
 		c.Stats.ReadQueueFull++
-		c.throttledRefusal = false
+		c.refusalUntil = 0
 		return false
 	}
 	a := c.mapper.Map(addr)
-	if c.throttle != nil &&
-		!c.throttle.AdmitRequest(requester, a.Bank, a.Row,
-			float64(c.readQ.n)/float64(c.cfg.ReadQueue), c.cycle) {
-		c.Stats.ThrottledReads++
-		if rs := c.Stats.reqStats(requester); rs != nil {
-			rs.ThrottledReads++
+	if c.throttle != nil {
+		if u := c.admitUntil(requester, a, float64(c.readQ.n)/float64(c.cfg.ReadQueue)); u > c.cycle {
+			c.Stats.ThrottledReads++
+			if rs := c.Stats.reqStats(requester); rs != nil {
+				rs.ThrottledReads++
+			}
+			c.refusalUntil = u
+			return false
 		}
-		c.throttledRefusal = true
-		return false
 	}
 	r := c.newReq()
 	r.addr, r.req, r.onDone, r.queued = a, requester, onDone, c.cycle
@@ -435,8 +438,7 @@ func (c *Controller) EnqueueWrite(requester int, addr int64) {
 // Changes counts the reads that have entered or left the read queue and
 // the writes queued so far: the events that can change how EnqueueRead
 // answers a read it refused. While the count holds still, so does a
-// queue-full refusal; a throttled refusal also waits on the throttler,
-// whose state moves only inside Tick.
+// queue-full refusal; a throttled refusal also holds until RefusalUntil.
 //
 //rhlint:hotpath
 func (c *Controller) Changes() uint64 { return c.changes }
@@ -445,14 +447,24 @@ func (c *Controller) Changes() uint64 { return c.changes }
 // turned away by the throttler; otherwise the read queue was full.
 //
 //rhlint:hotpath
-func (c *Controller) RefusalThrottled() bool { return c.throttledRefusal }
+func (c *Controller) RefusalThrottled() bool { return c.refusalUntil != 0 }
+
+// RefusalUntil returns the horizon of the last read the throttler refused:
+// while Changes holds still, a retry before that cycle is refused the same
+// way. A throttler that reports no horizons (mitigation.ThrottleHorizon)
+// vouches only for the cycle it was asked at, so the horizon is the next
+// cycle.
+//
+//rhlint:hotpath
+func (c *Controller) RefusalUntil() int64 { return c.refusalUntil }
 
 // RepeatRefusals counts n more refusals of a read EnqueueRead refused,
 // exactly as n retries of it would have: in ReadQueueFull, or, when the
 // throttler refused it, in ThrottledReads and the requester's entry. The
 // caller vouches that the answer cannot have changed since the refusal
-// (Changes, and Cycle for a throttled read, hold still), so the throttler
-// is not asked again: a repeat of a refusal has no other effect.
+// (Changes holds still, and a throttled read's retries come before
+// RefusalUntil), so the throttler is not asked again: a repeat of a
+// refusal has no other effect.
 //
 //rhlint:hotpath
 func (c *Controller) RepeatRefusals(requester int, throttled bool, n int64) {
@@ -488,17 +500,28 @@ func (c *Controller) Cycle() int64 { return c.cycle }
 //     (demandReady).
 //
 // Starvation, drain-mode flips and BLISS clears need no event of their
-// own: they only reorder or filter those candidates. Two states answer
-// the next cycle: an unmarked mitigation op that leads its bank and finds
-// its row already open (that Tick marks it), and a throttler with
-// requests queued and no REF pending (each Tick that schedules demand
-// consults it, and ThrottleStallCycles counts its denials). The bound may be early — a ready command can lose the
-// slot or be filtered out — but it is never late.
+// own: they only reorder or filter those candidates.
+//
+// Under a throttler that reports horizons (mitigation.ThrottleHorizon), a
+// pass's oldest request is the oldest one whose ACT the throttler does
+// not deny, and the earliest horizon among the denials the pass skips to
+// reach it is a candidate too: before it each denial holds, and an
+// allowed row stays allowed until an ACT, which is work. A pass that
+// skips a denial counts a throttle stall on every Tick below the bound,
+// and AdvanceIdle replays exactly those (idleStall).
+//
+// Two states answer the next cycle: an unmarked mitigation op that leads
+// its bank and finds its row already open (that Tick marks it), and, with
+// requests queued and no REF pending, a throttler without horizons or one
+// under BLISS, whose demoted pass skips a filter that starvation moves.
+// The bound may be early — a ready command can lose the slot or be
+// filtered out — but it is never late.
 //
 //rhlint:hotpath
 func (c *Controller) NextWork() int64 {
 	next := c.cycle + 1
-	if !c.refPending && c.throttle != nil && (c.readQ.n > 0 || c.writeQ.n > 0) {
+	if !c.refPending && c.throttle != nil && (c.horizon == nil || c.cfg.BLISS) &&
+		(c.readQ.n > 0 || c.writeQ.n > 0) {
 		return next
 	}
 	w := dram.Never
@@ -554,11 +577,12 @@ func (c *Controller) mitigationReady() int64 {
 // demandReady returns the first cycle at which a scheduling pass over q
 // can issue: the column command of every bank in q's hit mask, and the
 // ACT or PRE of each pass's oldest request. Without a BLISS blacklist
-// that is the queue head. Under one the favored pass progresses the
-// oldest favored read, and the demoted pass the oldest demoted read or,
-// while the favored one starves, the oldest demoted read outside its bank
-// (classDemotedNotBank). The queue head is one of these, so a BLISS clear
-// adds no candidate.
+// that is the queue head, or under a throttler the oldest request it does
+// not deny, beside the horizons of the denials before it. Under a
+// blacklist the favored pass progresses the oldest favored read, and the
+// demoted pass the oldest demoted read or, while the favored one starves,
+// the oldest demoted read outside its bank (classDemotedNotBank). The
+// queue head is one of these, so a BLISS clear adds no candidate.
 //
 //rhlint:hotpath
 func (c *Controller) demandReady(q *reqQueue, write bool) int64 {
@@ -575,6 +599,10 @@ func (c *Controller) demandReady(q *reqQueue, write bool) int64 {
 			b := i<<6 | bits.TrailingZeros64(m)
 			w = min(w, c.ch.ReadyAt(col, 0, b, c.ch.OpenRow(0, b)))
 		}
+	}
+	if c.throttle != nil {
+		oldest, until := c.oldestUnthrottled(q, classFilter{})
+		return min(w, c.rowReady(oldest), until)
 	}
 	if write || !c.cfg.BLISS || c.blissCount == 0 {
 		return min(w, c.rowReady(q.head))
@@ -622,12 +650,15 @@ func (c *Controller) rowReady(r *request) int64 {
 }
 
 // AdvanceIdle advances the controller k memory cycles, replaying the only
-// time-triggered state the skipped no-op Ticks would have touched: the
-// BLISS clearing schedule. Legal only when every skipped cycle is below
-// NextWork().
+// state the skipped no-op Ticks would have touched: the throttle stalls
+// they count (idleStall) and the BLISS clearing schedule. Legal only when
+// every skipped cycle is below NextWork().
 //
 //rhlint:hotpath
 func (c *Controller) AdvanceIdle(k int64) {
+	if c.idleStall() {
+		c.Stats.ThrottleStallCycles += k
+	}
 	c.cycle += k
 	if c.cfg.BLISS {
 		// The per-cycle loop fires a clear at exactly cycle==blissClear
@@ -672,7 +703,7 @@ func (c *Controller) Tick() {
 		return // don't admit new demand work while a REF is due
 	}
 	// Priority 3: demand scheduling, FR-FCFS with write draining.
-	c.updateDrainMode()
+	c.draining = c.drainMode()
 	if c.draining {
 		if c.schedule(&c.writeQ, true) {
 			return
@@ -804,16 +835,35 @@ func (c *Controller) tryMitigation() bool {
 	return false
 }
 
-// updateDrainMode applies write-drain hysteresis.
-func (c *Controller) updateDrainMode() {
-	hi := c.cfg.WriteQueue
-	lo := c.cfg.WriteQueue / 4
-	if !c.draining && c.writeQ.n >= hi {
-		c.draining = true
+// drainMode applies write-drain hysteresis, returning the mode Tick sets:
+// draining starts once the write queue reaches its capacity and stops
+// once it is down to a quarter of it.
+//
+//rhlint:hotpath
+func (c *Controller) drainMode() bool {
+	if c.draining {
+		return c.writeQ.n > c.cfg.WriteQueue/4
 	}
-	if c.draining && c.writeQ.n <= lo {
-		c.draining = false
+	return c.writeQ.n >= c.cfg.WriteQueue
+}
+
+// idleStall reports whether a Tick below NextWork counts a throttle stall,
+// which it does when a pass it runs finds its queue's head denied: the
+// write pass while draining, otherwise the read pass and, as nothing
+// issues, the write pass behind it. Below NextWork the drain mode, the
+// heads and their answers stay as they are now. Only a horizon throttler
+// under FR-FCFS lets such a Tick have requests queued.
+//
+//rhlint:hotpath
+func (c *Controller) idleStall() bool {
+	if c.horizon == nil || c.refPending {
+		return false
 	}
+	w := c.writeQ.head != nil && c.throttledIdle(c.writeQ.head)
+	if c.drainMode() {
+		return w
+	}
+	return w || c.readQ.head != nil && c.throttledIdle(c.readQ.head)
 }
 
 // starveLimit is the age (memory cycles) past which the oldest request
@@ -957,28 +1007,14 @@ func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) (issu
 			}
 		}
 	}
-	// One throttle scan per pass: find the oldest eligible unthrottled
-	// request, in arrival order, and hand it to progressReq, so
-	// ActAllowed is not asked again over the same prefix. The queries
-	// themselves move no result: BlockHammer answers from its release
-	// table, and its epoch rotation is idempotent in the cycle.
-	var oldest *request
-	throttleSkip := false
-	for r := q.head; r != nil; r = r.qnext {
-		if !c.classMatch(f, r) {
-			continue
-		}
-		if c.throttle != nil && c.throttledIdle(r) {
-			throttleSkip = true
-			continue
-		}
-		oldest = r
-		break
-	}
+	// One throttle scan per pass finds the oldest eligible request the
+	// throttler does not deny and hands it to progressReq, so the prefix
+	// is not scanned again.
+	oldest, until := c.oldestUnthrottled(q, f)
 	// Count at most one throttle-stall per memory cycle: under BLISS this
 	// method runs once per class, and blocked requests in both classes
 	// must not inflate the (per-cycle) stat.
-	if throttleSkip && c.lastThrottleStall != c.cycle {
+	if until != dram.Never && c.lastThrottleStall != c.cycle {
 		c.Stats.ThrottleStallCycles++
 		c.lastThrottleStall = c.cycle
 	}
@@ -1003,16 +1039,70 @@ func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) (issu
 	return false, starvingBank
 }
 
-// throttledIdle reports whether a request is blocked by the throttling
-// mechanism: its row is not open (it would need an ACT) and the mechanism
-// denies that ACT.
+// oldestUnthrottled returns the oldest request of q matching the class
+// filter that throttledIdle does not block, the one a scheduling pass
+// progresses, and the earliest horizon among the denials it skips on the
+// way (dram.Never when it skips none). Without a throttler that is the
+// first match.
 //
 //rhlint:hotpath
-func (c *Controller) throttledIdle(req *request) bool {
-	if c.throttle == nil || c.ch.OpenRow(0, req.addr.Bank) == req.addr.Row {
+func (c *Controller) oldestUnthrottled(q *reqQueue, f classFilter) (*request, int64) {
+	until := dram.Never
+	for r := q.head; r != nil; r = r.qnext {
+		if !c.classMatch(f, r) {
+			continue
+		}
+		if !c.throttledIdle(r) {
+			return r, until
+		}
+		until = min(until, r.deniedUntil)
+	}
+	return nil, until
+}
+
+// throttledIdle reports whether a request is blocked by the throttling
+// mechanism: its row is not open (it would need an ACT) and the mechanism
+// denies that ACT at the current cycle. A denial is kept on the request
+// until its horizon, and only then asked again. Asking moves no result:
+// BlockHammer answers from its release table, and its epoch rotation is
+// idempotent in the cycle.
+//
+//rhlint:hotpath
+func (c *Controller) throttledIdle(r *request) bool {
+	if c.throttle == nil || c.ch.OpenRow(0, r.addr.Bank) == r.addr.Row {
 		return false
 	}
-	return !c.throttle.ActAllowed(req.req, req.addr.Bank, req.addr.Row, c.cycle)
+	if r.deniedUntil <= c.cycle {
+		r.deniedUntil = c.actDeniedUntil(r)
+	}
+	return r.deniedUntil > c.cycle
+}
+
+// actDeniedUntil and admitUntil ask the throttler at the current cycle,
+// answering as mitigation.ThrottleHorizon does. A throttler without
+// horizons vouches for its answer on this cycle only: a denial or refusal
+// lasts until the next one.
+//
+//rhlint:hotpath
+func (c *Controller) actDeniedUntil(r *request) int64 {
+	if c.horizon != nil {
+		return c.horizon.ActDeniedUntil(r.addr.Bank, r.addr.Row, c.cycle)
+	}
+	if c.throttle.ActAllowed(r.req, r.addr.Bank, r.addr.Row, c.cycle) {
+		return c.cycle
+	}
+	return c.cycle + 1
+}
+
+//rhlint:hotpath
+func (c *Controller) admitUntil(requester int, a dram.Address, queueLoad float64) int64 {
+	if c.horizon != nil {
+		return c.horizon.AdmitUntil(requester, a.Bank, a.Row, queueLoad, c.cycle)
+	}
+	if c.throttle.AdmitRequest(requester, a.Bank, a.Row, queueLoad, c.cycle) {
+		return c.cycle
+	}
+	return c.cycle + 1
 }
 
 // progressReq moves the oldest schedulable request — as determined by

@@ -342,6 +342,56 @@ func TestThrottledRowDoesNotStallOthers(t *testing.T) {
 	}
 }
 
+// TestIdleStallWhileDraining pins the throttle stall NextWork's idle
+// Ticks count while the write queue drains. That Tick's throttle scan
+// covers writes only, so a read at the head that BlockHammer denies
+// counts no stall until draining stops; every Tick below the horizon
+// must agree with idleStall (tickChecked). The randomized sweep never
+// drains past a denied read: its queued writes hit the same blacklisted
+// rows.
+func TestIdleStallWhileDraining(t *testing.T) {
+	geo := dram.Table6Geometry()
+	ch, err := dram.NewChannel(geo, dram.DDR4_2400(geo.Rows))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mitigation.NewBlockHammer(mitigation.Params{HCFirst: 16, Rows: geo.Rows, Banks: geo.Banks(),
+		TRC: int64(ch.T.RC), TREFI: int64(ch.T.REFI), TREFW: ch.T.REFW, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Table6Config()
+	cfg.WriteQueue = 4
+	ctrl, err := New(cfg, ch, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mapper, err := dram.NewAddressMapper(geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Blacklist row 100 of bank 0. A source without an RHLI is admitted
+	// to it, but its ACT is denied for the whole run.
+	for i := 0; i < 8; i++ {
+		m.OnActivate(0, 100, 0, false)
+	}
+	ctrl.EnqueueRead(1, mapper.AddressOf(dram.Address{Bank: 0, Row: 100}), nil)
+	for b := 1; b <= cfg.WriteQueue; b++ {
+		ctrl.EnqueueWrite(1, mapper.AddressOf(dram.Address{Bank: b, Row: 200}))
+	}
+	var census idleCensus
+	drainingPastDenial := 0
+	for i := 0; i < 300; i++ {
+		if ctrl.NextWork() > ctrl.Cycle()+1 && ctrl.drainMode() && ctrl.throttledIdle(ctrl.readQ.head) {
+			drainingPastDenial++
+		}
+		tickChecked(t, ctrl, i, &census)
+	}
+	if drainingPastDenial == 0 || census.stalls == 0 {
+		t.Fatalf("%d idle Ticks drained writes past the denied read, %d counted a stall; want both", drainingPastDenial, census.stalls)
+	}
+}
+
 func TestStarvationBounded(t *testing.T) {
 	// A stream of row hits to one bank must not starve a conflicting
 	// request in the same bank forever.
@@ -672,6 +722,10 @@ func TestRefusalThrottledNamesTheRefusal(t *testing.T) {
 		}
 		if ctrl.RefusalThrottled() != tc.throttled {
 			t.Errorf("%s: RefusalThrottled %v, want %v", tc.name, ctrl.RefusalThrottled(), tc.throttled)
+		}
+		// A throttler without horizons answers for the cycle it was asked.
+		if tc.throttled && ctrl.RefusalUntil() != ctrl.Cycle()+1 {
+			t.Errorf("%s: RefusalUntil %d at cycle %d, want the next cycle", tc.name, ctrl.RefusalUntil(), ctrl.Cycle())
 		}
 	}
 }

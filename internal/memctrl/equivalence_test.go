@@ -18,15 +18,19 @@ import (
 // write-backlog lookup, demoted-read census, hit-candidate banks — must
 // equal the reference pick on the same state. The no-op horizon is held
 // to what it promises instead: every Tick below NextWork leaves the
-// controller as it was (tickChecked).
+// controller as it was but for the throttle stall it predicted
+// (tickChecked), and so does AdvanceIdle over the cycles it skips.
 //
 // The mechanisms are deliberately stateful (PRNG-driven throttling,
 // victim refreshes), so the walks that consult them run only inside Tick
-// and are never replayed here: the checks below touch no mechanism.
+// and are never replayed here: the reference checks touch no mechanism.
+// BlockHammer's horizon queries move no state, so the horizon checks ask
+// it freely.
 
 // eqMech is a stateful mechanism exercising every controller hook:
 // random victim refreshes (mitigation queue pressure), random ACT
-// throttling, and random admission denial.
+// throttling, and random admission denial. It reports no horizons, so its
+// answers take the controller's per-cycle path.
 type eqMech struct {
 	mitigation.None
 	rng *rand.Rand
@@ -168,21 +172,44 @@ func snapshotTick(c *Controller) tickState {
 	return s
 }
 
+// idleCensus counts the Ticks below NextWork with requests queued, and
+// those among them that counted a throttle stall.
+type idleCensus struct{ queued, stalls int }
+
 // tickChecked ticks the controller once. When the Tick's cycle lies below
-// the NextWork read before it, the Tick must have changed nothing: the
-// event engine skips exactly those Ticks.
-func tickChecked(t *testing.T, c *Controller, step int) {
+// the NextWork read before it, the Tick must have changed nothing but
+// ThrottleStallCycles, and that only by the stall idleStall predicted:
+// the event engine skips exactly those Ticks, and AdvanceIdle replays the
+// stall.
+func tickChecked(t *testing.T, c *Controller, step int, census *idleCensus) {
 	h := c.NextWork()
 	if c.cycle+1 >= h {
 		c.Tick()
 		return
 	}
+	stall := c.idleStall()
+	if c.readQ.n+c.writeQ.n > 0 {
+		census.queued++
+		if stall {
+			census.stalls++
+		}
+	}
 	before := snapshotTick(c)
 	c.Tick()
-	if after := snapshotTick(c); !reflect.DeepEqual(before, after) {
-		t.Fatalf("step %d: the Tick at cycle %d, below NextWork %d, changed the controller\n before %+v\n after  %+v",
-			step, c.cycle, h, before, after)
+	if want, after := idleAfter(before, 1, stall), snapshotTick(c); !reflect.DeepEqual(want, after) {
+		t.Fatalf("step %d: the Tick at cycle %d, below NextWork %d, changed the controller beyond its predicted stall (%v)\n want  %+v\n after %+v",
+			step, c.cycle, h, stall, want, after)
 	}
+}
+
+// idleAfter returns the state k idle memory cycles leave after the
+// snapshot before them: the same, but for k throttle stalls when stall
+// holds.
+func idleAfter(before tickState, k int64, stall bool) tickState {
+	if stall {
+		before.stats.ThrottleStallCycles += k
+	}
+	return before
 }
 
 func pickName(r *request) string {
@@ -203,9 +230,9 @@ type eqCase struct {
 
 // runEquivalence drives one controller through steps randomized
 // operations, checking every pick against the reference after each
-// enqueue, each Tick and each idle skip, and every Tick against the
-// horizon NextWork answered before it.
-func runEquivalence(t *testing.T, tc eqCase, seed int64, steps int) {
+// enqueue, each Tick and each idle skip, and every Tick and idle skip
+// against the horizon NextWork answered before it.
+func runEquivalence(t *testing.T, tc eqCase, seed int64, steps int, census *idleCensus) {
 	t.Helper()
 	ch, err := dram.NewChannel(tc.geo, dram.DDR4_2400(tc.geo.Rows))
 	if err != nil {
@@ -219,6 +246,19 @@ func runEquivalence(t *testing.T, tc eqCase, seed int64, steps int) {
 		m = &hammerMech{}
 	case "throttle":
 		m = &eqMech{rng: rand.New(rand.NewSource(seed*31 + 7))}
+		if _, ok := m.(mitigation.ThrottleHorizon); ok {
+			t.Fatal("eqMech reports horizons: its random answers must take the per-cycle path")
+		}
+	case "blockhammer":
+		// A tiny HCfirst and refresh window blacklist hot rows within a
+		// few ACTs and rotate epochs within the run.
+		m, err = mitigation.NewBlockHammer(mitigation.Params{
+			HCFirst: 16, Rows: tc.geo.Rows, Banks: tc.geo.Banks(),
+			TRC: int64(ch.T.RC), TREFI: int64(ch.T.REFI), TREFW: 20_000, Seed: uint64(seed),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	default:
 		t.Fatalf("unknown mechanism %q", tc.mech)
 	}
@@ -270,19 +310,24 @@ func runEquivalence(t *testing.T, tc eqCase, seed int64, steps int) {
 				n = 1 + rng.Intn(600)
 			}
 			for ; n > 0; n-- {
-				tickChecked(t, c, i)
+				tickChecked(t, c, i, census)
 				checkPicks(t, c, i)
 			}
 		default: // idle-skip to the horizon
 			if k := c.NextWork() - c.Cycle() - 1; k > 0 {
+				stall, before := c.idleStall(), snapshotTick(c)
 				c.AdvanceIdle(k)
+				if want, after := idleAfter(before, k, stall), snapshotTick(c); !reflect.DeepEqual(want, after) {
+					t.Fatalf("step %d: AdvanceIdle(%d) changed the controller beyond its predicted stalls (%v)\n want  %+v\n after %+v",
+						i, k, stall, want, after)
+				}
 			}
 		}
 		checkPicks(t, c, i)
 	}
 	// Drain: the emptying queues are states of their own.
 	for k := 0; k < 20_000 && c.PendingReads() > 0; k++ {
-		tickChecked(t, c, steps)
+		tickChecked(t, c, steps, census)
 		checkPicks(t, c, steps)
 	}
 }
@@ -290,10 +335,12 @@ func runEquivalence(t *testing.T, tc eqCase, seed int64, steps int) {
 // TestSchedulerEquivalence sweeps scheduler configurations × geometries
 // × mechanism pressures × seeds. In every cell each indexed pick must
 // equal the reference pick after every step, and every Tick below
-// NextWork must be a no-op. The 128-bank geometry spreads the
-// hit-candidate bitmask over two words. The throttle cells answer the
-// next cycle whenever requests are queued, so the none and hammer cells
-// carry the horizon check.
+// NextWork must be a no-op but for the throttle stall it predicted. The
+// 128-bank geometry spreads the hit-candidate bitmask over two words.
+// eqMech's cells answer the next cycle whenever requests are queued; the
+// BlockHammer cells carry the throttle horizon, and under FR-FCFS must
+// tick below it with requests queued and stalls predicted, or the check
+// would be empty.
 func TestSchedulerEquivalence(t *testing.T) {
 	smallQueues := Table6Config()
 	smallQueues.ReadQueue = 8
@@ -314,11 +361,19 @@ func TestSchedulerEquivalence(t *testing.T) {
 		{"bliss-smallqueues-hammer", blissSmall, table6, "hammer"},
 		{"128banks-hammer", Table6Config(), wide, "hammer"},
 		{"128banks-bliss-throttle", blissConfig(), wide, "throttle"},
+		{"default-blockhammer", Table6Config(), table6, "blockhammer"},
+		{"smallqueues-blockhammer", smallQueues, table6, "blockhammer"},
+		{"bliss-blockhammer", blissConfig(), table6, "blockhammer"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			var census idleCensus
 			for seed := int64(1); seed <= 3; seed++ {
-				runEquivalence(t, tc, seed, 1000)
+				runEquivalence(t, tc, seed, 1000, &census)
+			}
+			t.Logf("%d Ticks below NextWork with requests queued, %d predicted stalls", census.queued, census.stalls)
+			if tc.mech == "blockhammer" && !tc.cfg.BLISS && census.stalls == 0 {
+				t.Fatal("no Tick below the throttle horizon counted a stall")
 			}
 		})
 	}

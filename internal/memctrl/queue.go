@@ -21,6 +21,9 @@ type request struct {
 	write  bool
 	onDone func()
 	queued int64
+	// deniedUntil is the horizon of the throttler's last denial of the
+	// ACT the request needs; see Controller.throttledIdle.
+	deniedUntil int64
 
 	seq          uint64
 	qnext, qprev *request

@@ -257,19 +257,40 @@ func (m *BlockHammer) OnAutoRefresh(bank, rowStart, rowCount int, cycle int64) [
 // out minInterval between activations. The answer deliberately ignores the
 // requester — the per-row budget is the security invariant, and it must
 // hold however the activations are attributed.
+func (m *BlockHammer) ActAllowed(requester, bank, row int, cycle int64) bool {
+	return m.ActDeniedUntil(bank, row, cycle) <= cycle
+}
+
+// ActDeniedUntil implements ThrottleHorizon for RowBlocker-Act: cycle when
+// the row may activate, otherwise its release cycle or the next epoch
+// rotation, whichever comes first.
 //
 // The release table alone decides it. OnActivate writes a row's entry
 // only once the row's estimate has reached NBL, and rotate clears every
 // entry; between rotations no estimate falls (filters[1] is frozen and
 // filters[0] only gains). So a live entry marks a blacklisted row, and a
-// row without one may activate whatever its estimate.
-func (m *BlockHammer) ActAllowed(requester, bank, row int, cycle int64) bool {
+// row without one may activate whatever its estimate. Only the row's own
+// ACT writes its entry, so an allowed row stays allowed until then, and a
+// denial lasts until the entry's release or the rotation that clears it.
+func (m *BlockHammer) ActDeniedUntil(bank, row int, cycle int64) int64 {
 	m.rotate(cycle)
 	rel, ok := m.release[m.key(bank, row)]
-	return !ok || cycle >= rel
+	if !ok || cycle >= rel {
+		return cycle
+	}
+	return min(rel, m.epoch.end())
 }
 
 // AdmitRequest implements Throttler's RowBlocker-Req.
+func (m *BlockHammer) AdmitRequest(requester, bank, row int, queueLoad float64, cycle int64) bool {
+	return m.AdmitUntil(requester, bank, row, queueLoad, cycle) <= cycle
+}
+
+// AdmitUntil implements ThrottleHorizon for RowBlocker-Req: cycle when
+// the read is admitted, otherwise the first cycle at which the policy may
+// admit it, never past the next epoch rotation (which clears the release
+// table and delay windows and halves every RHLI). Within an epoch a
+// blacklisted row stays blacklisted and no RHLI falls.
 //
 // Proportional policy (default, BlockHammer's full design): the first
 // blacklisted-row request from a source with a nonzero RHLI opens a delay
@@ -278,49 +299,59 @@ func (m *BlockHammer) ActAllowed(requester, bank, row int, cycle int64) bool {
 // A borderline source (RHLI ≪ 1) pays a pause proportional to its own
 // hot-row activity; a confirmed hammerer (RHLI ≥ 1) is rate-limited to
 // roughly one blacklisted-row admission per spacing interval or worse.
+// The refusal lasts until the window closes.
 //
 // Binary policy: a blacklisted-row read is rejected outright while its
 // source's RHLI is ≥ 1 (the thread has personally driven a blacklist
-// threshold's worth of hot-row activations this epoch pair).
+// threshold's worth of hot-row activations this epoch pair), so until the
+// epoch ends.
 //
 // Blanket policy: any blacklisted-row read is rejected while the queue is
-// at least half full and the row is inside its spacing window.
-func (m *BlockHammer) AdmitRequest(requester, bank, row int, queueLoad float64, cycle int64) bool {
+// at least half full and the row is inside its spacing window, so until
+// the row's release.
+func (m *BlockHammer) AdmitUntil(requester, bank, row int, queueLoad float64, cycle int64) int64 {
 	m.rotate(cycle)
-	// A live release entry marks a blacklisted row (see ActAllowed), so
-	// only rows without one need the sketch.
+	// A live release entry marks a blacklisted row (see ActDeniedUntil),
+	// so only rows without one need the sketch.
 	rel, spaced := m.release[m.key(bank, row)]
 	if !spaced && m.estimate(bank, row) < m.nbl {
-		return true
+		return cycle
 	}
+	end := m.epoch.end()
 	// An unknown source cannot accrue an RHLI, so it must never be
 	// privileged by the per-requester policies: fall back to the blanket
 	// rule for it (and for the blanket variant itself).
 	if m.policy == policyBlanket || requester < 0 {
-		return queueLoad < 0.5 || !spaced || cycle >= rel
+		if queueLoad < 0.5 || !spaced || cycle >= rel {
+			return cycle
+		}
+		return min(rel, end)
 	}
 	if m.policy == policyBinary {
-		return m.RHLI(requester) < 1
+		if m.RHLI(requester) < 1 {
+			return cycle
+		}
+		return end
 	}
 	// Proportional: serve out any open delay window first.
 	if rel, ok := m.reqRelease[requester]; ok {
 		if cycle < rel {
-			return false
+			return min(rel, end)
 		}
 		// Window served: this request has paid its RHLI-proportional
 		// delay and goes through; the next one opens a fresh window.
 		delete(m.reqRelease, requester)
-		return true
+		return cycle
 	}
 	delay := int64(m.RHLI(requester) * float64(m.minInterval))
 	if delay <= 0 {
-		return true
+		return cycle
 	}
 	if delay > m.epoch.length {
 		delay = m.epoch.length
 	}
 	m.reqRelease[requester] = cycle + delay
-	return false
+	return min(cycle+delay, end)
 }
 
 // OnRequesterACT attributes an issued demand ACT to its source: once the

@@ -114,6 +114,26 @@ type Throttler interface {
 	OnRequesterACT(requester, bank, row int, cycle int64)
 }
 
+// ThrottleHorizon is the optional extension a Throttler implements when
+// it knows how long its answers last. A horizon is the first cycle at
+// which an answer may change: the controller keeps a denial until its
+// horizon instead of asking again every cycle, and a core the throttler
+// refused sleeps until it. A throttler without it is asked every cycle.
+//
+// For an answer asked at cycle:
+//   - ActDeniedUntil returns a value at or below cycle when the ACT is
+//     allowed, and the row stays allowed until its next ACT. Otherwise
+//     the ACT is denied on every cycle before the returned horizon. Like
+//     ActAllowed's answer, it does not depend on the requester.
+//   - AdmitUntil has AdmitRequest's side effects and returns a value at
+//     or below cycle when the read is admitted. Otherwise, while the read
+//     queue's load stays the same, the read is refused on every cycle
+//     before the returned horizon, and asking again then changes nothing.
+type ThrottleHorizon interface {
+	ActDeniedUntil(bank, row int, cycle int64) int64
+	AdmitUntil(requester, bank, row int, queueLoad float64, cycle int64) int64
+}
+
 // base is the part every mechanism shares: its validated parameters, the
 // buffer its decisions return, and the defaults of the hooks a policy
 // does not need — no victims, the nominal refresh rate, and viability
@@ -174,6 +194,9 @@ func (e *epoch) next(cycle int64) bool {
 	e.start += e.length
 	return true
 }
+
+// end returns the first cycle of the next epoch.
+func (e *epoch) end() int64 { return e.start + e.length }
 
 // None is the no-mitigation baseline.
 type None struct{ base }

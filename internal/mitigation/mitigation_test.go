@@ -1,6 +1,8 @@
 package mitigation
 
 import (
+	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -652,6 +654,129 @@ func TestBlockHammerRHLISurvivesEpochRotation(t *testing.T) {
 	after := m.RHLI(0)
 	if after <= 0 || after >= before {
 		t.Errorf("post-rotation RHLI = %.2f, want halved from %.2f", after, before)
+	}
+}
+
+// horizonClaim is what a horizon promised about the cycles after it was
+// answered: an ACT denied, or a read refused, on every cycle before until,
+// or (until < 0) an ACT allowed until the row's next ACT.
+type horizonClaim struct {
+	act                  bool
+	requester, bank, row int
+	load                 float64
+	until                int64
+}
+
+// TestBlockHammerHorizons checks ActDeniedUntil and AdmitUntil, for every
+// admission policy, against a twin built the same way and asked
+// ActAllowed and AdmitRequest on every cycle. Both hear one seeded stream
+// of demand ACTs (issued when the twin allows them), REFs and queries; the
+// horizon instance answers each query, and the twin must give the same
+// answer then and keep the horizon's promise on every later cycle: a
+// denial or refusal holds before its horizon, asking again in the
+// meantime changes no state, and an allowed row stays allowed until its
+// next ACT. The refresh window is short, so epochs rotate inside the run
+// and some horizons are epoch ends.
+func TestBlockHammerHorizons(t *testing.T) {
+	for _, build := range []func(Params) (*BlockHammer, error){
+		NewBlockHammer, NewBlockHammerBinary, NewBlockHammerBlanket,
+	} {
+		p := testParams(64)
+		p.TREFW = 20_000
+		horizons, err := build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, err := build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(horizons.Name(), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			var claims []horizonClaim
+			claim := func(c horizonClaim) {
+				if !slices.Contains(claims, c) {
+					claims = append(claims, c)
+				}
+			}
+			var denials, refusals, atRotation int
+			for cycle := int64(0); cycle < 4*p.TREFW; cycle++ {
+				kept := claims[:0]
+				for _, c := range claims {
+					if c.until >= 0 && cycle >= c.until {
+						continue
+					}
+					var ok bool
+					if c.act {
+						ok = twin.ActAllowed(c.requester, c.bank, c.row, cycle) == (c.until < 0)
+					} else {
+						ok = !twin.AdmitRequest(c.requester, c.bank, c.row, c.load, cycle)
+					}
+					if !ok {
+						t.Fatalf("cycle %d: the twin broke the promise %+v", cycle, c)
+					}
+					kept = append(kept, c)
+				}
+				claims = kept
+				if rng.Intn(8) != 0 {
+					continue
+				}
+				requester, bank, row := rng.Intn(4)-1, rng.Intn(2), 100+rng.Intn(4)
+				switch rng.Intn(4) {
+				case 0:
+					if !twin.ActAllowed(requester, bank, row, cycle) {
+						break
+					}
+					for _, m := range []*BlockHammer{horizons, twin} {
+						m.OnRequesterACT(requester, bank, row, cycle)
+						m.OnActivate(bank, row, cycle, false)
+					}
+					claims = slices.DeleteFunc(claims, func(c horizonClaim) bool {
+						return c.act && c.until < 0 && c.bank == bank && c.row == row
+					})
+				case 1:
+					horizons.OnAutoRefresh(bank, 0, 8, cycle)
+					twin.OnAutoRefresh(bank, 0, 8, cycle)
+				case 2:
+					u := horizons.ActDeniedUntil(bank, row, cycle)
+					if twin.ActAllowed(requester, bank, row, cycle) != (u <= cycle) {
+						t.Fatalf("cycle %d: ActDeniedUntil(%d, %d) = %d disagrees with ActAllowed", cycle, bank, row, u)
+					}
+					c := horizonClaim{act: true, bank: bank, row: row, until: -1}
+					if u > cycle {
+						c.until = u
+						denials++
+						if u%horizons.epoch.length == 0 {
+							atRotation++
+						}
+					}
+					claim(c)
+				case 3:
+					load := float64(rng.Intn(4)) / 4
+					u := horizons.AdmitUntil(requester, bank, row, load, cycle)
+					if twin.AdmitRequest(requester, bank, row, load, cycle) != (u <= cycle) {
+						t.Fatalf("cycle %d: AdmitUntil(%d, %d, %d, %.2f) = %d disagrees with AdmitRequest",
+							cycle, requester, bank, row, load, u)
+					}
+					if u > cycle {
+						refusals++
+						if u%horizons.epoch.length == 0 {
+							atRotation++
+						}
+						claim(horizonClaim{requester: requester, bank: bank, row: row, load: load, until: u})
+					}
+				}
+				horizons.rotate(cycle)
+				if horizons.epoch != twin.epoch || !maps.Equal(horizons.release, twin.release) ||
+					!maps.Equal(horizons.reqRelease, twin.reqRelease) || !maps.Equal(horizons.rhliACTs, twin.rhliACTs) {
+					t.Fatalf("cycle %d: the per-cycle twin's state left the horizon instance's", cycle)
+				}
+			}
+			t.Logf("%d ACT denials, %d refusals, %d horizons at an epoch rotation", denials, refusals, atRotation)
+			if denials == 0 || refusals == 0 || atRotation == 0 {
+				t.Fatal("the stream never reached every kind of horizon")
+			}
+		})
 	}
 }
 

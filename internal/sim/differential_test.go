@@ -54,34 +54,47 @@ func runBothEngines(t *testing.T, mk scenario) {
 	s.runAllCores()
 	resA := s.result()
 	for _, engine := range []Engine{EngineCycle, EngineEvent} {
-		cfg, mix, obs := mk(t)
-		cfg.Engine = engine
-		res, err := Run(cfg, mix)
-		if err != nil {
-			t.Fatalf("%s engine: %v", engine, err)
-		}
-		if !reflect.DeepEqual(resA, res) {
-			t.Errorf("results diverge\n all-cores: %+v\n %s: %+v", resA, engine, res)
-		}
-		if (obsA == nil) != (obs == nil) {
-			t.Fatal("scenario built observer for some runs only")
-		}
-		if obsA == nil {
-			continue
-		}
-		if !reflect.DeepEqual(obsA.Timeline(), obs.Timeline()) {
-			t.Errorf("REF-window timelines diverge\n all-cores: %+v\n %s: %+v",
-				obsA.Timeline(), engine, obs.Timeline())
-		}
-		if !reflect.DeepEqual(obsA.Flips(), obs.Flips()) {
-			t.Errorf("flip events diverge\n all-cores: %+v\n %s: %+v", obsA.Flips(), engine, obs.Flips())
-		}
-		if obsA.TotalACTs() != obs.TotalACTs() || obsA.AggressorACTs() != obs.AggressorACTs() ||
-			obsA.RawFlips() != obs.RawFlips() || obsA.FirstFlipCycle() != obs.FirstFlipCycle() {
-			t.Errorf("observer counters diverge: all-cores (acts %d agg %d raw %d first %d) %s (acts %d agg %d raw %d first %d)",
-				obsA.TotalACTs(), obsA.AggressorACTs(), obsA.RawFlips(), obsA.FirstFlipCycle(), engine,
-				obs.TotalACTs(), obs.AggressorACTs(), obs.RawFlips(), obs.FirstFlipCycle())
-		}
+		res, obs := runEngine(t, mk, engine)
+		sameRun(t, "all-cores", resA, obsA, engine.String(), res, obs)
+	}
+}
+
+// runEngine runs a fresh build of the scenario under one engine.
+func runEngine(t *testing.T, mk scenario, engine Engine) (*Result, *attack.Observer) {
+	t.Helper()
+	cfg, mix, obs := mk(t)
+	cfg.Engine = engine
+	res, err := Run(cfg, mix)
+	if err != nil {
+		t.Fatalf("%s engine: %v", engine, err)
+	}
+	return res, obs
+}
+
+// sameRun asserts that two runs, a and b, produced identical results and
+// observer timelines.
+func sameRun(t *testing.T, a string, resA *Result, obsA *attack.Observer, b string, res *Result, obs *attack.Observer) {
+	t.Helper()
+	if !reflect.DeepEqual(resA, res) {
+		t.Errorf("results diverge\n %s: %+v\n %s: %+v", a, resA, b, res)
+	}
+	if (obsA == nil) != (obs == nil) {
+		t.Fatal("scenario built observer for some runs only")
+	}
+	if obsA == nil {
+		return
+	}
+	if !reflect.DeepEqual(obsA.Timeline(), obs.Timeline()) {
+		t.Errorf("REF-window timelines diverge\n %s: %+v\n %s: %+v", a, obsA.Timeline(), b, obs.Timeline())
+	}
+	if !reflect.DeepEqual(obsA.Flips(), obs.Flips()) {
+		t.Errorf("flip events diverge\n %s: %+v\n %s: %+v", a, obsA.Flips(), b, obs.Flips())
+	}
+	if obsA.TotalACTs() != obs.TotalACTs() || obsA.AggressorACTs() != obs.AggressorACTs() ||
+		obsA.RawFlips() != obs.RawFlips() || obsA.FirstFlipCycle() != obs.FirstFlipCycle() {
+		t.Errorf("observer counters diverge: %s (acts %d agg %d raw %d first %d) %s (acts %d agg %d raw %d first %d)",
+			a, obsA.TotalACTs(), obsA.AggressorACTs(), obsA.RawFlips(), obsA.FirstFlipCycle(), b,
+			obs.TotalACTs(), obs.AggressorACTs(), obs.RawFlips(), obs.FirstFlipCycle())
 	}
 }
 

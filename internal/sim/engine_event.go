@@ -1,5 +1,7 @@
 package sim
 
+import "repro/internal/dram"
+
 // The event engine (EngineEvent) produces byte-identical results to the
 // reference loop by construction: it only ever does one of two things per
 // iteration —
@@ -10,9 +12,11 @@ package sim
 //
 //   - bulk-advance n cycles after proving that each of those cycles would
 //     have been trivial for every component, then replay them in closed
-//     form: cpu.Core.Advance for the cores, memctrl.AdvanceIdle (clock
-//     and BLISS clearing schedule) for the controller. The LLC needs no
-//     replay: a jump is refused while it holds a pending hit.
+//     form: cpu.Core.Advance for the cores, n counted retries
+//     (system.repeatRefusal) for a core whose refusal holds, and
+//     memctrl.AdvanceIdle (clock, throttle stalls and BLISS clearing
+//     schedule) for the controller. The LLC needs no replay: a jump is
+//     refused while it holds a pending hit.
 //
 // A cycle on which anything non-trivial could happen is therefore always
 // executed exactly, on exactly the cycle number the reference loop would
@@ -28,16 +32,24 @@ package sim
 //     accesses a core is arithmetic, a load outstanding or not: it fills
 //     its window behind the oldest pending load, or runs through a gap
 //     run. Paced attacks live here: paced-dodge jumps over 949.1M of its
-//     960M CPU cycles, in 5.44M jumps.
+//     960M CPU cycles, in 5.44M jumps. A core whose refusal holds
+//     (system.refusalHolds) rides the jump instead: no queue, MSHR or
+//     fill can move inside one, so only a throttled refusal's horizon
+//     (memctrl.Controller.RefusalUntil) caps it, as a controller horizon.
+//     hammer-attack's refused cores ride 14.97M core-cycles of jumps,
+//     and mitigation-sweep's, refused for want of an MSHR, 1.92M.
 //   - LLC: no hit callback pending (cache.HitsPending). A flag is
-//     enough: it refuses 5,048 of the 3.53M mitigation-sweep probes that
-//     pass the core scan, 66 on hammer-attack and none on paced-dodge.
+//     enough: it refuses 5,083 of the 3.63M mitigation-sweep probes that
+//     pass the core scan, 164 of hammer-attack's 0.79M and none on
+//     paced-dodge.
 //   - controller: no return or REF deadline due, and no command the next
 //     controller Tick can issue ready, before memctrl.NextWork, the
 //     minimum dram.Channel.ReadyAt over those commands with every rank
-//     rule applied. It lets jumps run while requests wait on DRAM timing:
-//     43.2M of mitigation-sweep's 43.3M jumped cycles have a read queued,
-//     and 172M of paced-dodge's.
+//     rule applied, and under BlockHammer the first cycle a denial it
+//     keeps can lift. It lets jumps run while requests wait on DRAM
+//     timing or on the throttler: 44.55M of mitigation-sweep's 44.63M
+//     jumped cycles have a read queued, all 7.94M of hammer-attack's and
+//     172M of paced-dodge's.
 //
 // Beside them sits the all-asleep rule, for the dense stretches no jump
 // covers because the controller is busy. While every core is asleep, or
@@ -48,8 +60,8 @@ package sim
 // retire and neither retirement check can change. The k-1 cycles before
 // the controller's next tick pass in closed form, each refused core
 // counts k-1 retries, and that tick's cycle runs exactly. The rule is
-// tried once probes keep failing: it passes 6.43M of mitigation-sweep's
-// 62.8M cycles and 7.14M of hammer-attack's 14.0M, where the controller
+// tried once probes keep failing: it passes 5.45M of mitigation-sweep's
+// 62.8M cycles and 2.80M of hammer-attack's 14.0M, where the controller
 // has a command ready on nearly every memory cycle and no jump can take
 // them (the attacker mostly sleeps refused). On paced-dodge, whose cores
 // join jumps with a load outstanding, it passes none. Tried after every
@@ -58,7 +70,7 @@ package sim
 // noise, and about 7% longer when the gate was added.
 //
 // The probe backoff (runEvent) keeps dense runs from paying for probes
-// that fail: mitigation-sweep probes on 4.17M of its 14.5M loop
+// that fail: mitigation-sweep probes on 4.25M of its 14.2M loop
 // iterations, and without the backoff would probe on every one.
 
 // minBulk is the smallest jump worth taking, and the window below which
@@ -139,9 +151,17 @@ func (s *system) runEvent() {
 			probed = true
 			n = s.maxCycles - s.cpuCycle
 		}
-		for _, c := range s.cores {
+		// A core whose refusal holds rides the jump: no queue, MSHR or
+		// fill moves inside one, so only a throttled refusal's horizon
+		// bounds it.
+		refusedUntil := dram.Never
+		for i, c := range s.cores {
 			if n < minBulk {
 				break
+			}
+			if c.Refused() && s.refusalHolds(i) {
+				refusedUntil = min(refusedUntil, s.refusals[i].until)
+				continue
 			}
 			if w := c.BulkWindow(); w < n {
 				n = w
@@ -157,7 +177,7 @@ func (s *system) runEvent() {
 			// cycles through the phase accumulator: ticks in n cycles =
 			// floor((memAcc + n*memF)/cpuF). A busy controller (the common
 			// dense state) bounds this to ~cpuF/memF cycles.
-			kmax := s.ctrl.NextWork() - s.ctrl.Cycle() - 1
+			kmax := min(s.ctrl.NextWork(), refusedUntil) - s.ctrl.Cycle() - 1
 			if nmem := (s.cpuF*(kmax+1) - 1 - s.memAcc) / s.memF; nmem < n {
 				n = nmem
 			}
@@ -207,8 +227,12 @@ func (s *system) runEvent() {
 			s.cpuCycle++
 		} else {
 			backoff = 1
-			for _, c := range s.cores {
-				c.Advance(n)
+			for i, c := range s.cores {
+				if c.Refused() && s.refusalHolds(i) {
+					s.repeatRefusal(i, n)
+				} else {
+					c.Advance(n)
+				}
 			}
 			ticks := (s.memAcc + n*s.memF) / s.cpuF
 			s.memAcc += n*s.memF - ticks*s.cpuF

@@ -104,20 +104,20 @@ func forwardingScenario(t *testing.T) (Config, trace.Mix, *attack.Observer) {
 	return cfg, mix, nil
 }
 
-// TestRefusedSleepDifferential checks refused sleepers (system.refusalHolds)
-// against runAllCores, the loop that retries every refused access on
-// every cycle: one scenario per refusal reason (every MSHR in flight, a
-// full read queue, a throttled read), per BlockHammer admission policy,
-// and for a warmup that ends while a core sleeps refused. Each scenario
-// first checks that it reaches the state it is named for.
-func TestRefusedSleepDifferential(t *testing.T) {
+// refusalCase is a scenario named for the refusal its cores sleep on.
+type refusalCase struct {
+	name   string
+	mk     scenario
+	kind   refusalKind
+	warmup bool // some core is refused when warmup ends
+}
+
+// refusalCases returns one scenario per refusal reason (every MSHR in
+// flight, a full read queue, a throttled read), per BlockHammer admission
+// policy, and for a warmup that ends while a core sleeps refused.
+func refusalCases() []refusalCase {
 	proportional := blockHammer(512, 0, mitigation.NewBlockHammer)
-	cases := []struct {
-		name   string
-		mk     scenario
-		kind   refusalKind
-		warmup bool // some core is refused when warmup ends
-	}{
+	return []refusalCase{
 		{"mshrs-exhausted", benignScenario(4, 5, func(c *Config) {
 			c.LLC.MSHRs = 4
 			c.MeasureInsts = 2_000
@@ -139,7 +139,14 @@ func TestRefusedSleepDifferential(t *testing.T) {
 		{"warmup-while-refused", attackScenario(attack.DoubleSided, 0, 0, 1, proportional,
 			func(c *Config) { c.WarmupInsts = 3_000 }), refusedThrottled, true},
 	}
-	for _, tc := range cases {
+}
+
+// TestRefusedSleepDifferential checks refused sleepers (system.refusalHolds)
+// against runAllCores, the loop that retries every refused access on
+// every cycle, over refusalCases. Each scenario first checks that it
+// reaches the state it is named for.
+func TestRefusedSleepDifferential(t *testing.T) {
+	for _, tc := range refusalCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			slept, atWarmup := refusalCensus(t, tc.mk)
 			t.Logf("core-cycles asleep refused: mshr %d, full %d, throttled %d", slept[refusedMSHR], slept[refusedFull], slept[refusedThrottled])
@@ -150,6 +157,43 @@ func TestRefusedSleepDifferential(t *testing.T) {
 				t.Fatal("no core was refused when warmup ended")
 			}
 			runBothEngines(t, tc.mk)
+		})
+	}
+}
+
+// hiddenHorizon forwards a mechanism's Mechanism and Throttler methods and
+// nothing else, as a wrapping shim does: the controller finds no
+// mitigation.ThrottleHorizon and asks the throttler on every cycle.
+type hiddenHorizon struct {
+	mitigation.Mechanism
+	mitigation.Throttler
+}
+
+// TestThrottleHorizonHidden checks the throttler's horizons against its
+// per-cycle answers across the whole system: in every throttled scenario
+// of refusalCases, each engine must produce the same result, and the same
+// observer timelines, with the horizons shown as hidden. runAllCores
+// cannot catch a horizon that outlasts the answer, because it shares the
+// controller that keeps the horizon.
+func TestThrottleHorizonHidden(t *testing.T) {
+	for _, tc := range refusalCases() {
+		if tc.kind != refusedThrottled {
+			continue
+		}
+		hidden := func(t *testing.T) (Config, trace.Mix, *attack.Observer) {
+			cfg, mix, obs := tc.mk(t)
+			if _, ok := cfg.Mechanism.(mitigation.ThrottleHorizon); !ok {
+				t.Fatalf("%s reports no horizons", cfg.Mechanism.Name())
+			}
+			cfg.Mechanism = hiddenHorizon{cfg.Mechanism, cfg.Mechanism.(mitigation.Throttler)}
+			return cfg, mix, obs
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			for _, engine := range []Engine{EngineCycle, EngineEvent} {
+				shown, shownObs := runEngine(t, tc.mk, engine)
+				hid, hidObs := runEngine(t, hidden, engine)
+				sameRun(t, engine.String()+" horizons shown", shown, shownObs, engine.String()+" horizons hidden", hid, hidObs)
+			}
 		})
 	}
 }

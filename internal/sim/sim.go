@@ -8,9 +8,10 @@
 // the original loop: one CPU cycle per iteration, the reference
 // semantics. EngineEvent (the default) jumps over stretches it can prove
 // idle — no core reaching its next memory access, no LLC hit pending, no
-// controller command, return or REF deadline due — and, while every core
-// is asleep and no hit is pending, passes the cycles before the
-// controller's next tick in closed form. It preserves the
+// controller command, return or REF deadline due, no throttled refusal
+// reaching its horizon — and, while every core is asleep and no hit is
+// pending, passes the cycles before the controller's next tick in closed
+// form. It preserves the
 // exact CPU/mem clock-ratio phase, so every DRAM command lands on the
 // identical cycle and all results are byte-identical to the cycle engine
 // (enforced by the differential tests in this package).
@@ -24,9 +25,11 @@
 // completes (cpu.Core.Asleep): its Tick would change nothing, and every
 // core's IPC divides by one shared cycle count. A core refused by the
 // memory side sleeps until something that could change the answer
-// happens (cpu.Core.Refused, system.refusalHolds), and each cycle it
-// sleeps counts what its retry would have counted. engine_event.go
-// records what each rule skips.
+// happens (cpu.Core.Refused, system.refusalHolds): a queue, MSHR or fill
+// moves, or the controller reaches the horizon of a throttler's refusal.
+// Each cycle it sleeps counts what its retry would have counted, and
+// under the event engine it rides jumps. engine_event.go records what
+// each rule skips.
 package sim
 
 import (
@@ -219,15 +222,19 @@ type system struct {
 
 // refusal is what a refused core (cpu.Core.Refused) waits on and what
 // each of its retries counts: the memory side's change counts when it
-// was refused, the controller cycle a throttled refusal also waits on,
+// was refused, the controller cycle a throttled refusal also waits for,
 // and the counter its access was refused under. The retries count under
 // the core's ID, the requester every access of the core carries.
 type refusal struct {
 	// changes is llc.Changes() + ctrl.Changes(): both counts only grow,
 	// so the sum moves exactly when either does.
 	changes uint64
-	cycle   int64 // ctrl.Cycle()
-	kind    refusalKind
+	// until is the first controller cycle at which a retry may be
+	// answered otherwise while changes holds: a throttled refusal's
+	// horizon (ctrl.RefusalUntil; the next cycle for a throttler without
+	// horizons), and dram.Never for a full queue or exhausted MSHRs.
+	until int64
+	kind  refusalKind
 }
 
 type refusalKind uint8
@@ -361,16 +368,16 @@ func (s *system) tick() {
 //
 //rhlint:hotpath
 func (s *system) recordRefusal(i int) {
-	kind := refusedFull
+	kind, until := refusedFull, dram.Never
 	switch {
 	case s.llc.MSHRRefused():
 		kind = refusedMSHR
 	case s.ctrl.RefusalThrottled():
-		kind = refusedThrottled
+		kind, until = refusedThrottled, s.ctrl.RefusalUntil()
 	}
 	s.refusals[i] = refusal{
 		changes: s.llc.Changes() + s.ctrl.Changes(),
-		cycle:   s.ctrl.Cycle(),
+		until:   until,
 		kind:    kind,
 	}
 }
@@ -380,13 +387,12 @@ func (s *system) recordRefusal(i int) {
 // refused the same way: no read has entered or left the read queue, no
 // write was queued, the LLC has allocated no MSHR and filled no line (the
 // two Changes counts), and, for a throttled refusal, the controller has
-// not ticked, since the throttler's answer moves with its cycle.
+// not reached the refusal's horizon.
 //
 //rhlint:hotpath
 func (s *system) refusalHolds(i int) bool {
 	r := &s.refusals[i]
-	return r.changes == s.llc.Changes()+s.ctrl.Changes() &&
-		(r.kind != refusedThrottled || r.cycle == s.ctrl.Cycle())
+	return r.changes == s.llc.Changes()+s.ctrl.Changes() && s.ctrl.Cycle() < r.until
 }
 
 // repeatRefusal counts n retries of core i's refused access, which
