@@ -48,8 +48,11 @@ func (t *Tester) WritePattern(p faultmodel.Pattern) { t.chip.WriteAll(p) }
 // HammerDoubleSided runs one core-loop iteration of Algorithm 1: refresh
 // the victim, disable refresh, activate each physically-adjacent
 // aggressor hc times, and read back the observed bit flips in every row
-// the hammering can disturb (the chip's TestFlips). It returns an error
-// when hc exceeds the 32 ms bound or the victim has no two adjacent rows.
+// the hammering can disturb (the chip's TestFlips). Below the victim's
+// quiet bound (Chip.QuietBelow) no such row can flip, so the read-back
+// is skipped and the result is TestFlips' nil; the chip's test state is
+// the same either way. It returns an error when hc exceeds the 32 ms
+// bound or the victim has no two adjacent rows.
 func (t *Tester) HammerDoubleSided(victim, hc int) ([]faultmodel.Flip, error) {
 	if hc <= 0 {
 		return nil, fmt.Errorf("charact: hammer count must be positive, got %d", hc)
@@ -68,6 +71,9 @@ func (t *Tester) HammerDoubleSided(victim, hc int) ([]faultmodel.Flip, error) {
 	}
 	if err := t.chip.Activate(t.bank, hi, hc); err != nil {
 		return nil, err
+	}
+	if hc < t.chip.QuietBelow(t.bank, victim) {
+		return nil, nil
 	}
 	return t.chip.TestFlips(t.bank), nil
 }
@@ -137,7 +143,9 @@ func (t *Tester) Sweep(hc, stride int) (*SweepResult, error) {
 }
 
 // AnyFlip sweeps Sweep's victims and reports whether any flip is
-// observed at the given HC, stopping at the first one.
+// observed at the given HC, stopping at the first one. A victim below
+// its quiet bound costs a cached lookup and no read-back, which is most
+// of an HCfirst search's probes.
 func (t *Tester) AnyFlip(hc, stride int) (bool, error) {
 	for v := 0; v < t.chip.Rows(); v += max(stride, 1) {
 		if _, _, ok := t.chip.AggressorsFor(v); !ok {

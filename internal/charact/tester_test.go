@@ -1,11 +1,13 @@
 package charact
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/chips"
 	"repro/internal/dram"
 	"repro/internal/faultmodel"
+	"repro/internal/stats"
 )
 
 func testChip(t *testing.T, mutate func(*faultmodel.Config)) *faultmodel.Chip {
@@ -316,5 +318,76 @@ func TestPopulationChipMeasurement(t *testing.T) {
 	}
 	if f := float64(hc); f < 0.6*spec.HCFirst || f > 1.5*spec.HCFirst {
 		t.Fatalf("measured %d, spec %v: out of tolerance", hc, spec.HCFirst)
+	}
+}
+
+// TestQuietSkipMatchesTestFlips requires HammerDoubleSided to return
+// exactly what BeginTest, both Activates and TestFlips return on a twin
+// chip with the same nonce, whether or not the count is below the
+// victim's quiet bound, and to leave the chip in the twin's test state.
+// Every victim is tested at its bound −1, the bound, +1 and a random
+// count, on paired and unpaired chips with on-die ECC on and off and
+// reaches 1, 3 and 5.
+func TestQuietSkipMatchesTestFlips(t *testing.T) {
+	rng := stats.NewRNG(0x9e1e)
+	var quiet, loud, flips int
+	for _, paired := range []bool{false, true} {
+		for _, ecc := range []bool{false, true} {
+			for _, w := range [][2]float64{{0, 0}, {0.3, 0}, {0.3, 0.2}} {
+				mutate := func(cfg *faultmodel.Config) {
+					cfg.Rows = 96
+					cfg.Rate150k = 5e-3
+					cfg.PairedWordlines, cfg.OnDieECC = paired, ecc
+					if ecc {
+						cfg.Type = dram.LPDDR4
+					}
+					cfg.W3, cfg.W5 = w[0], w[1]
+				}
+				c, twin := testChip(t, mutate), testChip(t, mutate)
+				tt := newTester(t, c)
+				twin.WriteAll(c.Pattern())
+				for v := 0; v < c.Rows(); v++ {
+					lo, hi, ok := c.AggressorsFor(v)
+					if !ok {
+						continue
+					}
+					q := c.QuietBelow(0, v)
+					for _, hc := range []int{q - 1, q, q + 1, 1 + rng.Intn(tt.MaxHC)} {
+						if hc < 1 || hc > tt.MaxHC {
+							continue
+						}
+						got, err := tt.HammerDoubleSided(v, hc)
+						if err != nil {
+							t.Fatal(err)
+						}
+						twin.BeginTest(tt.nonce)
+						for _, agg := range []int{lo, hi} {
+							if err := twin.Activate(0, agg, hc); err != nil {
+								t.Fatal(err)
+							}
+						}
+						want := twin.TestFlips(0)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%+v victim %d hc %d (bound %d): HammerDoubleSided %v, TestFlips %v",
+								c.Config(), v, hc, q, got, want)
+						}
+						if after := c.TestFlips(0); !reflect.DeepEqual(after, want) {
+							t.Fatalf("%+v victim %d hc %d (bound %d): chip's test state reads %v after the call, twin's %v",
+								c.Config(), v, hc, q, after, want)
+						}
+						if hc < q {
+							quiet++
+						} else {
+							loud++
+						}
+						flips += len(want)
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d tests below their bound, %d at or above it, %d flips", quiet, loud, flips)
+	if quiet == 0 || loud == 0 || flips == 0 {
+		t.Fatal("no quiet test, no read-back or no flip; the comparison is vacuous")
 	}
 }

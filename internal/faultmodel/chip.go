@@ -53,13 +53,23 @@ type Chip struct {
 
 	siteLambda float64 // expected vulnerable sites per row
 
-	// cells holds each generated row's vulnerable cells, keyed by
+	// cells holds each built row's vulnerable cells, keyed by
 	// bank*Rows+row, the row's smallest threshold first; a row without
-	// cells stores nil. rowCells generates a row into rowBuf and stores
-	// an exact-size copy. NewChip sizes rowBuf for 16 cells, more than
-	// any row of an attack or TRR study's chip holds.
+	// cells stores nil. rowCells builds a row into rowBuf and stores an
+	// exact-size copy. NewChip sizes rowBuf for 16 cells, more than any
+	// row of an attack or TRR study's chip holds. The test path builds
+	// only the rows whose damage reaches half their floor; the hammer
+	// observer builds each row it disturbs.
 	cells  map[int][]cell
 	rowBuf []cell
+
+	// floors holds each row's floor, the smallest threshold among its
+	// cells (+Inf without cells), keyed like cells; 0 marks a row whose
+	// floor is not drawn yet. quiet holds QuietBelow's bound per
+	// bank*wordlines+wl; 0 marks one not computed yet. Both are
+	// allocated on the test path's first use, never by the observer.
+	floors []float64
+	quiet  []int
 
 	weakKey  int // row key holding the forced weakest cell
 	weakCell cell
@@ -240,29 +250,87 @@ func (c *Chip) makeCell(rng *stats.RNG, row, bit int, threshold float64, pref Pa
 	return cl
 }
 
-// rowCells returns (generating on first use) the vulnerable cells of a
+// rowCells returns (building on first use) the vulnerable cells of a
 // row, the one with the smallest threshold first.
 func (c *Chip) rowCells(bank, row int) []cell {
 	key := bank*c.cfg.Rows + row
 	if cs, ok := c.cells[key]; ok {
 		return cs
 	}
+	cs, _ := c.drawRow(bank, row, true)
+	c.rowBuf = cs
+	var stored []cell
+	if len(cs) > 0 {
+		lowest := 0
+		for i := range cs {
+			if cs[i].threshold < cs[lowest].threshold {
+				lowest = i
+			}
+		}
+		cs[0], cs[lowest] = cs[lowest], cs[0]
+		stored = make([]cell, len(cs))
+		copy(stored, cs)
+	}
+	c.cells[key] = stored
+	return stored
+}
+
+// rowFloor returns (drawing on first use) a row's floor: the smallest
+// threshold among its cells, +Inf for a row without cells. It equals
+// rowCells(bank, row)[0].threshold without building the row.
+func (c *Chip) rowFloor(bank, row int) float64 {
+	if c.floors == nil {
+		c.floors = make([]float64, c.cfg.Banks*c.cfg.Rows)
+	}
+	key := bank*c.cfg.Rows + row
+	f := c.floors[key]
+	if f == 0 {
+		_, f = c.drawRow(bank, row, false)
+		c.floors[key] = f
+	}
+	return f
+}
+
+// drawRow replays a row's generation draws in order: the site count,
+// then per site its bit, its uniform, its preferred pattern, its
+// affinities and its same-word cluster's draws. With build it appends
+// the row's cells to rowBuf[:0] and returns them, in draw order; without
+// build it keeps no cell. Either way it returns the row's floor, the
+// smallest threshold among its cells (+Inf without cells).
+//
+// A floor needs only the sites' thresholds and the forced weakest cell
+// and its mate: a cluster cell sits at least 1.05 times above its site.
+// T = cutoff·U^(1/β) and the clamp above it are increasing in U, so
+// without build a site's threshold is computed only when its uniform is
+// within a relative 1e-9·max(β, 1) of the smallest one so far; further
+// out, the thresholds differ by far more than math.Pow's rounding error.
+func (c *Chip) drawRow(bank, row int, build bool) ([]cell, float64) {
+	key := bank*c.cfg.Rows + row
 	rng := stats.NewRNG(stats.Mix64(c.cfg.Seed ^ uint64(key)<<1 ^ 0xc0ffee))
 	n := rng.Poisson(c.siteLambda)
 	cs := c.rowBuf[:0]
+	floor, umin := math.Inf(1), math.Inf(1)
+	band := 1 + 1e-9*max(c.beta, 1)
 	for i := 0; i < n; i++ {
 		bit := rng.Intn(c.rawBits)
 		// T = cutoff·U^(1/β): inverse CDF of the power law, clamped just
 		// above HCFirst so the forced weakest cell stays unique.
-		t := thresholdCutoff * math.Pow(rng.Float64(), 1/c.beta)
-		if t < c.cfg.HCFirst*1.02 {
-			t = c.cfg.HCFirst * 1.02
+		u := rng.Float64()
+		t := math.Inf(1)
+		if build || u <= umin*band {
+			t = thresholdCutoff * math.Pow(u, 1/c.beta)
+			if t < c.cfg.HCFirst*1.02 {
+				t = c.cfg.HCFirst * 1.02
+			}
+			umin, floor = min(umin, u), min(floor, t)
 		}
 		pref := c.cfg.WorstPattern
 		if !rng.Bernoulli(prefBias) {
 			pref = Pattern(rng.Intn(int(NumPatterns)))
 		}
-		cs = append(cs, c.makeCell(rng, row, bit, t, pref))
+		if cl := c.makeCell(rng, row, bit, t, pref); build {
+			cs = append(cs, cl)
+		}
 		// Grow a same-word cluster (only meaningful for data bits),
 		// capped at four cells per word as Observation 8 reports. The
 		// second cell sits clusterLo–clusterHi above the first; deeper
@@ -280,29 +348,20 @@ func (c *Chip) rowCells(bank, row int) []cell {
 				} else {
 					prev *= rng.Range(1.05, 1.5)
 				}
-				cs = append(cs, c.makeCell(rng, row, nb, prev, pref))
+				if cl := c.makeCell(rng, row, nb, prev, pref); build {
+					cs = append(cs, cl)
+				}
 				contP = c.cfg.ClusterP + 0.25
 			}
 		}
 	}
 	if key == c.weakKey {
-		cs = append(cs, c.weakCell, c.weakMate)
-	}
-	c.rowBuf = cs
-	var stored []cell
-	if len(cs) > 0 {
-		lowest := 0
-		for i := range cs {
-			if cs[i].threshold < cs[lowest].threshold {
-				lowest = i
-			}
+		floor = min(floor, c.weakCell.threshold, c.weakMate.threshold)
+		if build {
+			cs = append(cs, c.weakCell, c.weakMate)
 		}
-		cs[0], cs[lowest] = cs[lowest], cs[0]
-		stored = make([]cell, len(cs))
-		copy(stored, cs)
 	}
-	c.cells[key] = stored
-	return stored
+	return cs, floor
 }
 
 // storedBitUnder returns the value pattern p stores in a row's raw bit.
@@ -409,27 +468,26 @@ func (c *Chip) damage(bank, wl int) (e float64, activated bool) {
 
 // rawFlips samples this test's raw (pre-ECC) cell flips for a row.
 //
-// A row whose damage is below half of its smallest raw threshold flips
-// nothing, and rawFlips returns before scanning its cells: an effective
-// threshold is the raw one divided by an affinity of at most 1, so it is
-// never smaller, and correctly rounded division is monotone, so every
-// cell's e/threshold in flipProbability is below 0.5 as well. NewChip
-// puts no raw threshold below HCFirst, so checking against HCFirst
-// first prunes most rows before their cells are looked up or generated.
-// hammerRand is a stateless hash, so the cells a prune skips move no
-// other cell's draw.
+// A row whose damage is below half of its floor, its smallest raw
+// threshold, flips nothing, and rawFlips returns before building or
+// scanning its cells: an effective threshold is the raw one divided by
+// an affinity of at most 1, so it is never smaller, and correctly
+// rounded division is monotone, so every cell's e/threshold in
+// flipProbability is below 0.5 as well. A row without cells has floor
+// +Inf and always returns here. The floor is drawn without building the
+// row, so a row's cells are built only once its damage reaches half its
+// floor. hammerRand is a stateless hash, so the cells the prune skips
+// move no other cell's draw. QuietBelow bounds the hammer counts below
+// which every row of a double-sided test stops here.
 func (c *Chip) rawFlips(bank, row int) []int {
 	e, activated := c.damage(bank, c.wordlineOf(row))
 	if activated || e <= 0 {
 		return nil // aggressor rows cannot fail (Section 5.4)
 	}
-	if e/c.cfg.HCFirst < 0.5 {
+	if e/c.rowFloor(bank, row) < 0.5 {
 		return nil
 	}
 	cells := c.rowCells(bank, row)
-	if len(cells) == 0 || e/cells[0].threshold < 0.5 {
-		return nil
-	}
 	var bits []int
 	for i := range cells {
 		cl := &cells[i]
@@ -470,6 +528,88 @@ func (c *Chip) TestFlips(bank int) []Flip {
 		flips = append(flips, c.ObservedFlips(bank, row)...)
 	}
 	return flips
+}
+
+// QuietBelow returns a victim's quiet bound: the smallest hammer count
+// hc at which a double-sided test of the victim on a bank (BeginTest,
+// then Activate(lo, hc) and Activate(hi, hc) on AggressorsFor(victim))
+// gets any row that TestFlips reads past rawFlips' prunes. Below it such
+// a test flips nothing under any pattern and nonce, and TestFlips would
+// return nil. It is math.MaxInt when no count gets a row past, and for
+// victims at the array edges, which have no double-sided test.
+//
+// The bound is exact. A window row's damage is the same float additions
+// damage makes, and it is non-decreasing in hc, so the smallest passing
+// count is found by stepping from its estimate. Bounds are cached per
+// victim wordline; they do not depend on the written pattern.
+func (c *Chip) QuietBelow(bank, victim int) int {
+	wl := c.wordlineOf(victim)
+	if wl <= 0 || wl >= c.wordlines-1 {
+		return math.MaxInt
+	}
+	if c.quiet == nil {
+		c.quiet = make([]int, c.cfg.Banks*c.wordlines)
+	}
+	key := bank*c.wordlines + wl
+	if q := c.quiet[key]; q != 0 {
+		return q
+	}
+	q := math.MaxInt
+	r, k := c.BlastRadius(), c.rowsPerWordline()
+	for x := max(wl-1-r, 0); x <= min(wl+1+r, c.wordlines-1); x++ {
+		if x == wl-1 || x == wl+1 {
+			continue // an aggressor's own wordline is restored
+		}
+		floor := math.Inf(1)
+		for row := x * k; row < (x+1)*k; row++ {
+			floor = min(floor, c.rowFloor(bank, row))
+		}
+		q = min(q, firstPassing(floor, c.couplingWeight(abs(wl-1-x)), c.couplingWeight(abs(wl+1-x))))
+	}
+	c.quiet[key] = q
+	return q
+}
+
+// firstPassing returns the smallest hammer count whose damage on a row
+// of the given floor, from the low aggressor at coupling weight wlo and
+// then the high one at whi, reaches half the floor: rawFlips' prune,
+// with damage's additions in damage's order. It is math.MaxInt when no
+// count does.
+func firstPassing(floor, wlo, whi float64) int {
+	if math.IsInf(floor, 1) || wlo+whi == 0 {
+		return math.MaxInt
+	}
+	passes := func(hc int) bool {
+		e := 0.0
+		if wlo != 0 {
+			e += float64(hc) * wlo
+		}
+		if whi != 0 {
+			e += float64(hc) * whi
+		}
+		return e > 0 && !(e/floor < 0.5)
+	}
+	est := math.Ceil(0.5 * floor / (wlo + whi))
+	if !(est < 1<<53) {
+		// Beyond exact float64 counts the estimate can be far off;
+		// search the whole range instead, and never overflow an int.
+		return sort.Search(math.MaxInt, passes)
+	}
+	hc := max(int(est), 1)
+	for hc > 1 && passes(hc-1) {
+		hc--
+	}
+	for !passes(hc) {
+		hc++
+	}
+	return hc
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // ObservedFlips returns the bit flips visible to the system in a row for

@@ -46,6 +46,8 @@ func TestNewChipValidation(t *testing.T) {
 		{"bad pattern", func(c *Config) { c.WorstPattern = NumPatterns }},
 		{"ecc non-multiple", func(c *Config) { c.OnDieECC = true; c.RowBits = 100 }},
 		{"paired odd rows", func(c *Config) { c.PairedWordlines = true; c.Rows = 255 }},
+		{"negative W3", func(c *Config) { c.W3 = -0.1 }},
+		{"negative W5", func(c *Config) { c.W3, c.W5 = 0.3, -0.1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -393,20 +395,60 @@ func refRawFlips(c *Chip, bank, row int) []int {
 	return bits
 }
 
-// TestPrunedFlipsMatchFullScan checks rawFlips' two prunes (damage below
-// half of HCFirst, and below half of the row's first cell's threshold)
-// against the full scan on seeded random chips — on-die ECC on and off,
-// paired wordlines, W3/W5 set and unset, HCFirst below and above
-// thresholdCutoff — under every pattern. Each test double-side hammers
-// the row of the weakest cell or of a random one at a count near half of
-// that cell's threshold or around it, so both prunes land on both sides
-// of their boundary; pruned and full-scan flips must be equal on every
-// row. Through ForEachCell it also checks what the prunes rely on: no
-// threshold below HCFirst, and each row's smallest threshold first.
+// checkRowFloors requires every row's floor to equal its built row's
+// first (smallest) threshold bit for bit, +Inf for a row without cells,
+// with the floor drawn before the row is built on one chip and after it
+// on a twin; the rows built after their floor must equal the twin's. It
+// returns how many rows have a parity cell first.
+func checkRowFloors(t *testing.T, cfg Config) (parityFirst int) {
+	t.Helper()
+	early, late := mustChip(t, cfg), mustChip(t, cfg)
+	for bank := 0; bank < cfg.Banks; bank++ {
+		for row := 0; row < cfg.Rows; row++ {
+			drawn := early.rowFloor(bank, row)
+			cells := late.rowCells(bank, row)
+			want := math.Inf(1)
+			if len(cells) > 0 {
+				want = cells[0].threshold
+				if cells[0].bit >= cfg.RowBits {
+					parityFirst++
+				}
+			}
+			for _, got := range []float64{drawn, late.rowFloor(bank, row)} {
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%+v bank %d row %d (%d cells, weakest row %v): floor %v, built row's smallest threshold %v",
+						cfg, bank, row, len(cells), bank*cfg.Rows+row == early.weakKey, got, want)
+				}
+			}
+			if built := early.rowCells(bank, row); !reflect.DeepEqual(built, cells) {
+				t.Fatalf("%+v bank %d row %d: cells built after the floor %v, twin's %v", cfg, bank, row, built, cells)
+			}
+		}
+	}
+	return parityFirst
+}
+
+// TestPrunedFlipsMatchFullScan checks rawFlips' prune (damage below half
+// of the row's floor) against the full scan on seeded random chips —
+// on-die ECC on and off, paired wordlines, W3/W5 set and unset, HCFirst
+// below and above thresholdCutoff — under every pattern. Each test
+// double-side hammers the row of the weakest cell or of a random one at
+// a count near half of that cell's threshold or around it, so the prune
+// lands on both sides of its boundary, on the weakest row where the
+// floor is HCFirst and on others; pruned and full-scan flips must be
+// equal on every row. Through ForEachCell it also checks what the prune
+// relies on: no threshold below HCFirst, and each row's smallest
+// threshold first. checkRowFloors checks every floor against its built
+// row, on chips that also cover the draws a floor replayed out of order
+// would get wrong: ClusterP 0.8 and 1 (Bernoulli returns without a draw
+// at or above 1), β below 2 (math.Pow's branch for exponents above
+// 0.5), Poisson's normal approximation (λ ≥ 30 sites per row), parity
+// cells and paired wordlines.
 func TestPrunedFlipsMatchFullScan(t *testing.T) {
 	rng := stats.NewRNG(0x2005_13121)
-	var flips, floorPruned, rowPruned, scanned int
+	var flips, hcPruned, rowPruned, scanned int
 	var near [2][2]int // [HCFirst, row's first cell][just below, just above half]
+	var normalPoisson, parityFirst int
 	for n := 0; n < 24; n++ {
 		cfg := testConfig()
 		cfg.Banks, cfg.Rows = 2, 64
@@ -426,8 +468,22 @@ func TestPrunedFlipsMatchFullScan(t *testing.T) {
 		if n%4 == 3 {
 			cfg.HCFirst = rng.Range(thresholdCutoff, 3*thresholdCutoff)
 		}
+		switch n % 6 {
+		case 1:
+			cfg.ClusterP = 0.8
+		case 2:
+			cfg.ClusterP = 1
+		case 3:
+			cfg.Beta = rng.Range(1.2, 2)
+		case 4:
+			cfg.RowBits, cfg.Beta, cfg.HCFirst = 4096, 3, rng.Range(2_000, 4_000)
+		}
 		cfg.Seed = rng.Uint64()
 		c := mustChip(t, cfg)
+		if c.siteLambda >= 30 {
+			normalPoisson++
+		}
+		parityFirst += checkRowFloors(t, cfg)
 
 		var all []CellInfo
 		firstKey, first := -1, 0.0
@@ -486,7 +542,7 @@ func TestPrunedFlipsMatchFullScan(t *testing.T) {
 						}
 						switch {
 						case e/cfg.HCFirst < 0.5:
-							floorPruned++
+							hcPruned++
 						case e/rc[0].threshold < 0.5:
 							rowPruned++
 						default:
@@ -502,21 +558,24 @@ func TestPrunedFlipsMatchFullScan(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("rows: %d pruned by HCFirst, %d by their first cell, %d scanned; within 10%% of half: %v; %d raw flips",
-		floorPruned, rowPruned, scanned, near, flips)
-	if flips == 0 || floorPruned == 0 || rowPruned == 0 || scanned == 0 ||
+	t.Logf("rows: %d below half of HCFirst, %d below half of their first cell only, %d scanned; within 10%% of half: %v; %d raw flips; %d chips with λ ≥ 30, %d rows with a parity cell first",
+		hcPruned, rowPruned, scanned, near, flips, normalPoisson, parityFirst)
+	if flips == 0 || hcPruned == 0 || rowPruned == 0 || scanned == 0 ||
 		near[0][0] == 0 || near[0][1] == 0 || near[1][0] == 0 || near[1][1] == 0 {
-		t.Fatal("the random tests did not reach both sides of both prunes and some flips; the comparison is vacuous")
+		t.Fatal("the random tests did not reach both sides of the prune on both kinds of row and some flips; the comparison is vacuous")
+	}
+	if normalPoisson == 0 || parityFirst == 0 {
+		t.Fatal("no chip drew its sites from Poisson's normal branch, or no row had a parity cell first; the floor check is vacuous there")
 	}
 }
 
-// TestPruneBoundaryFlips pins where the prunes cut, which the random
+// TestPruneBoundaryFlips pins where the prune cuts, which the random
 // comparison cannot: just over half a threshold a cell flips with
 // probability near 4·10⁻⁸. It hammers rows to the first hammer count at
 // or above half their first cell's threshold, written with that cell's
-// preferred pattern (affinity 1, so the row-level prune is tight; on the
-// weakest cell's row the HCFirst prune is tight too), searches a nonce
-// under which that cell flips, and requires rawFlips to report the flip.
+// preferred pattern (affinity 1, so the floor prune is tight; on the
+// weakest cell's row the floor is HCFirst), searches a nonce under which
+// that cell flips, and requires rawFlips to report the flip.
 func TestPruneBoundaryFlips(t *testing.T) {
 	rng := stats.NewRNG(0x2005_13121)
 	for n := 0; n < 4; n++ {
@@ -565,6 +624,174 @@ func TestPruneBoundaryFlips(t *testing.T) {
 				t.Fatalf("%+v row %d at hc %v (threshold %v, flip probability %.2g): pruned flips %v, full scan %v, want bit %d",
 					cfg, row, hc, cl.threshold, prob, got, want, cl.bit)
 			}
+		}
+	}
+}
+
+// passingRows restates rawFlips' prunes over damage and the built rows'
+// smallest thresholds, not the floors: it double-side hammers a victim
+// hc times and returns the rows TestFlips would read that pass them.
+func passingRows(t *testing.T, c *Chip, bank, victim, hc int) []int {
+	t.Helper()
+	lo, hi, ok := c.AggressorsFor(victim)
+	if !ok {
+		t.Fatalf("victim %d has no aggressors", victim)
+	}
+	c.BeginTest(0)
+	for _, agg := range []int{lo, hi} {
+		if err := c.Activate(bank, agg, hc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k, r := c.rowsPerWordline(), c.BlastRadius()
+	var rows []int
+	for row := max(lo/k-r, 0) * k; row < (min(hi/k+r, c.Wordlines()-1)+1)*k; row++ {
+		e, activated := c.damage(bank, c.wordlineOf(row))
+		cells := c.rowCells(bank, row)
+		if activated || e <= 0 || e/c.cfg.HCFirst < 0.5 || len(cells) == 0 || e/cells[0].threshold < 0.5 {
+			continue
+		}
+		rows = append(rows, row)
+	}
+	return rows
+}
+
+// TestQuietBelowIsExact checks every victim's quiet bound on seeded chips
+// — paired and unpaired wordlines, on-die ECC on and off, reaches 1, 3
+// and 5, HCFirst below and above thresholdCutoff — against the prunes
+// restated by passingRows: one count below the bound no row the test
+// reads passes, and at the bound at least one does. A bound of
+// math.MaxInt must leave every row pruned at math.MaxInt−1. Some bounds
+// must be set only by rows whose damage has a W5 term (4 or 6 wordlines
+// from the victim), so a bound that ignored W5 would fail here.
+func TestQuietBelowIsExact(t *testing.T) {
+	rng := stats.NewRNG(0x51ee9)
+	var finite, never, viaW5 int
+	for _, paired := range []bool{false, true} {
+		for _, ecc := range []bool{false, true} {
+			for _, reach := range []int{1, 3, 5} {
+				for _, high := range []bool{false, true} {
+					cfg := testConfig()
+					cfg.Banks, cfg.Rows = 2, 64
+					cfg.Rate150k = 5e-3
+					cfg.PairedWordlines, cfg.OnDieECC = paired, ecc
+					if ecc {
+						cfg.Type = dram.LPDDR4
+					}
+					if reach >= 3 {
+						cfg.W3 = rng.Range(0.3, 0.5)
+					}
+					if reach == 5 {
+						cfg.W5 = rng.Range(0.25, 0.45)
+					}
+					cfg.HCFirst = rng.Range(2_000, 40_000)
+					if high {
+						cfg.HCFirst = rng.Range(thresholdCutoff, 2*thresholdCutoff)
+					}
+					cfg.Seed = rng.Uint64()
+					c := mustChip(t, cfg)
+					for bank := 0; bank < cfg.Banks; bank++ {
+						for v := 0; v < cfg.Rows; v++ {
+							q := c.QuietBelow(bank, v)
+							if _, _, ok := c.AggressorsFor(v); !ok {
+								if q != math.MaxInt {
+									t.Fatalf("%+v: edge victim %d has bound %d, want math.MaxInt", cfg, v, q)
+								}
+								continue
+							}
+							if q < 1 {
+								t.Fatalf("%+v bank %d victim %d: bound %d below 1", cfg, bank, v, q)
+							}
+							if q == math.MaxInt {
+								never++
+							} else {
+								finite++
+								rows := passingRows(t, c, bank, v, q)
+								if len(rows) == 0 {
+									t.Fatalf("%+v bank %d victim %d: no row passes the prunes at its bound %d", cfg, bank, v, q)
+								}
+								w5Only := true
+								for _, row := range rows {
+									if d := abs(c.wordlineOf(row) - c.wordlineOf(v)); d != 4 && d != 6 {
+										w5Only = false
+									}
+								}
+								if w5Only {
+									viaW5++
+								}
+							}
+							if q > 1 {
+								if rows := passingRows(t, c, bank, v, q-1); len(rows) > 0 {
+									t.Fatalf("%+v bank %d victim %d: rows %v pass the prunes at %d, below the bound %d",
+										cfg, bank, v, rows, q-1, q)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d finite bounds, %d never, %d set by W5 rows only", finite, never, viaW5)
+	if finite == 0 || never == 0 || viaW5 == 0 {
+		t.Fatal("no finite bound, no unbounded victim or no bound set by W5 rows alone; the check is vacuous")
+	}
+}
+
+// TestObserverPathDrawsNoFloors pins that the hammer observer's query,
+// ThresholdCrossings, never allocates the test path's floor and bound
+// caches: over a Table 6 chip the floors alone would cost 2.1 MB per
+// simulation.
+func TestObserverPathDrawsNoFloors(t *testing.T) {
+	c := mustChip(t, testConfig())
+	c.WriteAll(c.Config().WorstPattern)
+	crossed := 0
+	for wl := 0; wl < c.Wordlines(); wl++ {
+		flips, _ := c.ThresholdCrossings(0, wl, 3*c.Config().HCFirst)
+		crossed += len(flips)
+	}
+	if crossed == 0 {
+		t.Fatal("no threshold crossed; the observer path built no row")
+	}
+	if c.floors != nil || c.quiet != nil {
+		t.Fatalf("ThresholdCrossings allocated %d floors and %d bounds; want none", len(c.floors), len(c.quiet))
+	}
+}
+
+// TestFirstPassingBeyondExactCounts covers the bounds no test chip
+// reaches: estimates past 2^53, where float64 counts are inexact and an
+// int conversion could overflow, a floor no count reaches, and a floor
+// below one hammer. Each bound must be the smallest count whose damage,
+// summed as damage sums it, reaches half the floor.
+func TestFirstPassingBeyondExactCounts(t *testing.T) {
+	for _, tc := range []struct{ floor, wlo, whi float64 }{
+		{4e5, 1e-13, 0},
+		{4e5, 0, 3e-14},
+		{3e5, 7e-14, 1e-13},
+		{1e300, 0.5, 0.5},
+		{math.Inf(1), 0.5, 0.5},
+		{2e4, 0, 0},
+		{0.7, 0.5, 0.5},
+		{18_311, 0.5, 0.12},
+	} {
+		passes := func(hc int) bool {
+			e := 0.0
+			if tc.wlo != 0 {
+				e += float64(hc) * tc.wlo
+			}
+			if tc.whi != 0 {
+				e += float64(hc) * tc.whi
+			}
+			return e > 0 && e/tc.floor >= 0.5
+		}
+		q := firstPassing(tc.floor, tc.wlo, tc.whi)
+		switch {
+		case q < 1:
+			t.Errorf("%+v: bound %d below 1", tc, q)
+		case q == math.MaxInt && passes(math.MaxInt-1):
+			t.Errorf("%+v: bound math.MaxInt, but %d passes", tc, math.MaxInt-1)
+		case q < math.MaxInt && (!passes(q) || q > 1 && passes(q-1)):
+			t.Errorf("%+v: bound %d, passes there %v and one below %v", tc, q, passes(q), passes(q-1))
 		}
 	}
 }

@@ -117,6 +117,9 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("faultmodel: row bits must be at least 64, got %d", cfg.RowBits)
 	case cfg.HCFirst <= 0:
 		return fmt.Errorf("faultmodel: HCFirst must be positive, got %g", cfg.HCFirst)
+	case cfg.W3 < 0 || cfg.W5 < 0:
+		// Damage must not fall as the hammer count grows (QuietBelow).
+		return fmt.Errorf("faultmodel: coupling weights must not be negative, got W3 %g W5 %g", cfg.W3, cfg.W5)
 	case cfg.WorstPattern < 0 || cfg.WorstPattern >= NumPatterns:
 		return fmt.Errorf("faultmodel: invalid worst pattern %d", int(cfg.WorstPattern))
 	case cfg.OnDieECC && cfg.RowBits%128 != 0:
