@@ -240,10 +240,11 @@ func (t *Tester) MeasureMonotonicity(hcs []int, iterations, stride int) (*Monoto
 	for hi, hc := range hcs {
 		for it := 0; it < iterations; it++ {
 			for v := 0; v < t.chip.Rows(); v += max(stride, 1) {
-				if _, _, ok := t.chip.AggressorsFor(v); !ok {
+				below, above, ok := t.chip.AggressorsFor(v)
+				if !ok {
 					continue
 				}
-				flips, err := t.HammerDoubleSided(v, hc)
+				flips, err := t.hammerDoubleSided(v, hc, below, above, true)
 				if err != nil {
 					return nil, err
 				}

@@ -54,13 +54,20 @@ func (t *Tester) WritePattern(p faultmodel.Pattern) { t.chip.WriteAll(p) }
 // the same either way. It returns an error when hc exceeds the 32 ms
 // bound or the victim has no two adjacent rows.
 func (t *Tester) HammerDoubleSided(victim, hc int) ([]faultmodel.Flip, error) {
+	lo, hi, ok := t.chip.AggressorsFor(victim)
+	return t.hammerDoubleSided(victim, hc, lo, hi, ok)
+}
+
+// hammerDoubleSided is HammerDoubleSided over the victim's aggressors as
+// Chip.AggressorsFor returned them, so the sweeps, which look them up to
+// skip edge victims, look them up once.
+func (t *Tester) hammerDoubleSided(victim, hc, lo, hi int, ok bool) ([]faultmodel.Flip, error) {
 	if hc <= 0 {
 		return nil, fmt.Errorf("charact: hammer count must be positive, got %d", hc)
 	}
 	if hc > t.MaxHC {
 		return nil, fmt.Errorf("charact: hammer count %d exceeds the 32 ms bound (%d)", hc, t.MaxHC)
 	}
-	lo, hi, ok := t.chip.AggressorsFor(victim)
 	if !ok {
 		return nil, fmt.Errorf("charact: victim row %d has no adjacent aggressor rows", victim)
 	}
@@ -125,10 +132,11 @@ func (t *Tester) Sweep(hc, stride int) (*SweepResult, error) {
 		FlipsByDist: make(map[int]int),
 	}
 	for v := 0; v < t.chip.Rows(); v += max(stride, 1) {
-		if _, _, ok := t.chip.AggressorsFor(v); !ok {
+		lo, hi, ok := t.chip.AggressorsFor(v)
+		if !ok {
 			continue
 		}
-		flips, err := t.HammerDoubleSided(v, hc)
+		flips, err := t.hammerDoubleSided(v, hc, lo, hi, true)
 		if err != nil {
 			return nil, err
 		}
@@ -148,10 +156,11 @@ func (t *Tester) Sweep(hc, stride int) (*SweepResult, error) {
 // of an HCfirst search's probes.
 func (t *Tester) AnyFlip(hc, stride int) (bool, error) {
 	for v := 0; v < t.chip.Rows(); v += max(stride, 1) {
-		if _, _, ok := t.chip.AggressorsFor(v); !ok {
+		lo, hi, ok := t.chip.AggressorsFor(v)
+		if !ok {
 			continue
 		}
-		flips, err := t.HammerDoubleSided(v, hc)
+		flips, err := t.hammerDoubleSided(v, hc, lo, hi, true)
 		if err != nil {
 			return false, err
 		}

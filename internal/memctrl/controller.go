@@ -21,6 +21,15 @@
 // live in equivalence_test.go as pure functions of controller state; the
 // randomized scheduler-equivalence test checks after every step that
 // each indexed pick equals the reference pick on the same state.
+//
+// Each scheduling decision is stated once, in one walk over the
+// candidate commands in priority order (walk). Tick runs it and issues
+// the first candidate that is ready. NextWork runs it as a probe: nothing
+// issues, and each candidate's dram.Channel.ReadyAt lowers the bound on
+// the next cycle at which Tick can act. The probe's own code covers
+// only the three events that change a filter of the walk without a
+// command (a throttle denial's horizon, a BLISS clear, and a favored
+// read's starvation onset) and keeps it from writing state.
 package memctrl
 
 import (
@@ -177,7 +186,7 @@ type Controller struct {
 	writeQ      reqQueue
 	free        *request // recycled request nodes (chained via qnext)
 	mitQ        []mitOp
-	mitBankBusy []bool // scratch: banks owned by an earlier op (tryMitigation, mitigationReady)
+	mitBankBusy []bool // scratch: banks owned by an earlier op (tryMitigation)
 
 	draining   bool
 	refPending bool
@@ -216,6 +225,14 @@ type Controller struct {
 	// lastThrottleStall deduplicates ThrottleStallCycles across the BLISS
 	// scheduler's two class passes within one cycle.
 	lastThrottleStall int64
+
+	// probe is set while NextWork runs the walk. bound is the earliest
+	// cycle at which a candidate the probe visited can act, and
+	// probeStall records whether a pass skipped a throttle denial: what
+	// every Tick below the bound counts (idleStall).
+	probe      bool
+	bound      int64
+	probeStall bool
 
 	// obs watches the command stream (nil: nobody does); see Observe.
 	obs CommandObserver
@@ -488,171 +505,56 @@ func (c *Controller) Cycle() int64 { return c.cycle }
 // beyond advancing the clock: issue a command, fire a read return, mark a
 // mitigation op, raise a due refresh, or mutate statistics. Every Tick at
 // a cycle strictly below it is a no-op that AdvanceIdle replays exactly,
-// so the event engine may skip straight to it. It is the minimum
-// dram.Channel.ReadyAt over exactly the commands the next Tick can issue:
+// so the event engine may skip straight to it.
 //
-//   - each return's cycle, and nextREF while no REF is pending;
-//   - while a REF is pending, the REF and each open bank's PRE (demand
-//     scheduling waits for the REF);
-//   - the PRE or ACT of each mitigation op that leads its bank;
-//   - otherwise, the column command of every bank in either queue's hit
-//     mask, and the ACT or PRE of each scheduling pass's oldest request
-//     (demandReady).
+// It runs Tick's scheduling walk as a probe: no candidate issues, each
+// one's dram.Channel.ReadyAt lowers the bound (ready), and the walk goes
+// on along the path every Tick below the bound takes. Each return's
+// cycle, and nextREF while no REF is pending, bound it too. Three events
+// change a filter of the walk without a command, so the probe bounds
+// them as well:
 //
-// Starvation, drain-mode flips and BLISS clears need no event of their
-// own: they only reorder or filter those candidates.
+//   - the horizon of each throttle denial a pass skips, before which the
+//     denial holds (an allowed row stays allowed until an ACT, which is
+//     work); the probe records the stall such a pass counts (idleStall);
+//   - under a BLISS blacklist, the next clear, which moves reads between
+//     classes;
+//   - in BLISS's favored pass, the oldest request's starvation onset,
+//     which moves the demoted pass's filter. Elsewhere starvation only
+//     takes candidates away.
 //
-// Under a throttler that reports horizons (mitigation.ThrottleHorizon), a
-// pass's oldest request is the oldest one whose ACT the throttler does
-// not deny, and the earliest horizon among the denials the pass skips to
-// reach it is a candidate too: before it each denial holds, and an
-// allowed row stays allowed until an ACT, which is work. A pass that
-// skips a denial counts a throttle stall on every Tick below the bound,
-// and AdvanceIdle replays exactly those (idleStall).
+// A probe writes neither the drain mode nor the statistics. It may
+// refresh a request's kept denial (throttledIdle).
 //
 // Two states answer the next cycle: an unmarked mitigation op that leads
 // its bank and finds its row already open (that Tick marks it), and, with
-// requests queued and no REF pending, a throttler without horizons or one
-// under BLISS, whose demoted pass skips a filter that starvation moves.
-// The bound may be early — a ready command can lose the slot or be
-// filtered out — but it is never late.
+// requests queued and no REF pending, a throttler without horizons, which
+// a probe may not ask. The bound may be early — a ready command can lose
+// the slot or be filtered out — but it is never late.
 //
 //rhlint:hotpath
 func (c *Controller) NextWork() int64 {
-	next := c.cycle + 1
-	if !c.refPending && c.throttle != nil && (c.horizon == nil || c.cfg.BLISS) &&
-		(c.readQ.n > 0 || c.writeQ.n > 0) {
-		return next
+	c.probeStall = false
+	if c.throttle != nil && c.horizon == nil && !c.refPending && c.readQ.n+c.writeQ.n > 0 {
+		return c.cycle + 1
 	}
-	w := dram.Never
-	if len(c.mitQ) > 0 {
-		w = c.mitigationReady()
-	}
+	c.probe, c.bound = true, dram.Never
 	for _, ev := range c.returns {
-		w = min(w, ev.cycle)
+		c.bound = min(c.bound, ev.cycle)
 	}
-	if c.refPending {
-		w = min(w, c.ch.ReadyAt(dram.CmdREF, 0, 0, 0))
-		for b := 0; b < c.ch.Geo.Banks(); b++ {
-			w = min(w, c.ch.ReadyAt(dram.CmdPRE, 0, b, 0))
-		}
-	} else {
-		w = min(w, c.nextREF, c.demandReady(&c.readQ, false), c.demandReady(&c.writeQ, true))
+	if !c.refPending {
+		c.bound = min(c.bound, c.nextREF)
 	}
-	return max(w, next)
-}
-
-// mitigationReady returns the first cycle at which tryMitigation can act:
-// the PRE or ACT of each op that leads its bank (an op behind another on
-// the same bank waits for it), or the next cycle when a leading unmarked
-// op finds its row already open. Like tryMitigation, it marks the banks
-// owned by an earlier op in mitBankBusy, clearing the marks it reads
-// first.
-//
-//rhlint:hotpath
-func (c *Controller) mitigationReady() int64 {
-	for _, op := range c.mitQ {
-		c.mitBankBusy[op.bank] = false
-	}
-	w := dram.Never
-	for _, op := range c.mitQ {
-		if c.mitBankBusy[op.bank] {
-			continue
-		}
-		c.mitBankBusy[op.bank] = true
-		cmd := dram.CmdPRE
-		if !op.activated {
-			switch open := c.ch.OpenRow(0, op.bank); open {
-			case op.row:
-				return c.cycle + 1
-			case -1:
-				cmd = dram.CmdACT
-			}
-		}
-		w = min(w, c.ch.ReadyAt(cmd, 0, op.bank, op.row))
-	}
-	return w
-}
-
-// demandReady returns the first cycle at which a scheduling pass over q
-// can issue: the column command of every bank in q's hit mask, and the
-// ACT or PRE of each pass's oldest request. Without a BLISS blacklist
-// that is the queue head, or under a throttler the oldest request it does
-// not deny, beside the horizons of the denials before it. Under a
-// blacklist the favored pass progresses the oldest favored read, and the
-// demoted pass the oldest demoted read or, while the favored one starves,
-// the oldest demoted read outside its bank (classDemotedNotBank). The
-// queue head is one of these, so a BLISS clear adds no candidate.
-//
-//rhlint:hotpath
-func (c *Controller) demandReady(q *reqQueue, write bool) int64 {
-	if q.n == 0 {
-		return dram.Never
-	}
-	col := dram.CmdRD
-	if write {
-		col = dram.CmdWR
-	}
-	w := dram.Never
-	for i, word := range q.hitMask {
-		for m := word; m != 0; m &= m - 1 {
-			b := i<<6 | bits.TrailingZeros64(m)
-			w = min(w, c.ch.ReadyAt(col, 0, b, c.ch.OpenRow(0, b)))
-		}
-	}
-	if c.throttle != nil {
-		oldest, until := c.oldestUnthrottled(q, classFilter{})
-		return min(w, c.rowReady(oldest), until)
-	}
-	if write || !c.cfg.BLISS || c.blissCount == 0 {
-		return min(w, c.rowReady(q.head))
-	}
-	var fav, dem, demOut *request
-	for r := q.head; r != nil && fav == nil; r = r.qnext {
-		if !c.blissIsBlack(r.req) {
-			fav = r
-		}
-	}
-	if c.demotedReads > 0 {
-		for r := q.head; r != nil; r = r.qnext {
-			if !c.blissIsBlack(r.req) {
-				continue
-			}
-			if dem == nil {
-				dem = r
-			}
-			if fav == nil || r.addr.Bank != fav.addr.Bank {
-				demOut = r
-				break
-			}
-		}
-	}
-	return min(w, c.rowReady(fav), c.rowReady(dem), c.rowReady(demOut))
-}
-
-// rowReady returns the first cycle at which the ACT or PRE that r needs
-// could issue: Never for no request, and for one whose row is open, since
-// its column command is a hit-mask candidate.
-//
-//rhlint:hotpath
-func (c *Controller) rowReady(r *request) int64 {
-	if r == nil {
-		return dram.Never
-	}
-	switch open := c.ch.OpenRow(0, r.addr.Bank); open {
-	case r.addr.Row:
-		return dram.Never
-	case -1:
-		return c.ch.ReadyAt(dram.CmdACT, 0, r.addr.Bank, r.addr.Row)
-	default:
-		return c.ch.ReadyAt(dram.CmdPRE, 0, r.addr.Bank, 0)
-	}
+	c.walk()
+	c.probe = false
+	return max(c.bound, c.cycle+1)
 }
 
 // AdvanceIdle advances the controller k memory cycles, replaying the only
 // state the skipped no-op Ticks would have touched: the throttle stalls
-// they count (idleStall) and the BLISS clearing schedule. Legal only when
-// every skipped cycle is below NextWork().
+// they count (idleStall) and the BLISS clearing schedule. It relies on
+// the NextWork call before it: every skipped cycle must lie below that
+// answer, and nothing may change the controller in between.
 //
 //rhlint:hotpath
 func (c *Controller) AdvanceIdle(k int64) {
@@ -669,6 +571,13 @@ func (c *Controller) AdvanceIdle(k int64) {
 		}
 	}
 }
+
+// idleStall reports whether a Tick below NextWork counts a throttle
+// stall: whether the last NextWork probe saw a pass skip a denial. Every
+// Tick below the bound takes the probe's path and counts the same.
+//
+//rhlint:hotpath
+func (c *Controller) idleStall() bool { return c.probeStall }
 
 // Tick advances one memory-clock cycle and issues at most one command.
 //
@@ -687,31 +596,58 @@ func (c *Controller) Tick() {
 	if c.cycle >= c.nextREF {
 		c.refPending = true
 	}
+	c.walk()
+}
+
+// ready decides a candidate command whose dram.Channel.ReadyAt is t. In a
+// Tick the command issues once t has come. In a NextWork probe nothing
+// issues: t lowers the bound, and the walk goes on.
+//
+//rhlint:hotpath
+func (c *Controller) ready(t int64) bool {
+	if c.probe {
+		c.bound = min(c.bound, t)
+		return false
+	}
+	return t <= c.cycle
+}
+
+// walk is one scheduling step, shared by Tick and NextWork. It visits the
+// candidate commands in priority order, each through ready, and returns
+// once one issues.
+//
+//rhlint:hotpath
+func (c *Controller) walk() {
 	// Priority 1: refresh (close banks, then REF).
-	if c.refPending {
-		if c.tryRefresh() {
-			return
-		}
-		// Banks still closing: fall through only if nothing to do for
-		// refresh this cycle is impossible — tryRefresh issues PREs.
+	if c.refPending && c.tryRefresh() {
+		return
 	}
 	// Priority 2: mitigation victim refreshes.
-	if c.tryMitigation() {
+	if len(c.mitQ) > 0 && c.tryMitigation() {
 		return
 	}
 	if c.refPending {
 		return // don't admit new demand work while a REF is due
 	}
 	// Priority 3: demand scheduling, FR-FCFS with write draining.
-	c.draining = c.drainMode()
-	if c.draining {
-		if c.schedule(&c.writeQ, true) {
+	draining := c.drainMode()
+	if !c.probe {
+		c.draining = draining
+	}
+	if c.readQ.n+c.writeQ.n == 0 {
+		return
+	}
+	if c.probe && c.blissCount > 0 {
+		c.bound = min(c.bound, c.blissClear) // a clear moves reads between classes
+	}
+	if draining {
+		if issued, _ := c.scheduleClass(&c.writeQ, true, classFilter{}); issued {
 			return
 		}
 		// While draining, still serve row-hit reads opportunistically —
 		// honoring the BLISS class order, which applies wherever reads
 		// compete for the command slot.
-		if c.cfg.BLISS && c.blissCount > 0 {
+		if c.blissCount > 0 {
 			if !c.scheduleRowHits(&c.readQ, false, -1, classFilter{kind: classFavored}) {
 				c.scheduleRowHits(&c.readQ, false, -1, classFilter{kind: classDemoted})
 			}
@@ -720,12 +656,16 @@ func (c *Controller) Tick() {
 		}
 		return
 	}
-	if c.schedule(&c.readQ, false) {
+	if c.blissCount > 0 {
+		if c.scheduleBLISS() {
+			return
+		}
+	} else if issued, _ := c.scheduleClass(&c.readQ, false, classFilter{}); issued {
 		return
 	}
 	// Idle read queue: sneak writes out.
 	if c.writeQ.n > 0 {
-		c.schedule(&c.writeQ, true)
+		c.scheduleClass(&c.writeQ, true, classFilter{})
 	}
 }
 
@@ -763,7 +703,7 @@ func (c *Controller) fireReturns() {
 // mechanism before the observer. Returns true if it consumed the command
 // slot.
 func (c *Controller) tryRefresh() bool {
-	if c.ch.CanIssue(dram.CmdREF, 0, 0, 0, c.cycle) {
+	if c.ready(c.ch.ReadyAt(dram.CmdREF, 0, 0, 0)) {
 		// REF requires every bank precharged, so the hit chains are
 		// already empty and stay valid.
 		start, rows := c.ch.RefreshPointer(0), c.ch.T.RowsPerREF
@@ -781,7 +721,8 @@ func (c *Controller) tryRefresh() bool {
 		return true
 	}
 	for b := 0; b < c.ch.Geo.Banks(); b++ {
-		if c.ch.OpenRow(0, b) != -1 && c.ch.CanIssue(dram.CmdPRE, 0, b, 0, c.cycle) {
+		// A closed bank's PRE is never ready.
+		if c.ready(c.ch.ReadyAt(dram.CmdPRE, 0, b, 0)) {
 			c.issueRowChange(dram.CmdPRE, b, 0)
 			return true
 		}
@@ -793,12 +734,7 @@ func (c *Controller) tryRefresh() bool {
 // banks proceed concurrently (one in flight per bank); at most one
 // command issues per cycle. Returns true if it consumed the command slot.
 func (c *Controller) tryMitigation() bool {
-	if len(c.mitQ) == 0 {
-		return false
-	}
-	for b := range c.mitBankBusy {
-		c.mitBankBusy[b] = false
-	}
+	clear(c.mitBankBusy)
 	for idx := 0; idx < len(c.mitQ); idx++ {
 		op := &c.mitQ[idx]
 		if c.mitBankBusy[op.bank] {
@@ -809,15 +745,18 @@ func (c *Controller) tryMitigation() bool {
 			switch open := c.ch.OpenRow(0, op.bank); {
 			case open == op.row:
 				// Row already open: its charge is restored; finish with
-				// a precharge on a later cycle.
-				op.activated = true
+				// a precharge on a later cycle. The mark is work of its
+				// own, due now.
+				if c.ready(c.cycle) {
+					op.activated = true
+				}
 			case open != -1:
-				if c.ch.CanIssue(dram.CmdPRE, 0, op.bank, 0, c.cycle) {
+				if c.ready(c.ch.ReadyAt(dram.CmdPRE, 0, op.bank, 0)) {
 					c.issueRowChange(dram.CmdPRE, op.bank, 0)
 					return true
 				}
 			default:
-				if c.ch.CanIssue(dram.CmdACT, 0, op.bank, op.row, c.cycle) {
+				if c.ready(c.ch.ReadyAt(dram.CmdACT, 0, op.bank, op.row)) {
 					c.activate(op.bank, op.row, mitigation.RequesterNone, true)
 					op.activated = true
 					return true
@@ -825,7 +764,7 @@ func (c *Controller) tryMitigation() bool {
 			}
 			continue
 		}
-		if c.ch.CanIssue(dram.CmdPRE, 0, op.bank, 0, c.cycle) {
+		if c.ready(c.ch.ReadyAt(dram.CmdPRE, 0, op.bank, 0)) {
 			c.issueRowChange(dram.CmdPRE, op.bank, 0)
 			//rhlint:allow hotalloc(in-place removal: dst and src share mitQ's backing array, so the append never grows it)
 			c.mitQ = append(c.mitQ[:idx], c.mitQ[idx+1:]...)
@@ -845,25 +784,6 @@ func (c *Controller) drainMode() bool {
 		return c.writeQ.n > c.cfg.WriteQueue/4
 	}
 	return c.writeQ.n >= c.cfg.WriteQueue
-}
-
-// idleStall reports whether a Tick below NextWork counts a throttle stall,
-// which it does when a pass it runs finds its queue's head denied: the
-// write pass while draining, otherwise the read pass and, as nothing
-// issues, the write pass behind it. Below NextWork the drain mode, the
-// heads and their answers stay as they are now. Only a horizon throttler
-// under FR-FCFS lets such a Tick have requests queued.
-//
-//rhlint:hotpath
-func (c *Controller) idleStall() bool {
-	if c.horizon == nil || c.refPending {
-		return false
-	}
-	w := c.writeQ.head != nil && c.throttledIdle(c.writeQ.head)
-	if c.drainMode() {
-		return w
-	}
-	return w || c.readQ.head != nil && c.throttledIdle(c.readQ.head)
 }
 
 // starveLimit is the age (memory cycles) past which the oldest request
@@ -946,34 +866,30 @@ func (c *Controller) blissClearAll() {
 	}
 }
 
-// schedule applies FR-FCFS to the queue. Under BLISS, demand reads are
-// scheduled in two classes: requests from non-blacklisted requesters take
-// the command slot first, and a blacklisted requester's requests are
-// considered only when no favored request can use the cycle — BLISS
-// demotes, it never blocks, so liveness is untouched.
-// Returns true if a command issued.
+// scheduleBLISS applies FR-FCFS to the read queue under a BLISS
+// blacklist, in two classes: requests from non-blacklisted requesters
+// take the command slot first, and a blacklisted requester's requests
+// are considered only when no favored request can use the cycle — BLISS
+// demotes, it never blocks, so liveness is untouched. Returns true if a
+// command issued.
 //
 //rhlint:hotpath
-func (c *Controller) schedule(q *reqQueue, write bool) bool {
-	if c.cfg.BLISS && !write && c.blissCount > 0 {
-		issued, starving := c.scheduleClass(q, write, classFilter{kind: classFavored})
-		if issued {
-			return true
-		}
-		// A *starving* favored request claims its bank from the demoted
-		// pass too, exactly as row hits yield inside one FR-FCFS pass:
-		// otherwise demoted row hits keep extending the bank's tRTP
-		// horizon and the favored request starves behind the very traffic
-		// BLISS demoted. Short of starvation, demoted requests may fill
-		// the idle slot anywhere — BLISS reorders, it does not idle banks.
-		demoted := classFilter{kind: classDemoted}
-		if starving >= 0 {
-			demoted = classFilter{kind: classDemotedNotBank, notBank: starving}
-		}
-		issued, _ = c.scheduleClass(q, write, demoted)
-		return issued
+func (c *Controller) scheduleBLISS() bool {
+	issued, starving := c.scheduleClass(&c.readQ, false, classFilter{kind: classFavored})
+	if issued {
+		return true
 	}
-	issued, _ := c.scheduleClass(q, write, classFilter{})
+	// A *starving* favored request claims its bank from the demoted pass
+	// too, exactly as row hits yield inside one FR-FCFS pass: otherwise
+	// demoted row hits keep extending the bank's tRTP horizon and the
+	// favored request starves behind the very traffic BLISS demoted.
+	// Short of starvation, demoted requests may fill the idle slot
+	// anywhere — BLISS reorders, it does not idle banks.
+	demoted := classFilter{kind: classDemoted}
+	if starving >= 0 {
+		demoted = classFilter{kind: classDemotedNotBank, notBank: starving}
+	}
+	issued, _ = c.scheduleClass(&c.readQ, false, demoted)
 	return issued
 }
 
@@ -1009,14 +925,24 @@ func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) (issu
 	}
 	// One throttle scan per pass finds the oldest eligible request the
 	// throttler does not deny and hands it to progressReq, so the prefix
-	// is not scanned again.
-	oldest, until := c.oldestUnthrottled(q, f)
-	// Count at most one throttle-stall per memory cycle: under BLISS this
-	// method runs once per class, and blocked requests in both classes
-	// must not inflate the (per-cycle) stat.
-	if until != dram.Never && c.lastThrottleStall != c.cycle {
-		c.Stats.ThrottleStallCycles++
-		c.lastThrottleStall = c.cycle
+	// is not scanned again. Without a throttler or a class filter that is
+	// the head.
+	oldest, until := q.head, dram.Never
+	if c.throttle != nil || f.kind != classAll {
+		oldest, until = c.oldestUnthrottled(q, f)
+	}
+	if until != dram.Never {
+		// A skipped denial stalls the pass until its horizon. Count at
+		// most one throttle stall per memory cycle: under BLISS this
+		// method runs once per class, and blocked requests in both
+		// classes must not inflate the (per-cycle) stat.
+		if c.probe {
+			c.bound = min(c.bound, until)
+			c.probeStall = true
+		} else if c.lastThrottleStall != c.cycle {
+			c.Stats.ThrottleStallCycles++
+			c.lastThrottleStall = c.cycle
+		}
 	}
 	if oldest == nil {
 		// Every eligible request is throttle-blocked with its row closed:
@@ -1029,11 +955,18 @@ func (c *Controller) scheduleClass(q *reqQueue, write bool, f classFilter) (issu
 		if c.progressReq(q, oldest, write) {
 			return true, starvingBank
 		}
+	} else if c.probe && f.kind == classFavored {
+		// The favored request's starvation moves the demoted pass's filter.
+		c.bound = min(c.bound, oldest.queued+starveLimit+1)
 	}
-	if c.scheduleRowHits(q, write, starvingBank, f) {
+	if r := c.firstReadyHit(q, starvingBank, f); r != nil {
+		c.issueColumn(q, r, write)
 		return true, starvingBank
 	}
-	if starvingBank < 0 && c.progressReq(q, oldest, write) {
+	// An oldest request on its bank's open row leads that bank's hit
+	// chain, so the row-hit pass found its column command not ready.
+	if starvingBank < 0 && c.ch.OpenRow(0, oldest.addr.Bank) != oldest.addr.Row &&
+		c.progressReq(q, oldest, write) {
 		return true, -1
 	}
 	return false, starvingBank
@@ -1112,20 +1045,22 @@ func (c *Controller) admitUntil(requester int, a dram.Address, queueLoad float64
 //rhlint:hotpath
 func (c *Controller) progressReq(q *reqQueue, req *request, write bool) bool {
 	bank := req.addr.Bank
-	open := c.ch.OpenRow(0, bank)
-	if open == req.addr.Row {
-		return c.serveReq(q, req, write)
-	}
-	if open == -1 {
-		if c.ch.CanIssue(dram.CmdACT, 0, bank, req.addr.Row, c.cycle) {
+	switch c.ch.OpenRow(0, bank) {
+	case req.addr.Row:
+		if c.ready(c.ch.ReadyAt(columnCmd(req), 0, bank, req.addr.Row)) {
+			c.issueColumn(q, req, write)
+			return true
+		}
+	case -1:
+		if c.ready(c.ch.ReadyAt(dram.CmdACT, 0, bank, req.addr.Row)) {
 			c.activate(bank, req.addr.Row, req.req, false)
 			return true
 		}
-		return false
-	}
-	if c.ch.CanIssue(dram.CmdPRE, 0, bank, 0, c.cycle) {
-		c.issueRowChange(dram.CmdPRE, bank, 0)
-		return true
+	default:
+		if c.ready(c.ch.ReadyAt(dram.CmdPRE, 0, bank, 0)) {
+			c.issueRowChange(dram.CmdPRE, bank, 0)
+			return true
+		}
 	}
 	return false
 }
@@ -1147,7 +1082,8 @@ func (c *Controller) scheduleRowHits(q *reqQueue, write bool, excludeBank int, f
 // firstReadyHit returns the first request in arrival order, among q's
 // members matching the class filter outside excludeBank, whose row is
 // open and whose column command can issue this cycle; nil when none can.
-// It only reads state.
+// It only reads state. In a probe every candidate lowers the bound, and
+// it returns nil.
 //
 // The scan walks hit chains instead of the queue: each bank's earliest
 // matching candidate stands for the whole bank, because CanIssue for a
@@ -1171,7 +1107,8 @@ func (c *Controller) firstReadyHit(q *reqQueue, excludeBank int, f classFilter) 
 					r = r.hnext
 				}
 			}
-			if r != nil && (best == nil || r.seq < best.seq) && c.columnReady(r) {
+			if r != nil && (best == nil || r.seq < best.seq) &&
+				c.ready(c.ch.ReadyAt(columnCmd(r), 0, b, r.addr.Row)) {
 				best = r
 			}
 		}
@@ -1185,25 +1122,6 @@ func columnCmd(r *request) dram.Command {
 		return dram.CmdWR
 	}
 	return dram.CmdRD
-}
-
-// columnReady reports whether r's column command can issue this cycle.
-//
-//rhlint:hotpath
-func (c *Controller) columnReady(r *request) bool {
-	return c.ch.CanIssue(columnCmd(r), 0, r.addr.Bank, r.addr.Row, c.cycle)
-}
-
-// serveReq issues the column command for r (whose row must be open) and
-// removes it from the queue. Returns false when timing blocks it.
-//
-//rhlint:hotpath
-func (c *Controller) serveReq(q *reqQueue, r *request, write bool) bool {
-	if !c.columnReady(r) {
-		return false
-	}
-	c.issueColumn(q, r, write)
-	return true
 }
 
 // issueColumn issues r's column command, which must be ready, and removes

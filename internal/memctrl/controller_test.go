@@ -392,6 +392,33 @@ func TestIdleStallWhileDraining(t *testing.T) {
 	}
 }
 
+// TestOpenRowMarkIsWork pins one of NextWork's next-cycle states: a
+// mitigation op that leads its bank and finds its row already open is
+// marked by the next Tick without a command, so that Tick is work. The
+// randomized sweep never reaches the state: its mechanisms name no
+// victim on a row their own ACT opened.
+func TestOpenRowMarkIsWork(t *testing.T) {
+	ctrl, ch := testController(t, nil)
+	mapper, err := dram.NewAddressMapper(ch.Geo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := false
+	ctrl.EnqueueRead(0, mapper.AddressOf(dram.Address{Bank: 3, Row: 100}), func() { done = true })
+	for i := 0; i < 200 && !done; i++ {
+		ctrl.Tick()
+	}
+	if !done || ch.OpenRow(0, 3) != 100 {
+		t.Fatalf("read served %v, bank 3 open at row %d; want served, row 100", done, ch.OpenRow(0, 3))
+	}
+	ctrl.mitQ = append(ctrl.mitQ, mitOp{bank: 3, row: 100})
+	var census idleCensus
+	tickChecked(t, ctrl, 0, &census)
+	if !ctrl.mitQ[0].activated {
+		t.Fatal("the Tick after the op found its row open did not mark it")
+	}
+}
+
 func TestStarvationBounded(t *testing.T) {
 	// A stream of row hits to one bank must not starve a conflicting
 	// request in the same bank forever.

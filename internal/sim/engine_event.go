@@ -36,20 +36,22 @@ import "repro/internal/dram"
 //     (system.refusalHolds) rides the jump instead: no queue, MSHR or
 //     fill can move inside one, so only a throttled refusal's horizon
 //     (memctrl.Controller.RefusalUntil) caps it, as a controller horizon.
-//     hammer-attack's refused cores ride 14.97M core-cycles of jumps,
-//     and mitigation-sweep's, refused for want of an MSHR, 1.92M.
+//     hammer-attack's refused cores ride 21.63M core-cycles of jumps,
+//     and mitigation-sweep's, refused for want of an MSHR, 1.93M.
 //   - LLC: no hit callback pending (cache.HitsPending). A flag is
-//     enough: it refuses 5,083 of the 3.63M mitigation-sweep probes that
-//     pass the core scan, 164 of hammer-attack's 0.79M and none on
+//     enough: it refuses 5,085 of the 3.63M mitigation-sweep probes that
+//     pass the core scan, 164 of hammer-attack's 0.71M and none on
 //     paced-dodge.
 //   - controller: no return or REF deadline due, and no command the next
-//     controller Tick can issue ready, before memctrl.NextWork, the
-//     minimum dram.Channel.ReadyAt over those commands with every rank
-//     rule applied, and under BlockHammer the first cycle a denial it
-//     keeps can lift. It lets jumps run while requests wait on DRAM
-//     timing or on the throttler: 44.55M of mitigation-sweep's 44.63M
-//     jumped cycles have a read queued, all 7.94M of hammer-attack's and
-//     172M of paced-dodge's.
+//     controller Tick can issue ready, before memctrl.NextWork. It runs
+//     that Tick's own scheduling walk as a probe that issues nothing:
+//     the minimum dram.Channel.ReadyAt over the walk's commands, with
+//     every rank rule applied, and the first cycle a filter of the walk
+//     can move (a BlockHammer denial it skips lifts, BLISS clears its
+//     blacklist, a favored read starts to starve). It lets jumps run
+//     while requests wait on DRAM timing or on the throttler: 44.70M of
+//     mitigation-sweep's 44.78M jumped cycles have a read queued, all
+//     10.31M of hammer-attack's and 172M of paced-dodge's.
 //
 // Beside them sits the all-asleep rule, for the dense stretches no jump
 // covers because the controller is busy. While every core is asleep, or
@@ -60,8 +62,8 @@ import "repro/internal/dram"
 // retire and neither retirement check can change. The k-1 cycles before
 // the controller's next tick pass in closed form, each refused core
 // counts k-1 retries, and that tick's cycle runs exactly. The rule is
-// tried once probes keep failing: it passes 5.45M of mitigation-sweep's
-// 62.8M cycles and 2.80M of hammer-attack's 14.0M, where the controller
+// tried once probes keep failing: it passes 5.36M of mitigation-sweep's
+// 62.8M cycles and 1.29M of hammer-attack's 14.0M, where the controller
 // has a command ready on nearly every memory cycle and no jump can take
 // them (the attacker mostly sleeps refused). On paced-dodge, whose cores
 // join jumps with a load outstanding, it passes none. Tried after every
