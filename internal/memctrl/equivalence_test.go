@@ -314,7 +314,12 @@ func runEquivalence(t *testing.T, tc eqCase, seed int64, steps int, census *idle
 				checkPicks(t, c, i)
 			}
 		default: // idle-skip to the horizon
-			if k := c.NextWork() - c.Cycle() - 1; k > 0 {
+			next := c.NextWork()
+			if next == dram.Never {
+				// AdvanceIdle(≈2^63) would step BLISS clears forever.
+				t.Fatalf("step %d: NextWork answered dram.Never at cycle %d", i, c.Cycle())
+			}
+			if k := next - c.Cycle() - 1; k > 0 {
 				stall, before := c.idleStall(), snapshotTick(c)
 				c.AdvanceIdle(k)
 				if want, after := idleAfter(before, k, stall), snapshotTick(c); !reflect.DeepEqual(want, after) {

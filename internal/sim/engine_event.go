@@ -7,8 +7,7 @@ import "repro/internal/dram"
 // iteration —
 //
 //   - execute one cycle exactly as runCycle would (same component order,
-//     same clock-divider arithmetic), after passing the no-op cycles
-//     before it in closed form when the all-asleep rule (below) holds, or
+//     same clock-divider arithmetic), or
 //
 //   - bulk-advance n cycles after proving that each of those cycles would
 //     have been trivial for every component, then replay them in closed
@@ -24,66 +23,36 @@ import "repro/internal/dram"
 // modular arithmetic, so ACT/REF/return timing is preserved bit-for-bit.
 // An exact cycle ticks only awake cores (system.tick).
 //
-// Three horizons bound a jump. Each earns its place on the benchmark's
-// sim workloads (counts from one run of each workload's spec at
-// benchmark seed 1):
+// Three horizons bound a jump, each the first cycle at which its
+// component could do something a jump cannot replay (EXPERIMENTS.md,
+// "What each rule skips", counts what they take on each benchmark
+// workload):
 //
 //   - cores: no core tries a memory access (cpu.Core.BulkWindow). Between
 //     accesses a core is arithmetic, a load outstanding or not: it fills
 //     its window behind the oldest pending load, or runs through a gap
-//     run. Paced attacks live here: paced-dodge jumps over 949.1M of its
-//     960M CPU cycles, in 5.44M jumps. A core whose refusal holds
-//     (system.refusalHolds) rides the jump instead: no queue, MSHR or
-//     fill can move inside one, so only a throttled refusal's horizon
-//     (memctrl.Controller.RefusalUntil) caps it, as a controller horizon.
-//     hammer-attack's refused cores ride 21.63M core-cycles of jumps,
-//     and mitigation-sweep's, refused for want of an MSHR, 1.93M.
+//     run. A core whose refusal holds (system.refusalHolds) rides the
+//     jump instead: no queue, MSHR or fill can move inside one, so only
+//     a throttled refusal's horizon (memctrl.Controller.RefusalUntil)
+//     caps it, as a controller horizon.
 //   - LLC: no hit callback pending (cache.HitsPending). A flag is
-//     enough: it refuses 5,085 of the 3.63M mitigation-sweep probes that
-//     pass the core scan, 164 of hammer-attack's 0.71M and none on
-//     paced-dodge.
+//     enough: the rare probe it refuses leaves its cycles to the exact
+//     path.
 //   - controller: no return or REF deadline due, and no command the next
 //     controller Tick can issue ready, before memctrl.NextWork. It runs
 //     that Tick's own scheduling walk as a probe that issues nothing:
 //     the minimum dram.Channel.ReadyAt over the walk's commands, with
 //     every rank rule applied, and the first cycle a filter of the walk
 //     can move (a BlockHammer denial it skips lifts, BLISS clears its
-//     blacklist, a favored read starts to starve). It lets jumps run
-//     while requests wait on DRAM timing or on the throttler: 44.70M of
-//     mitigation-sweep's 44.78M jumped cycles have a read queued, all
-//     10.31M of hammer-attack's and 172M of paced-dodge's.
+//     blacklist, a favored read starts to starve). Jumps therefore run
+//     while requests wait on DRAM timing or on the throttler.
 //
-// Beside them sits the all-asleep rule, for the dense stretches no jump
-// covers because the controller is busy. While every core is asleep, or
-// refused with an answer that still holds (system.refusalHolds), and
-// no hit is pending, a CPU cycle without a controller tick is a no-op
-// but for the refused cores' counts: no completion can fire and no
-// queue, MSHR or throttler state can move, so no core can wake or
-// retire and neither retirement check can change. The k-1 cycles before
-// the controller's next tick pass in closed form, each refused core
-// counts k-1 retries, and that tick's cycle runs exactly. The rule is
-// tried once probes keep failing: it passes 5.36M of mitigation-sweep's
-// 62.8M cycles and 1.29M of hammer-attack's 14.0M, where the controller
-// has a command ready on nearly every memory cycle and no jump can take
-// them (the attacker mostly sleeps refused). On paced-dodge, whose cores
-// join jumps with a load outstanding, it passes none. Tried after every
-// failed probe instead, it passes 6.27M cycles there that jumps would
-// take; that spec ran 4% longer in 10 alternating runs, within their
-// noise, and about 7% longer when the gate was added.
-//
-// The probe backoff (runEvent) keeps dense runs from paying for probes
-// that fail: mitigation-sweep probes on 4.25M of its 14.2M loop
-// iterations, and without the backoff would probe on every one.
+// The probe backoff (runEvent) keeps dense runs, where nearly every
+// probe fails, from paying for a probe on every cycle.
 
 // minBulk is the smallest jump worth taking, and the window below which
-// a probe stops early. Shorter jumps pay a probe each for cycles the
-// exact path or the all-asleep rule passes about as cheaply. While
-// NextWork bounded each bank by its own timing, 2 made mitigation-sweep
-// probe 4.9 times as often and run about 47% longer. Over the ReadyAt
-// horizon, at 2 it probes 6.09M times instead of 4.17M, jumps 2.62M
-// times instead of 1.41M and leaves the rule 1.72M cycles instead of
-// 6.43M, and in 10 alternating runs neither it nor paced-dodge moved
-// beyond run-to-run noise (both 2% faster in the median).
+// a probe stops early. A shorter jump pays a probe for cycles the exact
+// path passes about as cheaply.
 const minBulk = 8
 
 // retireNeed returns the minimum number of cycles before allRetired(tgt)
@@ -107,19 +76,6 @@ func (s *system) retireNeed(tgt, iw int64) int64 {
 	return need
 }
 
-// allAsleep reports whether every core is asleep (cpu.Core.Asleep) or
-// refused with an answer that still holds (refusalHolds).
-//
-//rhlint:hotpath
-func (s *system) allAsleep() bool {
-	for i, c := range s.cores {
-		if !c.Asleep() && !(c.Refused() && s.refusalHolds(i)) {
-			return false
-		}
-	}
-	return true
-}
-
 // runEvent drives the system to the same final state as runCycle,
 // skipping provably-trivial cycles.
 //
@@ -133,8 +89,9 @@ func (s *system) runEvent() {
 	// exact cycles before probing again. Dense regimes — where nearly
 	// every probe fails — amortize the probe cost away. The cap bounds how
 	// late a fresh jump window is spotted: the long idle stretches the
-	// engine exists for dwarf it, while sub-maxBulk gap runs may be ridden
-	// through exactly — a deliberate trade for dense-regime parity.
+	// engine exists for dwarf it, while a gap run with fewer than minBulk
+	// cycles left at the next probe is ridden through exactly — a
+	// deliberate trade for dense-regime parity.
 	const maxBackoff = 16
 	var skipProbes int64
 	backoff := int64(1)
@@ -199,30 +156,6 @@ func (s *system) runEvent() {
 				skipProbes = backoff
 				if backoff < maxBackoff {
 					backoff *= 2
-				}
-			}
-			// The all-asleep rule, tried once probes keep failing (the
-			// backoff at its cap). Right after a jump another is usually
-			// near: there the rule passes cycles a jump would cover, and
-			// its checks cost more than it saves.
-			if backoff == maxBackoff && s.allAsleep() && !s.llc.HitsPending() {
-				// Nothing can happen before the controller's next tick, k
-				// cycles away: pass the k-1 cycles before it in closed form.
-				// A refused core would have retried on each of them.
-				k := (s.cpuF - s.memAcc + s.memF - 1) / s.memF
-				skip := min(k-1, s.maxCycles-s.cpuCycle)
-				s.memAcc += skip * s.memF
-				s.cpuCycle += skip
-				s.cycles += skip
-				if skip > 0 {
-					for i, c := range s.cores {
-						if !c.Asleep() {
-							s.repeatRefusal(i, skip)
-						}
-					}
-				}
-				if s.cpuCycle == s.maxCycles {
-					return
 				}
 			}
 			s.tick()

@@ -9,12 +9,10 @@
 // semantics. EngineEvent (the default) jumps over stretches it can prove
 // idle — no core reaching its next memory access, no LLC hit pending, no
 // controller command, return or REF deadline due, no throttled refusal
-// reaching its horizon — and, while every core is asleep and no hit is
-// pending, passes the cycles before the controller's next tick in closed
-// form. It preserves the
-// exact CPU/mem clock-ratio phase, so every DRAM command lands on the
-// identical cycle and all results are byte-identical to the cycle engine
-// (enforced by the differential tests in this package).
+// reaching its horizon — and ticks the remaining cycles exactly. It
+// preserves the exact CPU/mem clock-ratio phase, so every DRAM command
+// lands on the identical cycle and all results are byte-identical to the
+// cycle engine (enforced by the differential tests in this package).
 //
 // The DRAM channel has no observers: Config.Observer watches the command
 // stream through memctrl.Controller.Observe, hearing of each ACT and REF
@@ -28,8 +26,8 @@
 // happens (cpu.Core.Refused, system.refusalHolds): a queue, MSHR or fill
 // moves, or the controller reaches the horizon of a throttler's refusal.
 // Each cycle it sleeps counts what its retry would have counted, and
-// under the event engine it rides jumps. engine_event.go records what
-// each rule skips.
+// under the event engine it rides jumps. EXPERIMENTS.md ("What each rule
+// skips") counts what sleeping and jumps skip.
 package sim
 
 import (
